@@ -2,9 +2,9 @@
 // 6 A-s of buffer; this sweep shows how FC-DPM's advantage depends on
 // that headroom (the capacity constraint of Eq. (12) binds below the
 // flat optimum's swing). Points are fanned across the parallel worker
-// pool with a shared solve cache; each point keeps the original
-// per-capacity reserve (Cini = capacity / 6), so the numbers are
-// bit-identical to the old serial loop.
+// pool; each point keeps the original per-capacity reserve
+// (Cini = capacity / 6), so the numbers are bit-identical to the old
+// serial loop.
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -22,7 +22,7 @@ const std::vector<double> kCapacities = {1.5, 3.0, 6.0, 9.0, 12.0, 24.0,
                                          48.0};
 
 void sweep(const char* title, const sim::ExperimentConfig& config,
-           par::WorkerPool& pool, par::SharedSolveCache& cache) {
+           par::WorkerPool& pool) {
   // One point per (policy, capacity); FC-DPM first, grid order.
   const std::vector<sim::PolicyKind> policies = {sim::PolicyKind::FcDpm,
                                                  sim::PolicyKind::Asap};
@@ -44,7 +44,7 @@ void sweep(const char* title, const sim::ExperimentConfig& config,
     // Keep the same relative reserve the paper experiments use.
     base.initial_storage = points[k].capacity / 6.0;
     base.simulation.initial_storage = base.initial_storage;
-    results[k] = par::run_point(base, points[k], 0, &cache).result;
+    results[k] = par::run_point(base, points[k], 0, nullptr).result;
   });
 
   report::Table table(
@@ -66,14 +66,11 @@ void sweep(const char* title, const sim::ExperimentConfig& config,
 
 int main() {
   par::WorkerPool pool(0);  // hardware concurrency
-  par::SharedSolveCache cache;
   sweep("Ablation A3 — storage capacity, Experiment 1 (camcorder)",
-        sim::experiment1_config(), pool, cache);
+        sim::experiment1_config(), pool);
   sweep("Ablation A3 — storage capacity, Experiment 2 (synthetic)",
-        sim::experiment2_config(), pool, cache);
-  std::printf(
-      "Sweep ran on %zu worker threads; solve-cache hit rate %.1f %%.\n",
-      pool.thread_count(), 100.0 * cache.hit_rate());
+        sim::experiment2_config(), pool);
+  std::printf("Sweep ran on %zu worker threads.\n", pool.thread_count());
   std::printf(
       "Reading: once the buffer holds the flat optimum's per-slot swing\n"
       "(~4 A-s for the camcorder, ~8 A-s for the synthetic load), extra\n"

@@ -1,9 +1,8 @@
 // Ablation A2: sensitivity to the prediction factor rho (Eq. (14)) on
 // both experiments. The paper fixes rho = 0.5; this sweep shows how much
 // that choice matters. Evaluated through the parallel sweep engine
-// (par::run_sweep) with a shared solve cache — results are bit-identical
-// to the serial run_policy loop (tests/par/test_sweep.cpp holds it to
-// that).
+// (par::run_sweep) — results are bit-identical to the serial run_policy
+// loop (tests/par/test_sweep.cpp holds it to that).
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -25,14 +24,12 @@ const sim::SimulationResult& at(const par::SweepResult& sweep,
   return sweep.points[policy_index * kRhos.size() + rho_index].result;
 }
 
-par::SweepResult sweep_experiment(const sim::ExperimentConfig& config,
-                                  par::SharedSolveCache& cache) {
+par::SweepResult sweep_experiment(const sim::ExperimentConfig& config) {
   par::SweepGrid grid;
   grid.policies = {sim::PolicyKind::FcDpm, sim::PolicyKind::Asap};
   grid.rhos = kRhos;
   par::SweepOptions options;
   options.jobs = 0;  // hardware concurrency
-  options.cache = &cache;
   return par::run_sweep(config, grid, options);
 }
 
@@ -45,11 +42,8 @@ int main() {
       {"rho", "Exp 1 fuel", "Exp 1 saving", "Exp 2 fuel",
        "Exp 2 saving"});
 
-  par::SharedSolveCache cache;
-  const par::SweepResult e1 =
-      sweep_experiment(sim::experiment1_config(), cache);
-  const par::SweepResult e2 =
-      sweep_experiment(sim::experiment2_config(), cache);
+  const par::SweepResult e1 = sweep_experiment(sim::experiment1_config());
+  const par::SweepResult e2 = sweep_experiment(sim::experiment2_config());
 
   for (std::size_t k = 0; k < kRhos.size(); ++k) {
     const sim::SimulationResult& f1 = at(e1, 0, k);
@@ -65,13 +59,11 @@ int main() {
 
   std::cout << table << '\n';
   std::printf(
-      "Sweep: %zu points at %zu jobs, %.2f s wall (%.1f points/s), "
-      "solve-cache hit rate %.1f %%\n",
+      "Sweep: %zu points at %zu jobs, %.2f s wall (%.1f points/s)\n",
       e1.stats.points + e2.stats.points, e1.stats.jobs,
       e1.stats.wall_seconds + e2.stats.wall_seconds,
       (static_cast<double>(e1.stats.points + e2.stats.points)) /
-          (e1.stats.wall_seconds + e2.stats.wall_seconds),
-      100.0 * cache.hit_rate());
+          (e1.stats.wall_seconds + e2.stats.wall_seconds));
   std::printf(
       "Reading: any rho < 1 adapts; rho = 1 never updates the initial\n"
       "estimate and is the only clearly bad setting. The paper's 0.5 is\n"

@@ -3,8 +3,8 @@
 // A sweep grid (policy x rho x capacity x fault-storm seed) is fanned
 // across the worker pool; every worker builds its *own* policies,
 // hybrid source and fault injector for each point (nothing mutable is
-// shared between points except the solve cache, whose answers are
-// deterministic by construction), and stores its result at the point's
+// shared between points except an attached solve memo, whose answers
+// are deterministic by construction), and stores its result at the point's
 // grid index. Results are therefore bit-identical for any job count —
 // `--jobs 8` must reproduce `--jobs 1` exactly, and the tests hold it
 // to that.
@@ -62,6 +62,9 @@ struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency.
   std::size_t jobs = 1;
   /// Optional shared slot-solve memo (hit/miss counters accumulate).
+  /// nullptr = FC-DPM and Oracle solve every slot directly. An exact-key
+  /// memo changes no result and costs more than the closed-form solve it
+  /// saves; attach one only with nonzero quanta.
   SharedSolveCache* cache = nullptr;
   /// Post-run stats publication only — never attached to worker runs
   /// (obs::Context is not thread-safe).

@@ -1,6 +1,7 @@
 #include "resilience/resilient_sweep.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <map>
@@ -103,6 +104,35 @@ bool same_observable(const sim::SimulationResult& a,
          same_cap(a.cap, b.cap) && same_audit(a.audit, b.audit);
 }
 
+/// grid_fingerprint plus the memo's quanta when any is nonzero: a
+/// snapped sweep solves different problems than an exact one, so their
+/// journals must not splice. Exact sweeps (no memo, or all quanta 0)
+/// keep the plain grid fingerprint, so their journals still resume.
+std::uint64_t sweep_fingerprint(const sim::ExperimentConfig& base,
+                                const std::vector<par::SweepPoint>& points,
+                                std::size_t storm_faults,
+                                const par::SharedSolveCache* cache) {
+  std::uint64_t hash = grid_fingerprint(base, points, storm_faults);
+  if (cache == nullptr) {
+    return hash;
+  }
+  const par::SolveCacheConfig& q = cache->config();
+  const std::array<double, 3> quanta = {q.time_quantum.value(),
+                                        q.current_quantum.value(),
+                                        q.charge_quantum.value()};
+  if (quanta == std::array<double, 3>{}) {
+    return hash;
+  }
+  for (const double quantum : quanta) {
+    const auto bits = std::bit_cast<std::uint64_t>(quantum);
+    for (int shift = 0; shift < 64; shift += 8) {  // FNV-1a, as journal.cpp
+      hash ^= (bits >> shift) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
 /// One scheduled unit of work: a grid point and which attempt this is.
 struct BatchItem {
   std::size_t index = 0;
@@ -116,7 +146,7 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
                                          const ResilienceOptions& options) {
   const std::vector<par::SweepPoint> points = grid.points(base);
   const std::uint64_t fingerprint =
-      grid_fingerprint(base, points, grid.storm_faults);
+      sweep_fingerprint(base, points, grid.storm_faults, options.cache);
   const std::size_t max_attempts = 1 + options.contract.max_retries;
 
   ResilientSweepResult out;

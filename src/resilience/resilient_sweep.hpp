@@ -45,6 +45,8 @@ struct ResilienceOptions {
 
   /// Worker threads; 0 = hardware concurrency.
   std::size_t jobs = 1;
+  /// Optional solve memo (see par::SweepOptions::cache). Its nonzero
+  /// quanta are part of the journal's fingerprint.
   par::SharedSolveCache* cache = nullptr;
   /// Post-run stats publication only (never attached to worker runs).
   obs::Context* observer = nullptr;

@@ -83,7 +83,6 @@ bool make_history_row(const json::Value& bench,
     add_metric(bench, "wall_s", "wall_s", out);
     add_metric(bench, "points_per_s", "points_per_s", out);
     add_metric(bench, "speedup", "speedup", out);
-    add_metric(bench, "cache.hit_rate", "cache_hit_rate", out);
     return true;
   }
   error = schema.empty()
@@ -189,9 +188,9 @@ bool append_history(const std::string& path, const HistoryRow& row) {
 
 bool metric_direction(const std::string& name, Direction& out) {
   static constexpr const char* kHigher[] = {
-      "points_per_s", "speedup",       "single_run_speedup",
-      "lifetime_speedup", "cache_hit_rate", "speedup_jobs1",
-      "speedup_jobsN", "devices_per_s"};
+      "points_per_s",     "speedup",       "single_run_speedup",
+      "lifetime_speedup", "speedup_jobs1", "speedup_jobsN",
+      "devices_per_s"};
   static constexpr const char* kLower[] = {"wall_s", "hot_us", "hot_ms"};
   for (const char* metric : kHigher) {
     if (name == metric) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "obs/context.hpp"
 #include "par/worker_pool.hpp"
 #include "sim/experiments.hpp"
@@ -113,37 +116,109 @@ TEST(SweepTest, ParallelSweepIsBitIdenticalToSerialAcrossJobCounts) {
   }
 }
 
-// An exact-key (quantum 0) cache is transparent: hit-served answers
-// leave every result bit-identical to the uncached sweep.
-TEST(SweepTest, ExactKeyCacheDoesNotChangeAnyResult) {
-  const sim::ExperimentConfig base = small_base();
-  SweepGrid grid;
-  grid.rhos = {0.5};
-  grid.capacities = {Coulomb(6.0)};
-  grid.storm_seeds = {0};
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
-  SweepOptions plain;
-  plain.jobs = 2;
-  const SweepResult uncached = run_sweep(base, grid, plain);
-
-  SharedSolveCache cache;
-  SweepOptions cached_options;
-  cached_options.jobs = 2;
-  cached_options.cache = &cache;
-  // Two sweeps through one cache: the second is served mostly by hits.
-  const SweepResult first = run_sweep(base, grid, cached_options);
-  const SweepResult second = run_sweep(base, grid, cached_options);
-
-  ASSERT_EQ(first.points.size(), uncached.points.size());
-  for (std::size_t k = 0; k < uncached.points.size(); ++k) {
-    SCOPED_TRACE(testing::Message() << "point=" << k);
-    expect_same_result(first.points[k].result, uncached.points[k].result);
-    expect_same_result(second.points[k].result,
-                       uncached.points[k].result);
+// Bit-level equality over every field a sweep row or rollup reads.
+void expect_bit_identical(const SweepPointResult& a,
+                          const SweepPointResult& b) {
+  const sim::SimulationResult& x = a.result;
+  const sim::SimulationResult& y = b.result;
+  EXPECT_TRUE(same_bits(x.totals.fuel.value(), y.totals.fuel.value()));
+  EXPECT_TRUE(same_bits(x.totals.delivered_energy.value(),
+                        y.totals.delivered_energy.value()));
+  EXPECT_TRUE(same_bits(x.totals.load_energy.value(),
+                        y.totals.load_energy.value()));
+  EXPECT_TRUE(same_bits(x.totals.bled.value(), y.totals.bled.value()));
+  EXPECT_TRUE(same_bits(x.totals.unserved.value(), y.totals.unserved.value()));
+  EXPECT_TRUE(same_bits(x.totals.duration.value(), y.totals.duration.value()));
+  EXPECT_TRUE(same_bits(x.latency_added.value(), y.latency_added.value()));
+  EXPECT_TRUE(same_bits(x.storage_initial.value(), y.storage_initial.value()));
+  EXPECT_TRUE(same_bits(x.storage_end.value(), y.storage_end.value()));
+  EXPECT_TRUE(same_bits(x.storage_min.value(), y.storage_min.value()));
+  EXPECT_TRUE(same_bits(x.storage_max.value(), y.storage_max.value()));
+  EXPECT_EQ(x.slots, y.slots);
+  EXPECT_EQ(x.sleeps, y.sleeps);
+  EXPECT_EQ(a.ran_hot, b.ran_hot);
+  EXPECT_EQ(a.ran_batched, b.ran_batched);
+  ASSERT_EQ(x.audit.has_value(), y.audit.has_value());
+  if (x.audit.has_value()) {
+    EXPECT_EQ(x.audit->slots_audited, y.audit->slots_audited);
+    EXPECT_EQ(x.audit->segments_audited, y.audit->segments_audited);
+    EXPECT_EQ(x.audit->checks_run, y.audit->checks_run);
+    EXPECT_EQ(x.audit->violations, 0u);
+    EXPECT_EQ(y.audit->violations, 0u);
+    EXPECT_EQ(x.audit->engine_fallbacks, y.audit->engine_fallbacks);
   }
-  EXPECT_GT(cache.misses(), 0u);
-  EXPECT_GT(second.stats.cache_hits, 0u);
-  EXPECT_EQ(second.stats.cache_misses, 0u);
+}
+
+// An exact-key (quantum 0) memo is transparent: on every engine, at 1
+// and 4 jobs, with and without sampled auditing, a memo-attached sweep —
+// including a second pass served entirely by hits — answers bit for bit
+// what a memo-free sweep does. The grid shares one initial charge across
+// capacities, so the batched engine forms merge sets whose per-slot memo
+// falls through to the attached memo or, without one, to a fresh solve.
+TEST(SweepTest, ExactKeyCacheDoesNotChangeAnyResult) {
+  SweepGrid grid;
+  grid.policies = {sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle,
+                   sim::PolicyKind::Asap};
+  grid.rhos = {0.3, 0.5};
+  grid.capacities = {Coulomb(3.0), Coulomb(6.0), Coulomb(12.0),
+                     Coulomb(24.0)};
+
+  for (const sim::Engine engine :
+       {sim::Engine::Reference, sim::Engine::Hot, sim::Engine::Batched}) {
+    for (const audit::Mode audit_mode : {audit::Mode::Off, audit::Mode::Sample}) {
+      sim::ExperimentConfig base = small_base();
+      base.simulation.engine = engine;
+      base.initial_storage = Coulomb(1.0);
+      base.audit.mode = audit_mode;
+      for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "engine=" << static_cast<int>(engine)
+                     << " audit=" << audit::to_string(audit_mode)
+                     << " jobs=" << jobs);
+        SweepOptions plain;
+        plain.jobs = jobs;
+        const SweepResult uncached = run_sweep(base, grid, plain);
+
+        SharedSolveCache cache;
+        SweepOptions cached_options = plain;
+        cached_options.cache = &cache;
+        // Two sweeps through one memo: the second is served by hits.
+        const SweepResult first = run_sweep(base, grid, cached_options);
+        const SweepResult second = run_sweep(base, grid, cached_options);
+
+        ASSERT_EQ(first.points.size(), uncached.points.size());
+        ASSERT_EQ(second.points.size(), uncached.points.size());
+        for (std::size_t k = 0; k < uncached.points.size(); ++k) {
+          SCOPED_TRACE(testing::Message() << "point=" << k);
+          expect_bit_identical(first.points[k], uncached.points[k]);
+          expect_bit_identical(second.points[k], uncached.points[k]);
+        }
+        for (const SweepResult* cached : {&first, &second}) {
+          EXPECT_EQ(cached->stats.points_batched,
+                    uncached.stats.points_batched);
+          EXPECT_EQ(cached->stats.batch_merge_sets,
+                    uncached.stats.batch_merge_sets);
+          EXPECT_EQ(cached->stats.batch_merged_lane_slots,
+                    uncached.stats.batch_merged_lane_slots);
+          EXPECT_EQ(cached->stats.batch_splits, uncached.stats.batch_splits);
+          EXPECT_EQ(cached->stats.batch_journal_hits,
+                    uncached.stats.batch_journal_hits);
+        }
+        if (engine == sim::Engine::Batched) {
+          EXPECT_GT(uncached.stats.batch_merge_sets, 0u);
+        }
+        EXPECT_EQ(uncached.stats.cache_hits + uncached.stats.cache_misses,
+                  0u);
+        EXPECT_GT(first.stats.cache_misses, 0u);
+        EXPECT_GT(second.stats.cache_hits, 0u);
+        EXPECT_EQ(second.stats.cache_misses, 0u);
+      }
+    }
+  }
 }
 
 TEST(SweepTest, StormPointsCarryRobustnessAndDifferFromFaultFree) {

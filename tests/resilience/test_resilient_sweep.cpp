@@ -59,6 +59,38 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// "SIGKILL" partway through: keep the header, `records` full records
+/// and a torn half of the next.
+void cut_journal(const std::string& path, int records) {
+  const std::string full = read_file(path);
+  std::size_t cut = full.find('\n') + 1;
+  for (int k = 0; k < records; ++k) {
+    cut = full.find('\n', cut) + 1;
+  }
+  write_file(path, full.substr(0, cut + 17));
+}
+
+/// A memo snapping every solve input to `quantum`.
+par::SolveCacheConfig all_quanta(double quantum) {
+  par::SolveCacheConfig config;
+  config.time_quantum = Seconds(quantum);
+  config.current_quantum = Ampere(quantum);
+  config.charge_quantum = Coulomb(quantum);
+  return config;
+}
+
+/// The CsvError message a resume throws; empty when it succeeds.
+std::string resume_error(const sim::ExperimentConfig& base,
+                         const par::SweepGrid& grid,
+                         const ResilienceOptions& options) {
+  try {
+    (void)run_resilient_sweep(base, grid, options);
+  } catch (const CsvError& error) {
+    return error.what();
+  }
+  return "";
+}
+
 TEST(ResilientSweepTest, MatchesThePlainEngineBitwiseAcrossJobCounts) {
   const sim::ExperimentConfig base = small_base();
   const par::SweepGrid grid = small_grid();
@@ -170,14 +202,7 @@ TEST(ResilientSweepTest, TornJournalResumesBitIdenticalToUninterrupted) {
       run_resilient_sweep(base, grid, first);
   ASSERT_EQ(uninterrupted.resilience.quarantined, 0u);
 
-  // "SIGKILL" partway through: keep the header, 10 full records and a
-  // torn 11th.
-  const std::string full = read_file(path);
-  std::size_t cut = full.find('\n') + 1;
-  for (int records = 0; records < 10; ++records) {
-    cut = full.find('\n', cut) + 1;
-  }
-  write_file(path, full.substr(0, cut + 17));
+  cut_journal(path, 10);
 
   ResilienceOptions second;
   second.jobs = 2;
@@ -209,6 +234,107 @@ TEST(ResilientSweepTest, TornJournalResumesBitIdenticalToUninterrupted) {
   const JournalLoad healed = load_journal(path);
   EXPECT_FALSE(healed.torn_tail);
   EXPECT_EQ(healed.records.size(), resumed.points.size());
+  std::remove(path.c_str());
+}
+
+// A memo-free journal, cut and resumed, merges to the rows an
+// exact-key memo run produces: attaching no memo changes no result.
+TEST(ResilientSweepTest, MemoFreeJournalResumesToTheMemoRunsRows) {
+  const sim::ExperimentConfig base = small_base();
+  const par::SweepGrid grid = small_grid();
+  const std::string path = temp_path("memo_free.fcj");
+
+  par::SharedSolveCache memo;
+  ResilienceOptions memo_run;
+  memo_run.jobs = 2;
+  memo_run.cache = &memo;
+  const ResilientSweepResult with_memo =
+      run_resilient_sweep(base, grid, memo_run);
+  ASSERT_GT(memo.misses(), 0u);
+
+  ResilienceOptions first;
+  first.jobs = 2;
+  first.journal_path = path;
+  (void)run_resilient_sweep(base, grid, first);
+  cut_journal(path, 7);
+
+  ResilienceOptions second = first;
+  second.resume = true;
+  const ResilientSweepResult resumed =
+      run_resilient_sweep(base, grid, second);
+  EXPECT_EQ(resumed.resilience.replayed, 7u);
+  EXPECT_EQ(resumed.stats.cache_hits + resumed.stats.cache_misses, 0u);
+  ASSERT_EQ(resumed.points.size(), with_memo.points.size());
+  for (std::size_t k = 0; k < resumed.points.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "point=" << k);
+    ASSERT_TRUE(resumed.points[k].ok);
+    expect_same_result(resumed.points[k].result.result,
+                       with_memo.points[k].result.result);
+  }
+  std::remove(path.c_str());
+}
+
+// Snapped solves answer different problems, so a journal written at one
+// nonzero quantum refuses to splice into a sweep at another — as a
+// fingerprint error, before any spot check could mistake it for a
+// tampered record. Exact-key journals keep the plain grid fingerprint,
+// with or without an exact-key memo, so journals written before the
+// quanta were hashed still resume.
+TEST(ResilientSweepTest, ResumeRefusesAJournalWrittenAtAnotherQuantum) {
+  const sim::ExperimentConfig base = small_base();
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::FcDpm};
+  grid.rhos = {0.3, 0.5, 0.7};
+  grid.capacities = {Coulomb(3.0), Coulomb(6.0)};
+  const std::vector<par::SweepPoint> points = grid.points(base);
+  const std::string path = temp_path("quantum.fcj");
+
+  par::SharedSolveCache snapped(all_quanta(0.5));
+  ResilienceOptions first;
+  first.journal_path = path;
+  first.cache = &snapped;
+  (void)run_resilient_sweep(base, grid, first);
+  EXPECT_NE(load_journal(path).header.fingerprint,
+            grid_fingerprint(base, points, grid.storm_faults));
+  cut_journal(path, 3);
+
+  ResilienceOptions exact;
+  exact.journal_path = path;
+  exact.resume = true;
+  exact.spot_checks = 0;
+  EXPECT_NE(resume_error(base, grid, exact).find("fingerprint mismatch"),
+            std::string::npos);
+  exact.spot_checks = 1;
+  EXPECT_NE(resume_error(base, grid, exact).find("fingerprint mismatch"),
+            std::string::npos);
+  par::SharedSolveCache finer(all_quanta(0.25));
+  exact.cache = &finer;
+  EXPECT_NE(resume_error(base, grid, exact).find("fingerprint mismatch"),
+            std::string::npos);
+
+  ResilienceOptions same = first;
+  same.resume = true;
+  EXPECT_EQ(resume_error(base, grid, same), "");
+
+  // Quantum 0: the plain fingerprint, resumable with or without a memo,
+  // but not by a snapped sweep.
+  ResilienceOptions plain;
+  plain.journal_path = path;
+  (void)run_resilient_sweep(base, grid, plain);
+  EXPECT_EQ(load_journal(path).header.fingerprint,
+            grid_fingerprint(base, points, grid.storm_faults));
+  cut_journal(path, 3);
+  par::SharedSolveCache exact_memo;
+  ResilienceOptions resume_exact = plain;
+  resume_exact.resume = true;
+  resume_exact.cache = &exact_memo;
+  EXPECT_EQ(resume_error(base, grid, resume_exact), "");
+  ResilienceOptions resume_snapped = plain;
+  resume_snapped.resume = true;
+  resume_snapped.cache = &snapped;
+  EXPECT_NE(
+      resume_error(base, grid, resume_snapped).find("fingerprint mismatch"),
+      std::string::npos);
   std::remove(path.c_str());
 }
 
