@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "sim/slot_simulator.hpp"
@@ -30,6 +31,13 @@ struct AgreementCase {
   std::string policy;   // "conv" | "asap" | "fcdpm"
   std::string workload; // "camcorder" | "synthetic"
 };
+
+// Without this, gtest prints the case as raw bytes, which include the
+// strings' heap pointers; the discovered test names would then change on
+// every build.
+void PrintTo(const AgreementCase& c, std::ostream* os) {
+  *os << c.policy << "/" << c.workload;
+}
 
 std::unique_ptr<FcOutputPolicy> make_policy(const std::string& kind,
                                             const DevicePowerModel& device) {
