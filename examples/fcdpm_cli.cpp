@@ -27,6 +27,7 @@
 // Exit code 0 on success, 1 on CLI errors, 2 on runtime errors. A
 // quarantined grid point is *not* a sweep failure: the point is
 // reported with its typed error and the exit code stays 0.
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -34,6 +35,7 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -129,20 +131,27 @@ double checked_number_or(const Options& options, const std::string& key,
   return value;
 }
 
-/// Strict non-negative integer option (counts, slot indices).
-std::size_t checked_index_or(const Options& options, const std::string& key,
-                             std::size_t fallback) {
+/// Strict non-negative integer option (counts, slot indices); a value
+/// above `max` (or beyond unsigned long long) is out of range.
+std::size_t checked_index_or(
+    const Options& options, const std::string& key, std::size_t fallback,
+    std::size_t max = std::numeric_limits<std::size_t>::max()) {
   const auto it = options.find(key);
   if (it == options.end()) {
     return fallback;
   }
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value =
       std::strtoull(it->second.c_str(), &end, 10);
   if (it->second.empty() || it->second[0] == '-' ||
       end != it->second.c_str() + it->second.size()) {
     throw std::runtime_error("--" + key + ": invalid count '" +
                              it->second + "'");
+  }
+  if (errno == ERANGE || value > max) {
+    throw std::runtime_error("--" + key + ": '" + it->second +
+                             "' out of range");
   }
   return static_cast<std::size_t>(value);
 }
@@ -1164,10 +1173,12 @@ int cmd_sweep_resilient(const sim::ExperimentConfig& config,
                         const par::SweepGrid& grid, const Options& options,
                         ObsSession& obs, std::size_t jobs, double quantum) {
   resilience::ResilienceOptions ropt;
+  // 1 + max_retries attempts must not wrap.
   ropt.contract.max_retries =
-      static_cast<std::size_t>(number_or(options, "max-retries", 2.0));
-  ropt.contract.point_deadline_slots = static_cast<std::size_t>(
-      number_or(options, "point-deadline", 0.0));
+      checked_index_or(options, "max-retries", 2,
+                       std::numeric_limits<std::size_t>::max() - 1);
+  ropt.contract.point_deadline_slots =
+      checked_index_or(options, "point-deadline", 0);
   if (options.find("unserved-budget") != options.end()) {
     ropt.contract.unserved_budget_as =
         checked_number_or(options, "unserved-budget", 0.0);
@@ -1178,10 +1189,8 @@ int cmd_sweep_resilient(const sim::ExperimentConfig& config,
           "' out of range (need a non-negative charge in A-s)");
     }
   }
-  if (options.find("inject-fail") != options.end()) {
-    ropt.contract.inject_fail_index =
-        static_cast<std::size_t>(number_or(options, "inject-fail", 0.0));
-  }
+  ropt.contract.inject_fail_index = checked_index_or(
+      options, "inject-fail", ropt.contract.inject_fail_index);
   ropt.journal_path = option_or(options, "journal", "");
   const std::string resume = option_or(options, "resume", "");
   if (!resume.empty()) {
@@ -1192,10 +1201,13 @@ int cmd_sweep_resilient(const sim::ExperimentConfig& config,
     ropt.journal_path = resume;
     ropt.resume = true;
   }
-  ropt.spot_checks =
-      static_cast<std::size_t>(number_or(options, "spot-checks", 1.0));
-  ropt.watchdog_stall = std::chrono::milliseconds(static_cast<long long>(
-      number_or(options, "watchdog-stall-ms", 0.0)));
+  ropt.spot_checks = checked_index_or(options, "spot-checks", 1);
+  // The watchdog compares the window against steady_clock durations.
+  const auto max_stall_ms = std::chrono::duration_cast<
+      std::chrono::milliseconds>(std::chrono::steady_clock::duration::max());
+  ropt.watchdog_stall = std::chrono::milliseconds(checked_index_or(
+      options, "watchdog-stall-ms", 0,
+      static_cast<std::size_t>(max_stall_ms.count())));
   ropt.jobs = jobs;
   const std::unique_ptr<par::SharedSolveCache> memo = make_solve_memo(quantum);
   ropt.cache = memo.get();
@@ -1316,9 +1328,13 @@ int cmd_sweep_resilient(const sim::ExperimentConfig& config,
   print_sweep_summary(bench, memo != nullptr);
   std::printf(
       "resilience: %zu scheduled | %zu replayed | %zu retries | "
-      "%zu quarantined | %zu rounds | %zu spot-checks | %zu stalls\n",
+      "%zu quarantined | %zu rounds | %zu spot-checks | %zu stalls",
       rs.scheduled, rs.replayed, rs.retries, rs.quarantined, rs.rounds,
       rs.spot_checks, rs.watchdog_stalls);
+  if (!ropt.journal_path.empty()) {
+    std::printf(" | %zu journal commits", rs.journal_commits);
+  }
+  std::printf("\n");
   if (config.cap.enabled) {
     std::printf("power cap: %zu points throttled to completion | "
                 "%llu capped slots | %llu budget violations\n",
@@ -1629,7 +1645,9 @@ int usage() {
       "           memo, since a locked lookup at 330-890 ns costs more\n"
       "           than the 90-120 ns closed-form solve)\n"
       "           resilience (any flag engages the crash-safe runner):\n"
-      "           [--journal J.fcj]     fsync'd per-point result journal\n"
+      "           [--journal J.fcj]     result journal: each point written\n"
+      "                                 at once, fsynced per 64-point\n"
+      "                                 chunk, reported after its fsync\n"
       "           [--resume J.fcj]      replay J, run only the remainder\n"
       "           [--max-retries N]     retries before quarantine (2)\n"
       "           [--point-deadline S]  per-point simulated-slot budget\n"

@@ -134,7 +134,7 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
     const bool batched_engine = engine == sim::Engine::Batched;
     // The grid varies rho/capacity/seed but never the trace or device,
     // so one compiled trace serves every point. A direct caller without
-    // one (the resilience retry path) compiles its own.
+    // one (a single run, a test) compiles its own.
     std::optional<hot::CompiledTrace> local;
     const hot::CompiledTrace* trace = compiled;
     if ((hot_engine || batched_engine) && trace == nullptr) {

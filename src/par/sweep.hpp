@@ -132,8 +132,8 @@ struct SweepResult {
 /// the point runs through hot::simulate (bit-identical), and when it is
 /// `sim::Engine::Batched` through batch::simulate (a B = 1 batch, with
 /// the same transparent fallback chain); `compiled` is the trace
-/// compiled once by run_sweep and shared read-only across points —
-/// nullptr makes the point compile its own.
+/// compiled once by the sweep runner and shared read-only across
+/// points — nullptr makes the point compile its own.
 [[nodiscard]] SweepPointResult run_point(
     const sim::ExperimentConfig& base, const SweepPoint& point,
     std::size_t storm_faults, core::SlotSolveCache* cache,

@@ -808,8 +808,9 @@ Journal Journal::open_for_append(const std::string& path,
 
 Journal::Journal(Journal&& other) noexcept
     : path_(std::move(other.path_)), fd_(other.fd_),
-      mutex_(std::move(other.mutex_)) {
+      mutex_(std::move(other.mutex_)), dirty_(other.dirty_) {
   other.fd_ = -1;
+  other.dirty_ = false;
 }
 
 Journal& Journal::operator=(Journal&& other) noexcept {
@@ -820,7 +821,9 @@ Journal& Journal::operator=(Journal&& other) noexcept {
     path_ = std::move(other.path_);
     fd_ = other.fd_;
     mutex_ = std::move(other.mutex_);
+    dirty_ = other.dirty_;
     other.fd_ = -1;
+    other.dirty_ = false;
   }
   return *this;
 }
@@ -844,9 +847,6 @@ void Journal::write_all(const std::string& bytes) {
     }
     written += static_cast<std::size_t>(n);
   }
-  if (::fsync(fd_) != 0) {
-    fail("cannot fsync journal", path_);
-  }
 }
 
 void Journal::append(const JournalRecord& record) {
@@ -859,7 +859,20 @@ void Journal::append(const JournalRecord& record) {
   line += payload;
   line += '\n';
   const std::lock_guard lock(*mutex_);
+  dirty_ = true;  // a partial write still needs the next commit's fsync
   write_all(line);
+}
+
+bool Journal::commit() {
+  const std::lock_guard lock(*mutex_);
+  if (!dirty_) {
+    return false;
+  }
+  if (::fsync(fd_) != 0) {
+    fail("cannot fsync journal", path_);
+  }
+  dirty_ = false;
+  return true;
 }
 
 // --- loader -----------------------------------------------------------------

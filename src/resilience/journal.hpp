@@ -3,17 +3,21 @@
 // Layout of a journal file:
 //
 //   <header JSON>\n                 -- written via temp + atomic rename
-//   R <len:8 hex> <fnv64:16 hex> <payload JSON>\n    -- appended, fsync'd
+//   R <len:8 hex> <fnv64:16 hex> <payload JSON>\n    -- appended
 //   R ...
 //
 // The header lands atomically before any record, so a journal is never
 // observed half-created. Each record is one length-prefixed, checksummed
 // JSONL line describing one completed grid point (ok result or typed
-// quarantine error); the writer fsyncs after every append, so at most
-// the record being written when the process dies can be torn. The
-// loader verifies prefix, length, checksum and terminator record by
-// record and *truncates* a torn tail instead of failing: a SIGKILL'd
-// sweep resumes from exactly the points that fully committed.
+// quarantine error). append() write()s a record the moment its point
+// finishes, so it is in the page cache at once and a SIGKILL at any
+// instant can tear at most the record being written. Durability against
+// power loss is a separate, batched step: commit() fsyncs everything
+// appended since the last commit (group commit), and callers report a
+// point only after the commit that covers it. The loader verifies
+// prefix, length, checksum and terminator record by record and
+// *truncates* a torn tail instead of failing: a killed sweep resumes
+// from exactly the points whose records were fully written.
 //
 // Doubles round-trip bit-exactly: they are serialized as C99 hexfloats
 // ("0x1.9a6p+9") inside JSON strings.
@@ -61,7 +65,8 @@ struct JournalRecord {
     const std::vector<par::SweepPoint>& points, std::size_t storm_faults);
 
 /// Append-only journal writer. Thread-safe: workers append completed
-/// points concurrently; each append is serialized and fsync'd.
+/// points concurrently; each append is serialized and written through
+/// to the file, and commit() makes every append so far durable.
 class Journal {
  public:
   /// Create a fresh journal at `path`: the header is staged in a temp
@@ -82,8 +87,14 @@ class Journal {
   Journal& operator=(const Journal&) = delete;
   ~Journal();
 
-  /// Serialize, length-prefix, checksum, append, fsync. Thread-safe.
+  /// Serialize, length-prefix, checksum and write() the record; no
+  /// fsync (see commit()). Thread-safe.
   void append(const JournalRecord& record);
+
+  /// fsync once if anything was appended since the last commit and
+  /// return true; return false without syscalls otherwise. Thread-safe.
+  /// Throws CsvError when fsync fails.
+  bool commit();
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
@@ -94,9 +105,10 @@ class Journal {
 
   std::string path_;
   int fd_ = -1;
-  /// Serializes appends from worker threads (heap-held so the journal
-  /// stays movable).
+  /// Serializes appends and commits from worker threads (heap-held so
+  /// the journal stays movable). Guards the fd and `dirty_`.
   std::unique_ptr<std::mutex> mutex_;
+  bool dirty_ = false;  ///< appended since the last commit
 };
 
 /// Result of loading a journal.

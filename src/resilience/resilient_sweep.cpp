@@ -153,6 +153,16 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
   out.points.resize(points.size());
   out.stats.points = points.size();
 
+  // One compiled trace serves every attempt and spot-check, shared
+  // read-only across workers, as in par::run_sweep.
+  std::optional<hot::CompiledTrace> compiled;
+  if (base.simulation.engine == sim::Engine::Hot ||
+      base.simulation.engine == sim::Engine::Batched) {
+    compiled.emplace(base.trace, base.device);
+  }
+  const hot::CompiledTrace* shared =
+      compiled.has_value() ? &*compiled : nullptr;
+
   // --- resume: replay the journal, schedule only the remainder --------
   std::size_t journal_valid_bytes = 0;
   if (options.resume) {
@@ -202,8 +212,9 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
     for (std::size_t c = 0; c < checks; ++c) {
       const std::size_t k =
           replayed_ok[c * replayed_ok.size() / checks];  // evenly spaced
-      const par::SweepPointResult fresh = par::run_point(
-          base, points[k], grid.storm_faults, options.cache);
+      const par::SweepPointResult fresh =
+          par::run_point(base, points[k], grid.storm_faults, options.cache,
+                         nullptr, 0, shared);
       if (!same_observable(fresh.result, out.points[k].result.result)) {
         throw CsvError("journal spot-check failed at grid point " +
                        std::to_string(k) +
@@ -270,151 +281,163 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       }
       std::vector<PointOutcome> outcomes(batch.size());
 
-      pool.run_indexed_on_workers(
-          batch.size(), [&](std::size_t worker, std::size_t j) {
-            const BatchItem item = batch[j];
-            sim::CancellationToken& token = tokens[worker];
-            token.reset();
-            if (watchdog.has_value()) {
-              watchdog->begin_work(worker, &token);
-            }
-            telemetry::SweepTelemetry* tel = options.telemetry;
-            // Per-worker cache tap: attributes this attempt's traffic
-            // to this worker's shard without touching the shared
-            // counters' meaning (they still total everything).
-            std::optional<par::SolveCacheTap> tap;
-            if (tel != nullptr && options.cache != nullptr) {
-              tap.emplace(*options.cache);
-            }
-            core::SlotSolveCache* attempt_cache =
-                tap.has_value()
-                    ? static_cast<core::SlotSolveCache*>(&*tap)
-                    : static_cast<core::SlotSolveCache*>(options.cache);
-            const std::uint64_t t0 = tel != nullptr ? tel->now_ns() : 0;
-            outcomes[j] = execute_point(base, points[item.index],
-                                        item.index, grid.storm_faults,
-                                        attempt_cache, options.contract,
-                                        &token);
-            if (watchdog.has_value()) {
-              watchdog->end_work(worker);
-            }
-            if (tel != nullptr) {
-              const std::uint64_t t1 = tel->now_ns();
-              telemetry::WorkerShard& shard = tel->shards().shard(worker);
-              const PointOutcome& outcome = outcomes[j];
-              const bool final_attempt = item.attempt >= max_attempts;
-              if (outcome.ok) {
-                shard.points_done.fetch_add(1, std::memory_order_relaxed);
-              } else if (final_attempt) {
-                shard.points_quarantined.fetch_add(1,
-                                                   std::memory_order_relaxed);
-              } else {
-                shard.points_retried.fetch_add(1, std::memory_order_relaxed);
+      // Group commit: each chunk's records are written as its points
+      // finish and fsynced once when the chunk is done, before any of
+      // its outcomes is folded into the result or the retry schedule.
+      for (std::size_t begin = 0; begin < batch.size();
+           begin += kCommitChunk) {
+        const std::size_t end =
+            std::min(batch.size(), begin + kCommitChunk);
+        pool.run_indexed_on_workers(
+            end - begin, [&](std::size_t worker, std::size_t c) {
+              const std::size_t j = begin + c;
+              const BatchItem item = batch[j];
+              sim::CancellationToken& token = tokens[worker];
+              token.reset();
+              if (watchdog.has_value()) {
+                watchdog->begin_work(worker, &token);
               }
-              shard.busy_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
-              // Heartbeats accumulated by this attempt's run (the token
-              // is reset per attempt, so this is exactly one attempt's
-              // slot beats).
-              shard.heartbeats.fetch_add(token.heartbeat(),
-                                         std::memory_order_relaxed);
-              std::uint64_t point_hits = 0;
-              std::uint64_t point_misses = 0;
-              if (tap.has_value()) {
-                point_hits = tap->hits();
-                point_misses = tap->misses();
-                shard.cache_hits.fetch_add(point_hits,
-                                           std::memory_order_relaxed);
-                shard.cache_misses.fetch_add(point_misses,
-                                             std::memory_order_relaxed);
+              telemetry::SweepTelemetry* tel = options.telemetry;
+              // Per-worker cache tap: attributes this attempt's traffic
+              // to this worker's shard without touching the shared
+              // counters' meaning (they still total everything).
+              std::optional<par::SolveCacheTap> tap;
+              if (tel != nullptr && options.cache != nullptr) {
+                tap.emplace(*options.cache);
               }
-              shard.wall_us.observe(static_cast<double>(t1 - t0) * 1e-3);
-              if (outcome.ok) {
-                // A failed attempt has no trustworthy result fields.
-                shard.slots.fetch_add(outcome.result.result.slots,
-                                      std::memory_order_relaxed);
-                if (outcome.result.result.cap.has_value()) {
-                  shard.capped_slots.fetch_add(
-                      outcome.result.result.cap->slots_capped,
-                      std::memory_order_relaxed);
-                }
-                if (outcome.result.result.audit.has_value()) {
-                  const audit::AuditStats& a = *outcome.result.result.audit;
-                  shard.audited_slots.fetch_add(a.slots_audited,
-                                                std::memory_order_relaxed);
-                  shard.audit_violations.fetch_add(
-                      a.violations, std::memory_order_relaxed);
-                  shard.engine_fallbacks.fetch_add(
-                      a.engine_fallbacks, std::memory_order_relaxed);
-                }
-                shard.sim_s.observe(
-                    outcome.result.result.totals.duration.value());
-                if (outcome.result.ran_batched) {
-                  shard.batched_dispatches.fetch_add(
-                      1, std::memory_order_relaxed);
-                } else if (outcome.result.ran_hot) {
-                  shard.hot_dispatches.fetch_add(1,
-                                                 std::memory_order_relaxed);
+              core::SlotSolveCache* attempt_cache =
+                  tap.has_value()
+                      ? static_cast<core::SlotSolveCache*>(&*tap)
+                      : static_cast<core::SlotSolveCache*>(options.cache);
+              const std::uint64_t t0 = tel != nullptr ? tel->now_ns() : 0;
+              outcomes[j] = execute_point(base, points[item.index],
+                                          item.index, grid.storm_faults,
+                                          attempt_cache, options.contract,
+                                          &token, shared);
+              if (watchdog.has_value()) {
+                watchdog->end_work(worker);
+              }
+              if (tel != nullptr) {
+                const std::uint64_t t1 = tel->now_ns();
+                telemetry::WorkerShard& shard = tel->shards().shard(worker);
+                const PointOutcome& outcome = outcomes[j];
+                const bool final_attempt = item.attempt >= max_attempts;
+                if (outcome.ok) {
+                  shard.points_done.fetch_add(1, std::memory_order_relaxed);
+                } else if (final_attempt) {
+                  shard.points_quarantined.fetch_add(1,
+                                                     std::memory_order_relaxed);
                 } else {
-                  shard.reference_dispatches.fetch_add(
-                      1, std::memory_order_relaxed);
+                  shard.points_retried.fetch_add(1, std::memory_order_relaxed);
+                }
+                shard.busy_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
+                // Heartbeats accumulated by this attempt's run (the token
+                // is reset per attempt, so this is exactly one attempt's
+                // slot beats).
+                shard.heartbeats.fetch_add(token.heartbeat(),
+                                           std::memory_order_relaxed);
+                std::uint64_t point_hits = 0;
+                std::uint64_t point_misses = 0;
+                if (tap.has_value()) {
+                  point_hits = tap->hits();
+                  point_misses = tap->misses();
+                  shard.cache_hits.fetch_add(point_hits,
+                                             std::memory_order_relaxed);
+                  shard.cache_misses.fetch_add(point_misses,
+                                               std::memory_order_relaxed);
+                }
+                shard.wall_us.observe(static_cast<double>(t1 - t0) * 1e-3);
+                if (outcome.ok) {
+                  // A failed attempt has no trustworthy result fields.
+                  shard.slots.fetch_add(outcome.result.result.slots,
+                                        std::memory_order_relaxed);
+                  if (outcome.result.result.cap.has_value()) {
+                    shard.capped_slots.fetch_add(
+                        outcome.result.result.cap->slots_capped,
+                        std::memory_order_relaxed);
+                  }
+                  if (outcome.result.result.audit.has_value()) {
+                    const audit::AuditStats& a = *outcome.result.result.audit;
+                    shard.audited_slots.fetch_add(a.slots_audited,
+                                                  std::memory_order_relaxed);
+                    shard.audit_violations.fetch_add(
+                        a.violations, std::memory_order_relaxed);
+                    shard.engine_fallbacks.fetch_add(
+                        a.engine_fallbacks, std::memory_order_relaxed);
+                  }
+                  shard.sim_s.observe(
+                      outcome.result.result.totals.duration.value());
+                  if (outcome.result.ran_batched) {
+                    shard.batched_dispatches.fetch_add(
+                        1, std::memory_order_relaxed);
+                  } else if (outcome.result.ran_hot) {
+                    shard.hot_dispatches.fetch_add(1,
+                                                   std::memory_order_relaxed);
+                  } else {
+                    shard.reference_dispatches.fetch_add(
+                        1, std::memory_order_relaxed);
+                  }
+                }
+                if (telemetry::LaneRecorder* lanes = tel->lanes()) {
+                  telemetry::PointLane lane;
+                  lane.start_ns = t0;
+                  lane.end_ns = t1;
+                  lane.point_index = static_cast<std::uint32_t>(item.index);
+                  lane.attempt = static_cast<std::uint32_t>(item.attempt);
+                  lane.cache_hits = static_cast<std::uint32_t>(point_hits);
+                  lane.cache_misses = static_cast<std::uint32_t>(point_misses);
+                  lane.ok = outcome.ok;
+                  lane.quarantined = !outcome.ok && final_attempt;
+                  lane.hot = outcome.ok && outcome.result.ran_hot;
+                  lanes->record(worker, lane);
                 }
               }
-              if (telemetry::LaneRecorder* lanes = tel->lanes()) {
-                telemetry::PointLane lane;
-                lane.start_ns = t0;
-                lane.end_ns = t1;
-                lane.point_index = static_cast<std::uint32_t>(item.index);
-                lane.attempt = static_cast<std::uint32_t>(item.attempt);
-                lane.cache_hits = static_cast<std::uint32_t>(point_hits);
-                lane.cache_misses = static_cast<std::uint32_t>(point_misses);
-                lane.ok = outcome.ok;
-                lane.quarantined = !outcome.ok && final_attempt;
-                lane.hot = outcome.ok && outcome.result.ran_hot;
-                lanes->record(worker, lane);
+              // Journal a final outcome immediately (ok, or the last
+              // failed attempt): written through at once, so a crash can
+              // only lose in-flight points; the chunk's commit makes it
+              // durable.
+              if (journal.has_value() &&
+                  (outcomes[j].ok || item.attempt >= max_attempts)) {
+                JournalRecord record;
+                record.index = item.index;
+                record.point = points[item.index];
+                record.attempts = item.attempt;
+                record.ok = outcomes[j].ok;
+                if (outcomes[j].ok) {
+                  record.result = outcomes[j].result.result;
+                } else {
+                  record.error = outcomes[j].error;
+                }
+                journal->append(record);
               }
-            }
-            // Journal a committed outcome immediately (ok, or the final
-            // failed attempt): the record is fsync'd before any later
-            // work depends on it, so a crash can only lose in-flight
-            // points, never a completed one.
-            if (journal.has_value() &&
-                (outcomes[j].ok || item.attempt >= max_attempts)) {
-              JournalRecord record;
-              record.index = item.index;
-              record.point = points[item.index];
-              record.attempts = item.attempt;
-              record.ok = outcomes[j].ok;
-              if (outcomes[j].ok) {
-                record.result = outcomes[j].result.result;
-              } else {
-                record.error = outcomes[j].error;
-              }
-              journal->append(record);
-            }
-          });
+            });
+        if (journal.has_value() && journal->commit()) {
+          ++out.resilience.journal_commits;
+        }
 
-      // Serial post-pass in batch order: deterministic retry schedule.
-      for (std::size_t j = 0; j < batch.size(); ++j) {
-        const BatchItem item = batch[j];
-        attempts[item.index] = item.attempt;
-        ResilientPoint& slot = out.points[item.index];
-        slot.attempts = item.attempt;
-        if (outcomes[j].ok) {
-          slot.ok = true;
-          slot.result = std::move(outcomes[j].result);
-          continue;
+        // Serial post-pass in batch order: deterministic retry schedule.
+        for (std::size_t j = begin; j < end; ++j) {
+          const BatchItem item = batch[j];
+          attempts[item.index] = item.attempt;
+          ResilientPoint& slot = out.points[item.index];
+          slot.attempts = item.attempt;
+          if (outcomes[j].ok) {
+            slot.ok = true;
+            slot.result = std::move(outcomes[j].result);
+            continue;
+          }
+          if (item.attempt < max_attempts) {
+            const std::size_t delay = backoff_delay_rounds(
+                options.contract.backoff_seed, item.index, item.attempt,
+                options.contract.max_backoff_exponent);
+            schedule[round + delay].push_back(item.index);
+            ++out.resilience.retries;
+            continue;
+          }
+          slot.ok = false;
+          slot.result.point = points[item.index];
+          slot.error = std::move(outcomes[j].error);
         }
-        if (item.attempt < max_attempts) {
-          const std::size_t delay = backoff_delay_rounds(
-              options.contract.backoff_seed, item.index, item.attempt,
-              options.contract.max_backoff_exponent);
-          schedule[round + delay].push_back(item.index);
-          ++out.resilience.retries;
-          continue;
-        }
-        slot.ok = false;
-        slot.result.point = points[item.index];
-        slot.error = std::move(outcomes[j].error);
       }
     }
 
@@ -468,6 +491,8 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
               static_cast<double>(out.resilience.watchdog_stalls));
     obs.gauge("resilience.torn_bytes_dropped",
               static_cast<double>(out.resilience.torn_bytes_dropped));
+    obs.gauge("resilience.journal_commits",
+              static_cast<double>(out.resilience.journal_commits));
   }
   return out;
 }

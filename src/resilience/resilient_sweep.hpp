@@ -8,10 +8,13 @@
 // attempts exhaust the contract and the point is quarantined. Rounds
 // and their batch order are a pure function of the grid and the
 // contract, so the sweep's results (and its journal, modulo the
-// append interleaving within a round) are reproducible for any job
-// count. Completed points are journaled with an fsync before the sweep
-// moves on: a SIGKILL at any instant loses at most work in flight,
-// never a committed result.
+// append interleaving within a chunk) are reproducible for any job
+// count. Each round runs in chunks of kCommitChunk points. A finished
+// point's record is written to the journal at once, and the chunk is
+// fsynced once when it is done (group commit), before any of its
+// outcomes is folded into the result: a SIGKILL at any instant loses
+// at most work in flight, a power loss at most the uncommitted chunk,
+// and no point is reported before its record is durable.
 #pragma once
 
 #include <chrono>
@@ -24,6 +27,11 @@
 #include "resilience/retry.hpp"
 
 namespace fcdpm::resilience {
+
+/// Points per group commit: one journal fsync per chunk of a round.
+/// Fixed, so the chunking (and the journal at --jobs 1) never depends
+/// on the job count.
+inline constexpr std::size_t kCommitChunk = 64;
 
 struct ResilienceOptions {
   ExecutionContract contract;
@@ -78,6 +86,7 @@ struct ResilienceStats {
   bool torn_tail_recovered = false;
   std::size_t torn_bytes_dropped = 0;
   std::size_t watchdog_stalls = 0;
+  std::size_t journal_commits = 0;  ///< group-commit fsyncs made
 };
 
 struct ResilientSweepResult {

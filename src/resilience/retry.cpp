@@ -68,7 +68,8 @@ PointOutcome execute_point(const sim::ExperimentConfig& base,
                            std::size_t storm_faults,
                            core::SlotSolveCache* cache,
                            const ExecutionContract& contract,
-                           sim::CancellationToken* cancel) {
+                           sim::CancellationToken* cancel,
+                           const hot::CompiledTrace* compiled) {
   PointOutcome out;
   if (point_index == contract.inject_fail_index) {
     out.error = {PointErrorKind::solver_diverged,
@@ -77,7 +78,7 @@ PointOutcome execute_point(const sim::ExperimentConfig& base,
   }
   try {
     out.result = par::run_point(base, point, storm_faults, cache, cancel,
-                                contract.point_deadline_slots);
+                                contract.point_deadline_slots, compiled);
   } catch (const sim::DeadlineExceededError& error) {
     out.error = {PointErrorKind::deadline_exceeded, error.what()};
     return out;

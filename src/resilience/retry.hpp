@@ -89,12 +89,13 @@ struct PointOutcome {
 /// with the slot-budget deadline and cancellation token, maps every
 /// failure mode onto the typed taxonomy, and verifies the result is
 /// finite. Never throws — a poisoned point must fail the point only.
-[[nodiscard]] PointOutcome execute_point(const sim::ExperimentConfig& base,
-                                         const par::SweepPoint& point,
-                                         std::size_t point_index,
-                                         std::size_t storm_faults,
-                                         core::SlotSolveCache* cache,
-                                         const ExecutionContract& contract,
-                                         sim::CancellationToken* cancel);
+/// `compiled` is the sweep's trace compiled once and shared read-only
+/// (see par::run_point); nullptr makes the attempt compile its own.
+[[nodiscard]] PointOutcome execute_point(
+    const sim::ExperimentConfig& base, const par::SweepPoint& point,
+    std::size_t point_index, std::size_t storm_faults,
+    core::SlotSolveCache* cache, const ExecutionContract& contract,
+    sim::CancellationToken* cancel,
+    const hot::CompiledTrace* compiled = nullptr);
 
 }  // namespace fcdpm::resilience

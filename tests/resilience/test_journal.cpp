@@ -530,6 +530,33 @@ TEST(JournalTest, OpenForAppendTruncatesTornTailAndContinues) {
   std::remove(path.c_str());
 }
 
+// Write-through: append() puts each record in the file at once and only
+// commit() fsyncs, so a process killed before any commit still leaves
+// every appended record loadable.
+TEST(JournalTest, AppendedRecordsAreVisibleBeforeAnyCommit) {
+  const std::vector<par::SweepPoint> points = grid_points(1);
+  ASSERT_GE(points.size(), 3u);
+  const std::string path = temp_path("uncommitted.fcj");
+  Journal journal = Journal::create(path, {"t", points.size(), 5});
+  for (std::size_t k = 0; k < 3; ++k) {
+    journal.append(make_record(k, points[k]));
+  }
+
+  const JournalLoad load = load_journal(path);  // journal still open
+  EXPECT_FALSE(load.torn_tail);
+  ASSERT_EQ(load.records.size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    SCOPED_TRACE(testing::Message() << "record=" << k);
+    expect_same_record(load.records[k], make_record(k, points[k]));
+  }
+
+  EXPECT_TRUE(journal.commit());
+  EXPECT_FALSE(journal.commit()) << "nothing appended since the last commit";
+  journal.append(make_record(0, points[0]));
+  EXPECT_TRUE(journal.commit());
+  std::remove(path.c_str());
+}
+
 TEST(JournalTest, DuplicateIndicesKeepTheFirstRecord) {
   const std::vector<par::SweepPoint> points = grid_points(0);
   const std::string path = temp_path("dup.fcj");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -68,6 +69,15 @@ void cut_journal(const std::string& path, int records) {
     cut = full.find('\n', cut) + 1;
   }
   write_file(path, full.substr(0, cut + 17));
+}
+
+/// Journal lines after the header: one per appended record, duplicates
+/// included (load_journal keeps only the first record per index).
+std::size_t record_lines(const std::string& path) {
+  const std::string full = read_file(path);
+  return static_cast<std::size_t>(
+             std::count(full.begin(), full.end(), '\n')) -
+         1;
 }
 
 /// A memo snapping every solve input to `quantum`.
@@ -367,6 +377,121 @@ TEST(ResilientSweepTest, FullJournalResumeReSimulatesNothing) {
   std::remove(path.c_str());
 }
 
+// Group commit: each round runs in kCommitChunk-point chunks with one
+// fsync per chunk that journaled anything. Every point is journaled
+// exactly once, the commit count is a function of the grid alone, jobs
+// 1 writes records in batch order, and a cut at a commit boundary or
+// mid-chunk resumes to the uninterrupted rows.
+TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
+  sim::ExperimentConfig base = small_base();
+  base.simulation.engine = sim::Engine::Batched;  // shared compiled trace
+  par::SweepGrid grid;
+  grid.rhos = {0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95};
+  grid.capacities = {Coulomb(1.5), Coulomb(3.0), Coulomb(4.5),
+                     Coulomb(6.0), Coulomb(9.0), Coulomb(12.0)};
+  const std::size_t n = grid.points(base).size();  // trio x 10 x 6 = 180
+  ASSERT_GT(n, 2 * kCommitChunk);
+  // In round 0's third chunk, so the first chunk commits kCommitChunk
+  // records and the retries land in later rounds.
+  const std::size_t poisoned = 2 * kCommitChunk + 5;
+  ASSERT_LT(poisoned, n);
+
+  ResilienceOptions options;
+  options.contract.max_retries = 2;
+  options.contract.inject_fail_index = poisoned;
+  // Round 0 commits each of its chunks; round 1's lone retry is not
+  // final, journals nothing and so makes no fsync; round 2 commits the
+  // quarantine record.
+  const std::size_t chunks = (n + kCommitChunk - 1) / kCommitChunk + 1;
+
+  std::vector<ResilientSweepResult> sweeps;
+  std::vector<std::string> paths;
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "jobs=" << jobs);
+    const std::string path =
+        temp_path("group_commit_j" + std::to_string(jobs) + ".fcj");
+    options.jobs = jobs;
+    options.journal_path = path;
+    ResilientSweepResult sweep = run_resilient_sweep(base, grid, options);
+    EXPECT_EQ(sweep.resilience.rounds, 3u);
+    EXPECT_EQ(sweep.resilience.retries, 2u);
+    EXPECT_EQ(sweep.resilience.quarantined, 1u);
+    EXPECT_EQ(sweep.resilience.journal_commits, chunks);
+
+    EXPECT_EQ(record_lines(path), n);
+    const JournalLoad load = load_journal(path);
+    ASSERT_EQ(load.records.size(), n);
+    std::vector<bool> seen(n, false);
+    for (const JournalRecord& record : load.records) {
+      ASSERT_LT(record.index, n);
+      EXPECT_FALSE(seen[record.index]) << "index " << record.index;
+      seen[record.index] = true;
+    }
+    sweeps.push_back(std::move(sweep));
+    paths.push_back(path);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    SCOPED_TRACE(testing::Message() << "point=" << k);
+    ASSERT_EQ(sweeps[1].points[k].ok, sweeps[0].points[k].ok);
+    if (sweeps[0].points[k].ok) {
+      expect_same_result(sweeps[1].points[k].result.result,
+                         sweeps[0].points[k].result.result);
+    }
+  }
+
+  // Jobs 1: round 0 in grid order without the failure, then the
+  // quarantine record from round 2.
+  const JournalLoad serial = load_journal(paths[0]);
+  std::vector<std::size_t> batch_order;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k != poisoned) {
+      batch_order.push_back(k);
+    }
+  }
+  batch_order.push_back(poisoned);
+  for (std::size_t r = 0; r < n; ++r) {
+    EXPECT_EQ(serial.records[r].index, batch_order[r]) << "record " << r;
+  }
+
+  // Cut the jobs-1 journal at the first commit and mid-way through the
+  // second chunk, each with a torn half record after the cut.
+  for (const std::size_t kept : {kCommitChunk, kCommitChunk + 37}) {
+    SCOPED_TRACE(testing::Message() << "kept=" << kept);
+    const std::string cut = temp_path("group_commit_cut.fcj");
+    write_file(cut, read_file(paths[0]));
+    cut_journal(cut, static_cast<int>(kept));
+
+    ResilienceOptions resume = options;
+    resume.jobs = 4;
+    resume.journal_path = cut;
+    resume.resume = true;
+    resume.spot_checks = 3;
+    const ResilientSweepResult resumed =
+        run_resilient_sweep(base, grid, resume);
+    EXPECT_TRUE(resumed.resilience.torn_tail_recovered);
+    EXPECT_EQ(resumed.resilience.replayed, kept);
+    EXPECT_EQ(resumed.resilience.spot_checks, 3u);
+    EXPECT_EQ(record_lines(cut), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      SCOPED_TRACE(testing::Message() << "point=" << k);
+      EXPECT_EQ(resumed.points[k].replayed, k < kept);
+      EXPECT_EQ(resumed.points[k].attempts, sweeps[0].points[k].attempts);
+      ASSERT_EQ(resumed.points[k].ok, sweeps[0].points[k].ok);
+      if (resumed.points[k].ok) {
+        expect_same_result(resumed.points[k].result.result,
+                           sweeps[0].points[k].result.result);
+      } else {
+        EXPECT_EQ(resumed.points[k].error.kind,
+                  PointErrorKind::solver_diverged);
+      }
+    }
+    std::remove(cut.c_str());
+  }
+  for (const std::string& path : paths) {
+    std::remove(path.c_str());
+  }
+}
+
 TEST(ResilientSweepTest, ResumeRejectsAForeignGridFingerprint) {
   const sim::ExperimentConfig base = small_base();
   par::SweepGrid grid;
@@ -450,6 +575,8 @@ TEST(ResilientSweepTest, PublishesResilienceMetrics) {
   EXPECT_EQ(metrics.gauge("resilience.watchdog_stalls").last(), 0.0);
   EXPECT_EQ(metrics.gauge("resilience.rounds").last(),
             static_cast<double>(sweep.resilience.rounds));
+  EXPECT_EQ(metrics.gauge("resilience.journal_commits").last(), 0.0)
+      << "no journal, no commits";
 }
 
 TEST(ResilientSweepTest, DeadlineContractQuarantinesEveryPointTyped) {
