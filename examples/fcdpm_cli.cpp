@@ -27,6 +27,7 @@
 // Exit code 0 on success, 1 on CLI errors, 2 on runtime errors. A
 // quarantined grid point is *not* a sweep failure: the point is
 // reported with its typed error and the exit code stays 0.
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -60,7 +61,9 @@
 #include "par/worker_pool.hpp"
 #include "report/obs_export.hpp"
 #include "resilience/resilient_sweep.hpp"
+#include "resilience/sweep_report.hpp"
 #include "report/sweep_export.hpp"
+#include "sim/result_fields.hpp"
 #include "telemetry/lanes.hpp"
 #include "telemetry/progress.hpp"
 #include "telemetry/sweep_telemetry.hpp"
@@ -950,154 +953,6 @@ std::vector<std::uint64_t> parse_seed_list(const Options& options,
   return values;
 }
 
-/// Bitwise comparison of two sweeps over the observable result fields —
-/// the CLI-side mirror of the tests' expect_same_result.
-bool identical_sweeps(const par::SweepResult& a, const par::SweepResult& b) {
-  if (a.points.size() != b.points.size()) {
-    return false;
-  }
-  for (std::size_t k = 0; k < a.points.size(); ++k) {
-    const sim::SimulationResult& x = a.points[k].result;
-    const sim::SimulationResult& y = b.points[k].result;
-    if (x.totals.fuel.value() != y.totals.fuel.value() ||
-        x.totals.duration.value() != y.totals.duration.value() ||
-        x.totals.bled.value() != y.totals.bled.value() ||
-        x.totals.unserved.value() != y.totals.unserved.value() ||
-        x.storage_end.value() != y.storage_end.value() ||
-        x.latency_added.value() != y.latency_added.value() ||
-        x.slots != y.slots || x.sleeps != y.sleeps) {
-      return false;
-    }
-    if (x.stacks.has_value() != y.stacks.has_value()) {
-      return false;
-    }
-    if (x.stacks.has_value()) {
-      if (x.stacks->stacks.size() != y.stacks->stacks.size()) {
-        return false;
-      }
-      for (std::size_t i = 0; i < x.stacks->stacks.size(); ++i) {
-        const stacks::StackTotals& sx = x.stacks->stacks[i];
-        const stacks::StackTotals& sy = y.stacks->stacks[i];
-        if (sx.fuel_as != sy.fuel_as ||
-            sx.delivered_as != sy.delivered_as ||
-            sx.startups != sy.startups || sx.wear != sy.wear) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-/// BENCH_sweep.json per-point row from a grid point and (when ok) its
-/// observable result.
-report::SweepPointRow make_point_row(const par::SweepPoint& point,
-                                     const sim::SimulationResult& result) {
-  report::SweepPointRow row;
-  row.policy = sim::to_string(point.policy);
-  row.rho = point.rho;
-  row.capacity = point.capacity.value();
-  row.storm_seed = point.storm_seed;
-  row.fuel = result.totals.fuel.value();
-  row.bled = result.totals.bled.value();
-  row.unserved = result.totals.unserved.value();
-  row.duration = result.totals.duration.value();
-  row.storage_end = result.storage_end.value();
-  row.latency = result.latency_added.value();
-  row.slots = result.slots;
-  row.sleeps = result.sleeps;
-  if (result.cap.has_value()) {
-    row.cap_enabled = true;
-    row.capped_slots = result.cap->slots_capped;
-    row.cap_violations = result.cap->budget_violations;
-    row.cap_deferred_j = result.cap->energy_deferred.value();
-    row.cap_deferred_s = result.cap->time_deferred.value();
-  }
-  if (result.stacks.has_value()) {
-    row.stacks_enabled = true;
-    row.stacks = result.stacks->stacks.size();
-    row.distribution = stacks::to_string(result.stacks->distribution);
-    row.stack_startups = result.stacks->total_startups();
-    row.stack_max_wear = result.stacks->max_wear();
-    row.stack_fuel.reserve(result.stacks->stacks.size());
-    for (const stacks::StackTotals& t : result.stacks->stacks) {
-      row.stack_fuel.push_back(t.fuel_as);
-    }
-  }
-  if (result.audit.has_value()) {
-    row.audit_enabled = true;
-    row.audit_slots = result.audit->slots_audited;
-    row.audit_checks = result.audit->checks_run;
-    row.audit_violations = result.audit->violations;
-    row.engine_fallbacks = result.audit->engine_fallbacks;
-    row.audit_first = result.audit->first_violation;
-  }
-  return row;
-}
-
-/// Sweep-level cap rollup for BENCH_sweep.json; no-op when the point
-/// carried no cap stats (cap off).
-void accumulate_cap(report::SweepBenchReport& bench,
-                    const sim::SimulationResult& result) {
-  if (!result.cap.has_value()) {
-    return;
-  }
-  bench.cap_enabled = true;
-  bench.capped_slots += result.cap->slots_capped;
-  if (result.cap->slots_capped > 0) {
-    ++bench.capped_points;
-  }
-  bench.cap_violations += result.cap->budget_violations;
-  bench.cap_deferred_j += result.cap->energy_deferred.value();
-}
-
-/// Sweep-level multi-stack rollup; no-op on single-stack points.
-void accumulate_stacks(report::SweepBenchReport& bench,
-                       const sim::SimulationResult& result) {
-  if (!result.stacks.has_value()) {
-    return;
-  }
-  bench.stacks_enabled = true;
-  ++bench.stack_points;
-  bench.stack_startups += result.stacks->total_startups();
-  const double worst = result.stacks->max_wear();
-  if (worst > bench.stack_max_wear) {
-    bench.stack_max_wear = worst;
-  }
-}
-
-/// Sweep-level runtime-audit rollup; no-op on unaudited points.
-void accumulate_audit(report::SweepBenchReport& bench,
-                      const sim::SimulationResult& result) {
-  if (!result.audit.has_value()) {
-    return;
-  }
-  bench.audit_enabled = true;
-  bench.audit_mode =
-      audit::to_string(static_cast<audit::Mode>(result.audit->mode));
-  bench.audited_slots += result.audit->slots_audited;
-  bench.audit_checks += result.audit->checks_run;
-  bench.audit_violations += result.audit->violations;
-  bench.engine_fallbacks += result.audit->engine_fallbacks;
-  if (result.audit->engine_fallbacks > 0) {
-    ++bench.fallback_points;
-  }
-}
-
-void print_audit_rollup(const report::SweepBenchReport& bench) {
-  if (!bench.audit_enabled) {
-    return;
-  }
-  std::printf("audit (%s): %llu slots audited | %llu checks | "
-              "%llu violations | %llu engine fallbacks (%zu points)\n",
-              bench.audit_mode.c_str(),
-              static_cast<unsigned long long>(bench.audited_slots),
-              static_cast<unsigned long long>(bench.audit_checks),
-              static_cast<unsigned long long>(bench.audit_violations),
-              static_cast<unsigned long long>(bench.engine_fallbacks),
-              bench.fallback_points);
-}
-
 par::SweepGrid parse_sweep_grid(const Options& options) {
   par::SweepGrid grid;
   const std::vector<std::string> policy_names =
@@ -1111,8 +966,8 @@ par::SweepGrid parse_sweep_grid(const Options& options) {
     grid.capacities.push_back(Coulomb(value));
   }
   grid.storm_seeds = parse_seed_list(options, "storm-seeds");
-  grid.storm_faults = static_cast<std::size_t>(number_or(
-      options, "storm-faults", static_cast<double>(grid.storm_faults)));
+  grid.storm_faults =
+      checked_index_or(options, "storm-faults", grid.storm_faults);
   for (const double value : parse_number_list(options, "stacks")) {
     if (value < 0.0 || value != static_cast<double>(
                                    static_cast<std::size_t>(value))) {
@@ -1154,24 +1009,13 @@ std::unique_ptr<par::SharedSolveCache> make_solve_memo(double quantum) {
   return std::make_unique<par::SharedSolveCache>(config);
 }
 
-/// The sweep summary line; the hit-rate clause only when a memo ran.
-void print_sweep_summary(const report::SweepBenchReport& bench,
-                         bool memo_attached) {
-  std::printf("%zu points at %zu jobs: %.3f s wall (%.1f points/s)",
-              bench.points, bench.jobs, bench.wall_seconds,
-              bench.points_per_second);
-  if (memo_attached) {
-    std::printf(", solve-cache hit rate %.1f %%",
-                100.0 * bench.cache_hit_rate);
-  }
-  std::printf("\n");
-}
-
-/// The journaling/retry/watchdog sweep path behind the resilience
-/// flags. Quarantined points are reported, not fatal: exit code 0.
-int cmd_sweep_resilient(const sim::ExperimentConfig& config,
-                        const par::SweepGrid& grid, const Options& options,
-                        ObsSession& obs, std::size_t jobs, double quantum) {
+/// The journaling/retry/watchdog sweep behind the resilience flags;
+/// prints its report and returns the bench form. Quarantined points are
+/// reported, not fatal.
+report::SweepBenchReport sweep_resilient(const sim::ExperimentConfig& config,
+                                         const par::SweepGrid& grid,
+                                         const Options& options,
+                                         par::SweepOptions sweep_options) {
   resilience::ResilienceOptions ropt;
   // 1 + max_retries attempts must not wrap.
   ropt.contract.max_retries =
@@ -1208,178 +1052,21 @@ int cmd_sweep_resilient(const sim::ExperimentConfig& config,
   ropt.watchdog_stall = std::chrono::milliseconds(checked_index_or(
       options, "watchdog-stall-ms", 0,
       static_cast<std::size_t>(max_stall_ms.count())));
-  ropt.jobs = jobs;
-  const std::unique_ptr<par::SharedSolveCache> memo = make_solve_memo(quantum);
-  ropt.cache = memo.get();
-  ropt.observer = obs.context();
-
-  TelemetrySession tel(options, jobs, grid.points(config).size(),
-                       !option_or(options, "trace-out", "").empty());
-  ropt.telemetry = tel.telemetry();
-
-  const resilience::ResilientSweepResult sweep =
-      resilience::run_resilient_sweep(config, grid, ropt);
-
-  std::vector<std::string> columns = {
-      "policy", "rho", "capacity", "storm seed", "fuel (A-s)",
-      "bled (A-s)", "unserved (A-s)", "sleeps"};
-  if (config.cap.enabled) {
-    columns.push_back("capped");
-  }
-  if (config.stacks.enabled) {
-    columns.push_back("stacks");
-    columns.push_back("dist");
-  }
-  columns.push_back("status");
-  report::Table table("sweep: " + config.trace.name(), std::move(columns));
-  for (const resilience::ResilientPoint& p : sweep.points) {
-    const par::SweepPoint& point = p.result.point;
-    if (p.ok) {
-      std::vector<std::string> cells = {
-          sim::to_string(point.policy), report::cell(point.rho, 2),
-          report::cell(point.capacity.value(), 1),
-          std::to_string(point.storm_seed),
-          report::cell(p.result.result.totals.fuel.value(), 2),
-          report::cell(p.result.result.totals.bled.value(), 2),
-          report::cell(p.result.result.totals.unserved.value(), 2),
-          std::to_string(p.result.result.sleeps)};
-      if (config.cap.enabled) {
-        cells.push_back(p.result.result.cap.has_value()
-                            ? std::to_string(
-                                  p.result.result.cap->slots_capped)
-                            : "-");
-      }
-      if (config.stacks.enabled) {
-        if (p.result.result.stacks.has_value()) {
-          cells.push_back(
-              std::to_string(p.result.result.stacks->stacks.size()));
-          cells.push_back(
-              stacks::to_string(p.result.result.stacks->distribution));
-        } else {
-          cells.push_back("-");
-          cells.push_back("-");
-        }
-      }
-      cells.push_back(p.replayed ? "replayed" : "ok");
-      table.add_row(std::move(cells));
-    } else {
-      std::vector<std::string> cells = {
-          sim::to_string(point.policy), report::cell(point.rho, 2),
-          report::cell(point.capacity.value(), 1),
-          std::to_string(point.storm_seed), "-", "-", "-", "-"};
-      if (config.cap.enabled) {
-        cells.push_back("-");
-      }
-      if (config.stacks.enabled) {
-        cells.push_back("-");
-        cells.push_back("-");
-      }
-      cells.push_back(std::string("quarantined: ") +
-                      resilience::to_string(p.error.kind));
-      table.add_row(std::move(cells));
-    }
-  }
-  std::printf("%s\n", table.to_ascii().c_str());
-
-  report::SweepBenchReport bench;
-  bench.trace_name = config.trace.name();
-  bench.points = sweep.stats.points;
-  bench.jobs = sweep.stats.jobs;
-  bench.wall_seconds = sweep.stats.wall_seconds;
-  bench.points_per_second = sweep.stats.points_per_second();
-  bench.cache_hits = sweep.stats.cache_hits;
-  bench.cache_misses = sweep.stats.cache_misses;
-  bench.cache_hit_rate = sweep.stats.cache_hit_rate();
-  for (const resilience::ResilientPoint& p : sweep.points) {
-    report::SweepPointRow row =
-        make_point_row(p.result.point, p.result.result);
-    row.ok = p.ok;
-    row.attempts = p.attempts;
-    row.replayed = p.replayed;
-    if (!p.ok) {
-      row.error = resilience::to_string(p.error.kind);
-      row.fuel = row.bled = row.unserved = 0.0;
-      row.duration = row.storage_end = row.latency = 0.0;
-      row.slots = row.sleeps = 0;
-    } else {
-      accumulate_cap(bench, p.result.result);
-      accumulate_stacks(bench, p.result.result);
-      accumulate_audit(bench, p.result.result);
-    }
-    bench.results.push_back(std::move(row));
-  }
-  const resilience::ResilienceStats& rs = sweep.resilience;
-  bench.resilience.enabled = true;
-  bench.resilience.scheduled = rs.scheduled;
-  bench.resilience.replayed = rs.replayed;
-  bench.resilience.retries = rs.retries;
-  bench.resilience.quarantined = rs.quarantined;
-  bench.resilience.rounds = rs.rounds;
-  bench.resilience.spot_checks = rs.spot_checks;
-  bench.resilience.torn_tail_recovered = rs.torn_tail_recovered;
-  bench.resilience.torn_bytes_dropped = rs.torn_bytes_dropped;
-  bench.resilience.watchdog_stalls = rs.watchdog_stalls;
-  bench.resilience.max_retries = ropt.contract.max_retries;
-  bench.resilience.point_deadline_slots =
-      ropt.contract.point_deadline_slots;
-  bench.resilience.cap_enabled = config.cap.enabled;
-  bench.resilience.capped_ok = rs.capped_ok;
-
-  print_sweep_summary(bench, memo != nullptr);
-  std::printf(
-      "resilience: %zu scheduled | %zu replayed | %zu retries | "
-      "%zu quarantined | %zu rounds | %zu spot-checks | %zu stalls",
-      rs.scheduled, rs.replayed, rs.retries, rs.quarantined, rs.rounds,
-      rs.spot_checks, rs.watchdog_stalls);
-  if (!ropt.journal_path.empty()) {
-    std::printf(" | %zu journal commits", rs.journal_commits);
-  }
-  std::printf("\n");
-  if (config.cap.enabled) {
-    std::printf("power cap: %zu points throttled to completion | "
-                "%llu capped slots | %llu budget violations\n",
-                rs.capped_ok,
-                static_cast<unsigned long long>(bench.capped_slots),
-                static_cast<unsigned long long>(bench.cap_violations));
-  }
-  if (bench.stacks_enabled) {
-    std::printf("stacks: %zu multi-stack points | %llu stack startups | "
-                "max wear %.6g\n",
-                bench.stack_points,
-                static_cast<unsigned long long>(bench.stack_startups),
-                bench.stack_max_wear);
-  }
-  print_audit_rollup(bench);
-  if (rs.torn_tail_recovered) {
-    std::printf("journal torn tail recovered (%zu bytes dropped)\n",
-                rs.torn_bytes_dropped);
-  }
-  for (std::size_t k = 0; k < sweep.points.size(); ++k) {
-    const resilience::ResilientPoint& p = sweep.points[k];
-    if (!p.ok) {
-      std::printf("quarantined point %zu after %zu attempts: %s: %s\n", k,
-                  p.attempts, resilience::to_string(p.error.kind),
-                  p.error.detail.c_str());
-    }
-  }
-
-  tel.finish(bench, obs.sink());
-
-  const std::string out = option_or(options, "out", "");
-  if (!out.empty()) {
-    report::write_sweep_bench_file(out, bench);
-    std::printf("wrote sweep bench to %s\n", out.c_str());
-  }
-  obs.finish();
-  return 0;
+  ropt.jobs = sweep_options.jobs;
+  ropt.cache = sweep_options.cache;
+  ropt.observer = sweep_options.observer;
+  ropt.telemetry = sweep_options.telemetry;
+  return resilience::print_sweep_report(
+      stdout, config, resilience::run_resilient_sweep(config, grid, ropt),
+      ropt);
 }
 
 int cmd_sweep(const Options& options) {
   const sim::ExperimentConfig config = build_config(options);
   const par::SweepGrid grid = parse_sweep_grid(options);
 
-  const auto jobs =
-      static_cast<std::size_t>(number_or(options, "jobs", 1.0));
+  // 0 = one worker per core.
+  const std::size_t jobs = checked_index_or(options, "jobs", 1);
   // One knob covers all three quanta; 0 (default) attaches no memo (see
   // make_solve_memo).
   const double quantum = checked_number_or(options, "cache-quantum", 0.0);
@@ -1392,32 +1079,33 @@ int cmd_sweep(const Options& options) {
   ObsSession obs(options);
 
   // Any resilience flag routes to the journaling/retry/watchdog runner;
-  // without them the plain engine below runs byte-for-byte as before.
+  // without them the plain engine runs byte-for-byte as before.
+  bool resilient = false;
   for (const char* flag :
        {"journal", "resume", "max-retries", "point-deadline",
         "watchdog-stall-ms", "spot-checks", "inject-fail",
         "unserved-budget"}) {
-    if (options.find(flag) != options.end()) {
-      return cmd_sweep_resilient(config, grid, options, obs, jobs, quantum);
-    }
+    resilient = resilient || options.find(flag) != options.end();
   }
 
-  // Single-job reference first (own memo, same quantum): it provides
-  // the speedup baseline and the bit-identity check.
+  // Plain sweeps run a single-job reference first (own memo, same
+  // quantum): it provides the speedup baseline and the bit-identity
+  // check.
   par::SweepResult serial;
-  bool have_serial = false;
-  if (jobs != 1 && option_or(options, "serial-check", "on") != "off") {
+  const bool have_serial =
+      !resilient && jobs != 1 &&
+      option_or(options, "serial-check", "on") != "off";
+  if (have_serial) {
     const std::unique_ptr<par::SharedSolveCache> serial_memo =
         make_solve_memo(quantum);
     par::SweepOptions serial_options;
     serial_options.jobs = 1;
     serial_options.cache = serial_memo.get();
     serial = par::run_sweep(config, grid, serial_options);
-    have_serial = true;
   }
 
   // The serial reference above runs without telemetry: shards observe
-  // only the measured parallel run, so snapshot totals equal its report.
+  // only the measured run, so snapshot totals equal its report.
   TelemetrySession tel(options, jobs, grid.points(config).size(),
                        !option_or(options, "trace-out", "").empty());
 
@@ -1427,104 +1115,31 @@ int cmd_sweep(const Options& options) {
   sweep_options.cache = memo.get();
   sweep_options.observer = obs.context();
   sweep_options.telemetry = tel.telemetry();
-  const par::SweepResult sweep = par::run_sweep(config, grid, sweep_options);
-
-  std::vector<std::string> columns = {
-      "policy", "rho", "capacity", "storm seed", "fuel (A-s)",
-      "bled (A-s)", "unserved (A-s)", "sleeps"};
-  if (config.cap.enabled) {
-    columns.push_back("capped");
-  }
-  if (config.stacks.enabled) {
-    columns.push_back("stacks");
-    columns.push_back("dist");
-  }
-  report::Table table("sweep: " + config.trace.name(), std::move(columns));
-  for (const par::SweepPointResult& p : sweep.points) {
-    std::vector<std::string> cells = {
-        sim::to_string(p.point.policy), report::cell(p.point.rho, 2),
-        report::cell(p.point.capacity.value(), 1),
-        std::to_string(p.point.storm_seed),
-        report::cell(p.result.totals.fuel.value(), 2),
-        report::cell(p.result.totals.bled.value(), 2),
-        report::cell(p.result.totals.unserved.value(), 2),
-        std::to_string(p.result.sleeps)};
-    if (config.cap.enabled) {
-      cells.push_back(p.result.cap.has_value()
-                          ? std::to_string(p.result.cap->slots_capped)
-                          : "-");
-    }
-    if (config.stacks.enabled) {
-      if (p.result.stacks.has_value()) {
-        cells.push_back(std::to_string(p.result.stacks->stacks.size()));
-        cells.push_back(stacks::to_string(p.result.stacks->distribution));
-      } else {
-        cells.push_back("-");
-        cells.push_back("-");
-      }
-    }
-    table.add_row(std::move(cells));
-  }
-  std::printf("%s\n", table.to_ascii().c_str());
-
   report::SweepBenchReport bench;
-  bench.trace_name = config.trace.name();
-  bench.points = sweep.stats.points;
-  bench.jobs = sweep.stats.jobs;
-  bench.wall_seconds = sweep.stats.wall_seconds;
-  bench.points_per_second = sweep.stats.points_per_second();
-  bench.cache_hits = sweep.stats.cache_hits;
-  bench.cache_misses = sweep.stats.cache_misses;
-  bench.cache_hit_rate = sweep.stats.cache_hit_rate();
-  bench.batched_points = sweep.stats.points_batched;
-  bench.batch_merge_sets = sweep.stats.batch_merge_sets;
-  bench.batch_merged_lane_slots = sweep.stats.batch_merged_lane_slots;
-  bench.batch_splits = sweep.stats.batch_splits;
-  bench.batch_journal_hits = sweep.stats.batch_journal_hits;
-  for (const par::SweepPointResult& p : sweep.points) {
-    bench.results.push_back(make_point_row(p.point, p.result));
-    accumulate_cap(bench, p.result);
-    accumulate_stacks(bench, p.result);
-    accumulate_audit(bench, p.result);
-  }
-  print_sweep_summary(bench, memo != nullptr);
-  if (bench.cap_enabled) {
-    std::printf("power cap: %zu/%zu points throttled | %llu capped slots | "
-                "%llu budget violations | %.1f J deferred\n",
-                bench.capped_points, bench.points,
-                static_cast<unsigned long long>(bench.capped_slots),
-                static_cast<unsigned long long>(bench.cap_violations),
-                bench.cap_deferred_j);
-  }
-  if (bench.stacks_enabled) {
-    std::printf("stacks: %zu multi-stack points | %llu stack startups | "
-                "max wear %.6g\n",
-                bench.stack_points,
-                static_cast<unsigned long long>(bench.stack_startups),
-                bench.stack_max_wear);
-  }
-  if (bench.batched_points > 0) {
-    std::printf("batched: %zu/%zu points | %zu merge sets | %zu merged "
-                "lane-slots | %zu splits | %llu journal hits\n",
-                bench.batched_points, bench.points, bench.batch_merge_sets,
-                bench.batch_merged_lane_slots, bench.batch_splits,
-                static_cast<unsigned long long>(bench.batch_journal_hits));
-  }
-  print_audit_rollup(bench);
-
   bool diverged = false;
-  if (have_serial) {
-    bench.serial_wall_seconds = serial.stats.wall_seconds;
-    bench.speedup =
-        bench.wall_seconds > 0.0
-            ? bench.serial_wall_seconds / bench.wall_seconds
-            : 0.0;
-    const bool identical = identical_sweeps(serial, sweep);
-    bench.bit_identical_to_serial = identical ? 1 : 0;
-    diverged = !identical;
-    std::printf("vs --jobs 1: %.3f s serial, speedup %.2fx, results %s\n",
-                bench.serial_wall_seconds, bench.speedup,
-                identical ? "bit-identical" : "DIVERGED");
+  if (resilient) {
+    bench = sweep_resilient(config, grid, options, sweep_options);
+  } else {
+    const par::SweepResult sweep =
+        par::run_sweep(config, grid, sweep_options);
+    bench = resilience::print_sweep_report(stdout, config, sweep,
+                                           memo != nullptr);
+    if (have_serial) {
+      bench.serial_wall_seconds = serial.stats.wall_seconds;
+      bench.speedup = bench.wall_seconds > 0.0
+                          ? bench.serial_wall_seconds / bench.wall_seconds
+                          : 0.0;
+      diverged = !std::equal(
+          serial.points.begin(), serial.points.end(), sweep.points.begin(),
+          sweep.points.end(),
+          [](const par::SweepPointResult& a, const par::SweepPointResult& b) {
+            return sim::same_result(a.result, b.result);
+          });
+      bench.bit_identical_to_serial = diverged ? 0 : 1;
+      std::printf("vs --jobs 1: %.3f s serial, speedup %.2fx, results %s\n",
+                  bench.serial_wall_seconds, bench.speedup,
+                  diverged ? "DIVERGED" : "bit-identical");
+    }
   }
 
   tel.finish(bench, obs.sink());

@@ -406,6 +406,85 @@ void run_batch_chunk(const sim::ExperimentConfig& base,
 
 }  // namespace
 
+void account_point(telemetry::WorkerShard& shard,
+                   const SweepPointResult& done, double wall_us) {
+  shard.points_done.fetch_add(1, std::memory_order_relaxed);
+  shard.slots.fetch_add(done.result.slots, std::memory_order_relaxed);
+  if (done.ran_batched) {
+    shard.batched_dispatches.fetch_add(1, std::memory_order_relaxed);
+  } else if (done.ran_hot) {
+    shard.hot_dispatches.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    shard.reference_dispatches.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (done.result.cap.has_value()) {
+    shard.capped_slots.fetch_add(done.result.cap->slots_capped,
+                                 std::memory_order_relaxed);
+  }
+  if (done.result.audit.has_value()) {
+    const audit::AuditStats& a = *done.result.audit;
+    shard.audited_slots.fetch_add(a.slots_audited, std::memory_order_relaxed);
+    shard.audit_violations.fetch_add(a.violations,
+                                     std::memory_order_relaxed);
+    shard.engine_fallbacks.fetch_add(a.engine_fallbacks,
+                                     std::memory_order_relaxed);
+  }
+  shard.wall_us.observe(wall_us);
+  shard.sim_s.observe(done.result.totals.duration.value());
+}
+
+TimedTask::TimedTask(telemetry::SweepTelemetry* telemetry,
+                     std::size_t worker, SharedSolveCache* memo)
+    : telemetry_(telemetry), worker_(worker), memo_(memo) {
+  if (telemetry_ != nullptr) {
+    if (memo_ != nullptr) {
+      tap_.emplace(*memo_);
+    }
+    start_ns_ = telemetry_->now_ns();
+  }
+}
+
+core::SlotSolveCache* TimedTask::cache() noexcept {
+  return tap_.has_value() ? static_cast<core::SlotSolveCache*>(&*tap_)
+                          : memo_;
+}
+
+telemetry::WorkerShard& TimedTask::shard() const {
+  return telemetry_->shards().shard(worker_);
+}
+
+double TimedTask::finish() {
+  end_ns_ = telemetry_->now_ns();
+  telemetry::WorkerShard& s = shard();
+  s.busy_ns.fetch_add(end_ns_ - start_ns_, std::memory_order_relaxed);
+  if (tap_.has_value()) {
+    s.cache_hits.fetch_add(tap_->hits(), std::memory_order_relaxed);
+    s.cache_misses.fetch_add(tap_->misses(), std::memory_order_relaxed);
+  }
+  return static_cast<double>(end_ns_ - start_ns_) * 1e-3;
+}
+
+void TimedTask::record_lane(std::size_t point_index, std::size_t attempt,
+                            bool ok, bool quarantined, bool hot) const {
+  telemetry::LaneRecorder* lanes = telemetry_->lanes();
+  if (lanes == nullptr) {
+    return;
+  }
+  const auto count = [](std::uint64_t n) {
+    return static_cast<std::uint32_t>(n);
+  };
+  lanes->record(worker_,
+                {.start_ns = start_ns_,
+                 .end_ns = end_ns_,
+                 .point_index = count(point_index),
+                 .attempt = count(attempt),
+                 .cache_hits = count(tap_.has_value() ? tap_->hits() : 0),
+                 .cache_misses = count(tap_.has_value() ? tap_->misses() : 0),
+                 .ok = ok,
+                 .quarantined = quarantined,
+                 .hot = hot});
+}
+
 SweepResult run_sweep(const sim::ExperimentConfig& base,
                       const SweepGrid& grid, const SweepOptions& options) {
   const std::vector<SweepPoint> points = grid.points(base);
@@ -460,154 +539,35 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
     // plan.singles[t - chunks.size()].
     const std::size_t tasks = plan.chunks.size() + plan.singles.size();
 
-    const auto run_single = [&](std::size_t k) {
-      out.points[k] = run_point(base, points[k], grid.storm_faults,
-                                options.cache, nullptr, 0, shared);
-    };
-    // Per-point shard accounting shared by the single-point task body
-    // and the batched chunk body.
-    const auto account_point = [&](telemetry::WorkerShard& shard,
-                                   const SweepPointResult& done,
-                                   double wall_us) {
-      shard.points_done.fetch_add(1, std::memory_order_relaxed);
-      shard.slots.fetch_add(done.result.slots, std::memory_order_relaxed);
-      if (done.ran_batched) {
-        shard.batched_dispatches.fetch_add(1, std::memory_order_relaxed);
-      } else if (done.ran_hot) {
-        shard.hot_dispatches.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        shard.reference_dispatches.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (done.result.cap.has_value()) {
-        shard.capped_slots.fetch_add(done.result.cap->slots_capped,
-                                     std::memory_order_relaxed);
-      }
-      if (done.result.audit.has_value()) {
-        const audit::AuditStats& a = *done.result.audit;
-        shard.audited_slots.fetch_add(a.slots_audited,
-                                      std::memory_order_relaxed);
-        shard.audit_violations.fetch_add(a.violations,
-                                         std::memory_order_relaxed);
-        shard.engine_fallbacks.fetch_add(a.engine_fallbacks,
-                                         std::memory_order_relaxed);
-      }
-      shard.wall_us.observe(wall_us);
-      shard.sim_s.observe(done.result.totals.duration.value());
-    };
-    const auto run_single_telemetry = [&](std::size_t worker,
-                                          std::size_t k) {
-      telemetry::WorkerShard& shard = tel->shards().shard(worker);
-      // The tap attributes this point's cache traffic to this
-      // worker; it adds no caching, so results are unchanged.
-      std::optional<SolveCacheTap> tap;
-      if (options.cache != nullptr) {
-        tap.emplace(*options.cache);
-      }
-      const std::uint64_t t0 = tel->now_ns();
-      out.points[k] = run_point(
-          base, points[k], grid.storm_faults,
-          tap.has_value() ? static_cast<core::SlotSolveCache*>(&*tap)
-                          : nullptr,
-          nullptr, 0, shared);
-      const std::uint64_t t1 = tel->now_ns();
-
-      const SweepPointResult& done = out.points[k];
-      shard.busy_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
-      std::uint64_t point_hits = 0;
-      std::uint64_t point_misses = 0;
-      if (tap.has_value()) {
-        point_hits = tap->hits();
-        point_misses = tap->misses();
-        shard.cache_hits.fetch_add(point_hits, std::memory_order_relaxed);
-        shard.cache_misses.fetch_add(point_misses,
-                                     std::memory_order_relaxed);
-      }
-      account_point(shard, done, static_cast<double>(t1 - t0) * 1e-3);
-
-      if (telemetry::LaneRecorder* lanes = tel->lanes()) {
-        telemetry::PointLane lane;
-        lane.start_ns = t0;
-        lane.end_ns = t1;
-        lane.point_index = static_cast<std::uint32_t>(k);
-        lane.attempt = 1;
-        lane.cache_hits = static_cast<std::uint32_t>(point_hits);
-        lane.cache_misses = static_cast<std::uint32_t>(point_misses);
-        lane.ok = true;
-        lane.hot = done.ran_hot;
-        lanes->record(worker, lane);
-      }
-    };
-    const auto run_chunk_telemetry = [&](std::size_t worker,
-                                         std::size_t c) {
-      const std::vector<std::size_t>& chunk = plan.chunks[c];
-      telemetry::WorkerShard& shard = tel->shards().shard(worker);
-      std::optional<SolveCacheTap> tap;
-      if (options.cache != nullptr) {
-        tap.emplace(*options.cache);
-      }
-      const std::uint64_t t0 = tel->now_ns();
-      run_batch_chunk(base, points, chunk, grid.storm_faults, *shared,
-                      tap.has_value()
-                          ? static_cast<core::SlotSolveCache*>(&*tap)
-                          : options.cache,
-                      out.points, chunk_stats[c]);
-      const std::uint64_t t1 = tel->now_ns();
-
-      shard.busy_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
-      std::uint64_t chunk_hits = 0;
-      std::uint64_t chunk_misses = 0;
-      if (tap.has_value()) {
-        chunk_hits = tap->hits();
-        chunk_misses = tap->misses();
-        shard.cache_hits.fetch_add(chunk_hits, std::memory_order_relaxed);
-        shard.cache_misses.fetch_add(chunk_misses,
-                                     std::memory_order_relaxed);
-      }
-      // The slot loop advances all lanes together, so per-point wall
-      // time is the chunk's share — the histogram keeps per-point
-      // semantics without pretending to per-lane timers.
-      const double per_point_us = static_cast<double>(t1 - t0) * 1e-3 /
-                                  static_cast<double>(chunk.size());
-      for (const std::size_t k : chunk) {
-        account_point(shard, out.points[k], per_point_us);
-      }
-
-      if (telemetry::LaneRecorder* lanes = tel->lanes()) {
-        // One lane per chunk: the span covers every point it carried.
-        telemetry::PointLane lane;
-        lane.start_ns = t0;
-        lane.end_ns = t1;
-        lane.point_index = static_cast<std::uint32_t>(chunk.front());
-        lane.attempt = 1;
-        lane.cache_hits = static_cast<std::uint32_t>(chunk_hits);
-        lane.cache_misses = static_cast<std::uint32_t>(chunk_misses);
-        lane.ok = true;
-        lane.hot = false;
-        lanes->record(worker, lane);
-      }
-    };
-
-    if (tel == nullptr) {
-      pool.run_indexed(tasks, [&](std::size_t t) {
-        if (t < plan.chunks.size()) {
-          run_batch_chunk(base, points, plan.chunks[t], grid.storm_faults,
-                          *shared, options.cache, out.points,
-                          chunk_stats[t]);
-        } else {
-          run_single(plan.singles[t - plan.chunks.size()]);
+    pool.run_indexed_on_workers(tasks, [&](std::size_t worker,
+                                           std::size_t t) {
+      TimedTask task(tel, worker, options.cache);
+      if (t < plan.chunks.size()) {
+        const std::vector<std::size_t>& chunk = plan.chunks[t];
+        run_batch_chunk(base, points, chunk, grid.storm_faults, *shared,
+                        task.cache(), out.points, chunk_stats[t]);
+        if (tel != nullptr) {
+          // The slot loop advances all lanes together, so per-point wall
+          // time is the chunk's share — the histogram keeps per-point
+          // semantics without pretending to per-lane timers.
+          const double per_point_us =
+              task.finish() / static_cast<double>(chunk.size());
+          for (const std::size_t k : chunk) {
+            account_point(task.shard(), out.points[k], per_point_us);
+          }
+          // One lane per chunk: the span covers every point it carried.
+          task.record_lane(chunk.front(), 1, true, false, false);
         }
-      });
-    } else {
-      pool.run_indexed_on_workers(
-          tasks, [&](std::size_t worker, std::size_t t) {
-            if (t < plan.chunks.size()) {
-              run_chunk_telemetry(worker, t);
-            } else {
-              run_single_telemetry(worker,
-                                   plan.singles[t - plan.chunks.size()]);
-            }
-          });
-    }
+        return;
+      }
+      const std::size_t k = plan.singles[t - plan.chunks.size()];
+      out.points[k] = run_point(base, points[k], grid.storm_faults,
+                                task.cache(), nullptr, 0, shared);
+      if (tel != nullptr) {
+        account_point(task.shard(), out.points[k], task.finish());
+        task.record_lane(k, 1, true, false, out.points[k].ran_hot);
+      }
+    });
   }
 
   for (const batch::BatchStats& s : chunk_stats) {

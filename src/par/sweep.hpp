@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "hot/compiled_trace.hpp"
@@ -21,6 +22,7 @@
 
 namespace fcdpm::telemetry {
 class SweepTelemetry;
+struct WorkerShard;
 }  // namespace fcdpm::telemetry
 
 namespace fcdpm::par {
@@ -139,6 +141,44 @@ struct SweepResult {
     std::size_t storm_faults, core::SlotSolveCache* cache,
     sim::CancellationToken* cancel = nullptr, std::size_t slot_budget = 0,
     const hot::CompiledTrace* compiled = nullptr);
+
+/// Telemetry of one finished point on its worker's shard: the done
+/// count, slots, dispatch engine, cap and audit counters, and the
+/// point's wall and simulated time. Both sweep runners account every
+/// completed point through this.
+void account_point(telemetry::WorkerShard& shard,
+                   const SweepPointResult& done, double wall_us);
+
+/// One task (a point, an attempt or a batched chunk) timed on its
+/// worker's shard. With telemetry attached the task solves through a
+/// tap on the memo, so its cache traffic is attributed to this worker
+/// (the tap adds no caching; results are unchanged). Without telemetry
+/// cache() is the memo itself, and shard(), finish() and record_lane()
+/// must not be called.
+class TimedTask {
+ public:
+  TimedTask(telemetry::SweepTelemetry* telemetry, std::size_t worker,
+            SharedSolveCache* memo);
+
+  /// The cache the task solves through (nullptr without a memo).
+  [[nodiscard]] core::SlotSolveCache* cache() noexcept;
+  [[nodiscard]] telemetry::WorkerShard& shard() const;
+  /// Stop the clock, add the busy time and cache traffic to the shard,
+  /// and return the task's wall time in microseconds.
+  double finish();
+  /// Record the task's span as one trace lane (no-op unless lanes are
+  /// recorded); call after finish().
+  void record_lane(std::size_t point_index, std::size_t attempt, bool ok,
+                   bool quarantined, bool hot) const;
+
+ private:
+  telemetry::SweepTelemetry* telemetry_;
+  std::size_t worker_;
+  SharedSolveCache* memo_;
+  std::optional<SolveCacheTap> tap_;
+  std::uint64_t start_ns_ = 0;
+  std::uint64_t end_ns_ = 0;
+};
 
 /// Fan the grid across `options.jobs` workers.
 [[nodiscard]] SweepResult run_sweep(const sim::ExperimentConfig& base,

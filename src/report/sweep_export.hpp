@@ -1,7 +1,7 @@
 // Machine-readable sweep benchmark report (BENCH_sweep.json): the perf
 // trajectory's first artifact. Plain data in, one JSON object out — the
 // report layer stays independent of fcdpm::par and fcdpm::resilience;
-// the CLI fills this from par::SweepRunStats / resilience stats.
+// resilience::print_sweep_report fills this from either runner's results.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,9 @@
 #include <bit>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +22,7 @@
 #include "common/atomic_file.hpp"
 #include "common/csv.hpp"
 #include "obs/trace_sink.hpp"
+#include "sim/result_fields.hpp"
 
 namespace fcdpm::resilience {
 
@@ -63,13 +66,6 @@ bool parse_hex(std::string_view text, std::uint64_t& out) {
     }
   }
   return true;
-}
-
-/// C99 hexfloat inside a JSON string: exact binary64 round-trip.
-std::string hex_double(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%a", value);
-  return buffer;
 }
 
 // --- minimal flat-JSON-object parser ----------------------------------------
@@ -233,66 +229,186 @@ class FlatJsonParser {
   std::size_t pos_ = 0;
 };
 
-class FieldMap {
- public:
-  explicit FieldMap(const JsonObject& object) : object_(object) {}
+/// A parsed payload.
+struct FieldMap {
+  const JsonObject& object;
+  std::size_t payload_bytes;  ///< no list in it can be longer than this
 
   [[nodiscard]] const JsonField* find(std::string_view key) const {
-    for (const auto& [name, field] : object_) {
+    for (const auto& [name, field] : object) {
       if (name == key) {
         return &field;
       }
     }
     return nullptr;
   }
+};
 
-  bool string(std::string_view key, std::string& out) const {
-    const JsonField* f = find(key);
-    if (f == nullptr || f->kind != JsonField::Kind::String) {
+// --- field codec ------------------------------------------------------------
+// encode() and decode() handle every field kind of sim/result_fields.hpp
+// (and the record's own point fields). Doubles are C99 hexfloats inside
+// JSON strings, an exact binary64 round-trip; lists are comma-separated
+// inside one string.
+
+void put_key(std::string& out, std::string_view key) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+}
+
+template <typename T>
+void put_number(std::string& out, T value) {
+  char buffer[40];
+  if constexpr (std::integral<T>) {
+    out.append(buffer,
+               std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+  } else {
+    const int n = std::snprintf(buffer, sizeof(buffer), "%a", value);
+    out.append(buffer, static_cast<std::size_t>(n));
+  }
+}
+
+template <typename At>
+void put_list(std::string& out, std::string_view key, std::size_t size,
+              At at) {
+  put_key(out, key);
+  out += '"';
+  for (std::size_t k = 0; k < size; ++k) {
+    if (k != 0) {
+      out += ',';
+    }
+    put_number(out, at(k));
+  }
+  out += '"';
+}
+
+template <typename T>
+void encode(std::string& out, std::string_view key, const T& field) {
+  if constexpr (requires { field.token; }) {  // FirstViolation
+    if (!field.token.empty()) {
+      encode(out, std::string(key) + "_slot", field.slot);
+      encode(out, key, field.token);
+    }
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    put_key(out, key);
+    out += '"';
+    out += obs::json_escape(field.c_str());
+    out += '"';
+  } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+    put_list(out, key, field.size(), [&](std::size_t k) { return field[k]; });
+  } else if constexpr (requires { field.member; }) {  // StackColumn
+    put_list(out, key, field.stacks.size(),
+             [&](std::size_t k) { return field.stacks[k].*field.member; });
+  } else if constexpr (requires { field.stacks; }) {  // StackCount
+    encode(out, key, field.stacks.size());
+  } else if constexpr (requires { field.max; }) {  // Ranged
+    encode(out, key, static_cast<std::uint64_t>(field.value));
+  } else if constexpr (requires { field.value(); }) {  // unit quantity
+    encode(out, key, field.value());
+  } else if constexpr (std::integral<T>) {
+    put_key(out, key);
+    put_number(out, field);
+  } else {
+    static_assert(std::is_same_v<T, double>);
+    put_key(out, key);
+    out += '"';
+    put_number(out, field);
+    out += '"';
+  }
+}
+
+/// Comma list of finite numbers; "" is the empty list.
+bool parse_list(const std::string& list, std::vector<double>& out) {
+  std::size_t pos = 0;
+  while (pos < list.size()) {
+    const std::size_t comma = list.find(',', pos);
+    const std::string token = list.substr(
+        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    char* end = nullptr;
+    const double value = std::strtod(token.c_str(), &end);
+    if (end == token.c_str() || *end != '\0' || !std::isfinite(value)) {
       return false;
     }
-    out = f->text;
-    return true;
+    out.push_back(value);
+    pos = comma == std::string::npos ? list.size() : comma + 1;
   }
+  return true;
+}
 
-  bool integer(std::string_view key, std::uint64_t& out) const {
-    const JsonField* f = find(key);
-    if (f == nullptr || f->kind != JsonField::Kind::Integer) {
+/// False when the key is missing, of the wrong JSON type or out of the
+/// field's range.
+template <typename T>
+bool decode(const FieldMap& fields, std::string_view key, T&& field) {
+  using F = std::remove_cvref_t<T>;
+  if constexpr (requires { field.token; }) {  // FirstViolation
+    return fields.find(key) == nullptr ||
+           (decode(fields, std::string(key) + "_slot", field.slot) &&
+            decode(fields, key, field.token));
+  } else if constexpr (std::is_same_v<F, std::vector<double>>) {
+    std::string list;
+    return decode(fields, key, list) && parse_list(list, field);
+  } else if constexpr (requires { field.member; }) {  // StackColumn
+    std::vector<double> values;
+    if (!decode(fields, key, values) || values.size() != field.stacks.size()) {
       return false;
     }
-    out = f->integer;
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      auto& value = field.stacks[k].*field.member;
+      using V = std::remove_reference_t<decltype(value)>;
+      if (std::integral<V> && (values[k] < 0.0 || values[k] >= 0x1p64 ||
+                               values[k] != std::floor(values[k]))) {
+        return false;
+      }
+      value = static_cast<V>(values[k]);
+    }
     return true;
-  }
-
-  bool boolean(std::string_view key, bool& out) const {
-    const JsonField* f = find(key);
-    if (f == nullptr || f->kind != JsonField::Kind::Bool) {
+  } else if constexpr (requires { field.stacks; }) {  // StackCount
+    std::uint64_t count = 0;
+    if (!decode(fields, key, count) || count == 0 ||
+        count > fields.payload_bytes) {
       return false;
     }
-    out = f->boolean;
+    field.stacks.resize(static_cast<std::size_t>(count));
     return true;
-  }
-
-  /// Hexfloat-in-string double.
-  bool number(std::string_view key, double& out) const {
+  } else if constexpr (requires { field.max; }) {  // Ranged
+    std::uint64_t raw = 0;
+    if (!decode(fields, key, raw) || raw > field.max) {
+      return false;
+    }
+    field.value = static_cast<std::remove_cvref_t<decltype(field.value)>>(raw);
+    return true;
+  } else if constexpr (requires { field.value(); }) {  // unit quantity
+    double raw = 0.0;
+    if (!decode(fields, key, raw)) {
+      return false;
+    }
+    field = F(raw);
+    return true;
+  } else if constexpr (std::is_same_v<F, double>) {
     std::string text;
-    if (!string(key, text)) {
+    if (!decode(fields, key, text)) {
       return false;
     }
     char* end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end != nullptr && *end == '\0' && end != text.c_str();
-  }
-
- private:
-  const JsonObject& object_;
-};
-
-void hash_double(std::uint64_t& hash, double value) {
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
-  for (int shift = 0; shift < 64; shift += 8) {
-    hash ^= (bits >> shift) & 0xffu;
-    hash *= 0x100000001b3ull;
+    field = std::strtod(text.c_str(), &end);
+    return end != text.c_str() && *end == '\0';
+  } else {
+    using Kind = JsonField::Kind;
+    constexpr Kind kind = std::is_same_v<F, std::string> ? Kind::String
+                          : std::is_same_v<F, bool>      ? Kind::Bool
+                                                         : Kind::Integer;
+    const JsonField* f = fields.find(key);
+    if (f == nullptr || f->kind != kind) {
+      return false;
+    }
+    if constexpr (kind == Kind::String) {
+      field = f->text;
+    } else if constexpr (kind == Kind::Bool) {
+      field = f->boolean;
+    } else {
+      field = static_cast<F>(f->integer);
+    }
+    return true;
   }
 }
 
@@ -301,6 +417,10 @@ void hash_u64(std::uint64_t& hash, std::uint64_t value) {
     hash ^= (value >> shift) & 0xffu;
     hash *= 0x100000001b3ull;
   }
+}
+
+void hash_double(std::uint64_t& hash, double value) {
+  hash_u64(hash, std::bit_cast<std::uint64_t>(value));
 }
 
 std::string header_to_json(const JournalHeader& header) {
@@ -380,124 +500,40 @@ std::uint64_t grid_fingerprint(const sim::ExperimentConfig& base,
 }
 
 std::string record_to_json(const JournalRecord& record) {
-  std::string out = "{";
-  out += "\"index\":" + std::to_string(record.index);
-  out += ",\"policy\":" +
-         std::to_string(static_cast<int>(record.point.policy));
-  out += ",\"rho\":\"" + hex_double(record.point.rho) + "\"";
-  out += ",\"capacity\":\"" + hex_double(record.point.capacity.value()) +
-         "\"";
-  out += ",\"seed\":" + std::to_string(record.point.storm_seed);
+  std::string out = "{\"index\":";
+  put_number(out, record.index);
+  encode(out, "policy", static_cast<std::uint64_t>(record.point.policy));
+  encode(out, "rho", record.point.rho);
+  encode(out, "capacity", record.point.capacity);
+  encode(out, "seed", record.point.storm_seed);
   if (record.point.stacks > 0) {
     // Multi-stack point coordinates, serialized only on stack points so
     // single-stack journals stay byte-identical to pre-stacks builds.
-    out += ",\"stacks\":" + std::to_string(record.point.stacks);
-    out += ",\"dist\":" +
-           std::to_string(static_cast<int>(record.point.distribution));
+    encode(out, "stacks", record.point.stacks);
+    encode(out, "dist", static_cast<std::uint64_t>(record.point.distribution));
   }
-  out += ",\"attempts\":" + std::to_string(record.attempts);
-  out += ",\"ok\":";
-  out += record.ok ? "true" : "false";
+  encode(out, "attempts", record.attempts);
+  out += record.ok ? ",\"ok\":true" : ",\"ok\":false";
   if (!record.ok) {
-    out += ",\"error_kind\":\"";
-    out += to_string(record.error.kind);
-    out += "\",\"error_detail\":\"" +
-           obs::json_escape(record.error.detail.c_str()) + "\"";
-    out += "}";
+    encode(out, "error_kind", std::string(to_string(record.error.kind)));
+    encode(out, "error_detail", record.error.detail);
+    out += '}';
     return out;
   }
-  const sim::SimulationResult& r = record.result;
-  out += ",\"trace\":\"" + obs::json_escape(r.trace_name.c_str()) + "\"";
-  out += ",\"dpm\":\"" + obs::json_escape(r.dpm_policy.c_str()) + "\"";
-  out += ",\"fc\":\"" + obs::json_escape(r.fc_policy.c_str()) + "\"";
-  out += ",\"fuel\":\"" + hex_double(r.totals.fuel.value()) + "\"";
-  out += ",\"delivered_j\":\"" +
-         hex_double(r.totals.delivered_energy.value()) + "\"";
-  out += ",\"load_j\":\"" + hex_double(r.totals.load_energy.value()) + "\"";
-  out += ",\"bled\":\"" + hex_double(r.totals.bled.value()) + "\"";
-  out += ",\"unserved\":\"" + hex_double(r.totals.unserved.value()) + "\"";
-  out += ",\"duration\":\"" + hex_double(r.totals.duration.value()) + "\"";
-  out += ",\"slots\":" + std::to_string(r.slots);
-  out += ",\"sleeps\":" + std::to_string(r.sleeps);
-  out += ",\"latency\":\"" + hex_double(r.latency_added.value()) + "\"";
-  out += ",\"storage_initial\":\"" + hex_double(r.storage_initial.value()) +
-         "\"";
-  out += ",\"storage_end\":\"" + hex_double(r.storage_end.value()) + "\"";
-  out += ",\"storage_min\":\"" + hex_double(r.storage_min.value()) + "\"";
-  out += ",\"storage_max\":\"" + hex_double(r.storage_max.value()) + "\"";
-  if (r.cap.has_value()) {
-    // Cap block only when a governor ran: cap-off journals stay
-    // byte-identical to pre-cap builds.
-    const cap::CapStats& c = *r.cap;
-    out += ",\"cap_slots\":" + std::to_string(c.slots_seen);
-    out += ",\"cap_capped\":" + std::to_string(c.slots_capped);
-    out += ",\"cap_reductions\":" + std::to_string(c.level_reductions);
-    out += ",\"cap_restorations\":" + std::to_string(c.level_restorations);
-    out += ",\"cap_violations\":" + std::to_string(c.budget_violations);
-    out += ",\"cap_deferred_j\":\"" + hex_double(c.energy_deferred.value()) +
-           "\"";
-    out += ",\"cap_deferred_s\":\"" + hex_double(c.time_deferred.value()) +
-           "\"";
-    std::string levels;
-    for (const double seconds : c.time_at_level_s) {
-      if (!levels.empty()) {
-        levels += ',';
-      }
-      levels += hex_double(seconds);  // hexfloats never need escaping
-    }
-    out += ",\"cap_levels\":\"" + levels + "\"";
-  }
-  if (r.stacks.has_value()) {
-    // Stacks block only when the run's source was multi-stack:
-    // single-stack journals stay byte-identical to pre-stacks builds.
-    const stacks::StacksStats& s = *r.stacks;
-    out += ",\"stk_n\":" + std::to_string(s.stacks.size());
-    out += ",\"stk_dist\":" +
-           std::to_string(static_cast<int>(s.distribution));
-    std::string fuel_list;
-    std::string delivered_list;
-    std::string startups_list;
-    std::string wear_list;
-    for (const stacks::StackTotals& t : s.stacks) {
-      if (!fuel_list.empty()) {
-        fuel_list += ',';
-        delivered_list += ',';
-        startups_list += ',';
-        wear_list += ',';
-      }
-      fuel_list += hex_double(t.fuel_as);  // hexfloats never need escaping
-      delivered_list += hex_double(t.delivered_as);
-      startups_list += std::to_string(t.startups);
-      wear_list += hex_double(t.wear);
-    }
-    out += ",\"stk_fuel\":\"" + fuel_list + "\"";
-    out += ",\"stk_delivered\":\"" + delivered_list + "\"";
-    out += ",\"stk_startups\":\"" + startups_list + "\"";
-    out += ",\"stk_wear\":\"" + wear_list + "\"";
-  }
-  if (r.audit.has_value()) {
-    // Audit block only when an auditor ran: audit-off journals stay
-    // byte-identical to pre-audit builds.
-    const audit::AuditStats& a = *r.audit;
-    out += ",\"aud_mode\":" + std::to_string(a.mode);
-    out += ",\"aud_slots\":" + std::to_string(a.slots_audited);
-    out += ",\"aud_segments\":" + std::to_string(a.segments_audited);
-    out += ",\"aud_checks\":" + std::to_string(a.checks_run);
-    out += ",\"aud_violations\":" + std::to_string(a.violations);
-    out += ",\"aud_fuel\":" + std::to_string(a.fuel_violations);
-    out += ",\"aud_storage\":" + std::to_string(a.storage_violations);
-    out += ",\"aud_cap\":" + std::to_string(a.cap_violations);
-    out += ",\"aud_stacks\":" + std::to_string(a.stacks_violations);
-    out += ",\"aud_cache\":" + std::to_string(a.cache_violations);
-    out += ",\"aud_fallbacks\":" + std::to_string(a.engine_fallbacks);
-    if (!a.first_violation.empty()) {
-      out += ",\"aud_first_slot\":" +
-             std::to_string(a.first_violation_slot);
-      out += ",\"aud_first\":\"" +
-             obs::json_escape(a.first_violation.c_str()) + "\"";
-    }
-  }
-  out += "}";
+  // Each optional block only when its run had one, so journals of runs
+  // without it stay byte-identical to builds before it existed.
+  const auto encode_field = [&out](std::string_view key, const auto& field) {
+    encode(out, key, field);
+  };
+  sim::for_each_core_field(encode_field, record.result);
+  sim::for_each_block(
+      [&](std::string_view, const auto& block) {
+        if (block.has_value()) {
+          sim::for_each_field(encode_field, *block);
+        }
+      },
+      record.result);
+  out += '}';
   return out;
 }
 
@@ -509,46 +545,36 @@ bool record_from_json(std::string_view payload, JournalRecord& record) {
   if (!parser.parse(object)) {
     return false;
   }
-  const FieldMap fields(object);
-
-  std::uint64_t index = 0;
-  std::uint64_t policy = 0;
-  std::uint64_t seed = 0;
-  std::uint64_t attempts = 1;
-  double rho = 0.0;
-  double capacity = 0.0;
-  if (!fields.integer("index", index) ||
-      !fields.integer("policy", policy) || !fields.number("rho", rho) ||
-      !fields.number("capacity", capacity) ||
-      !fields.integer("seed", seed) ||
-      !fields.integer("attempts", attempts) ||
-      !fields.boolean("ok", record.ok) || policy > 3) {
+  const FieldMap fields{object, payload.size()};
+  bool ok = true;
+  const auto decode_field = [&](std::string_view key, auto&& field) {
+    ok = ok && decode(fields, key, field);
+  };
+  decode_field("index", record.index);
+  decode_field("policy", sim::Ranged{record.point.policy, 3});
+  decode_field("rho", record.point.rho);
+  decode_field("capacity", record.point.capacity);
+  decode_field("seed", record.point.storm_seed);
+  decode_field("attempts", record.attempts);
+  decode_field("ok", record.ok);
+  if (!ok) {
     return false;
   }
-  record.index = static_cast<std::size_t>(index);
-  record.point.policy = static_cast<sim::PolicyKind>(policy);
-  record.point.rho = rho;
-  record.point.capacity = Coulomb(capacity);
-  record.point.storm_seed = seed;
-  record.attempts = static_cast<std::size_t>(attempts);
-
   // Multi-stack point coordinates are optional (absent on single-stack
   // points); when the marker is present both fields are required.
   if (fields.find("stacks") != nullptr) {
-    std::uint64_t stack_count = 0;
-    std::uint64_t dist = 0;
-    if (!fields.integer("stacks", stack_count) ||
-        !fields.integer("dist", dist) || stack_count == 0 || dist > 2) {
+    decode_field("stacks", record.point.stacks);
+    decode_field("dist", sim::Ranged{record.point.distribution, 2});
+    if (!ok || record.point.stacks == 0) {
       return false;
     }
-    record.point.stacks = static_cast<std::size_t>(stack_count);
-    record.point.distribution = static_cast<stacks::Distribution>(dist);
   }
 
   if (!record.ok) {
     std::string kind;
-    if (!fields.string("error_kind", kind) ||
-        !fields.string("error_detail", record.error.detail)) {
+    decode_field("error_kind", kind);
+    decode_field("error_detail", record.error.detail);
+    if (!ok) {
       return false;
     }
     for (const PointErrorKind candidate :
@@ -564,190 +590,17 @@ bool record_from_json(std::string_view payload, JournalRecord& record) {
     return false;
   }
 
-  sim::SimulationResult& r = record.result;
-  double fuel = 0.0;
-  double delivered = 0.0;
-  double load = 0.0;
-  double bled = 0.0;
-  double unserved = 0.0;
-  double duration = 0.0;
-  double latency = 0.0;
-  double s_initial = 0.0;
-  double s_end = 0.0;
-  double s_min = 0.0;
-  double s_max = 0.0;
-  std::uint64_t slots = 0;
-  std::uint64_t sleeps = 0;
-  if (!fields.string("trace", r.trace_name) ||
-      !fields.string("dpm", r.dpm_policy) ||
-      !fields.string("fc", r.fc_policy) || !fields.number("fuel", fuel) ||
-      !fields.number("delivered_j", delivered) ||
-      !fields.number("load_j", load) || !fields.number("bled", bled) ||
-      !fields.number("unserved", unserved) ||
-      !fields.number("duration", duration) ||
-      !fields.integer("slots", slots) ||
-      !fields.integer("sleeps", sleeps) ||
-      !fields.number("latency", latency) ||
-      !fields.number("storage_initial", s_initial) ||
-      !fields.number("storage_end", s_end) ||
-      !fields.number("storage_min", s_min) ||
-      !fields.number("storage_max", s_max)) {
-    return false;
-  }
-  r.totals.fuel = Coulomb(fuel);
-  r.totals.delivered_energy = Joule(delivered);
-  r.totals.load_energy = Joule(load);
-  r.totals.bled = Coulomb(bled);
-  r.totals.unserved = Coulomb(unserved);
-  r.totals.duration = Seconds(duration);
-  r.slots = static_cast<std::size_t>(slots);
-  r.sleeps = static_cast<std::size_t>(sleeps);
-  r.latency_added = Seconds(latency);
-  r.storage_initial = Coulomb(s_initial);
-  r.storage_end = Coulomb(s_end);
-  r.storage_min = Coulomb(s_min);
-  r.storage_max = Coulomb(s_max);
-
-  // Cap block is optional (absent on cap-off runs); when the marker
-  // field is present every cap field is required together.
-  if (fields.find("cap_slots") != nullptr) {
-    std::uint64_t cap_slots = 0;
-    std::uint64_t cap_capped = 0;
-    std::uint64_t cap_reductions = 0;
-    std::uint64_t cap_restorations = 0;
-    std::uint64_t cap_violations = 0;
-    double deferred_j = 0.0;
-    double deferred_s = 0.0;
-    std::string levels;
-    if (!fields.integer("cap_slots", cap_slots) ||
-        !fields.integer("cap_capped", cap_capped) ||
-        !fields.integer("cap_reductions", cap_reductions) ||
-        !fields.integer("cap_restorations", cap_restorations) ||
-        !fields.integer("cap_violations", cap_violations) ||
-        !fields.number("cap_deferred_j", deferred_j) ||
-        !fields.number("cap_deferred_s", deferred_s) ||
-        !fields.string("cap_levels", levels)) {
-      return false;
-    }
-    cap::CapStats stats;
-    stats.slots_seen = static_cast<std::size_t>(cap_slots);
-    stats.slots_capped = static_cast<std::size_t>(cap_capped);
-    stats.level_reductions = static_cast<std::size_t>(cap_reductions);
-    stats.level_restorations = static_cast<std::size_t>(cap_restorations);
-    stats.budget_violations = static_cast<std::size_t>(cap_violations);
-    stats.energy_deferred = Joule(deferred_j);
-    stats.time_deferred = Seconds(deferred_s);
-    std::size_t pos = 0;
-    while (pos < levels.size()) {
-      const std::size_t comma = levels.find(',', pos);
-      const std::string token = levels.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      char* end = nullptr;
-      const double seconds = std::strtod(token.c_str(), &end);
-      if (end == token.c_str() || *end != '\0' || !std::isfinite(seconds)) {
-        return false;
-      }
-      stats.time_at_level_s.push_back(seconds);
-      pos = comma == std::string::npos ? levels.size() : comma + 1;
-    }
-    r.cap = std::move(stats);
-  }
-
-  // Stacks block is optional (absent on single-stack runs); when the
-  // marker field is present every stacks field is required together.
-  if (fields.find("stk_n") != nullptr) {
-    std::uint64_t stack_count = 0;
-    std::uint64_t dist = 0;
-    std::string fuel_list;
-    std::string delivered_list;
-    std::string startups_list;
-    std::string wear_list;
-    if (!fields.integer("stk_n", stack_count) ||
-        !fields.integer("stk_dist", dist) ||
-        !fields.string("stk_fuel", fuel_list) ||
-        !fields.string("stk_delivered", delivered_list) ||
-        !fields.string("stk_startups", startups_list) ||
-        !fields.string("stk_wear", wear_list) || stack_count == 0 ||
-        dist > 2) {
-      return false;
-    }
-    const auto parse_doubles = [](const std::string& list,
-                                  std::vector<double>& out) {
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string token = list.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        char* end = nullptr;
-        const double value = std::strtod(token.c_str(), &end);
-        if (end == token.c_str() || *end != '\0' || !std::isfinite(value)) {
-          return false;
+  sim::for_each_core_field(decode_field, record.result);
+  // An optional block is absent without its marker key; with it, every
+  // field of the block is required.
+  sim::for_each_block(
+      [&](std::string_view marker, auto& block) {
+        if (ok && fields.find(marker) != nullptr) {
+          sim::for_each_field(decode_field, block.emplace());
         }
-        out.push_back(value);
-        pos = comma == std::string::npos ? list.size() : comma + 1;
-      }
-      return true;
-    };
-    std::vector<double> fuel_values;
-    std::vector<double> delivered_values;
-    std::vector<double> startup_values;
-    std::vector<double> wear_values;
-    if (!parse_doubles(fuel_list, fuel_values) ||
-        !parse_doubles(delivered_list, delivered_values) ||
-        !parse_doubles(startups_list, startup_values) ||
-        !parse_doubles(wear_list, wear_values) ||
-        fuel_values.size() != stack_count ||
-        delivered_values.size() != stack_count ||
-        startup_values.size() != stack_count ||
-        wear_values.size() != stack_count) {
-      return false;
-    }
-    stacks::StacksStats stats;
-    stats.distribution = static_cast<stacks::Distribution>(dist);
-    stats.stacks.resize(stack_count);
-    for (std::size_t i = 0; i < stack_count; ++i) {
-      if (startup_values[i] < 0.0 ||
-          startup_values[i] != std::floor(startup_values[i])) {
-        return false;
-      }
-      stats.stacks[i].fuel_as = fuel_values[i];
-      stats.stacks[i].delivered_as = delivered_values[i];
-      stats.stacks[i].startups = static_cast<std::size_t>(startup_values[i]);
-      stats.stacks[i].wear = wear_values[i];
-    }
-    r.stacks = std::move(stats);
-  }
-
-  // Audit block is optional (absent on audit-off runs); when the marker
-  // field is present every audit field is required together.
-  if (fields.find("aud_mode") != nullptr) {
-    std::uint64_t mode = 0;
-    audit::AuditStats stats;
-    if (!fields.integer("aud_mode", mode) || mode > 2 ||
-        !fields.integer("aud_slots", stats.slots_audited) ||
-        !fields.integer("aud_segments", stats.segments_audited) ||
-        !fields.integer("aud_checks", stats.checks_run) ||
-        !fields.integer("aud_violations", stats.violations) ||
-        !fields.integer("aud_fuel", stats.fuel_violations) ||
-        !fields.integer("aud_storage", stats.storage_violations) ||
-        !fields.integer("aud_cap", stats.cap_violations) ||
-        !fields.integer("aud_stacks", stats.stacks_violations) ||
-        !fields.integer("aud_cache", stats.cache_violations) ||
-        !fields.integer("aud_fallbacks", stats.engine_fallbacks)) {
-      return false;
-    }
-    stats.mode = static_cast<int>(mode);
-    if (fields.find("aud_first") != nullptr) {
-      std::uint64_t first_slot = 0;
-      if (!fields.integer("aud_first_slot", first_slot) ||
-          !fields.string("aud_first", stats.first_violation)) {
-        return false;
-      }
-      stats.first_violation_slot = static_cast<std::size_t>(first_slot);
-    }
-    r.audit = std::move(stats);
-  }
-  return true;
+      },
+      record.result);
+  return ok;
 }
 
 bool header_from_json(std::string_view line, JournalHeader& header) {
@@ -756,19 +609,14 @@ bool header_from_json(std::string_view line, JournalHeader& header) {
   if (!parser.parse(object)) {
     return false;
   }
-  const FieldMap fields(object);
+  const FieldMap fields{object, line.size()};
   std::uint64_t version = 0;
-  std::uint64_t points = 0;
   std::string fingerprint;
-  if (!fields.integer("fcdpm_journal", version) || version != 1 ||
-      !fields.string("trace", header.trace_name) ||
-      !fields.integer("points", points) ||
-      !fields.string("fingerprint", fingerprint) ||
-      !parse_hex(fingerprint, header.fingerprint)) {
-    return false;
-  }
-  header.points = static_cast<std::size_t>(points);
-  return true;
+  return decode(fields, "fcdpm_journal", version) && version == 1 &&
+         decode(fields, "trace", header.trace_name) &&
+         decode(fields, "points", header.points) &&
+         decode(fields, "fingerprint", fingerprint) &&
+         parse_hex(fingerprint, header.fingerprint);
 }
 
 }  // namespace

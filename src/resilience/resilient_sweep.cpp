@@ -8,12 +8,12 @@
 #include <optional>
 #include <utility>
 
-#include "cap/stats.hpp"
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
 #include "par/worker_pool.hpp"
 #include "resilience/journal.hpp"
 #include "resilience/watchdog.hpp"
+#include "sim/result_fields.hpp"
 #include "telemetry/sweep_telemetry.hpp"
 
 namespace fcdpm::resilience {
@@ -28,80 +28,6 @@ bool same_point(const par::SweepPoint& a, const par::SweepPoint& b) noexcept {
   return a.policy == b.policy && same_bits(a.rho, b.rho) &&
          same_bits(a.capacity.value(), b.capacity.value()) &&
          a.storm_seed == b.storm_seed;
-}
-
-/// Bitwise equality over the journaled cap-governor block (absent on
-/// cap-off runs; both sides must agree it is absent).
-bool same_cap(const std::optional<cap::CapStats>& a,
-              const std::optional<cap::CapStats>& b) {
-  if (a.has_value() != b.has_value()) {
-    return false;
-  }
-  if (!a.has_value()) {
-    return true;
-  }
-  if (a->slots_seen != b->slots_seen ||
-      a->slots_capped != b->slots_capped ||
-      a->level_reductions != b->level_reductions ||
-      a->level_restorations != b->level_restorations ||
-      a->budget_violations != b->budget_violations ||
-      !same_bits(a->energy_deferred.value(), b->energy_deferred.value()) ||
-      !same_bits(a->time_deferred.value(), b->time_deferred.value()) ||
-      a->time_at_level_s.size() != b->time_at_level_s.size()) {
-    return false;
-  }
-  for (std::size_t k = 0; k < a->time_at_level_s.size(); ++k) {
-    if (!same_bits(a->time_at_level_s[k], b->time_at_level_s[k])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Equality over the journaled audit block (absent on audit-off runs;
-/// both sides must agree it is absent). Counters are exact integers,
-/// so this is also bitwise.
-bool same_audit(const std::optional<audit::AuditStats>& a,
-                const std::optional<audit::AuditStats>& b) {
-  if (a.has_value() != b.has_value()) {
-    return false;
-  }
-  if (!a.has_value()) {
-    return true;
-  }
-  return a->mode == b->mode && a->slots_audited == b->slots_audited &&
-         a->segments_audited == b->segments_audited &&
-         a->checks_run == b->checks_run && a->violations == b->violations &&
-         a->fuel_violations == b->fuel_violations &&
-         a->storage_violations == b->storage_violations &&
-         a->cap_violations == b->cap_violations &&
-         a->stacks_violations == b->stacks_violations &&
-         a->cache_violations == b->cache_violations &&
-         a->engine_fallbacks == b->engine_fallbacks &&
-         a->first_violation_slot == b->first_violation_slot &&
-         a->first_violation == b->first_violation;
-}
-
-/// Bitwise equality over every observable (journaled) result field.
-bool same_observable(const sim::SimulationResult& a,
-                     const sim::SimulationResult& b) {
-  return a.trace_name == b.trace_name && a.dpm_policy == b.dpm_policy &&
-         a.fc_policy == b.fc_policy &&
-         same_bits(a.totals.fuel.value(), b.totals.fuel.value()) &&
-         same_bits(a.totals.delivered_energy.value(),
-                   b.totals.delivered_energy.value()) &&
-         same_bits(a.totals.load_energy.value(),
-                   b.totals.load_energy.value()) &&
-         same_bits(a.totals.bled.value(), b.totals.bled.value()) &&
-         same_bits(a.totals.unserved.value(), b.totals.unserved.value()) &&
-         same_bits(a.totals.duration.value(), b.totals.duration.value()) &&
-         a.slots == b.slots && a.sleeps == b.sleeps &&
-         same_bits(a.latency_added.value(), b.latency_added.value()) &&
-         same_bits(a.storage_initial.value(), b.storage_initial.value()) &&
-         same_bits(a.storage_end.value(), b.storage_end.value()) &&
-         same_bits(a.storage_min.value(), b.storage_min.value()) &&
-         same_bits(a.storage_max.value(), b.storage_max.value()) &&
-         same_cap(a.cap, b.cap) && same_audit(a.audit, b.audit);
 }
 
 /// grid_fingerprint plus the memo's quanta when any is nonzero: a
@@ -215,7 +141,7 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       const par::SweepPointResult fresh =
           par::run_point(base, points[k], grid.storm_faults, options.cache,
                          nullptr, 0, shared);
-      if (!same_observable(fresh.result, out.points[k].result.result)) {
+      if (!sim::same_result(fresh.result, out.points[k].result.result)) {
         throw CsvError("journal spot-check failed at grid point " +
                        std::to_string(k) +
                        ": replayed result is not bit-identical to "
@@ -297,100 +223,37 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
               if (watchdog.has_value()) {
                 watchdog->begin_work(worker, &token);
               }
-              telemetry::SweepTelemetry* tel = options.telemetry;
-              // Per-worker cache tap: attributes this attempt's traffic
-              // to this worker's shard without touching the shared
-              // counters' meaning (they still total everything).
-              std::optional<par::SolveCacheTap> tap;
-              if (tel != nullptr && options.cache != nullptr) {
-                tap.emplace(*options.cache);
-              }
-              core::SlotSolveCache* attempt_cache =
-                  tap.has_value()
-                      ? static_cast<core::SlotSolveCache*>(&*tap)
-                      : static_cast<core::SlotSolveCache*>(options.cache);
-              const std::uint64_t t0 = tel != nullptr ? tel->now_ns() : 0;
+              par::TimedTask task(options.telemetry, worker, options.cache);
               outcomes[j] = execute_point(base, points[item.index],
                                           item.index, grid.storm_faults,
-                                          attempt_cache, options.contract,
+                                          task.cache(), options.contract,
                                           &token, shared);
               if (watchdog.has_value()) {
                 watchdog->end_work(worker);
               }
-              if (tel != nullptr) {
-                const std::uint64_t t1 = tel->now_ns();
-                telemetry::WorkerShard& shard = tel->shards().shard(worker);
+              if (options.telemetry != nullptr) {
                 const PointOutcome& outcome = outcomes[j];
-                const bool final_attempt = item.attempt >= max_attempts;
+                const bool quarantined =
+                    !outcome.ok && item.attempt >= max_attempts;
+                const double wall_us = task.finish();
+                telemetry::WorkerShard& shard = task.shard();
                 if (outcome.ok) {
-                  shard.points_done.fetch_add(1, std::memory_order_relaxed);
-                } else if (final_attempt) {
-                  shard.points_quarantined.fetch_add(1,
-                                                     std::memory_order_relaxed);
+                  par::account_point(shard, outcome.result, wall_us);
                 } else {
-                  shard.points_retried.fetch_add(1, std::memory_order_relaxed);
+                  // A failed attempt has no trustworthy result fields.
+                  (quarantined ? shard.points_quarantined
+                               : shard.points_retried)
+                      .fetch_add(1, std::memory_order_relaxed);
+                  shard.wall_us.observe(wall_us);
                 }
-                shard.busy_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
                 // Heartbeats accumulated by this attempt's run (the token
                 // is reset per attempt, so this is exactly one attempt's
                 // slot beats).
                 shard.heartbeats.fetch_add(token.heartbeat(),
                                            std::memory_order_relaxed);
-                std::uint64_t point_hits = 0;
-                std::uint64_t point_misses = 0;
-                if (tap.has_value()) {
-                  point_hits = tap->hits();
-                  point_misses = tap->misses();
-                  shard.cache_hits.fetch_add(point_hits,
-                                             std::memory_order_relaxed);
-                  shard.cache_misses.fetch_add(point_misses,
-                                               std::memory_order_relaxed);
-                }
-                shard.wall_us.observe(static_cast<double>(t1 - t0) * 1e-3);
-                if (outcome.ok) {
-                  // A failed attempt has no trustworthy result fields.
-                  shard.slots.fetch_add(outcome.result.result.slots,
-                                        std::memory_order_relaxed);
-                  if (outcome.result.result.cap.has_value()) {
-                    shard.capped_slots.fetch_add(
-                        outcome.result.result.cap->slots_capped,
-                        std::memory_order_relaxed);
-                  }
-                  if (outcome.result.result.audit.has_value()) {
-                    const audit::AuditStats& a = *outcome.result.result.audit;
-                    shard.audited_slots.fetch_add(a.slots_audited,
-                                                  std::memory_order_relaxed);
-                    shard.audit_violations.fetch_add(
-                        a.violations, std::memory_order_relaxed);
-                    shard.engine_fallbacks.fetch_add(
-                        a.engine_fallbacks, std::memory_order_relaxed);
-                  }
-                  shard.sim_s.observe(
-                      outcome.result.result.totals.duration.value());
-                  if (outcome.result.ran_batched) {
-                    shard.batched_dispatches.fetch_add(
-                        1, std::memory_order_relaxed);
-                  } else if (outcome.result.ran_hot) {
-                    shard.hot_dispatches.fetch_add(1,
-                                                   std::memory_order_relaxed);
-                  } else {
-                    shard.reference_dispatches.fetch_add(
-                        1, std::memory_order_relaxed);
-                  }
-                }
-                if (telemetry::LaneRecorder* lanes = tel->lanes()) {
-                  telemetry::PointLane lane;
-                  lane.start_ns = t0;
-                  lane.end_ns = t1;
-                  lane.point_index = static_cast<std::uint32_t>(item.index);
-                  lane.attempt = static_cast<std::uint32_t>(item.attempt);
-                  lane.cache_hits = static_cast<std::uint32_t>(point_hits);
-                  lane.cache_misses = static_cast<std::uint32_t>(point_misses);
-                  lane.ok = outcome.ok;
-                  lane.quarantined = !outcome.ok && final_attempt;
-                  lane.hot = outcome.ok && outcome.result.ran_hot;
-                  lanes->record(worker, lane);
-                }
+                task.record_lane(item.index, item.attempt, outcome.ok,
+                                 quarantined,
+                                 outcome.ok && outcome.result.ran_hot);
               }
               // Journal a final outcome immediately (ok, or the last
               // failed attempt): written through at once, so a crash can

@@ -16,6 +16,8 @@
 #include "sim/experiments.hpp"
 #include "telemetry/sweep_telemetry.hpp"
 
+#include "forge_field.hpp"
+
 namespace fcdpm::resilience {
 namespace {
 
@@ -511,8 +513,15 @@ TEST(ResilientSweepTest, ResumeRejectsAForeignGridFingerprint) {
   std::remove(path.c_str());
 }
 
+// A journal record that checksums fine but carries a forged value is
+// exposed only by the spot-check's re-simulation. One forgery per entry
+// of the result field lists, on a base that fills every block.
 TEST(ResilientSweepTest, SpotCheckCatchesATamperedJournal) {
-  const sim::ExperimentConfig base = small_base();
+  sim::ExperimentConfig base = small_base();
+  base.cap.enabled = true;
+  base.stacks.enabled = true;
+  base.stacks.count = 3;
+  base.audit.mode = audit::Mode::Sample;
   par::SweepGrid grid;
   grid.policies = {sim::PolicyKind::FcDpm};
   grid.rhos = {0.5};
@@ -520,31 +529,60 @@ TEST(ResilientSweepTest, SpotCheckCatchesATamperedJournal) {
   const std::vector<par::SweepPoint> points = grid.points(base);
   ASSERT_EQ(points.size(), 1u);
 
-  // Forge a journal whose record checksums fine but whose fuel value is
-  // wrong: only the spot-check's re-simulation can expose it.
   const par::SweepPointResult honest =
       par::run_point(base, points[0], grid.storm_faults, nullptr);
-  JournalRecord record;
-  record.index = 0;
-  record.point = points[0];
-  record.result = honest.result;
-  record.result.totals.fuel =
-      Coulomb(honest.result.totals.fuel.value() + 1.0);
-  {
+  ASSERT_TRUE(honest.result.cap.has_value());
+  ASSERT_TRUE(honest.result.stacks.has_value());
+  ASSERT_TRUE(honest.result.audit.has_value());
+  // Appending re-frames the record: a valid length and checksum.
+  const auto write_journal = [&](const sim::SimulationResult& result) {
+    JournalRecord record;
+    record.index = 0;
+    record.point = points[0];
+    record.result = result;
     Journal journal = Journal::create(
         path, {base.trace.name(), points.size(),
                grid_fingerprint(base, points, grid.storm_faults)});
     journal.append(record);
-  }
+  };
 
   ResilienceOptions options;
   options.journal_path = path;
   options.resume = true;
   options.spot_checks = 1;
-  EXPECT_THROW((void)run_resilient_sweep(base, grid, options), CsvError);
+  write_journal(honest.result);
+  EXPECT_EQ(run_resilient_sweep(base, grid, options).resilience.spot_checks,
+            1u);
 
-  // With spot-checks disabled the forged journal replays unchallenged —
+  std::size_t forgeries = 0;
+  for (std::size_t k = 0;; ++k) {
+    sim::SimulationResult forged = honest.result;
+    const std::string key = forging::forge_entry(forged, k);
+    if (key.empty()) {
+      break;
+    }
+    SCOPED_TRACE(key);
+    ++forgeries;
+    write_journal(forged);
+    const JournalLoad load = load_journal(path);
+    ASSERT_EQ(load.records.size(), 1u);  // the forgery loads cleanly
+    ASSERT_FALSE(load.torn_tail);
+    try {
+      (void)run_resilient_sweep(base, grid, options);
+      ADD_FAILURE() << "forged " << key << " replayed unchallenged";
+    } catch (const CsvError& error) {
+      EXPECT_NE(std::string(error.what()).find("spot-check failed"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_GT(forgeries, 0u);
+
+  // With spot-checks disabled a forged journal replays unchallenged —
   // the check is exactly what stands between the two behaviours.
+  sim::SimulationResult forged = honest.result;
+  forged.totals.fuel = Coulomb(honest.result.totals.fuel.value() + 1.0);
+  write_journal(forged);
   options.spot_checks = 0;
   const ResilientSweepResult blind =
       run_resilient_sweep(base, grid, options);
