@@ -194,8 +194,15 @@ sim::ExperimentConfig build_config(const Options& options) {
   config.sigma = number_or(options, "sigma", config.sigma);
   config.storage_capacity = Coulomb(
       number_or(options, "capacity", config.storage_capacity.value()));
-  config.initial_storage = Coulomb(
-      number_or(options, "initial", config.initial_storage.value()));
+  config.initial_storage = Coulomb(checked_number_or(
+      options, "initial", config.initial_storage.value()));
+  // Above the capacity is fine: every run clamps it to its buffer.
+  if (!std::isfinite(config.initial_storage.value()) ||
+      config.initial_storage.value() < 0.0) {
+    throw std::runtime_error(
+        "--initial: '" + option_or(options, "initial", "") +
+        "' out of range (need a finite, non-negative charge in A-s)");
+  }
   config.simulation.initial_storage = config.initial_storage;
   const std::string engine = option_or(options, "engine", "reference");
   if (engine == "hot") {
@@ -214,9 +221,8 @@ sim::ExperimentConfig build_config(const Options& options) {
                              " (use on|off)");
   }
   config.cap.table_csv = option_or(options, "cap-table", "");
-  config.cap.hysteresis_slots = static_cast<std::size_t>(number_or(
-      options, "cap-hysteresis",
-      static_cast<double>(config.cap.hysteresis_slots)));
+  config.cap.hysteresis_slots = checked_index_or(
+      options, "cap-hysteresis", config.cap.hysteresis_slots);
   config.cap.storage_draw_fraction = checked_number_or(
       options, "cap-draw-fraction", config.cap.storage_draw_fraction);
   if (config.cap.storage_draw_fraction <= 0.0 ||
@@ -1026,7 +1032,9 @@ report::SweepBenchReport sweep_resilient(const sim::ExperimentConfig& config,
   if (options.find("unserved-budget") != options.end()) {
     ropt.contract.unserved_budget_as =
         checked_number_or(options, "unserved-budget", 0.0);
-    if (ropt.contract.unserved_budget_as < 0.0) {
+    // NaN would never compare over budget; inf turns the budget off.
+    if (std::isnan(ropt.contract.unserved_budget_as) ||
+        ropt.contract.unserved_budget_as < 0.0) {
       throw std::runtime_error(
           "--unserved-budget: '" +
           option_or(options, "unserved-budget", "") +

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -227,11 +228,6 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
 
 namespace {
 
-// Maximum lanes per batched task. Fixed — never derived from the job
-// count — so the task list, and therefore every result, is identical
-// for any --jobs value.
-constexpr std::size_t kBatchMax = 16;
-
 // Points the batch loop can take directly; everything else (fault
 // storms, multi-stack sources) runs alone through run_point, which
 // still dispatches through batch::simulate's fallback chain.
@@ -239,90 +235,65 @@ bool batch_point_eligible(const SweepPoint& point) {
   return point.storm_seed == 0 && point.stacks == 0;
 }
 
-struct BatchPlan {
-  /// Multi-point tasks: grid indices, equal rho, grid order.
-  std::vector<std::vector<std::size_t>> chunks;
-  /// Points that run alone (ineligible, or a leftover group of one).
-  std::vector<std::size_t> singles;
-};
+}  // namespace
 
-// Group batch-eligible points by rho — one DPM policy and one idle
-// plan per task; the batch engine requires nothing more, and merging
-// across the capacity axis happens inside run_batch — then cut each
-// group into chunks of at most kBatchMax, preserving grid order.
-BatchPlan plan_batches(const std::vector<SweepPoint>& points) {
-  BatchPlan plan;
-  std::vector<std::pair<std::uint64_t, std::vector<std::size_t>>> groups;
-  for (std::size_t k = 0; k < points.size(); ++k) {
-    if (!batch_point_eligible(points[k])) {
-      plan.singles.push_back(k);
-      continue;
-    }
-    const std::uint64_t rho_bits = std::bit_cast<std::uint64_t>(points[k].rho);
-    auto it = std::find_if(
-        groups.begin(), groups.end(),
-        [&](const auto& group) { return group.first == rho_bits; });
-    if (it == groups.end()) {
-      groups.push_back({rho_bits, {}});
-      it = std::prev(groups.end());
-    }
-    it->second.push_back(k);
-  }
-  for (auto& [rho_bits, members] : groups) {
-    // Merge sets only form within one FC policy, so a chunk cut inside
-    // a policy's capacity run strands part of the cascade in a second,
-    // shorter-lived set. Pack whole policy runs (contiguous in grid
-    // order) into chunks, cutting a run only when it alone exceeds
-    // kBatchMax. Deterministic and jobs-independent, like the plain
-    // fixed-stride cut it replaces.
-    std::vector<std::vector<std::size_t>> runs;
-    for (const std::size_t k : members) {
-      if (runs.empty() ||
-          points[runs.back().back()].policy != points[k].policy) {
-        runs.emplace_back();
-      }
-      runs.back().push_back(k);
-    }
-    std::vector<std::size_t> chunk;
-    const auto flush = [&] {
-      if (chunk.size() == 1) {
-        plan.singles.push_back(chunk.front());
-      } else if (!chunk.empty()) {
-        plan.chunks.push_back(std::move(chunk));
-      }
-      chunk.clear();
-    };
-    for (const std::vector<std::size_t>& run : runs) {
-      for (std::size_t at = 0; at < run.size(); at += kBatchMax) {
-        const std::size_t count = std::min(kBatchMax, run.size() - at);
-        if (chunk.size() + count > kBatchMax) {
-          flush();
-        }
-        chunk.insert(chunk.end(), run.begin() + at,
-                     run.begin() + at + count);
-      }
-    }
-    flush();
-  }
-  return plan;
+bool batched_sweep(const sim::ExperimentConfig& base) {
+  return base.simulation.engine == sim::Engine::Batched &&
+         !base.cap.enabled && base.audit.mode != audit::Mode::Strict &&
+         base.audit.tamper_slot == audit::npos && !base.stacks.enabled;
 }
 
-// Run one multi-point task: every lane shares the compiled trace, one
-// DPM policy (rho is constant within a task) and one slot loop. A lane
-// whose hybrid turns out batch-ineligible runs alone through run_point
-// instead, and a fail-fast audit violation self-heals exactly like
-// run_point's hot path: replay that point on the reference engine and
-// record the fallback. Writes each point's result at its grid index.
-void run_batch_chunk(const sim::ExperimentConfig& base,
-                     const std::vector<SweepPoint>& points,
-                     const std::vector<std::size_t>& chunk,
-                     std::size_t storm_faults,
-                     const hot::CompiledTrace& compiled,
-                     core::SlotSolveCache* cache,
-                     std::vector<SweepPointResult>& results,
-                     batch::BatchStats& stats) {
+std::vector<std::span<const std::size_t>> plan_batches(
+    const std::vector<SweepPoint>& points,
+    std::span<const std::size_t> indices) {
+  const auto rho_bits = [&](std::size_t at) {
+    return std::bit_cast<std::uint64_t>(points[indices[at]].rho);
+  };
+  std::vector<std::span<const std::size_t>> tasks;
+  std::size_t begin = 0;  // the open task is indices[begin, at)
+  const auto cut = [&](std::size_t end) {
+    if (end > begin) {
+      tasks.push_back(indices.subspan(begin, end - begin));
+    }
+    begin = end;
+  };
+  std::size_t at = 0;
+  while (at < indices.size()) {
+    const SweepPoint& first = points[indices[at]];
+    if (!batch_point_eligible(first)) {
+      cut(at);
+      cut(at + 1);
+      ++at;
+      continue;
+    }
+    // The next piece: up to kBatchMax points of one policy run at one
+    // rho. Merge sets only form within one FC policy, so a task cut
+    // inside a run strands part of the cascade in a second, shorter-
+    // lived set; pieces are packed whole.
+    std::size_t end = at + 1;
+    while (end < indices.size() && end - at < kBatchMax &&
+           batch_point_eligible(points[indices[end]]) &&
+           points[indices[end]].policy == first.policy &&
+           rho_bits(end) == rho_bits(at)) {
+      ++end;
+    }
+    if (rho_bits(begin) != rho_bits(at) || end - begin > kBatchMax) {
+      cut(at);
+    }
+    at = end;
+  }
+  cut(indices.size());
+  return tasks;
+}
+
+void run_batch_chunk(
+    const sim::ExperimentConfig& base, const std::vector<SweepPoint>& points,
+    std::span<const std::size_t> task, std::size_t storm_faults,
+    const hot::CompiledTrace& compiled, core::SlotSolveCache* cache,
+    const std::function<SweepPointResult&(std::size_t lane)>& lane_out,
+    batch::BatchStats& stats) {
   sim::ExperimentConfig config = base;
-  config.rho = points[chunk.front()].rho;
+  config.rho = points[task.front()].rho;
   config.simulation.observer = nullptr;
 
   dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
@@ -337,22 +308,22 @@ void run_batch_chunk(const sim::ExperimentConfig& base,
   std::vector<std::unique_ptr<audit::Auditor>> auditors;
   std::vector<power::HybridPowerSource> hybrids;
   std::vector<batch::BatchLaneSpec> lanes;
-  std::vector<std::size_t> lane_point;
+  std::vector<std::size_t> lane_of;  // batch lane -> task lane
   // Lane specs hold pointers into these vectors: no reallocation.
-  fcs.reserve(chunk.size());
-  auditors.reserve(chunk.size());
-  hybrids.reserve(chunk.size());
-  lanes.reserve(chunk.size());
-  lane_point.reserve(chunk.size());
+  fcs.reserve(task.size());
+  auditors.reserve(task.size());
+  hybrids.reserve(task.size());
+  lanes.reserve(task.size());
+  lane_of.reserve(task.size());
 
-  for (const std::size_t k : chunk) {
-    const SweepPoint& point = points[k];
+  for (std::size_t i = 0; i < task.size(); ++i) {
+    const SweepPoint& point = points[task[i]];
     config.storage_capacity = point.capacity;
     config.initial_storage = min(base.initial_storage, point.capacity);
     power::HybridPowerSource hybrid = sim::make_hybrid(config);
     if (!batch::lane_eligible(hybrid, options)) {
-      results[k] = run_point(base, point, storm_faults, cache, nullptr, 0,
-                             &compiled);
+      lane_out(i) = run_point(base, point, storm_faults, cache, nullptr, 0,
+                              &compiled);
       continue;
     }
     hybrids.push_back(std::move(hybrid));
@@ -370,7 +341,7 @@ void run_batch_chunk(const sim::ExperimentConfig& base,
       lane.auditor = auditors.back().get();
     }
     lanes.push_back(lane);
-    lane_point.push_back(k);
+    lane_of.push_back(i);
   }
   if (lanes.empty()) {
     return;
@@ -379,32 +350,39 @@ void run_batch_chunk(const sim::ExperimentConfig& base,
   std::vector<batch::LaneOutcome> outcomes =
       batch::run_batch(compiled, dpm_policy, lanes, options, cache, &stats);
 
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const std::size_t k = lane_point[i];
-    batch::LaneOutcome& outcome = outcomes[i];
+  for (std::size_t b = 0; b < outcomes.size(); ++b) {
+    const std::size_t i = lane_of[b];
+    const SweepPoint& point = points[task[i]];
+    batch::LaneOutcome& outcome = outcomes[b];
+    SweepPointResult& out = lane_out(i);
     if (outcome.end == batch::LaneOutcome::End::Completed) {
-      results[k].point = points[k];
-      results[k].result = std::move(outcome.result);
-      results[k].ran_batched = true;
+      out.point = point;
+      out.result = std::move(outcome.result);
+      out.ran_hot = false;
+      out.ran_batched = true;
       continue;
     }
     // AuditFailed (budgets are never set here): heal on the reference
     // engine from fresh state, keeping the failed lane's tally.
     sim::ExperimentConfig ref = base;
     ref.simulation.engine = sim::Engine::Reference;
-    SweepPointResult healed = run_point(ref, points[k], storm_faults, cache);
+    out = run_point(ref, point, storm_faults, cache);
     const audit::AuditStats failed =
         outcome.result.audit.value_or(audit::AuditStats{});
-    if (!healed.result.audit.has_value()) {
-      healed.result.audit.emplace();
-      healed.result.audit->mode = static_cast<int>(base.audit.mode);
+    if (!out.result.audit.has_value()) {
+      out.result.audit.emplace();
+      out.result.audit->mode = static_cast<int>(base.audit.mode);
     }
-    audit::record_engine_fallback(*healed.result.audit, failed);
-    results[k] = std::move(healed);
+    audit::record_engine_fallback(*out.result.audit, failed);
   }
 }
 
-}  // namespace
+void SweepRunStats::add_batch(const batch::BatchStats& task) noexcept {
+  batch_merge_sets += task.merge_sets;
+  batch_merged_lane_slots += task.merged_lane_slots;
+  batch_splits += task.splits;
+  batch_journal_hits += task.journal_hits;
+}
 
 void account_point(telemetry::WorkerShard& shard,
                    const SweepPointResult& done, double wall_us) {
@@ -508,26 +486,20 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
   const hot::CompiledTrace* shared =
       compiled.has_value() ? &*compiled : nullptr;
 
-  // Batched sweeps fan multi-point tasks instead of single points. The
-  // plan depends on the grid alone — never the job count — so results
-  // stay bit-identical across --jobs. Base configs the batch loop does
-  // not model (cap governors, strict/tampered audits, multi-stack
-  // sources) keep the per-point path, where batch::simulate degrades
-  // per point.
-  const bool batched_sweep =
-      base.simulation.engine == sim::Engine::Batched && !base.cap.enabled &&
-      base.audit.mode != audit::Mode::Strict &&
-      base.audit.tamper_slot == audit::npos && !base.stacks.enabled;
-  BatchPlan plan;
-  if (batched_sweep) {
-    plan = plan_batches(points);
+  // Batched sweeps fan multi-point tasks instead of single points; the
+  // plan depends on the grid alone, so results stay bit-identical across
+  // --jobs. Other sweeps run every point as its own task.
+  std::vector<std::size_t> order(points.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<std::span<const std::size_t>> tasks;
+  if (batched_sweep(base)) {
+    tasks = plan_batches(points, order);
   } else {
-    plan.singles.resize(points.size());
-    for (std::size_t k = 0; k < points.size(); ++k) {
-      plan.singles[k] = k;
+    for (const std::size_t& k : order) {
+      tasks.emplace_back(&k, 1);
     }
   }
-  std::vector<batch::BatchStats> chunk_stats(plan.chunks.size());
+  std::vector<batch::BatchStats> task_stats(tasks.size());
 
   const auto started = std::chrono::steady_clock::now();
   {
@@ -535,17 +507,17 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
     out.stats.jobs = pool.thread_count();
     telemetry::SweepTelemetry* tel = options.telemetry;
 
-    // Task t is chunk t while t < chunks.size(), else single
-    // plan.singles[t - chunks.size()].
-    const std::size_t tasks = plan.chunks.size() + plan.singles.size();
-
-    pool.run_indexed_on_workers(tasks, [&](std::size_t worker,
-                                           std::size_t t) {
+    pool.run_indexed_on_workers(tasks.size(), [&](std::size_t worker,
+                                                  std::size_t t) {
       TimedTask task(tel, worker, options.cache);
-      if (t < plan.chunks.size()) {
-        const std::vector<std::size_t>& chunk = plan.chunks[t];
-        run_batch_chunk(base, points, chunk, grid.storm_faults, *shared,
-                        task.cache(), out.points, chunk_stats[t]);
+      const std::span<const std::size_t> chunk = tasks[t];
+      if (chunk.size() > 1) {
+        run_batch_chunk(
+            base, points, chunk, grid.storm_faults, *shared, task.cache(),
+            [&](std::size_t lane) -> SweepPointResult& {
+              return out.points[chunk[lane]];
+            },
+            task_stats[t]);
         if (tel != nullptr) {
           // The slot loop advances all lanes together, so per-point wall
           // time is the chunk's share — the histogram keeps per-point
@@ -560,7 +532,7 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
         }
         return;
       }
-      const std::size_t k = plan.singles[t - plan.chunks.size()];
+      const std::size_t k = chunk.front();
       out.points[k] = run_point(base, points[k], grid.storm_faults,
                                 task.cache(), nullptr, 0, shared);
       if (tel != nullptr) {
@@ -570,11 +542,8 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
     });
   }
 
-  for (const batch::BatchStats& s : chunk_stats) {
-    out.stats.batch_merge_sets += s.merge_sets;
-    out.stats.batch_merged_lane_slots += s.merged_lane_slots;
-    out.stats.batch_splits += s.splits;
-    out.stats.batch_journal_hits += s.journal_hits;
+  for (const batch::BatchStats& s : task_stats) {
+    out.stats.add_batch(s);
   }
   for (const SweepPointResult& r : out.points) {
     if (r.ran_batched) {

@@ -11,7 +11,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "hot/compiled_trace.hpp"
@@ -19,6 +21,10 @@
 #include "par/solve_cache.hpp"
 #include "sim/cancellation.hpp"
 #include "sim/experiments.hpp"
+
+namespace fcdpm::batch {
+struct BatchStats;
+}  // namespace fcdpm::batch
 
 namespace fcdpm::telemetry {
 class SweepTelemetry;
@@ -98,7 +104,7 @@ struct SweepRunStats {
   /// Cache traffic attributable to this run (delta over the run).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Points executed inside multi-point batch tasks (engine Batched).
+  /// Points the batched engine ran (engine Batched, batch-eligible).
   std::size_t points_batched = 0;
   /// Merge accounting aggregated over every batched task: sets formed,
   /// follower-slots served by a leader, followers split back out, and
@@ -107,6 +113,9 @@ struct SweepRunStats {
   std::size_t batch_merged_lane_slots = 0;
   std::size_t batch_splits = 0;
   std::uint64_t batch_journal_hits = 0;
+
+  /// Add one batched task's merge accounting.
+  void add_batch(const batch::BatchStats& task) noexcept;
 
   [[nodiscard]] double points_per_second() const noexcept {
     return wall_seconds > 0.0
@@ -141,6 +150,45 @@ struct SweepResult {
     std::size_t storm_faults, core::SlotSolveCache* cache,
     sim::CancellationToken* cancel = nullptr, std::size_t slot_budget = 0,
     const hot::CompiledTrace* compiled = nullptr);
+
+/// Maximum points per batched task. Fixed — never derived from the job
+/// count — so the task list, and therefore every result, is identical
+/// for any --jobs value.
+inline constexpr std::size_t kBatchMax = 16;
+
+/// True when a sweep over `base` runs multi-point batched tasks: the
+/// batched engine with no cap governor, no strict or tampered audit and
+/// no multi-stack source. Other base configs keep the per-point path,
+/// where batch::simulate degrades per point. Both runners ask this.
+[[nodiscard]] bool batched_sweep(const sim::ExperimentConfig& base);
+
+/// Plan the tasks of a batched sweep over `indices` (grid indices into
+/// `points`), in order: each task is a contiguous slice of `indices`
+/// with one rho and at most kBatchMax points, so concatenating the
+/// tasks gives `indices` back. Adjacent whole policy runs are packed
+/// into one task (merge sets only form within one FC policy); a run is
+/// cut only when it alone exceeds kBatchMax. A point the batch loop
+/// cannot take (fault storm, forced stacks), or one left alone by the
+/// packing, is a one-point task. Depends on the points alone, never on
+/// the job count.
+[[nodiscard]] std::vector<std::span<const std::size_t>> plan_batches(
+    const std::vector<SweepPoint>& points,
+    std::span<const std::size_t> indices);
+
+/// Run one multi-point task: every lane shares the compiled trace, one
+/// DPM policy (rho is constant within a task) and one slot loop. The
+/// result of lane i (grid point `task[i]`) is written to lane_out(i).
+/// A lane whose hybrid is batch-ineligible runs alone through
+/// run_point, and a fail-fast audit violation self-heals like
+/// run_point's: the point is replayed on the reference engine and the
+/// fallback recorded. Merge accounting is added to `stats`. Throws what
+/// the runs throw; lanes written before the throw are then partial.
+void run_batch_chunk(
+    const sim::ExperimentConfig& base, const std::vector<SweepPoint>& points,
+    std::span<const std::size_t> task, std::size_t storm_faults,
+    const hot::CompiledTrace& compiled, core::SlotSolveCache* cache,
+    const std::function<SweepPointResult&(std::size_t lane)>& lane_out,
+    batch::BatchStats& stats);
 
 /// Telemetry of one finished point on its worker's shard: the done
 /// count, slots, dispatch engine, cap and audit counters, and the

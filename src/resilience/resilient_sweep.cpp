@@ -6,8 +6,10 @@
 #include <chrono>
 #include <map>
 #include <optional>
+#include <span>
 #include <utility>
 
+#include "batch/engine.hpp"
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
 #include "par/worker_pool.hpp"
@@ -180,6 +182,40 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       options.cache != nullptr ? options.cache->misses() : 0;
   std::vector<std::size_t> attempts(points.size(), 0);
 
+  // Multi-point batched tasks, planned per commit chunk as par::run_sweep
+  // plans its grid, wherever batching honours the contract. Per-point
+  // attempts stay for a nonzero deadline (a slot budget per attempt), a
+  // running watchdog (per-point cancellation) and the injected failure.
+  const bool batching = par::batched_sweep(base) &&
+                        options.contract.point_deadline_slots == 0 &&
+                        options.watchdog_stall.count() == 0;
+  const auto plan_tasks = [&](std::span<const std::size_t> chunk) {
+    std::vector<std::span<const std::size_t>> tasks;
+    if (!batching) {
+      for (std::size_t c = 0; c < chunk.size(); ++c) {
+        tasks.push_back(chunk.subspan(c, 1));
+      }
+      return tasks;
+    }
+    for (const std::span<const std::size_t> task :
+         par::plan_batches(points, chunk)) {
+      const auto at = std::find(task.begin(), task.end(),
+                                options.contract.inject_fail_index);
+      if (at == task.end()) {
+        tasks.push_back(task);
+        continue;
+      }
+      const auto i = static_cast<std::size_t>(at - task.begin());
+      for (const std::span<const std::size_t> piece :
+           {task.first(i), task.subspan(i, 1), task.subspan(i + 1)}) {
+        if (!piece.empty()) {
+          tasks.push_back(piece);
+        }
+      }
+    }
+    return tasks;
+  };
+
   const auto started = std::chrono::steady_clock::now();
   {
     par::WorkerPool pool(options.jobs);
@@ -207,75 +243,144 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       }
       std::vector<PointOutcome> outcomes(batch.size());
 
-      // Group commit: each chunk's records are written as its points
+      // Outcome j failed its last attempt.
+      const auto quarantined = [&](std::size_t j) {
+        return !outcomes[j].ok && batch[j].attempt >= max_attempts;
+      };
+      // One finished attempt on its worker's shard.
+      const auto account = [&](telemetry::WorkerShard& shard, std::size_t j,
+                               double wall_us) {
+        if (outcomes[j].ok) {
+          par::account_point(shard, outcomes[j].result, wall_us);
+          return;
+        }
+        // A failed attempt has no trustworthy result fields.
+        (quarantined(j) ? shard.points_quarantined : shard.points_retried)
+            .fetch_add(1, std::memory_order_relaxed);
+        shard.wall_us.observe(wall_us);
+      };
+      // Journal a final outcome at once: written through, so a crash can
+      // only lose in-flight points; the chunk's commit makes it durable.
+      const auto journal_outcome = [&](std::size_t j) {
+        if (!journal.has_value() || !(outcomes[j].ok || quarantined(j))) {
+          return;
+        }
+        JournalRecord record;
+        record.index = batch[j].index;
+        record.point = points[record.index];
+        record.attempts = batch[j].attempt;
+        record.ok = outcomes[j].ok;
+        if (record.ok) {
+          record.result = outcomes[j].result.result;
+        } else {
+          record.error = outcomes[j].error;
+        }
+        journal->append(record);
+      };
+
+      // A one-point task: one attempt under the full contract.
+      const auto run_single = [&](std::size_t worker, std::size_t j) {
+        const BatchItem item = batch[j];
+        sim::CancellationToken& token = tokens[worker];
+        token.reset();
+        if (watchdog.has_value()) {
+          watchdog->begin_work(worker, &token);
+        }
+        par::TimedTask task(options.telemetry, worker, options.cache);
+        outcomes[j] = execute_point(base, points[item.index], item.index,
+                                    grid.storm_faults, task.cache(),
+                                    options.contract, &token, shared);
+        if (watchdog.has_value()) {
+          watchdog->end_work(worker);
+        }
+        if (options.telemetry != nullptr) {
+          telemetry::WorkerShard& shard = task.shard();
+          account(shard, j, task.finish());
+          // Heartbeats accumulated by this attempt's run (the token is
+          // reset per attempt, so this is exactly one attempt's beats).
+          shard.heartbeats.fetch_add(token.heartbeat(),
+                                     std::memory_order_relaxed);
+          task.record_lane(item.index, item.attempt, outcomes[j].ok,
+                           quarantined(j),
+                           outcomes[j].ok && outcomes[j].result.ran_hot);
+        }
+        journal_outcome(j);
+      };
+
+      // A multi-point task, outcomes [first, first + lanes.size()): one
+      // batched run, each lane judged by the same contract checks as a
+      // per-point attempt. If the run throws, the points re-run one by
+      // one, so every error reads exactly as on the per-point path.
+      const auto run_batched = [&](std::size_t worker, std::size_t first,
+                                   std::span<const std::size_t> lanes,
+                                   batch::BatchStats& stats) {
+        par::TimedTask task(options.telemetry, worker, options.cache);
+        bool ran = true;
+        try {
+          par::run_batch_chunk(
+              base, points, lanes, grid.storm_faults, *shared, task.cache(),
+              [&](std::size_t lane) -> par::SweepPointResult& {
+                return outcomes[first + lane].result;
+              },
+              stats);
+        } catch (const std::exception&) {
+          ran = false;
+          stats = {};
+        }
+        for (std::size_t j = first; j < first + lanes.size(); ++j) {
+          outcomes[j] =
+              ran ? check_result(std::move(outcomes[j].result),
+                                 options.contract)
+                  : execute_point(base, points[batch[j].index],
+                                  batch[j].index, grid.storm_faults,
+                                  task.cache(), options.contract, nullptr,
+                                  shared);
+        }
+        if (options.telemetry != nullptr) {
+          // The chunk's share of wall time per point, one trace lane per
+          // chunk, as in par::run_sweep.
+          const double per_point_us =
+              task.finish() / static_cast<double>(lanes.size());
+          bool ok = true;
+          bool any_quarantined = false;
+          for (std::size_t j = first; j < first + lanes.size(); ++j) {
+            account(task.shard(), j, per_point_us);
+            ok = ok && outcomes[j].ok;
+            any_quarantined = any_quarantined || quarantined(j);
+          }
+          task.record_lane(lanes.front(), batch[first].attempt, ok,
+                           any_quarantined, false);
+        }
+        for (std::size_t j = first; j < first + lanes.size(); ++j) {
+          journal_outcome(j);
+        }
+      };
+
+      // Group commit: each chunk's records are written as its tasks
       // finish and fsynced once when the chunk is done, before any of
       // its outcomes is folded into the result or the retry schedule.
       for (std::size_t begin = 0; begin < batch.size();
            begin += kCommitChunk) {
         const std::size_t end =
             std::min(batch.size(), begin + kCommitChunk);
+        const std::vector<std::span<const std::size_t>> tasks =
+            plan_tasks(std::span(indices).subspan(begin, end - begin));
+        std::vector<batch::BatchStats> task_stats(tasks.size());
         pool.run_indexed_on_workers(
-            end - begin, [&](std::size_t worker, std::size_t c) {
-              const std::size_t j = begin + c;
-              const BatchItem item = batch[j];
-              sim::CancellationToken& token = tokens[worker];
-              token.reset();
-              if (watchdog.has_value()) {
-                watchdog->begin_work(worker, &token);
-              }
-              par::TimedTask task(options.telemetry, worker, options.cache);
-              outcomes[j] = execute_point(base, points[item.index],
-                                          item.index, grid.storm_faults,
-                                          task.cache(), options.contract,
-                                          &token, shared);
-              if (watchdog.has_value()) {
-                watchdog->end_work(worker);
-              }
-              if (options.telemetry != nullptr) {
-                const PointOutcome& outcome = outcomes[j];
-                const bool quarantined =
-                    !outcome.ok && item.attempt >= max_attempts;
-                const double wall_us = task.finish();
-                telemetry::WorkerShard& shard = task.shard();
-                if (outcome.ok) {
-                  par::account_point(shard, outcome.result, wall_us);
-                } else {
-                  // A failed attempt has no trustworthy result fields.
-                  (quarantined ? shard.points_quarantined
-                               : shard.points_retried)
-                      .fetch_add(1, std::memory_order_relaxed);
-                  shard.wall_us.observe(wall_us);
-                }
-                // Heartbeats accumulated by this attempt's run (the token
-                // is reset per attempt, so this is exactly one attempt's
-                // slot beats).
-                shard.heartbeats.fetch_add(token.heartbeat(),
-                                           std::memory_order_relaxed);
-                task.record_lane(item.index, item.attempt, outcome.ok,
-                                 quarantined,
-                                 outcome.ok && outcome.result.ran_hot);
-              }
-              // Journal a final outcome immediately (ok, or the last
-              // failed attempt): written through at once, so a crash can
-              // only lose in-flight points; the chunk's commit makes it
-              // durable.
-              if (journal.has_value() &&
-                  (outcomes[j].ok || item.attempt >= max_attempts)) {
-                JournalRecord record;
-                record.index = item.index;
-                record.point = points[item.index];
-                record.attempts = item.attempt;
-                record.ok = outcomes[j].ok;
-                if (outcomes[j].ok) {
-                  record.result = outcomes[j].result.result;
-                } else {
-                  record.error = outcomes[j].error;
-                }
-                journal->append(record);
+            tasks.size(), [&](std::size_t worker, std::size_t t) {
+              const std::size_t first =
+                  static_cast<std::size_t>(tasks[t].data() - indices.data());
+              if (tasks[t].size() > 1) {
+                run_batched(worker, first, tasks[t], task_stats[t]);
+              } else {
+                run_single(worker, first);
               }
             });
         if (journal.has_value() && journal->commit()) {
           ++out.resilience.journal_commits;
+        }
+        for (const batch::BatchStats& stats : task_stats) {
+          out.stats.add_batch(stats);
         }
 
         // Serial post-pass in batch order: deterministic retry schedule.
@@ -315,6 +420,9 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
           .count();
 
   for (const ResilientPoint& point : out.points) {
+    if (point.ok && point.result.ran_batched) {
+      ++out.stats.points_batched;
+    }
     if (!point.ok) {
       ++out.resilience.quarantined;
     } else if (point.result.result.cap.has_value() &&

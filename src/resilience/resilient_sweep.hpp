@@ -15,6 +15,14 @@
 // outcomes is folded into the result: a SIGKILL at any instant loses
 // at most work in flight, a power loss at most the uncommitted chunk,
 // and no point is reported before its record is durable.
+//
+// With the batched engine each chunk is planned into the same
+// multi-point tasks as par::run_sweep's (par::plan_batches). Every
+// batched lane is judged by the per-point contract checks, and a task
+// journals its records in lane order when it finishes, so the journal
+// at --jobs 1 is the per-point runner's byte for byte. A nonzero point
+// deadline, a running watchdog and the injected failure keep their
+// points on the per-point path.
 #pragma once
 
 #include <chrono>

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "audit/audit.hpp"
 #include "common/contracts.hpp"
@@ -109,30 +110,35 @@ PointOutcome execute_point(const sim::ExperimentConfig& base,
     return out;
   }
 
-  if (!finite_result(out.result.result)) {
+  return check_result(std::move(out.result), contract);
+}
+
+PointOutcome check_result(par::SweepPointResult done,
+                          const ExecutionContract& contract) {
+  PointOutcome out;
+  out.result = std::move(done);
+  const sim::SimulationResult& result = out.result.result;
+  if (!finite_result(result)) {
     out.error = {PointErrorKind::non_finite_result,
                  "non-finite value in observable result"};
     return out;
   }
-  if (out.result.result.robustness.has_value() &&
-      out.result.result.robustness->solver_failures >
-          contract.solver_failure_budget) {
+  if (result.robustness.has_value() &&
+      result.robustness->solver_failures > contract.solver_failure_budget) {
     // core::classify(SolveStatus) buckets these as Numeric failures;
     // past the contract's budget the point counts as diverged.
     out.error = {
         PointErrorKind::solver_diverged,
-        std::to_string(out.result.result.robustness->solver_failures) +
+        std::to_string(result.robustness->solver_failures) +
             " solver failures exceed budget of " +
             std::to_string(contract.solver_failure_budget) + " (" +
             core::to_string(core::SolveFailureKind::Numeric) + ")"};
     return out;
   }
-  if (out.result.result.totals.unserved.value() >
-      contract.unserved_budget_as) {
+  if (result.totals.unserved.value() > contract.unserved_budget_as) {
     out.error = {
         PointErrorKind::power_undeliverable,
-        "unserved charge " +
-            std::to_string(out.result.result.totals.unserved.value()) +
+        "unserved charge " + std::to_string(result.totals.unserved.value()) +
             " A-s exceeds budget of " +
             std::to_string(contract.unserved_budget_as) + " A-s"};
     return out;

@@ -85,10 +85,19 @@ struct PointOutcome {
   PointError error;              ///< valid when !ok
 };
 
+/// The contract's verdict on a finished run: its result must be finite
+/// and within the solver-failure and unserved-charge budgets. The
+/// outcome keeps `done` either way; it is ok only when every check
+/// passes. Per-point attempts and batched lanes are judged by this one
+/// function, so a failure reads the same from either path.
+[[nodiscard]] PointOutcome check_result(par::SweepPointResult done,
+                                        const ExecutionContract& contract);
+
 /// Run one attempt of `point` under the contract: wraps par::run_point
 /// with the slot-budget deadline and cancellation token, maps every
-/// failure mode onto the typed taxonomy, and verifies the result is
-/// finite. Never throws — a poisoned point must fail the point only.
+/// failure mode onto the typed taxonomy, and judges the result with
+/// check_result. Never throws — a poisoned point must fail the point
+/// only.
 /// `compiled` is the sweep's trace compiled once and shared read-only
 /// (see par::run_point); nullptr makes the attempt compile its own.
 [[nodiscard]] PointOutcome execute_point(

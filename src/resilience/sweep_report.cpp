@@ -160,11 +160,15 @@ report::SweepBenchReport print_report(
   bench.cache_hits = stats.cache_hits;
   bench.cache_misses = stats.cache_misses;
   bench.cache_hit_rate = stats.cache_hit_rate();
-  bench.batched_points = stats.points_batched;
-  bench.batch_merge_sets = stats.batch_merge_sets;
-  bench.batch_merged_lane_slots = stats.batch_merged_lane_slots;
-  bench.batch_splits = stats.batch_splits;
-  bench.batch_journal_hits = stats.batch_journal_hits;
+  if (resilient == nullptr) {
+    // A resumed sweep batches only what it re-runs, so its counts differ
+    // from an uninterrupted run's: a resilient report has no batch block.
+    bench.batched_points = stats.points_batched;
+    bench.batch_merge_sets = stats.batch_merge_sets;
+    bench.batch_merged_lane_slots = stats.batch_merged_lane_slots;
+    bench.batch_splits = stats.batch_splits;
+    bench.batch_journal_hits = stats.batch_journal_hits;
+  }
   bench.results.reserve(points.size());
   for (const ReportPoint& p : points) {
     bench.results.push_back(point_row(p, bench));
@@ -226,13 +230,13 @@ report::SweepBenchReport print_report(
                  bench.stack_points, ull{bench.stack_startups},
                  bench.stack_max_wear);
   }
-  if (bench.batched_points > 0) {
+  if (stats.points_batched > 0) {
     std::fprintf(out,
                  "batched: %zu/%zu points | %zu merge sets | %zu merged "
                  "lane-slots | %zu splits | %llu journal hits\n",
-                 bench.batched_points, bench.points, bench.batch_merge_sets,
-                 bench.batch_merged_lane_slots, bench.batch_splits,
-                 ull{bench.batch_journal_hits});
+                 stats.points_batched, stats.points, stats.batch_merge_sets,
+                 stats.batch_merged_lane_slots, stats.batch_splits,
+                 ull{stats.batch_journal_hits});
   }
   if (bench.audit_enabled) {
     std::fprintf(out,

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -219,6 +222,128 @@ TEST(SweepTest, ExactKeyCacheDoesNotChangeAnyResult) {
       }
     }
   }
+}
+
+// The one task planner of both runners: ordered contiguous slices of
+// its input, one rho per task, whole policy runs packed up to kBatchMax
+// and cut only when a run alone exceeds it, ineligible points alone.
+TEST(SweepTest, BatchPlanIsOrderedAndKeepsPolicyRuns) {
+  const sim::ExperimentConfig base = small_base();
+  const auto capacities = [](std::size_t n) {
+    std::vector<Coulomb> values;
+    for (std::size_t c = 1; c <= n; ++c) {
+      values.push_back(Coulomb(static_cast<double>(c)));
+    }
+    return values;
+  };
+  const auto sizes = [](const std::vector<std::span<const std::size_t>>&
+                            tasks) {
+    std::vector<std::size_t> out;
+    for (const std::span<const std::size_t> task : tasks) {
+      out.push_back(task.size());
+    }
+    return out;
+  };
+  const auto rho_bits = [](const SweepPoint& point) {
+    return std::bit_cast<std::uint64_t>(point.rho);
+  };
+  // Properties every plan has, over any slice of any grid.
+  const auto check = [&](const std::vector<SweepPoint>& points,
+                         std::span<const std::size_t> indices)
+      -> std::vector<std::size_t> {
+    const std::vector<std::span<const std::size_t>> tasks =
+        plan_batches(points, indices);
+    std::vector<std::size_t> joined;
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      SCOPED_TRACE(testing::Message() << "task=" << t);
+      const std::span<const std::size_t> task = tasks[t];
+      if (task.empty()) {
+        ADD_FAILURE() << "empty task";
+        continue;
+      }
+      EXPECT_LE(task.size(), kBatchMax);
+      // A slice of the input itself, in order.
+      EXPECT_EQ(task.data(), indices.data() + joined.size());
+      joined.insert(joined.end(), task.begin(), task.end());
+      for (const std::size_t k : task) {
+        if (points[k].storm_seed != 0 || points[k].stacks != 0) {
+          EXPECT_EQ(task.size(), 1u) << "ineligible point " << k;
+        }
+        EXPECT_EQ(rho_bits(points[k]), rho_bits(points[task.front()]));
+      }
+      if (t == 0) {
+        continue;
+      }
+      // A cut between two points of one policy run at one rho leaves a
+      // full task of that run behind it.
+      const SweepPoint& last = points[tasks[t - 1].back()];
+      const SweepPoint& next = points[task.front()];
+      const bool eligible = last.storm_seed == 0 && last.stacks == 0 &&
+                            next.storm_seed == 0 && next.stacks == 0;
+      if (eligible && last.policy == next.policy &&
+          rho_bits(last) == rho_bits(next)) {
+        EXPECT_EQ(tasks[t - 1].size(), kBatchMax);
+        for (const std::size_t k : tasks[t - 1]) {
+          EXPECT_EQ(points[k].policy, next.policy);
+        }
+      }
+    }
+    EXPECT_TRUE(std::equal(joined.begin(), joined.end(), indices.begin(),
+                           indices.end()));
+    return sizes(tasks);
+  };
+  const auto plan_grid = [&](const SweepGrid& grid) {
+    const std::vector<SweepPoint> points = grid.points(base);
+    std::vector<std::size_t> order(points.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    return check(points, order);
+  };
+  using Sizes = std::vector<std::size_t>;
+
+  SweepGrid grid;
+  grid.policies = {sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle,
+                   sim::PolicyKind::Asap};
+  grid.rhos = {0.5};
+  grid.capacities = capacities(7);
+  // One rho: runs of 7 pack two to a task.
+  EXPECT_EQ(plan_grid(grid), (Sizes{14, 7}));
+  // Runs of 20 are cut at kBatchMax; a remainder never joins a full run.
+  grid.policies = {sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle};
+  grid.capacities = capacities(20);
+  EXPECT_EQ(plan_grid(grid), (Sizes{16, 4, 16, 4}));
+  // Grid order is policy -> rho, so each task holds one run at one rho.
+  grid.rhos = {0.3, 0.5};
+  grid.capacities = capacities(3);
+  EXPECT_EQ(plan_grid(grid), (Sizes{3, 3, 3, 3}));
+  // Storm points run alone, and so do the fault-free points between them.
+  grid.storm_seeds = {0, 42};
+  EXPECT_EQ(plan_grid(grid), Sizes(24, 1));
+  grid.storm_seeds = {};
+  grid.stack_counts = {0, 2};
+  EXPECT_EQ(plan_grid(grid), Sizes(24, 1));
+
+  // Any slice of the grid, as the resilient runner plans one commit
+  // chunk of a round, and a round with holes (points already journaled).
+  grid = SweepGrid{};
+  grid.policies = {sim::PolicyKind::Conv, sim::PolicyKind::Asap,
+                   sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle};
+  grid.rhos = {0.2, 0.5};
+  grid.capacities = capacities(24);
+  grid.storm_seeds = {0};
+  const std::vector<SweepPoint> points = grid.points(base);
+  std::vector<std::size_t> order(points.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const std::span<const std::size_t> all(order);
+  EXPECT_EQ(check(points, all.subspan(40, 64)),
+            (Sizes{8, 16, 8, 16, 8, 8}));
+  std::vector<std::size_t> holes;
+  for (const std::size_t k : order) {
+    if (k % 5 != 0) {
+      holes.push_back(k);
+    }
+  }
+  (void)check(points, holes);
+  EXPECT_TRUE(plan_batches(points, {}).empty());
 }
 
 TEST(SweepTest, StormPointsCarryRobustnessAndDifferFromFaultFree) {

@@ -14,6 +14,7 @@
 #include "par/worker_pool.hpp"
 #include "resilience/journal.hpp"
 #include "sim/experiments.hpp"
+#include "sim/result_fields.hpp"
 #include "telemetry/sweep_telemetry.hpp"
 
 #include "forge_field.hpp"
@@ -492,6 +493,150 @@ TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
   for (const std::string& path : paths) {
     std::remove(path.c_str());
   }
+}
+
+// The resilient runner plans the batched tasks of par::run_sweep per
+// commit chunk: every point matches the plain batched sweep bitwise,
+// merge sets form, each batched lane is judged by the per-point
+// contract checks (a lane over the unserved budget quarantines with the
+// per-point path's error), the injected failure stays per point, jobs 1
+// journals in batch order, and a cut journal resumes to the same rows.
+TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
+  sim::ExperimentConfig base = small_base();
+  base.simulation.engine = sim::Engine::Batched;
+  base.initial_storage = Coulomb(1.0);  // sub-capacity: lanes merge
+  // A fuel cell capped below the active load runs the buffer dry, so
+  // fault-free points leave charge unserved.
+  base.efficiency = power::LinearEfficiencyModel(Volt(12.0), 37.5, 0.45,
+                                                 0.13, Ampere(0.1),
+                                                 Ampere(0.9));
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::Conv, sim::PolicyKind::Asap,
+                   sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle};
+  grid.rhos = {0.2, 0.4, 0.6, 0.8};
+  grid.capacities = {Coulomb(1.5), Coulomb(3.0), Coulomb(6.0),
+                     Coulomb(12.0), Coulomb(24.0), Coulomb(48.0)};
+  const std::vector<par::SweepPoint> points = grid.points(base);
+  const std::size_t n = points.size();  // 4 x 4 x 6 = 96: two chunks
+  ASSERT_GT(n, kCommitChunk);
+
+  par::SweepOptions plain_options;
+  plain_options.jobs = 1;
+  const par::SweepResult plain = par::run_sweep(base, grid, plain_options);
+  ASSERT_GT(plain.stats.batch_merge_sets, 0u);
+
+  ResilienceOptions options;
+  options.contract.max_retries = 1;
+  options.contract.inject_fail_index = 37;
+  // Budget between the two largest unserved charges: exactly one lane,
+  // in a batched task, exceeds it.
+  std::vector<std::pair<double, std::size_t>> unserved;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k != options.contract.inject_fail_index) {
+      unserved.emplace_back(plain.points[k].result.totals.unserved.value(),
+                            k);
+    }
+  }
+  std::sort(unserved.rbegin(), unserved.rend());
+  ASSERT_GT(unserved[0].first, unserved[1].first);
+  options.contract.unserved_budget_as =
+      0.5 * (unserved[0].first + unserved[1].first);
+  const std::size_t over_budget = unserved[0].second;
+  const std::vector<std::size_t> failing = {
+      std::min(over_budget, options.contract.inject_fail_index),
+      std::max(over_budget, options.contract.inject_fail_index)};
+
+  std::string serial_path;
+  std::vector<ResilientSweepResult> sweeps;
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "jobs=" << jobs);
+    const std::string path =
+        temp_path("batched_j" + std::to_string(jobs) + ".fcj");
+    options.jobs = jobs;
+    options.journal_path = path;
+    ResilientSweepResult sweep = run_resilient_sweep(base, grid, options);
+    EXPECT_GT(sweep.stats.points_batched, 0u);
+    EXPECT_GT(sweep.stats.batch_merge_sets, 0u);
+    EXPECT_EQ(sweep.resilience.quarantined, 2u);
+    ASSERT_EQ(sweep.points.size(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      SCOPED_TRACE(testing::Message() << "point=" << k);
+      const ResilientPoint& point = sweep.points[k];
+      if (k == failing[0] || k == failing[1]) {
+        // The per-point path's verdict, kind and detail alike.
+        const PointOutcome expected = execute_point(
+            base, points[k], k, grid.storm_faults, nullptr,
+            options.contract, nullptr);
+        ASSERT_FALSE(expected.ok);
+        ASSERT_FALSE(point.ok);
+        EXPECT_EQ(point.attempts, 2u);
+        EXPECT_EQ(point.error.kind, expected.error.kind);
+        EXPECT_EQ(point.error.detail, expected.error.detail);
+        continue;
+      }
+      ASSERT_TRUE(point.ok);
+      EXPECT_EQ(point.attempts, 1u);
+      EXPECT_TRUE(point.result.ran_batched);
+      EXPECT_TRUE(sim::same_result(point.result.result,
+                                   plain.points[k].result));
+    }
+    EXPECT_EQ(sweep.points[over_budget].error.kind,
+              PointErrorKind::power_undeliverable);
+    if (jobs == 1) {
+      serial_path = path;
+    }
+    sweeps.push_back(std::move(sweep));
+  }
+
+  // Jobs 1: round 0 in grid order without the two failures, whose final
+  // attempts come later.
+  const JournalLoad serial = load_journal(serial_path);
+  ASSERT_EQ(serial.records.size(), n);
+  std::vector<std::size_t> order;
+  for (const JournalRecord& record : serial.records) {
+    order.push_back(record.index);
+  }
+  std::vector<std::size_t> batch_order;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k != failing[0] && k != failing[1]) {
+      batch_order.push_back(k);
+    }
+  }
+  EXPECT_TRUE(std::equal(batch_order.begin(), batch_order.end(),
+                         order.begin()));
+  std::sort(order.begin() + static_cast<std::ptrdiff_t>(n - 2), order.end());
+  EXPECT_EQ(order[n - 2], failing[0]);
+  EXPECT_EQ(order[n - 1], failing[1]);
+
+  // Cut mid-way through the first chunk, with a torn half record.
+  const std::string cut = temp_path("batched_cut.fcj");
+  write_file(cut, read_file(serial_path));
+  cut_journal(cut, 41);
+  ResilienceOptions resume = options;
+  resume.jobs = 4;
+  resume.journal_path = cut;
+  resume.resume = true;
+  resume.spot_checks = 5;
+  const ResilientSweepResult resumed = run_resilient_sweep(base, grid, resume);
+  EXPECT_TRUE(resumed.resilience.torn_tail_recovered);
+  EXPECT_EQ(resumed.resilience.replayed, 41u);
+  EXPECT_EQ(resumed.resilience.spot_checks, 5u);
+  for (std::size_t k = 0; k < n; ++k) {
+    SCOPED_TRACE(testing::Message() << "point=" << k);
+    const ResilientPoint& want = sweeps[0].points[k];
+    ASSERT_EQ(resumed.points[k].ok, want.ok);
+    EXPECT_EQ(resumed.points[k].attempts, want.attempts);
+    if (want.ok) {
+      EXPECT_TRUE(sim::same_result(resumed.points[k].result.result,
+                                   want.result.result));
+    } else {
+      EXPECT_EQ(resumed.points[k].error.kind, want.error.kind);
+      EXPECT_EQ(resumed.points[k].error.detail, want.error.detail);
+    }
+  }
+  std::remove(cut.c_str());
+  std::remove(temp_path("batched_j1.fcj").c_str());
+  std::remove(temp_path("batched_j4.fcj").c_str());
 }
 
 TEST(ResilientSweepTest, ResumeRejectsAForeignGridFingerprint) {
