@@ -1,54 +1,26 @@
-// fcdpm_cli — command-line front end to the library.
-//
-//   fcdpm_cli gen      --kind camcorder|synthetic --out trace.csv [--seed N]
-//   fcdpm_cli analyze  --trace trace.csv
-//   fcdpm_cli run      --policy conv|asap|fcdpm|oracle
-//                      [--trace trace.csv | --kind camcorder|synthetic]
-//                      [--rho R] [--capacity A-s] [--initial A-s]
-//   fcdpm_cli compare  [--trace ... | --kind ...] (all policies, one table)
-//   fcdpm_cli lifetime --tank A-s [--policy ...] [--kind ...]
-//   fcdpm_cli sweep    [--jobs N] [--policies ...] [--rhos ...]
-//                      [--capacities ...] [--storm-seeds ...]
-//                      [--out BENCH_sweep.json]
-//                      [--journal J] [--resume J] [--max-retries N]
-//                      [--point-deadline SLOTS] [--watchdog-stall-ms MS]
-//   fcdpm_cli bisect   [--policy ...] [--trace ... | --kind ...]
-//                      [--perturb-slot K] [--repro-out prefix]
-//
-// run/compare/lifetime accept --trace-out / --metrics-out /
-// --profile-out to capture a Perfetto trace, a metrics dump and a
-// wall-clock profile of the run (see docs/ARCHITECTURE.md,
-// "Observability"), and --faults <spec|file|storm:SEED[:N]> to inject a
-// fault schedule (see "Fault model & graceful degradation"). sweep's
-// resilience flags (see "Crash-safe sweeps & failure quarantine")
-// engage the journaling/retry/watchdog runner; without them the plain
-// deterministic engine runs untouched.
-//
-// Exit code 0 on success, 1 on CLI errors, 2 on runtime errors. A
-// quarantined grid point is *not* a sweep failure: the point is
-// reported with its typed error and the exit code stays 0.
+// fcdpm_cli — command-line front end to the library. Every flag is one
+// row of the table in cli_flags.cpp, which parses, checks and documents
+// it; `fcdpm_cli` with no arguments prints the generated usage. Exit
+// status: 0 on success, 1 for the usage and an unknown command, 2 for any
+// other error. A quarantined grid point is not a sweep failure.
 #include <algorithm>
-#include <cerrno>
+#include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "audit/audit.hpp"
 #include "audit/bisect.hpp"
 #include "cap/governor.hpp"
 #include "common/atomic_file.hpp"
-#include "common/text.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
 #include "batch/engine.hpp"
@@ -81,175 +53,64 @@
 namespace {
 
 using namespace fcdpm;
+using cli::Args;
 
-/// "--key value" / "--key=value" pairs after the subcommand.
-using Options = std::map<std::string, std::string>;
-
-Options parse_options(int argc, char** argv, int start) {
-  Options options;
-  for (int k = start; k < argc; ++k) {
-    const std::string key = argv[k];
-    if (key.rfind("--", 0) != 0) {
-      throw std::runtime_error("expected --option, got: " + key);
-    }
-    const std::size_t equals = key.find('=');
-    if (equals != std::string::npos) {
-      options[key.substr(2, equals - 2)] = key.substr(equals + 1);
-      continue;
-    }
-    if (k + 1 >= argc) {
-      throw std::runtime_error("dangling option: " + key);
-    }
-    options[key.substr(2)] = argv[++k];
+wl::Trace load_workload(const Args& args) {
+  if (args.has("trace")) {
+    return wl::load_trace_file(args.text("trace"));
   }
-  return options;
-}
-
-std::string option_or(const Options& options, const std::string& key,
-                      const std::string& fallback) {
-  const auto it = options.find(key);
-  return it == options.end() ? fallback : it->second;
-}
-
-double number_or(const Options& options, const std::string& key,
-                 double fallback) {
-  const auto it = options.find(key);
-  return it == options.end() ? fallback : std::atof(it->second.c_str());
-}
-
-/// Like number_or but strict: a value that does not parse as a number
-/// is a CLI error, not silently 0. New flags use this; pre-existing
-/// flags keep number_or so their (permissive) behavior is unchanged.
-double checked_number_or(const Options& options, const std::string& key,
-                         double fallback) {
-  const auto it = options.find(key);
-  if (it == options.end()) {
-    return fallback;
-  }
-  double value = 0.0;
-  if (!parse_double(it->second, value)) {
-    throw std::runtime_error("--" + key + ": invalid number '" +
-                             it->second + "'");
-  }
-  return value;
-}
-
-/// Strict non-negative integer option (counts, slot indices); a value
-/// above `max` (or beyond unsigned long long) is out of range.
-std::size_t checked_index_or(
-    const Options& options, const std::string& key, std::size_t fallback,
-    std::size_t max = std::numeric_limits<std::size_t>::max()) {
-  const auto it = options.find(key);
-  if (it == options.end()) {
-    return fallback;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value =
-      std::strtoull(it->second.c_str(), &end, 10);
-  if (it->second.empty() || it->second[0] == '-' ||
-      end != it->second.c_str() + it->second.size()) {
-    throw std::runtime_error("--" + key + ": invalid count '" +
-                             it->second + "'");
-  }
-  if (errno == ERANGE || value > max) {
-    throw std::runtime_error("--" + key + ": '" + it->second +
-                             "' out of range");
-  }
-  return static_cast<std::size_t>(value);
-}
-
-wl::Trace load_workload(const Options& options) {
-  const auto trace_it = options.find("trace");
-  if (trace_it != options.end()) {
-    return wl::load_trace_file(trace_it->second);
-  }
-  const std::string kind = option_or(options, "kind", "camcorder");
-  const auto seed =
-      static_cast<std::uint64_t>(number_or(options, "seed", 0.0));
-  if (kind == "camcorder") {
-    wl::CamcorderConfig config;
-    if (seed != 0) {
-      config.seed = seed;
-    }
-    return wl::generate_camcorder_trace(config);
-  }
-  if (kind == "synthetic") {
+  const std::uint64_t seed = args.count("seed", 0);
+  if (args.choice("kind", "camcorder") == "synthetic") {
     wl::SyntheticConfig config;
     if (seed != 0) {
       config.seed = seed;
     }
     return wl::generate_synthetic_trace(config);
   }
-  throw std::runtime_error("unknown workload kind: " + kind);
+  wl::CamcorderConfig config;
+  if (seed != 0) {
+    config.seed = seed;
+  }
+  return wl::generate_camcorder_trace(config);
 }
 
-sim::ExperimentConfig build_config(const Options& options) {
-  const std::string kind = option_or(options, "kind", "camcorder");
-  sim::ExperimentConfig config = (kind == "synthetic")
+sim::ExperimentConfig build_config(const Args& args) {
+  sim::ExperimentConfig config = args.choice("kind", "camcorder") ==
+                                         "synthetic"
                                      ? sim::experiment2_config()
                                      : sim::experiment1_config();
-  config.trace = load_workload(options);
-  config.rho = number_or(options, "rho", config.rho);
-  config.sigma = number_or(options, "sigma", config.sigma);
-  config.storage_capacity = Coulomb(
-      number_or(options, "capacity", config.storage_capacity.value()));
-  config.initial_storage = Coulomb(checked_number_or(
-      options, "initial", config.initial_storage.value()));
+  config.trace = load_workload(args);
+  config.rho = args.real("rho", config.rho);
+  config.sigma = args.real("sigma", config.sigma);
+  config.storage_capacity =
+      Coulomb(args.real("capacity", config.storage_capacity.value()));
   // Above the capacity is fine: every run clamps it to its buffer.
-  if (!std::isfinite(config.initial_storage.value()) ||
-      config.initial_storage.value() < 0.0) {
-    throw std::runtime_error(
-        "--initial: '" + option_or(options, "initial", "") +
-        "' out of range (need a finite, non-negative charge in A-s)");
-  }
+  config.initial_storage =
+      Coulomb(args.real("initial", config.initial_storage.value()));
   config.simulation.initial_storage = config.initial_storage;
-  const std::string engine = option_or(options, "engine", "reference");
+  const std::string engine = args.choice("engine", "reference");
   if (engine == "hot") {
     config.simulation.engine = sim::Engine::Hot;
   } else if (engine == "batched") {
     config.simulation.engine = sim::Engine::Batched;
-  } else if (engine != "reference") {
-    throw std::runtime_error("unknown engine: " + engine +
-                             " (use reference|hot|batched)");
   }
-  const std::string cap = option_or(options, "cap", "off");
-  if (cap == "on") {
-    config.cap.enabled = true;
-  } else if (cap != "off") {
-    throw std::runtime_error("unknown --cap value: " + cap +
-                             " (use on|off)");
-  }
-  config.cap.table_csv = option_or(options, "cap-table", "");
-  config.cap.hysteresis_slots = checked_index_or(
-      options, "cap-hysteresis", config.cap.hysteresis_slots);
-  config.cap.storage_draw_fraction = checked_number_or(
-      options, "cap-draw-fraction", config.cap.storage_draw_fraction);
-  if (config.cap.storage_draw_fraction <= 0.0 ||
-      config.cap.storage_draw_fraction > 1.0) {
-    throw std::runtime_error(
-        "--cap-draw-fraction: '" +
-        option_or(options, "cap-draw-fraction", "") +
-        "' out of range (need a fraction in (0, 1])");
-  }
-  // Runtime invariant auditing (opt-in; results stay bit-identical).
-  const std::string audit_mode = option_or(options, "audit", "off");
-  if (!audit::parse_mode(audit_mode, config.audit.mode)) {
-    throw std::runtime_error("unknown --audit value: '" + audit_mode +
-                             "' (use off|sample|strict)");
-  }
-  config.audit.sample_period = checked_index_or(
-      options, "audit-sample-period", config.audit.sample_period);
-  if (config.audit.sample_period == 0) {
-    throw std::runtime_error(
-        "--audit-sample-period: must be a positive slot count");
-  }
-  config.audit.tamper_slot = checked_index_or(
-      options, "audit-tamper-slot", config.audit.tamper_slot);
+  config.cap.enabled = args.choice("cap", "off") == "on";
+  config.cap.table_csv = args.text("cap-table");
+  config.cap.hysteresis_slots =
+      args.count("cap-hysteresis", config.cap.hysteresis_slots);
+  config.cap.storage_draw_fraction =
+      args.real("cap-draw-fraction", config.cap.storage_draw_fraction);
+  // Runtime invariant auditing (opt-in; results stay bit-identical). The
+  // table admits only the modes parse_mode knows.
+  (void)audit::parse_mode(args.choice("audit", "off"), config.audit.mode);
+  config.audit.sample_period =
+      args.count("audit-sample-period", config.audit.sample_period);
+  config.audit.tamper_slot =
+      args.count("audit-tamper-slot", config.audit.tamper_slot);
   // The batched engine refuses combinations it would otherwise have to
   // silently degrade on, instead of quietly running something else.
   if (config.simulation.engine == sim::Engine::Batched) {
-    if (options.find("faults") != options.end()) {
+    if (args.has("faults")) {
       throw std::runtime_error(
           "--engine batched: incompatible with --faults (fault injection "
           "is not modelled by the batch loop; use --engine hot or "
@@ -263,24 +124,27 @@ sim::ExperimentConfig build_config(const Options& options) {
           "reference)");
     }
   }
-  // Multi-stack source: --stacks N (>= 1) enables it; sweeps may pass a
-  // comma list here, in which case atof's first value seeds the base
-  // config and the grid axis overrides every point.
-  const auto stack_count =
-      static_cast<std::size_t>(number_or(options, "stacks", 0.0));
-  config.stacks.config_csv = option_or(options, "stacks-config", "");
+  // Multi-stack source: --stacks N (>= 1) enables it. On sweep --stacks
+  // is the grid's count list: its first item seeds the base config and
+  // the axis overrides every point.
+  const std::vector<std::uint64_t> stack_list =
+      args.command() == cli::kSweep
+          ? args.counts("stacks")
+          : std::vector<std::uint64_t>{args.count("stacks", 0)};
+  const std::size_t stack_count = stack_list.empty() ? 0 : stack_list[0];
+  config.stacks.config_csv = args.text("stacks-config");
   if (stack_count > 0 || !config.stacks.config_csv.empty()) {
     config.stacks.enabled = true;
     config.stacks.count = stack_count > 0 ? stack_count : 1;
   }
-  const std::string distribution = option_or(options, "distribution", "");
-  if (!distribution.empty()) {
-    config.stacks.distribution = stacks::parse_distribution(distribution);
+  if (args.has("distribution")) {
+    config.stacks.distribution =
+        stacks::parse_distribution(args.choice("distribution", ""));
   }
-  config.stacks.charge_fade_per_as = number_or(
-      options, "stack-charge-fade", config.stacks.charge_fade_per_as);
+  config.stacks.charge_fade_per_as =
+      args.real("stack-charge-fade", config.stacks.charge_fade_per_as);
   config.stacks.cycle_fade =
-      number_or(options, "stack-cycle-fade", config.stacks.cycle_fade);
+      args.real("stack-cycle-fade", config.stacks.cycle_fade);
   return config;
 }
 
@@ -359,10 +223,10 @@ sim::SimulationResult run_policy_with_engine(
 /// untouched fast path.
 class ObsSession {
  public:
-  explicit ObsSession(const Options& options)
-      : trace_path_(option_or(options, "trace-out", "")),
-        metrics_path_(option_or(options, "metrics-out", "")),
-        profile_path_(option_or(options, "profile-out", "")) {
+  explicit ObsSession(const Args& args)
+      : trace_path_(args.text("trace-out")),
+        metrics_path_(args.text("metrics-out")),
+        profile_path_(args.text("profile-out")) {
     if (!trace_path_.empty()) {
       // Stream into the atomic-write staging sibling; finish() renames
       // it over the destination, so a killed run never leaves a
@@ -449,10 +313,10 @@ class ObsSession {
 /// hot path byte-for-byte as before.
 class TelemetrySession {
  public:
-  TelemetrySession(const Options& options, std::size_t jobs,
+  TelemetrySession(const Args& args, std::size_t jobs,
                    std::size_t total_points, bool record_lanes)
-      : progress_path_(option_or(options, "progress-out", "")),
-        live_(option_or(options, "progress", "off") == "on"),
+      : progress_path_(args.text("progress-out")),
+        live_(args.choice("progress", "off") == "on"),
         record_lanes_(record_lanes) {
     if (!live_ && progress_path_.empty() && !record_lanes_) {
       return;
@@ -470,12 +334,9 @@ class TelemetrySession {
       }
     }
     if (live_ || !progress_path_.empty()) {
-      auto interval_ms = static_cast<long long>(
-          number_or(options, "progress-interval-ms", 200.0));
-      if (interval_ms <= 0) {
-        interval_ms = 200;
-      }
-      sampler_.emplace(*telemetry_, std::chrono::milliseconds(interval_ms),
+      const std::chrono::milliseconds interval(
+          args.count("progress-interval-ms", 200));
+      sampler_.emplace(*telemetry_, interval,
                        [this](const telemetry::SweepSnapshot& snap) {
                          emit(snap);
                        });
@@ -588,27 +449,17 @@ class TelemetrySession {
 ///   anything else        CSV schedule file (kind,start_s,duration_s,...)
 /// Returns nullptr when --faults was not given.
 std::unique_ptr<fault::FaultInjector> make_fault_injector(
-    const Options& options, const wl::Trace& trace) {
-  const auto it = options.find("faults");
-  if (it == options.end()) {
+    const Args& args, const wl::Trace& trace) {
+  if (!args.has("faults")) {
     return nullptr;
   }
-  const std::string& value = it->second;
+  const std::string value = args.text("faults");
   fault::FaultSchedule schedule;
-  if (value.rfind("storm:", 0) == 0) {
-    const std::string rest = value.substr(6);
-    const std::size_t colon = rest.find(':');
-    const auto seed = static_cast<std::uint64_t>(
-        std::strtoull(rest.substr(0, colon).c_str(), nullptr, 10));
-    const std::size_t count =
-        colon == std::string::npos
-            ? 12
-            : static_cast<std::size_t>(
-                  std::atoi(rest.substr(colon + 1).c_str()));
+  if (const std::optional<cli::StormSpec> storm = cli::parse_storm(value)) {
     schedule = fault::FaultSchedule::random_storm(
-        seed, count, trace.stats().total_duration());
+        storm->seed, storm->count, trace.stats().total_duration());
     std::printf("fault storm (seed %llu): %s\n",
-                static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(storm->seed),
                 schedule.to_spec().c_str());
   } else if (value.find('@') != std::string::npos) {
     schedule = fault::FaultSchedule::parse(value);
@@ -665,38 +516,27 @@ void print_audit(const audit::AuditStats& a) {
   }
 }
 
+/// The table admits only these names, which follow PolicyKind's order.
 sim::PolicyKind parse_policy(const std::string& name) {
-  if (name == "conv") {
-    return sim::PolicyKind::Conv;
-  }
-  if (name == "asap") {
-    return sim::PolicyKind::Asap;
-  }
-  if (name == "fcdpm") {
-    return sim::PolicyKind::FcDpm;
-  }
-  if (name == "oracle") {
-    return sim::PolicyKind::Oracle;
-  }
-  throw std::runtime_error("unknown policy: " + name +
-                           " (use conv|asap|fcdpm|oracle)");
+  constexpr std::string_view kNames[] = {"conv", "asap", "fcdpm", "oracle"};
+  return static_cast<sim::PolicyKind>(
+      std::find(std::begin(kNames), std::end(kNames), name) - kNames);
 }
 
-int cmd_gen(const Options& options) {
-  const auto out_it = options.find("out");
-  if (out_it == options.end()) {
+int cmd_gen(const Args& args) {
+  if (!args.has("out")) {
     throw std::runtime_error("gen requires --out <file>");
   }
-  const wl::Trace trace = load_workload(options);
-  wl::save_trace_file(out_it->second, trace);
+  const wl::Trace trace = load_workload(args);
+  wl::save_trace_file(args.text("out"), trace);
   std::printf("wrote %zu slots (%.1f min) to %s\n", trace.size(),
               trace.stats().total_duration().value() / 60.0,
-              out_it->second.c_str());
+              args.text("out").c_str());
   return 0;
 }
 
-int cmd_analyze(const Options& options) {
-  const wl::Trace trace = load_workload(options);
+int cmd_analyze(const Args& args) {
+  const wl::Trace trace = load_workload(args);
   const wl::TraceStats stats = trace.stats();
   std::printf("trace: %s\n", trace.name().c_str());
   std::printf("  slots          : %zu\n", stats.slots);
@@ -734,14 +574,13 @@ void print_result(const sim::SimulationResult& result) {
               result.totals.unserved.value());
 }
 
-int cmd_run(const Options& options) {
-  sim::ExperimentConfig config = build_config(options);
-  const sim::PolicyKind kind =
-      parse_policy(option_or(options, "policy", "fcdpm"));
-  ObsSession obs(options);
+int cmd_run(const Args& args) {
+  sim::ExperimentConfig config = build_config(args);
+  const sim::PolicyKind kind = parse_policy(args.choice("policy", "fcdpm"));
+  ObsSession obs(args);
   config.simulation.observer = obs.context();
   const std::unique_ptr<fault::FaultInjector> faults =
-      make_fault_injector(options, config.trace);
+      make_fault_injector(args, config.trace);
   config.simulation.faults = faults.get();
   const sim::SimulationResult result = run_policy_with_engine(kind, config);
   print_result(result);
@@ -761,11 +600,11 @@ int cmd_run(const Options& options) {
   return 0;
 }
 
-int cmd_compare(const Options& options) {
-  sim::ExperimentConfig config = build_config(options);
-  ObsSession obs(options);
+int cmd_compare(const Args& args) {
+  sim::ExperimentConfig config = build_config(args);
+  ObsSession obs(args);
   const std::unique_ptr<fault::FaultInjector> faults =
-      make_fault_injector(options, config.trace);
+      make_fault_injector(args, config.trace);
   config.simulation.faults = faults.get();
 
   sim::PolicyComparison c;
@@ -819,16 +658,15 @@ int cmd_compare(const Options& options) {
   return 0;
 }
 
-int cmd_lifetime(const Options& options) {
-  sim::ExperimentConfig config = build_config(options);
-  const sim::PolicyKind kind =
-      parse_policy(option_or(options, "policy", "fcdpm"));
-  const Coulomb tank(number_or(options, "tank", 10000.0));
+int cmd_lifetime(const Args& args) {
+  sim::ExperimentConfig config = build_config(args);
+  const sim::PolicyKind kind = parse_policy(args.choice("policy", "fcdpm"));
+  const Coulomb tank(args.real("tank", 10000.0));
 
-  ObsSession obs(options);
+  ObsSession obs(args);
   config.simulation.observer = obs.context();
   const std::unique_ptr<fault::FaultInjector> faults =
-      make_fault_injector(options, config.trace);
+      make_fault_injector(args, config.trace);
   config.simulation.faults = faults.get();
 
   dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
@@ -872,126 +710,24 @@ int cmd_lifetime(const Options& options) {
   return 0;
 }
 
-/// Strict comma-separated list option. Items are trimmed; an empty
-/// item ("0.5,,0.7", a trailing comma, or an empty value) and a
-/// duplicate item are rejected with the 1-based position — a sweep grid
-/// with silently dropped or doubled points reports misleading results.
-/// Absent option (or absent with empty fallback semantics) returns {}.
-std::vector<std::string> parse_list(const Options& options,
-                                    const std::string& key) {
-  const auto it = options.find(key);
-  if (it == options.end()) {
-    return {};
-  }
-  const std::vector<std::string> raw = split(it->second, ',');
-  std::vector<std::string> items;
-  items.reserve(raw.size());
-  for (std::size_t k = 0; k < raw.size(); ++k) {
-    const std::string item{trim(raw[k])};
-    if (item.empty()) {
-      throw std::runtime_error("--" + key + ": empty value at position " +
-                               std::to_string(k + 1));
-    }
-    items.push_back(item);
-  }
-  return items;
-}
-
-/// Report a duplicate grid value: "--rhos: duplicate value '0.5' at
-/// position 2 (first at position 1)".
-[[noreturn]] void duplicate_error(const std::string& key,
-                                  const std::string& item, std::size_t at,
-                                  std::size_t first) {
-  throw std::runtime_error("--" + key + ": duplicate value '" + item +
-                           "' at position " + std::to_string(at + 1) +
-                           " (first at position " +
-                           std::to_string(first + 1) + ")");
-}
-
-/// Reject duplicates by *parsed* value, so "0.5,0.50" is caught too.
-template <typename T>
-void check_unique(const std::string& key,
-                  const std::vector<std::string>& items,
-                  const std::vector<T>& values) {
-  for (std::size_t k = 0; k < values.size(); ++k) {
-    for (std::size_t j = 0; j < k; ++j) {
-      if (values[j] == values[k]) {
-        duplicate_error(key, items[k], k, j);
-      }
-    }
-  }
-}
-
-std::vector<double> parse_number_list(const Options& options,
-                                      const std::string& key) {
-  const std::vector<std::string> items = parse_list(options, key);
-  std::vector<double> values;
-  values.reserve(items.size());
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    double value = 0.0;
-    if (!parse_double(items[k], value)) {
-      throw std::runtime_error("--" + key + ": invalid number '" +
-                               items[k] + "' at position " +
-                               std::to_string(k + 1));
-    }
-    values.push_back(value);
-  }
-  check_unique(key, items, values);
-  return values;
-}
-
-std::vector<std::uint64_t> parse_seed_list(const Options& options,
-                                           const std::string& key) {
-  const std::vector<std::string> items = parse_list(options, key);
-  std::vector<std::uint64_t> values;
-  values.reserve(items.size());
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    char* end = nullptr;
-    const unsigned long long value =
-        std::strtoull(items[k].c_str(), &end, 10);
-    if (end == items[k].c_str() || *end != '\0') {
-      throw std::runtime_error("--" + key + ": invalid seed '" + items[k] +
-                               "' at position " + std::to_string(k + 1));
-    }
-    values.push_back(static_cast<std::uint64_t>(value));
-  }
-  check_unique(key, items, values);
-  return values;
-}
-
-par::SweepGrid parse_sweep_grid(const Options& options) {
+par::SweepGrid parse_sweep_grid(const Args& args) {
   par::SweepGrid grid;
-  const std::vector<std::string> policy_names =
-      parse_list(options, "policies");
-  for (const std::string& name : policy_names) {
+  for (const std::string& name : args.choices("policies")) {
     grid.policies.push_back(parse_policy(name));
   }
-  check_unique("policies", policy_names, grid.policies);
-  grid.rhos = parse_number_list(options, "rhos");
-  for (const double value : parse_number_list(options, "capacities")) {
+  grid.rhos = args.reals("rhos");
+  for (const double value : args.reals("capacities")) {
     grid.capacities.push_back(Coulomb(value));
   }
-  grid.storm_seeds = parse_seed_list(options, "storm-seeds");
-  grid.storm_faults =
-      checked_index_or(options, "storm-faults", grid.storm_faults);
-  for (const double value : parse_number_list(options, "stacks")) {
-    if (value < 0.0 || value != static_cast<double>(
-                                   static_cast<std::size_t>(value))) {
-      throw std::runtime_error(
-          "--stacks: counts must be non-negative integers (0 = the "
-          "single-stack base source)");
-    }
-    grid.stack_counts.push_back(static_cast<std::size_t>(value));
-  }
-  const std::vector<std::string> dist_names =
-      parse_list(options, "distributions");
-  for (const std::string& name : dist_names) {
+  grid.storm_seeds = args.seeds("storm-seeds");
+  grid.storm_faults = args.count("storm-faults", grid.storm_faults);
+  const std::vector<std::uint64_t> stack_counts = args.counts("stacks");
+  grid.stack_counts.assign(stack_counts.begin(), stack_counts.end());
+  for (const std::string& name : args.choices("distributions")) {
     grid.distributions.push_back(stacks::parse_distribution(name));
   }
-  check_unique("distributions", dist_names, grid.distributions);
   if (!grid.distributions.empty() && grid.stack_counts.empty() &&
-      number_or(options, "stacks", 0.0) <= 0.0 &&
-      option_or(options, "stacks-config", "").empty()) {
+      args.text("stacks-config").empty()) {
     throw std::runtime_error(
         "--distributions needs a multi-stack source (--stacks N or "
         "--stacks-config FILE)");
@@ -1020,31 +756,17 @@ std::unique_ptr<par::SharedSolveCache> make_solve_memo(double quantum) {
 /// reported, not fatal.
 report::SweepBenchReport sweep_resilient(const sim::ExperimentConfig& config,
                                          const par::SweepGrid& grid,
-                                         const Options& options,
+                                         const Args& args,
                                          par::SweepOptions sweep_options) {
   resilience::ResilienceOptions ropt;
-  // 1 + max_retries attempts must not wrap.
-  ropt.contract.max_retries =
-      checked_index_or(options, "max-retries", 2,
-                       std::numeric_limits<std::size_t>::max() - 1);
-  ropt.contract.point_deadline_slots =
-      checked_index_or(options, "point-deadline", 0);
-  if (options.find("unserved-budget") != options.end()) {
-    ropt.contract.unserved_budget_as =
-        checked_number_or(options, "unserved-budget", 0.0);
-    // NaN would never compare over budget; inf turns the budget off.
-    if (std::isnan(ropt.contract.unserved_budget_as) ||
-        ropt.contract.unserved_budget_as < 0.0) {
-      throw std::runtime_error(
-          "--unserved-budget: '" +
-          option_or(options, "unserved-budget", "") +
-          "' out of range (need a non-negative charge in A-s)");
-    }
-  }
-  ropt.contract.inject_fail_index = checked_index_or(
-      options, "inject-fail", ropt.contract.inject_fail_index);
-  ropt.journal_path = option_or(options, "journal", "");
-  const std::string resume = option_or(options, "resume", "");
+  ropt.contract.max_retries = args.count("max-retries", 2);
+  ropt.contract.point_deadline_slots = args.count("point-deadline", 0);
+  ropt.contract.unserved_budget_as =
+      args.real("unserved-budget", ropt.contract.unserved_budget_as);
+  ropt.contract.inject_fail_index =
+      args.count("inject-fail", ropt.contract.inject_fail_index);
+  ropt.journal_path = args.text("journal");
+  const std::string resume = args.text("resume");
   if (!resume.empty()) {
     if (!ropt.journal_path.empty() && ropt.journal_path != resume) {
       throw std::runtime_error(
@@ -1053,13 +775,9 @@ report::SweepBenchReport sweep_resilient(const sim::ExperimentConfig& config,
     ropt.journal_path = resume;
     ropt.resume = true;
   }
-  ropt.spot_checks = checked_index_or(options, "spot-checks", 1);
-  // The watchdog compares the window against steady_clock durations.
-  const auto max_stall_ms = std::chrono::duration_cast<
-      std::chrono::milliseconds>(std::chrono::steady_clock::duration::max());
-  ropt.watchdog_stall = std::chrono::milliseconds(checked_index_or(
-      options, "watchdog-stall-ms", 0,
-      static_cast<std::size_t>(max_stall_ms.count())));
+  ropt.spot_checks = args.count("spot-checks", 1);
+  ropt.watchdog_stall =
+      std::chrono::milliseconds(args.count("watchdog-stall-ms", 0));
   ropt.jobs = sweep_options.jobs;
   ropt.cache = sweep_options.cache;
   ropt.observer = sweep_options.observer;
@@ -1069,40 +787,28 @@ report::SweepBenchReport sweep_resilient(const sim::ExperimentConfig& config,
       ropt);
 }
 
-int cmd_sweep(const Options& options) {
-  const sim::ExperimentConfig config = build_config(options);
-  const par::SweepGrid grid = parse_sweep_grid(options);
+int cmd_sweep(const Args& args) {
+  const sim::ExperimentConfig config = build_config(args);
+  const par::SweepGrid grid = parse_sweep_grid(args);
 
   // 0 = one worker per core.
-  const std::size_t jobs = checked_index_or(options, "jobs", 1);
+  const std::size_t jobs = args.count("jobs", 1);
   // One knob covers all three quanta; 0 (default) attaches no memo (see
   // make_solve_memo).
-  const double quantum = checked_number_or(options, "cache-quantum", 0.0);
-  if (!std::isfinite(quantum) || quantum < 0.0) {
-    throw std::runtime_error(
-        "--cache-quantum: '" + option_or(options, "cache-quantum", "") +
-        "' out of range (need a finite, non-negative quantum)");
-  }
+  const double quantum = args.real("cache-quantum", 0.0);
 
-  ObsSession obs(options);
+  ObsSession obs(args);
 
   // Any resilience flag routes to the journaling/retry/watchdog runner;
   // without them the plain engine runs byte-for-byte as before.
-  bool resilient = false;
-  for (const char* flag :
-       {"journal", "resume", "max-retries", "point-deadline",
-        "watchdog-stall-ms", "spot-checks", "inject-fail",
-        "unserved-budget"}) {
-    resilient = resilient || options.find(flag) != options.end();
-  }
+  const bool resilient = args.any(cli::Group::Resilience);
 
   // Plain sweeps run a single-job reference first (own memo, same
   // quantum): it provides the speedup baseline and the bit-identity
   // check.
   par::SweepResult serial;
   const bool have_serial =
-      !resilient && jobs != 1 &&
-      option_or(options, "serial-check", "on") != "off";
+      !resilient && jobs != 1 && args.choice("serial-check", "on") == "on";
   if (have_serial) {
     const std::unique_ptr<par::SharedSolveCache> serial_memo =
         make_solve_memo(quantum);
@@ -1114,8 +820,8 @@ int cmd_sweep(const Options& options) {
 
   // The serial reference above runs without telemetry: shards observe
   // only the measured run, so snapshot totals equal its report.
-  TelemetrySession tel(options, jobs, grid.points(config).size(),
-                       !option_or(options, "trace-out", "").empty());
+  TelemetrySession tel(args, jobs, grid.points(config).size(),
+                       !args.text("trace-out").empty());
 
   const std::unique_ptr<par::SharedSolveCache> memo = make_solve_memo(quantum);
   par::SweepOptions sweep_options;
@@ -1126,7 +832,7 @@ int cmd_sweep(const Options& options) {
   report::SweepBenchReport bench;
   bool diverged = false;
   if (resilient) {
-    bench = sweep_resilient(config, grid, options, sweep_options);
+    bench = sweep_resilient(config, grid, args, sweep_options);
   } else {
     const par::SweepResult sweep =
         par::run_sweep(config, grid, sweep_options);
@@ -1152,7 +858,7 @@ int cmd_sweep(const Options& options) {
 
   tel.finish(bench, obs.sink());
 
-  const std::string out = option_or(options, "out", "");
+  const std::string out = args.text("out");
   if (!out.empty()) {
     report::write_sweep_bench_file(out, bench);
     std::printf("wrote sweep bench to %s\n", out.c_str());
@@ -1171,13 +877,11 @@ int cmd_sweep(const Options& options) {
 /// engine disagrees with the reference and dump a minimized repro.
 /// Exit 0 either way — finding (or excluding) a divergence is the
 /// tool's successful outcome; tests and CI parse the report.
-int cmd_bisect(const Options& options) {
-  sim::ExperimentConfig config = build_config(options);
-  const sim::PolicyKind kind =
-      parse_policy(option_or(options, "policy", "fcdpm"));
+int cmd_bisect(const Args& args) {
+  sim::ExperimentConfig config = build_config(args);
+  const sim::PolicyKind kind = parse_policy(args.choice("policy", "fcdpm"));
   audit::BisectOptions bisect_options;
-  bisect_options.perturb_slot =
-      checked_index_or(options, "perturb-slot", audit::npos);
+  bisect_options.perturb_slot = args.count("perturb-slot", audit::npos);
   const audit::BisectReport report =
       audit::bisect_point(config, kind, bisect_options);
   if (!report.diverged) {
@@ -1198,7 +902,7 @@ int cmd_bisect(const Options& options) {
   std::printf("  hot         : fuel %.17g A-s | storage end %.17g A-s\n",
               report.hot.totals.fuel.value(),
               report.hot.storage_end.value());
-  const std::string out = option_or(options, "repro-out", "");
+  const std::string out = args.text("repro-out");
   if (!out.empty()) {
     audit::write_repro(out, config, kind, report);
     std::printf("wrote repro to %s.json and %s_window.csv\n", out.c_str(),
@@ -1207,21 +911,20 @@ int cmd_bisect(const Options& options) {
   return 0;
 }
 
-int cmd_aggregate(const Options& options) {
-  const auto out_it = options.find("out");
-  if (out_it == options.end()) {
+int cmd_aggregate(const Args& args) {
+  if (!args.has("out")) {
     throw std::runtime_error("aggregate requires --out <file>");
   }
-  const wl::Trace trace = load_workload(options);
-  const Seconds budget(number_or(options, "defer", 30.0));
+  const wl::Trace trace = load_workload(args);
+  const Seconds budget(args.real("defer", 30.0));
   wl::AggregationReport report;
   const wl::Trace merged = wl::aggregate_trace(trace, budget, &report);
-  wl::save_trace_file(out_it->second, merged);
+  wl::save_trace_file(args.text("out"), merged);
   std::printf(
       "aggregated %zu slots into %zu (deferral budget %.1f s, worst "
       "deferral %.1f s) -> %s\n",
       report.original_slots, report.merged_slots, budget.value(),
-      report.worst_deferral.value(), out_it->second.c_str());
+      report.worst_deferral.value(), args.text("out").c_str());
   return 0;
 }
 
@@ -1243,112 +946,7 @@ int cmd_merge(int argc, char** argv) {
 }
 
 int usage() {
-  std::fprintf(
-      stderr,
-      "usage: fcdpm_cli <command> [--option value | --option=value ...]\n"
-      "  gen      --kind camcorder|synthetic --out trace.csv [--seed N]\n"
-      "  analyze  [--trace f.csv | --kind camcorder|synthetic]\n"
-      "  run      --policy conv|asap|fcdpm|oracle [--trace f.csv |\n"
-      "           --kind ...] [--rho R] [--capacity C] [--initial C]\n"
-      "  compare  [--trace f.csv | --kind ...] [--rho R] ...\n"
-      "  lifetime --tank A-s [--policy ...] [--kind ...]\n"
-      "  sweep    [--jobs N] [--policies conv,asap,fcdpm,oracle]\n"
-      "           [--rhos R1,R2,...] [--capacities C1,C2,...]\n"
-      "           [--storm-seeds S1,S2,...] [--storm-faults N]\n"
-      "           [--stacks N1,N2,...]  stack-count axis (0 = the\n"
-      "                                 single-stack base source)\n"
-      "           [--distributions proportional,waterfill,health]\n"
-      "           [--cache-quantum Q] [--out BENCH_sweep.json]\n"
-      "           [--serial-check on|off] [--trace f.csv | --kind ...]\n"
-      "           (--jobs 0 = all cores; with --jobs != 1 a --jobs 1\n"
-      "           reference runs first for speedup and bit-identity)\n"
-      "           (--cache-quantum Q > 0 snaps solve inputs to multiples\n"
-      "           of Q and memoizes the snapped solves, trading a bounded\n"
-      "           input perturbation for hits; 0 = exact solves and no\n"
-      "           memo, since a locked lookup at 330-890 ns costs more\n"
-      "           than the 90-120 ns closed-form solve)\n"
-      "           resilience (any flag engages the crash-safe runner):\n"
-      "           [--journal J.fcj]     result journal: each point written\n"
-      "                                 at once, fsynced per 64-point\n"
-      "                                 chunk, reported after its fsync\n"
-      "           [--resume J.fcj]      replay J, run only the remainder\n"
-      "           [--max-retries N]     retries before quarantine (2)\n"
-      "           [--point-deadline S]  per-point simulated-slot budget\n"
-      "           [--watchdog-stall-ms MS]  hung-worker watchdog window\n"
-      "           [--spot-checks N]     replayed points re-verified (1)\n"
-      "           [--inject-fail K]     test hook: grid point K always\n"
-      "                                 fails (exercises quarantine)\n"
-      "           [--unserved-budget A-s]  quarantine a point whose\n"
-      "                                 unserved charge exceeds this\n"
-      "                                 (power_undeliverable)\n"
-      "           telemetry (derived observation; results unchanged):\n"
-      "           [--progress on]       live progress line on stderr\n"
-      "           [--progress-out f.jsonl]  snapshot stream, one JSON\n"
-      "                                 object per line; the final line\n"
-      "                                 totals the whole sweep\n"
-      "           [--progress-interval-ms MS]  sampler period (200)\n"
-      "  bisect   [--policy ...] [--trace f.csv | --kind ...]\n"
-      "           [--perturb-slot K]   synthetic hot-engine defect at\n"
-      "                                 slot K (test hook / CI smoke)\n"
-      "           [--repro-out prefix] write prefix.json (entry state +\n"
-      "                                 bit patterns) and\n"
-      "                                 prefix_window.csv (runnable\n"
-      "                                 trace window)\n"
-      "           binary-search the first slot where the hot engine\n"
-      "           diverges from the reference\n"
-      "  aggregate --out f.csv [--defer S] [--trace ... | --kind ...]\n"
-      "  merge    <out.csv> <in1.csv> <in2.csv> [...]\n"
-      "run/compare/lifetime/sweep also accept:\n"
-      "  --engine reference|hot|batched\n"
-      "                        simulation engine (default reference;\n"
-      "                        hot = compiled-trace fast path, batched =\n"
-      "                        multi-point SoA batch loop for sweeps with\n"
-      "                        prefix-sharing across capacities; both\n"
-      "                        bit-identical results). batched rejects\n"
-      "                        --faults and --audit strict\n"
-      "  --trace-out f.json    Chrome/Perfetto trace (f.jsonl for JSONL)\n"
-      "  --metrics-out f.csv   metrics registry dump (f.json for JSON)\n"
-      "  --profile-out f.csv   wall-clock hot-path profile\n"
-      "  --faults SPEC         inject faults; SPEC is an inline schedule\n"
-      "                        (kind@start[:dur][xmag], e.g.\n"
-      "                        converter_dropout@120:30,brownout@400x0.5),\n"
-      "                        storm:SEED[:COUNT] for a seeded random\n"
-      "                        storm, or a CSV schedule file\n"
-      "  --cap on|off          closed-loop power capping (default off):\n"
-      "                        throttle DVS level when the plan exceeds\n"
-      "                        the deliverable envelope instead of\n"
-      "                        browning out\n"
-      "  --cap-table f.csv     corecap table (min_budget_w,max_level);\n"
-      "                        default derived from the DVS processor\n"
-      "  --cap-hysteresis N    clean slots before stepping back up (4)\n"
-      "  --cap-draw-fraction F storage charge fraction spendable per\n"
-      "                        slot when computing the envelope (0.5)\n"
-      "  --stacks N            split the fuel cell into N parallel\n"
-      "                        stacks (clones of the base curve) with\n"
-      "                        per-stack degradation accounting\n"
-      "  --distribution proportional|waterfill|health\n"
-      "                        power split across stacks: by ceiling,\n"
-      "                        efficiency-optimal water-filling, or\n"
-      "                        health-aware (rest the most worn stack)\n"
-      "  --stacks-config f.csv heterogeneous stacks, one per row\n"
-      "                        (alpha,beta,if_min_a,if_max_a,\n"
-      "                        charge_fade_per_as,cycle_fade)\n"
-      "  --stack-charge-fade F efficiency fade per delivered A-s (0)\n"
-      "  --stack-cycle-fade F  efficiency fade per on/off cycle (0)\n"
-      "  --audit off|sample|strict\n"
-      "                        runtime invariant auditing (default off;\n"
-      "                        results stay bit-identical): fuel-burn\n"
-      "                        integral reconciliation, storage bounds,\n"
-      "                        cap budget, stack wear, solve-cache\n"
-      "                        spot checks. A hot-engine violation\n"
-      "                        self-heals: the run replays on the\n"
-      "                        reference engine and records an\n"
-      "                        engine_fallback\n"
-      "  --audit-sample-period N\n"
-      "                        sample mode checks every Nth slot (16)\n"
-      "  --audit-tamper-slot K test hook: corrupt the auditor's observed\n"
-      "                        integral at slot K on the hot lane\n"
-      "                        (exercises the self-heal path)\n");
+  std::fputs(cli::usage().c_str(), stderr);
   return 1;
 }
 
@@ -1363,33 +961,17 @@ int main(int argc, char** argv) {
     if (command == "merge") {
       return cmd_merge(argc, argv);  // positional arguments
     }
-    const Options options = parse_options(argc, argv, 2);
-    if (command == "gen") {
-      return cmd_gen(options);
+    const std::optional<cli::Command> parsed = cli::parse_command(command);
+    if (!parsed.has_value()) {
+      std::fprintf(stderr, "unknown command: %s\n", command.c_str());
+      return usage();
     }
-    if (command == "analyze") {
-      return cmd_analyze(options);
-    }
-    if (command == "run") {
-      return cmd_run(options);
-    }
-    if (command == "compare") {
-      return cmd_compare(options);
-    }
-    if (command == "lifetime") {
-      return cmd_lifetime(options);
-    }
-    if (command == "sweep") {
-      return cmd_sweep(options);
-    }
-    if (command == "bisect") {
-      return cmd_bisect(options);
-    }
-    if (command == "aggregate") {
-      return cmd_aggregate(options);
-    }
-    std::fprintf(stderr, "unknown command: %s\n", command.c_str());
-    return usage();
+    // Indexed by the Command's bit.
+    constexpr int (*kHandlers[])(const Args&) = {
+        cmd_gen,      cmd_analyze, cmd_run,    cmd_compare,
+        cmd_lifetime, cmd_sweep,   cmd_bisect, cmd_aggregate};
+    return kHandlers[std::countr_zero(unsigned{*parsed})](
+        Args::parse(*parsed, argc - 2, argv + 2));
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 2;
