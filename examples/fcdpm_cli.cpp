@@ -837,7 +837,7 @@ int cmd_sweep(const Args& args) {
     const par::SweepResult sweep =
         par::run_sweep(config, grid, sweep_options);
     bench = resilience::print_sweep_report(stdout, config, sweep,
-                                           memo != nullptr);
+                                           memo != nullptr, obs.context());
     if (have_serial) {
       bench.serial_wall_seconds = serial.stats.wall_seconds;
       bench.speedup = bench.wall_seconds > 0.0
@@ -860,7 +860,16 @@ int cmd_sweep(const Args& args) {
 
   const std::string out = args.text("out");
   if (!out.empty()) {
-    report::write_sweep_bench_file(out, bench);
+    // write_sweep_bench_file in its two timed stages.
+    std::string json;
+    {
+      obs::StageTimer timer(obs.context(), "report.encode_s");
+      json = report::sweep_bench_to_json(bench);
+    }
+    {
+      obs::StageTimer timer(obs.context(), "report.write_s");
+      write_file_atomic(out, json);
+    }
     std::printf("wrote sweep bench to %s\n", out.c_str());
   }
   obs.finish();

@@ -1,15 +1,14 @@
 #include "audit/bisect.hpp"
 
 #include <bit>
-#include <cinttypes>
 #include <cstdint>
-#include <cstdio>
 #include <optional>
 #include <vector>
 
 #include "cap/governor.hpp"
 #include "common/atomic_file.hpp"
 #include "common/contracts.hpp"
+#include "common/text.hpp"
 #include "hot/engine.hpp"
 #include "workload/trace_io.hpp"
 
@@ -69,16 +68,10 @@ namespace {
   return sim::simulate(local.trace, dpm_policy, *fc_policy, hybrid, options);
 }
 
-[[nodiscard]] std::string g17(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
 [[nodiscard]] std::string hex64(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "0x%016" PRIx64, bits(value));
-  return buffer;
+  std::string out = "0x";
+  append_hex(out, bits(value), 16);
+  return out;
 }
 
 void emit_engine_block(std::string& out, const char* label,
@@ -86,16 +79,17 @@ void emit_engine_block(std::string& out, const char* label,
   out += "  \"";
   out += label;
   out += "\": {\n";
-  out += "    \"fuel_as\": " + g17(r.totals.fuel.value()) + ",\n";
+  out += "    \"fuel_as\": " + format_g17(r.totals.fuel.value()) + ",\n";
   out += "    \"fuel_bits\": \"" + hex64(r.totals.fuel.value()) + "\",\n";
-  out += "    \"delivered_j\": " + g17(r.totals.delivered_energy.value()) +
-         ",\n";
+  out += "    \"delivered_j\": " +
+         format_g17(r.totals.delivered_energy.value()) + ",\n";
   out += "    \"delivered_bits\": \"" +
          hex64(r.totals.delivered_energy.value()) + "\",\n";
-  out += "    \"storage_end_as\": " + g17(r.storage_end.value()) + ",\n";
+  out += "    \"storage_end_as\": " + format_g17(r.storage_end.value()) + ",\n";
   out += "    \"storage_end_bits\": \"" + hex64(r.storage_end.value()) +
          "\",\n";
-  out += "    \"unserved_as\": " + g17(r.totals.unserved.value()) + ",\n";
+  out += "    \"unserved_as\": " + format_g17(r.totals.unserved.value()) +
+         ",\n";
   out += "    \"sleeps\": " + std::to_string(r.sleeps) + "\n";
   out += "  }";
 }
@@ -189,8 +183,8 @@ void write_repro(const std::string& path_prefix,
   }
   out += "  \"runs\": " + std::to_string(report.runs) + ",\n";
   out += "  \"entry\": {\n";
-  out += "    \"fuel_as\": " + g17(report.entry_fuel_as) + ",\n";
-  out += "    \"storage_as\": " + g17(report.entry_storage_as) + "\n";
+  out += "    \"fuel_as\": " + format_g17(report.entry_fuel_as) + ",\n";
+  out += "    \"storage_as\": " + format_g17(report.entry_storage_as) + "\n";
   out += "  },\n";
   emit_engine_block(out, "reference", report.reference);
   out += ",\n";

@@ -10,6 +10,7 @@
 // tests/sim/test_observability.cpp and bench/perf_tracing_overhead).
 #pragma once
 
+#include <chrono>
 #include <initializer_list>
 
 #include "common/units.hpp"
@@ -134,6 +135,35 @@ class Context {
   Profiler* profiler_ = nullptr;
   Seconds now_{0.0};
   int track_ = 0;
+};
+
+/// RAII wall-clock timer for one stage of a command: on destruction,
+/// sets gauge `name` to the seconds the scope took. Without a context
+/// or without a metrics registry it never reads the clock.
+class StageTimer {
+ public:
+  StageTimer(Context* obs, const char* name) noexcept
+      : obs_(obs != nullptr && obs->metering() ? obs : nullptr), name_(name) {
+    if (obs_ != nullptr) {
+      start_ = std::chrono::steady_clock::now();
+    }
+  }
+
+  ~StageTimer() {
+    if (obs_ != nullptr) {
+      obs_->gauge(name_, std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start_)
+                             .count());
+    }
+  }
+
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+ private:
+  Context* obs_;
+  const char* name_;
+  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace fcdpm::obs

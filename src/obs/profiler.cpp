@@ -1,8 +1,11 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <initializer_list>
+#include <string_view>
 #include <vector>
+
+#include "common/text.hpp"
 
 namespace fcdpm::obs {
 
@@ -29,12 +32,20 @@ std::string Profiler::summary() const {
     return a->second.total > b->second.total;
   });
 
+  // "%-32s %10s %12s %10s %10s %10s" lines.
   std::string out;
-  char line[160];
-  std::snprintf(line, sizeof line, "%-32s %10s %12s %10s %10s %10s\n",
-                "scope", "calls", "total_ms", "mean_us", "min_us",
-                "max_us");
-  out += line;
+  const auto row = [&out](std::string_view scope,
+                          std::initializer_list<std::string> cells) {
+    out += pad_right(scope, 32);
+    const std::size_t widths[] = {10, 12, 10, 10, 10};
+    const std::size_t* width = widths;
+    for (const std::string& cell : cells) {
+      out += ' ';
+      out += pad_left(cell, *width++);
+    }
+    out += '\n';
+  };
+  row("scope", {"calls", "total_ms", "mean_us", "min_us", "max_us"});
   for (const auto* entry : order) {
     const ScopeStats& s = entry->second;
     const double total_ms = static_cast<double>(s.total.count()) / 1e6;
@@ -43,13 +54,11 @@ std::string Profiler::summary() const {
             ? 0.0
             : static_cast<double>(s.total.count()) /
                   (1e3 * static_cast<double>(s.calls));
-    std::snprintf(line, sizeof line,
-                  "%-32s %10llu %12.3f %10.2f %10.2f %10.2f\n",
-                  entry->first.c_str(),
-                  static_cast<unsigned long long>(s.calls), total_ms,
-                  mean_us, static_cast<double>(s.min.count()) / 1e3,
-                  static_cast<double>(s.max.count()) / 1e3);
-    out += line;
+    row(entry->first,
+        {std::to_string(s.calls), format_fixed(total_ms, 3, false),
+         format_fixed(mean_us, 2, false),
+         format_fixed(static_cast<double>(s.min.count()) / 1e3, 2, false),
+         format_fixed(static_cast<double>(s.max.count()) / 1e3, 2, false)});
   }
   return out;
 }

@@ -1,7 +1,8 @@
 #include "obs/trace_sink.hpp"
 
-#include <cstdio>
 #include <ostream>
+
+#include "common/text.hpp"
 
 namespace fcdpm::obs {
 
@@ -21,16 +22,14 @@ const char* phase_letter(EventKind kind) {
   return "i";
 }
 
-/// Shortest round-trip double rendering; JSON has no Inf/NaN, so clamp
-/// them to null-safe literals (they only arise from caller bugs).
+/// Round-trip double rendering; JSON has no Inf/NaN, so clamp NaN to a
+/// null-safe literal (it only arises from caller bugs).
 void append_number(std::string& out, double value) {
   if (value != value) {
     out += "0";
     return;
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  out += buffer;
+  append_g17(out, value);
 }
 
 void append_args(std::string& out, const TraceEvent& e) {
@@ -40,7 +39,7 @@ void append_args(std::string& out, const TraceEvent& e) {
       out += ",";
     }
     out += "\"";
-    out += json_escape(e.args[k].key);
+    append_json_escaped(out, e.args[k].key);
     out += "\":";
     append_number(out, e.args[k].value);
   }
@@ -49,8 +48,7 @@ void append_args(std::string& out, const TraceEvent& e) {
 
 }  // namespace
 
-std::string json_escape(const char* text) {
-  std::string out;
+void append_json_escaped(std::string& out, const char* text) {
   for (const char* p = text; *p != '\0'; ++p) {
     const char c = *p;
     switch (c) {
@@ -71,15 +69,19 @@ std::string json_escape(const char* text) {
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
+          out += "\\u00";
+          out += "0123456789abcdef"[(c >> 4) & 0xf];
+          out += "0123456789abcdef"[c & 0xf];
         } else {
           out += c;
         }
     }
   }
+}
+
+std::string json_escape(const char* text) {
+  std::string out;
+  append_json_escaped(out, text);
   return out;
 }
 
@@ -93,9 +95,9 @@ void JsonlTraceSink::event(const TraceEvent& e) {
   line += "{\"ph\":\"";
   line += phase_letter(e.kind);
   line += "\",\"name\":\"";
-  line += json_escape(e.name);
+  append_json_escaped(line, e.name);
   line += "\",\"cat\":\"";
-  line += json_escape(e.category);
+  append_json_escaped(line, e.category);
   line += "\",\"t\":";
   append_number(line, e.time.value());
   line += ",\"track\":";
@@ -112,7 +114,7 @@ void JsonlTraceSink::track_name(int track, const char* name) {
   std::string line = "{\"ph\":\"M\",\"name\":\"thread_name\",\"track\":";
   append_number(line, static_cast<double>(track));
   line += ",\"args\":{\"name\":\"";
-  line += json_escape(name);
+  append_json_escaped(line, name);
   line += "\"}}\n";
   *out_ << line;
 }
@@ -136,9 +138,9 @@ void ChromeTraceSink::event(const TraceEvent& e) {
   entry += first_ ? "\n" : ",\n";
   first_ = false;
   entry += "{\"name\":\"";
-  entry += json_escape(e.name);
+  append_json_escaped(entry, e.name);
   entry += "\",\"cat\":\"";
-  entry += json_escape(e.category);
+  append_json_escaped(entry, e.category);
   entry += "\",\"ph\":\"";
   entry += phase_letter(e.kind);
   entry += "\",\"ts\":";
@@ -168,7 +170,7 @@ void ChromeTraceSink::track_name(int track, const char* name) {
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
   append_number(entry, static_cast<double>(track));
   entry += ",\"args\":{\"name\":\"";
-  entry += json_escape(name);
+  append_json_escaped(entry, name);
   entry += "\"}}";
   *out_ << entry;
 }

@@ -129,7 +129,11 @@ class ChromeTraceSink final : public TraceSink {
   bool closed_ = false;
 };
 
-/// Escape a string for embedding in a JSON string literal.
+/// Escape a string for embedding in a JSON string literal: quote,
+/// backslash, \n, \t and \r by name, other control bytes as \u00XX.
 [[nodiscard]] std::string json_escape(const char* text);
+
+/// json_escape appended to `out`.
+void append_json_escaped(std::string& out, const char* text);
 
 }  // namespace fcdpm::obs

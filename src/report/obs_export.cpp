@@ -1,23 +1,17 @@
 #include "report/obs_export.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <utility>
 #include <vector>
 
 #include "common/atomic_file.hpp"
+#include "common/text.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace fcdpm::report {
 
 namespace {
-
-std::string format_double(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-  return buffer;
-}
 
 std::string format_count(std::uint64_t value) {
   return std::to_string(value);
@@ -31,9 +25,9 @@ CsvDocument metrics_to_csv(const obs::MetricsRegistry& metrics) {
                 "min",  "max",  "p50",   "p95",   "p99"};
   for (const obs::MetricRow& row : metrics.rows()) {
     doc.rows.push_back({row.name, row.type, format_count(row.count),
-                        format_double(row.value), format_double(row.min),
-                        format_double(row.max), format_double(row.p50),
-                        format_double(row.p95), format_double(row.p99)});
+                        format_g12(row.value), format_g12(row.min),
+                        format_g12(row.max), format_g12(row.p50),
+                        format_g12(row.p95), format_g12(row.p99)});
   }
   return doc;
 }
@@ -49,12 +43,12 @@ std::string metrics_to_json(const obs::MetricsRegistry& metrics) {
     out += "{\"name\":\"" + obs::json_escape(row.name.c_str()) +
            "\",\"type\":\"" + row.type +
            "\",\"count\":" + format_count(row.count) +
-           ",\"value\":" + format_double(row.value) +
-           ",\"min\":" + format_double(row.min) +
-           ",\"max\":" + format_double(row.max) +
-           ",\"p50\":" + format_double(row.p50) +
-           ",\"p95\":" + format_double(row.p95) +
-           ",\"p99\":" + format_double(row.p99) + "}";
+           ",\"value\":" + format_g12(row.value) +
+           ",\"min\":" + format_g12(row.min) +
+           ",\"max\":" + format_g12(row.max) +
+           ",\"p50\":" + format_g12(row.p50) +
+           ",\"p95\":" + format_g12(row.p95) +
+           ",\"p99\":" + format_g12(row.p99) + "}";
   }
   out += "]}\n";
   return out;
@@ -89,10 +83,10 @@ CsvDocument profile_to_csv(const obs::Profiler& profiler) {
     const double calls = static_cast<double>(stats.calls);
     doc.rows.push_back(
         {entry.first, format_count(stats.calls),
-         format_double(total_us / 1e3),
-         format_double(stats.calls == 0 ? 0.0 : total_us / calls),
-         format_double(static_cast<double>(stats.min.count()) / 1e3),
-         format_double(static_cast<double>(stats.max.count()) / 1e3)});
+         format_g12(total_us / 1e3),
+         format_g12(stats.calls == 0 ? 0.0 : total_us / calls),
+         format_g12(static_cast<double>(stats.min.count()) / 1e3),
+         format_g12(static_cast<double>(stats.max.count()) / 1e3)});
   }
   return doc;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -33,30 +34,35 @@ std::string Table::to_ascii() const {
       widths[c] = std::max(widths[c], row[c].size());
     }
   }
-
-  std::ostringstream out;
-  out << title_ << '\n';
-
-  const auto emit_row = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < columns_.size(); ++c) {
-      if (c != 0) {
-        out << "  ";
-      }
-      out << pad_right(c < cells.size() ? cells[c] : "", widths[c]);
-    }
-    out << '\n';
-  };
-
-  emit_row(columns_);
   std::size_t rule = 0;
   for (std::size_t c = 0; c < widths.size(); ++c) {
     rule += widths[c] + (c == 0 ? 0 : 2);
   }
-  out << std::string(rule, '-') << '\n';
+
+  // Every line after the title is `rule` wide, so the size is exact.
+  std::string out;
+  out.reserve(title_.size() + 1 + (rows_.size() + 2) * (rule + 1));
+  out += title_;
+  out += '\n';
+  const auto emit_row = [&](const std::vector<std::string>& cells) {
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      if (c != 0) {
+        out += "  ";
+      }
+      const std::string_view text =
+          c < cells.size() ? std::string_view(cells[c]) : std::string_view();
+      out += text;
+      out.append(widths[c] - text.size(), ' ');
+    }
+    out += '\n';
+  };
+  emit_row(columns_);
+  out.append(rule, '-');
+  out += '\n';
   for (const auto& row : rows_) {
     emit_row(row);
   }
-  return out.str();
+  return out;
 }
 
 std::string Table::to_markdown() const {

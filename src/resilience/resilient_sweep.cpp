@@ -96,7 +96,11 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
   if (options.resume) {
     FCDPM_EXPECTS(!options.journal_path.empty(),
                   "--resume requires a journal path");
-    const JournalLoad load = load_journal(options.journal_path);
+    JournalLoad load;
+    {
+      obs::StageTimer timer(options.observer, "resilience.load_s");
+      load = load_journal(options.journal_path);
+    }
     if (load.header.fingerprint != fingerprint ||
         load.header.points != points.size()) {
       throw CsvError("journal does not match this sweep (grid fingerprint "
@@ -106,7 +110,7 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
     out.resilience.torn_tail_recovered = load.torn_tail;
     out.resilience.torn_bytes_dropped = load.dropped_bytes;
     journal_valid_bytes = load.valid_bytes;
-    for (const JournalRecord& record : load.records) {
+    for (JournalRecord& record : load.records) {
       if (record.index >= points.size() ||
           !same_point(record.point, points[record.index])) {
         throw CsvError("journal record does not match grid point " +
@@ -119,9 +123,9 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       slot.ok = record.ok;
       slot.result.point = points[record.index];
       if (record.ok) {
-        slot.result.result = record.result;
+        slot.result.result = std::move(record.result);
       } else {
-        slot.error = record.error;
+        slot.error = std::move(record.error);
       }
       ++out.resilience.replayed;
     }

@@ -148,8 +148,11 @@ report::SweepBenchReport print_report(
     std::FILE* out, const sim::ExperimentConfig& config,
     const par::SweepRunStats& stats, const std::vector<ReportPoint>& points,
     bool memo_attached, const ResilientSweepResult* resilient,
-    const ResilienceOptions* options) {
-  print_table(out, config, points, resilient != nullptr);
+    const ResilienceOptions* options, obs::Context* observer) {
+  {
+    obs::StageTimer timer(observer, "report.table_s");
+    print_table(out, config, points, resilient != nullptr);
+  }
 
   report::SweepBenchReport bench;
   bench.trace_name = config.trace.name();
@@ -267,14 +270,15 @@ report::SweepBenchReport print_report(
 
 report::SweepBenchReport print_sweep_report(
     std::FILE* out, const sim::ExperimentConfig& config,
-    const par::SweepResult& sweep, bool memo_attached) {
+    const par::SweepResult& sweep, bool memo_attached,
+    obs::Context* observer) {
   std::vector<ReportPoint> points;
   points.reserve(sweep.points.size());
   for (const par::SweepPointResult& done : sweep.points) {
     points.push_back({done});
   }
   return print_report(out, config, sweep.stats, points, memo_attached,
-                      nullptr, nullptr);
+                      nullptr, nullptr, observer);
 }
 
 report::SweepBenchReport print_sweep_report(
@@ -286,7 +290,8 @@ report::SweepBenchReport print_sweep_report(
     points.push_back({p.result, p.ok, p.attempts, p.replayed, &p.error});
   }
   return print_report(out, config, sweep.stats, points,
-                      options.cache != nullptr, &sweep, &options);
+                      options.cache != nullptr, &sweep, &options,
+                      options.observer);
 }
 
 }  // namespace fcdpm::resilience

@@ -15,12 +15,16 @@ namespace fcdpm::resilience {
 
 /// Print the report of par::run_sweep to `out` and return its bench
 /// form. `memo_attached` adds the solve-cache hit rate to the summary.
-/// The caller fills `telemetry` and the serial-check fields.
+/// The caller fills `telemetry` and the serial-check fields. With a
+/// metrics registry on `observer`, the table's wall time is recorded as
+/// gauge `report.table_s`.
 [[nodiscard]] report::SweepBenchReport print_sweep_report(
     std::FILE* out, const sim::ExperimentConfig& config,
-    const par::SweepResult& sweep, bool memo_attached);
+    const par::SweepResult& sweep, bool memo_attached,
+    obs::Context* observer = nullptr);
 
-/// The same for run_resilient_sweep under `options`.
+/// The same for run_resilient_sweep under `options` (its `observer`
+/// gets the gauge).
 [[nodiscard]] report::SweepBenchReport print_sweep_report(
     std::FILE* out, const sim::ExperimentConfig& config,
     const ResilientSweepResult& sweep, const ResilienceOptions& options);

@@ -1,21 +1,15 @@
 #include "telemetry/bench_history.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "common/text.hpp"
 #include "obs/trace_sink.hpp"  // obs::json_escape
 
 namespace fcdpm::telemetry {
 
 namespace {
-
-std::string format_double(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 /// Stringify an env value (numbers without a spurious ".0").
 std::string env_to_string(const json::Value& v) {
@@ -29,7 +23,7 @@ std::string env_to_string(const json::Value& v) {
       if (n == static_cast<double>(static_cast<long long>(n))) {
         return std::to_string(static_cast<long long>(n));
       }
-      return format_double(n);
+      return format_g17(n);
     }
     default:
       return {};
@@ -112,7 +106,7 @@ std::string history_row_to_json(const HistoryRow& row) {
       out += ',';
     }
     out += "\"" + obs::json_escape(row.metrics[i].first.c_str()) +
-           "\":" + format_double(row.metrics[i].second);
+           "\":" + format_g17(row.metrics[i].second);
   }
   out += "}}";
   return out;

@@ -1,36 +1,20 @@
 #include "telemetry/progress.hpp"
 
-#include <cstdio>
+#include "common/text.hpp"
 
 namespace fcdpm::telemetry {
-
-namespace {
-
-std::string fmt(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-  return buffer;
-}
-
-std::string fmt1(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.1f", value);
-  return buffer;
-}
-
-}  // namespace
 
 std::string snapshot_to_json(const SweepSnapshot& snap) {
   std::string out = "{\"schema\":\"fcdpm.sweep_progress.v1\"";
   out += ",\"seq\":" + std::to_string(snap.seq);
-  out += ",\"elapsed_s\":" + fmt(snap.elapsed_seconds);
+  out += ",\"elapsed_s\":" + format_g12(snap.elapsed_seconds);
   out += ",\"total_points\":" + std::to_string(snap.total_points);
   out += ",\"done\":" + std::to_string(snap.done);
   out += ",\"retried\":" + std::to_string(snap.retried);
   out += ",\"quarantined\":" + std::to_string(snap.quarantined);
   out += ",\"cache_hits\":" + std::to_string(snap.cache_hits);
   out += ",\"cache_misses\":" + std::to_string(snap.cache_misses);
-  out += ",\"cache_hit_rate\":" + fmt(snap.cache_hit_rate());
+  out += ",\"cache_hit_rate\":" + format_g12(snap.cache_hit_rate());
   out += ",\"hot_dispatches\":" + std::to_string(snap.hot_dispatches);
   out += ",\"reference_dispatches\":" +
          std::to_string(snap.reference_dispatches);
@@ -52,17 +36,17 @@ std::string snapshot_to_json(const SweepSnapshot& snap) {
     out += ",\"audit_violations\":" + std::to_string(snap.audit_violations);
     out += ",\"engine_fallbacks\":" + std::to_string(snap.engine_fallbacks);
   }
-  out += ",\"points_per_s\":" + fmt(snap.throughput_points_per_s);
-  out += ",\"eta_s\":" + fmt(snap.eta_seconds);
-  out += ",\"wall_p50_us\":" + fmt(snap.wall_p50_us);
-  out += ",\"wall_p95_us\":" + fmt(snap.wall_p95_us);
-  out += ",\"wall_p99_us\":" + fmt(snap.wall_p99_us);
-  out += ",\"wall_max_us\":" + fmt(snap.wall_max_us);
-  out += ",\"sim_p50_s\":" + fmt(snap.sim_p50_s);
-  out += ",\"sim_p95_s\":" + fmt(snap.sim_p95_s);
-  out += ",\"sim_p99_s\":" + fmt(snap.sim_p99_s);
-  out += ",\"sim_max_s\":" + fmt(snap.sim_max_s);
-  out += ",\"worker_skew\":" + fmt(snap.worker_skew);
+  out += ",\"points_per_s\":" + format_g12(snap.throughput_points_per_s);
+  out += ",\"eta_s\":" + format_g12(snap.eta_seconds);
+  out += ",\"wall_p50_us\":" + format_g12(snap.wall_p50_us);
+  out += ",\"wall_p95_us\":" + format_g12(snap.wall_p95_us);
+  out += ",\"wall_p99_us\":" + format_g12(snap.wall_p99_us);
+  out += ",\"wall_max_us\":" + format_g12(snap.wall_max_us);
+  out += ",\"sim_p50_s\":" + format_g12(snap.sim_p50_s);
+  out += ",\"sim_p95_s\":" + format_g12(snap.sim_p95_s);
+  out += ",\"sim_p99_s\":" + format_g12(snap.sim_p99_s);
+  out += ",\"sim_max_s\":" + format_g12(snap.sim_max_s);
+  out += ",\"worker_skew\":" + format_g12(snap.worker_skew);
   out += ",\"workers\":[";
   for (std::size_t i = 0; i < snap.workers.size(); ++i) {
     const WorkerSnapshot& w = snap.workers[i];
@@ -92,7 +76,7 @@ std::string snapshot_to_json(const SweepSnapshot& snap) {
       out += ",\"audit_violations\":" + std::to_string(w.audit_violations);
       out += ",\"engine_fallbacks\":" + std::to_string(w.engine_fallbacks);
     }
-    out += ",\"busy_s\":" + fmt(w.busy_seconds) + "}";
+    out += ",\"busy_s\":" + format_g12(w.busy_seconds) + "}";
   }
   out += "]}";
   return out;
@@ -104,15 +88,17 @@ std::string progress_line(const SweepSnapshot& snap) {
           ? 100.0 * static_cast<double>(snap.settled()) /
                 static_cast<double>(snap.total_points)
           : 0.0;
+  // "%.1f" throughout.
+  const auto one = [](double value) { return format_fixed(value, 1, false); };
   std::string out = "sweep " + std::to_string(snap.settled()) + "/" +
-                    std::to_string(snap.total_points) + " (" + fmt1(pct) +
-                    "%)  " + fmt1(snap.throughput_points_per_s) + " pt/s";
+                    std::to_string(snap.total_points) + " (" + one(pct) +
+                    "%)  " + one(snap.throughput_points_per_s) + " pt/s";
   if (snap.eta_seconds > 0.0) {
-    out += "  eta " + fmt1(snap.eta_seconds) + "s";
+    out += "  eta " + one(snap.eta_seconds) + "s";
   }
-  out += "  p95 " + fmt1(snap.wall_p95_us) + "us";
+  out += "  p95 " + one(snap.wall_p95_us) + "us";
   if (snap.cache_hits + snap.cache_misses > 0) {
-    out += "  cache " + fmt1(100.0 * snap.cache_hit_rate()) + "%";
+    out += "  cache " + one(100.0 * snap.cache_hit_rate()) + "%";
   }
   if (snap.capped_slots > 0) {
     out += "  capped " + std::to_string(snap.capped_slots);

@@ -53,6 +53,25 @@ TEST(Profiler, SummaryOrdersByTotalDescending) {
   EXPECT_LT(large_at, small_at);
 }
 
+// The summary's bytes: "%-32s %10s %12s %10s %10s %10s" columns, a
+// scope name longer than its column, and values that round.
+TEST(Profiler, SummaryBytesArePinned) {
+  Profiler profiler;
+  const char* const long_name = "par.sweep.point_with_a_long_scope_name";
+  profiler.record(long_name, nanoseconds(1234));
+  profiler.record(long_name, nanoseconds(9000000));
+  profiler.record("solve", nanoseconds(5));
+  profiler.record("solve", nanoseconds(500));
+  profiler.record("solve", nanoseconds(2000));
+  EXPECT_EQ(profiler.summary(),
+            "scope                                 calls     total_ms    "
+            "mean_us     min_us     max_us\n"
+            "par.sweep.point_with_a_long_scope_name          2        9.001"
+            "    4500.62       1.23    9000.00\n"
+            "solve                                     3        0.003     "
+            "  0.83       0.01       2.00\n");
+}
+
 TEST(Profiler, ClearEmptiesScopes) {
   Profiler profiler;
   profiler.record("x", nanoseconds(10));
