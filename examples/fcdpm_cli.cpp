@@ -19,14 +19,12 @@
 #include "cli_flags.hpp"
 #include "audit/audit.hpp"
 #include "audit/bisect.hpp"
-#include "cap/governor.hpp"
+#include "cap/stats.hpp"
 #include "common/atomic_file.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
-#include "batch/engine.hpp"
 #include "batch/lifetime.hpp"
 #include "hot/compiled_trace.hpp"
-#include "hot/engine.hpp"
 #include "hot/lifetime.hpp"
 #include "obs/context.hpp"
 #include "par/sweep.hpp"
@@ -146,74 +144,6 @@ sim::ExperimentConfig build_config(const Args& args) {
   config.stacks.cycle_fade =
       args.real("stack-cycle-fade", config.stacks.cycle_fade);
   return config;
-}
-
-/// sim::run_policy with the engine honoured: `--engine hot` compiles
-/// the trace and runs hot::simulate (bit-identical to the reference;
-/// ineligible configurations fall back inside hot::simulate), and
-/// `--engine batched` runs batch::simulate (a B = 1 batch, same
-/// fallback chain). With `--audit` on, the compiled run carries a
-/// fail-fast auditor; a violation self-heals by replaying the run on
-/// the reference engine (tamper hook cleared — it models a compiled-
-/// engine defect) and recording an engine_fallback in the result's
-/// AuditStats.
-sim::SimulationResult run_policy_with_engine(
-    sim::PolicyKind kind, const sim::ExperimentConfig& config) {
-  const bool batched = config.simulation.engine == sim::Engine::Batched;
-  if (config.simulation.engine != sim::Engine::Hot && !batched) {
-    return sim::run_policy(kind, config);
-  }
-  std::optional<audit::AuditStats> failed_stats;
-  const auto run_hot = [&]() {
-    dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
-    const std::unique_ptr<core::FcOutputPolicy> fc_policy =
-        sim::make_fc_policy(kind, config);
-    power::HybridPowerSource hybrid = sim::make_hybrid(config);
-    sim::SimulationOptions sim_options = config.simulation;
-    sim_options.initial_storage = config.initial_storage;
-    std::optional<cap::Governor> governor;
-    if (config.cap.enabled && sim_options.governor == nullptr) {
-      governor.emplace(cap::make_governor(config.cap, config.efficiency));
-      sim_options.governor = &*governor;
-    }
-    std::optional<audit::Auditor> auditor;
-    if (config.audit.enabled() && sim_options.auditor == nullptr) {
-      auditor.emplace(config.audit, /*fail_fast=*/true);
-      sim_options.auditor = &*auditor;
-    }
-    const hot::CompiledTrace compiled(config.trace, config.device);
-    try {
-      if (batched) {
-        return batch::simulate(compiled, dpm_policy, *fc_policy, hybrid,
-                               sim_options);
-      }
-      return hot::simulate(compiled, dpm_policy, *fc_policy, hybrid,
-                           sim_options);
-    } catch (const audit::AuditError&) {
-      if (auditor.has_value()) {
-        failed_stats = auditor->stats();
-      }
-      throw;
-    }
-  };
-  try {
-    return run_hot();
-  } catch (const audit::AuditError&) {
-    // Self-heal: replay on the reference engine. The simulators reset
-    // any attached fault injector at run start, so the shared pointers
-    // in config.simulation replay cleanly.
-    sim::ExperimentConfig reference = config;
-    reference.simulation.engine = sim::Engine::Reference;
-    reference.audit.tamper_slot = audit::npos;
-    sim::SimulationResult result = sim::run_policy(kind, reference);
-    if (!result.audit.has_value()) {
-      result.audit.emplace();
-      result.audit->mode = static_cast<int>(config.audit.mode);
-    }
-    audit::record_engine_fallback(*result.audit,
-                                  failed_stats.value_or(audit::AuditStats{}));
-    return result;
-  }
 }
 
 /// Observability wiring behind --trace-out / --metrics-out /
@@ -582,7 +512,7 @@ int cmd_run(const Args& args) {
   const std::unique_ptr<fault::FaultInjector> faults =
       make_fault_injector(args, config.trace);
   config.simulation.faults = faults.get();
-  const sim::SimulationResult result = run_policy_with_engine(kind, config);
+  const sim::SimulationResult result = par::run_one(config, kind);
   print_result(result);
   if (result.robustness.has_value()) {
     print_robustness(*result.robustness);
@@ -607,22 +537,16 @@ int cmd_compare(const Args& args) {
       make_fault_injector(args, config.trace);
   config.simulation.faults = faults.get();
 
+  // One run per policy, each on its own trace track.
+  config.simulation.observer = obs.context();
   sim::PolicyComparison c;
-  if (obs.context() != nullptr ||
-      config.simulation.engine != sim::Engine::Reference) {
-    // Re-run per policy so each lands on its own trace track (and so
-    // the hot engine is honoured per run).
-    config.simulation.observer = obs.context();
-    sim::SimulationResult* const results[] = {&c.conv, &c.asap, &c.fcdpm};
-    const sim::PolicyKind kinds[] = {sim::PolicyKind::Conv,
-                                     sim::PolicyKind::Asap,
-                                     sim::PolicyKind::FcDpm};
-    for (int k = 0; k < 3; ++k) {
-      obs.start_run(k);
-      *results[k] = run_policy_with_engine(kinds[k], config);
-    }
-  } else {
-    c = sim::compare_policies(config);
+  sim::SimulationResult* const results[] = {&c.conv, &c.asap, &c.fcdpm};
+  const sim::PolicyKind kinds[] = {sim::PolicyKind::Conv,
+                                   sim::PolicyKind::Asap,
+                                   sim::PolicyKind::FcDpm};
+  for (int k = 0; k < 3; ++k) {
+    obs.start_run(k);
+    *results[k] = par::run_one(config, kinds[k]);
   }
 
   report::Table table("normalized fuel consumption",
@@ -678,17 +602,16 @@ int cmd_lifetime(const Args& args) {
   lifetime_options.tank = tank;
   lifetime_options.simulation = config.simulation;
   sim::LifetimeResult r;
-  if (config.simulation.engine == sim::Engine::Batched) {
-    const hot::CompiledTrace compiled(config.trace, config.device);
-    r = batch::measure_lifetime(compiled, dpm_policy, *fc_policy, hybrid,
-                                lifetime_options);
-  } else if (config.simulation.engine == sim::Engine::Hot) {
-    const hot::CompiledTrace compiled(config.trace, config.device);
-    r = hot::measure_lifetime(compiled, dpm_policy, *fc_policy, hybrid,
-                              lifetime_options);
-  } else {
+  if (config.simulation.engine == sim::Engine::Reference) {
     r = sim::measure_lifetime(config.trace, dpm_policy, *fc_policy, hybrid,
                               lifetime_options);
+  } else {
+    const hot::CompiledTrace compiled(config.trace, config.device);
+    r = config.simulation.engine == sim::Engine::Batched
+            ? batch::measure_lifetime(compiled, dpm_policy, *fc_policy,
+                                      hybrid, lifetime_options)
+            : hot::measure_lifetime(compiled, dpm_policy, *fc_policy, hybrid,
+                                    lifetime_options);
   }
 
   std::printf("%s on a %.0f A-s tank: ", sim::to_string(kind),

@@ -2,14 +2,12 @@
 
 #include <bit>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "cap/governor.hpp"
 #include "common/atomic_file.hpp"
 #include "common/contracts.hpp"
 #include "common/text.hpp"
-#include "hot/engine.hpp"
+#include "par/sweep.hpp"
 #include "workload/trace_io.hpp"
 
 namespace fcdpm::audit {
@@ -36,36 +34,20 @@ namespace {
                    std::move(slots));
 }
 
-/// One fresh engine run over a trace prefix: fresh policies, hybrid
-/// and (when configured) governor, no faults, no observers.
+/// One fresh par::run_one over a trace prefix: fresh policies, hybrid
+/// and (when configured) governor, no faults, no observers, no auditor.
 [[nodiscard]] sim::SimulationResult run_prefix(
     const sim::ExperimentConfig& config, sim::PolicyKind policy,
     std::size_t prefix, sim::Engine engine, std::size_t perturb_slot) {
   sim::ExperimentConfig local = config;
   local.trace = prefix_trace(config.trace, prefix, perturb_slot);
+  local.audit = AuditSpec{};
   local.simulation.observer = nullptr;
   local.simulation.faults = nullptr;
   local.simulation.governor = nullptr;
   local.simulation.auditor = nullptr;
   local.simulation.engine = engine;
-
-  dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(local);
-  const std::unique_ptr<core::FcOutputPolicy> fc_policy =
-      sim::make_fc_policy(policy, local);
-  power::HybridPowerSource hybrid = sim::make_hybrid(local);
-
-  sim::SimulationOptions options = local.simulation;
-  options.initial_storage = local.initial_storage;
-  std::optional<cap::Governor> governor;
-  if (local.cap.enabled) {
-    governor.emplace(cap::make_governor(local.cap, local.efficiency));
-    options.governor = &*governor;
-  }
-  if (engine == sim::Engine::Hot) {
-    const hot::CompiledTrace compiled(local.trace, local.device);
-    return hot::simulate(compiled, dpm_policy, *fc_policy, hybrid, options);
-  }
-  return sim::simulate(local.trace, dpm_policy, *fc_policy, hybrid, options);
+  return par::run_one(local, policy);
 }
 
 [[nodiscard]] std::string hex64(double value) {

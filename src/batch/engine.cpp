@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "batch/solve_memo.hpp"
 #include "batch/state.hpp"
 #include "common/contracts.hpp"
 #include "hot/engine.hpp"
@@ -59,16 +58,59 @@ struct Lane {
   LaneOutcome out;
 };
 
-/// A leader plus the followers still riding it, with the per-slot
-/// solve journal they share.
+/// A merge-set leader's solve hook: each solve goes to the attached
+/// cache, or is solved fresh, and the latch notes an answer that failed
+/// or was capacity-clamped. By the slot optimizer's slack property
+/// (solve reads the capacity only in its preconditions and the two
+/// store-clamp branches, which set capacity_clamped), only such an
+/// answer can differ at a follower's larger capacity; the engine clears
+/// the latch before each planning callback and hands leadership on if
+/// it is set after.
+class ClampLatch final : public core::SlotSolveCache {
+ public:
+  explicit ClampLatch(core::SlotSolveCache* underlying)
+      : underlying_(underlying) {}
+
+  void clear() noexcept { clamped_ = false; }
+  [[nodiscard]] bool clamped() const noexcept { return clamped_; }
+
+  [[nodiscard]] core::CheckedSetting solve(
+      const core::SlotOptimizer& optimizer, const core::SlotLoad& load,
+      const core::StorageBounds& storage) override {
+    return latch(underlying_ != nullptr
+                     ? underlying_->solve(optimizer, load, storage)
+                     : optimizer.solve_checked(load, storage));
+  }
+
+  [[nodiscard]] core::CheckedSetting solve_active_only(
+      const core::SlotOptimizer& optimizer, Seconds duration, Coulomb charge,
+      const core::StorageBounds& storage) override {
+    return latch(underlying_ != nullptr
+                     ? underlying_->solve_active_only(optimizer, duration,
+                                                      charge, storage)
+                     : optimizer.solve_active_only_checked(duration, charge,
+                                                           storage));
+  }
+
+ private:
+  core::CheckedSetting latch(const core::CheckedSetting& answer) noexcept {
+    clamped_ = clamped_ || !answer.ok() || answer.setting.capacity_clamped;
+    return answer;
+  }
+
+  core::SlotSolveCache* underlying_ = nullptr;
+  bool clamped_ = false;
+};
+
+/// A leader plus the followers still riding it.
 struct MergeSet {
   std::size_t leader = 0;
   std::vector<std::size_t> followers;
-  BatchSolveMemo memo;
+  ClampLatch latch;
   core::SlotSolveCache* underlying = nullptr;
 
   explicit MergeSet(core::SlotSolveCache* cache)
-      : memo(cache), underlying(cache) {}
+      : latch(cache), underlying(cache) {}
 };
 
 class BatchRunner {
@@ -87,9 +129,6 @@ class BatchRunner {
     device.validate();
     FCDPM_EXPECTS(ct.compatible_with(device),
                   "compiled trace was built against a different device model");
-    FCDPM_EXPECTS(shared.faults == nullptr && shared.governor == nullptr &&
-                      !shared.record_profiles,
-                  "run_batch: faults/governor/profiling are batch-ineligible");
     FCDPM_EXPECTS(!shared.keep_slot_records || specs.size() == 1,
                   "run_batch: slot records require a single lane");
     sleep_current_ = device.sleep_current();
@@ -151,21 +190,14 @@ class BatchRunner {
   void init_lanes(const std::vector<BatchLaneSpec>& specs) {
     lanes_.reserve(specs.size());
     for (const BatchLaneSpec& spec : specs) {
-      FCDPM_EXPECTS(spec.fc != nullptr && spec.hybrid != nullptr,
-                    "run_batch: lane needs an FC policy and a hybrid");
       power::HybridPowerSource& hybrid = *spec.hybrid;
-      FCDPM_EXPECTS(hybrid.fault_injector() == nullptr &&
-                        hybrid.observer() == nullptr,
-                    "run_batch: hybrid carries batch-ineligible attachments");
-      auto* source =
-          dynamic_cast<const power::LinearFuelSource*>(&hybrid.source());
-      auto* cap = dynamic_cast<power::SuperCapacitor*>(&hybrid.storage());
-      FCDPM_EXPECTS(source != nullptr && cap != nullptr,
-                    "run_batch: hybrid is not the paper configuration");
+      const auto& source =
+          dynamic_cast<const power::LinearFuelSource&>(hybrid.source());
+      auto& cap = dynamic_cast<power::SuperCapacitor&>(hybrid.storage());
 
-      Coulomb initial = cap->charge();
+      Coulomb initial = cap.charge();
       if (!shared_.preserve_source_state) {
-        const Coulomb capacity = cap->capacity();
+        const Coulomb capacity = cap.capacity();
         initial = (shared_.initial_storage.value() < 0.0)
                       ? capacity
                       : min(shared_.initial_storage, capacity);
@@ -176,7 +208,7 @@ class BatchRunner {
       lane.fc = spec.fc;
       lane.auditor = spec.auditor;
       lane.budget = spec.slot_budget;
-      lane.col = state_.add_lane(hybrid, *source, *cap);
+      lane.col = state_.add_lane(hybrid, source, cap);
       lane.kind = kind_of(*spec.fc);
       lane.pure = spec.fc->segment_setpoint_is_pure();
       lane.original_cache = spec.fc->solve_cache();
@@ -190,8 +222,8 @@ class BatchRunner {
   }
 
   /// Group pure solo lanes that are bitwise identical in everything but
-  /// capacity (and share the same pre-attached cache, which becomes the
-  /// journal-miss fallback). `merge_equivalent` certifies the policies
+  /// capacity (and share the same pre-attached cache, which the set's
+  /// latch solves through). `merge_equivalent` certifies the policies
   /// make bit-identical decisions forever given identical observations
   /// and read the capacity only through clamp-reporting solves; the
   /// physical columns must match too. The smallest capacity leads: the
@@ -201,7 +233,7 @@ class BatchRunner {
   ///
   /// Called once at construction and again after any slot with splits,
   /// so ex-leaders that happen to re-converge can regroup. New sets are
-  /// appended (`sets_` is a deque, so live `&set.memo` wirings stay
+  /// appended (`sets_` is a deque, so live `&set.latch` wirings stay
   /// valid) and take effect from the next slot.
   void form_sets() {
     const std::size_t first_new = sets_.size();
@@ -250,13 +282,13 @@ class BatchRunner {
         lanes_[m].merged = true;
       }
     }
-    // Point every new leader's policy at the set's journal. Followers
+    // Point every new leader's policy at the set's latch. Followers
     // freeze — their policies never run while merged — so only the
     // leader is wired. At construction wire_caches repeats this
     // (harmlessly) while also recording the restore list; on re-forms
     // this is the only wiring.
     for (std::size_t s = first_new; s < sets_.size(); ++s) {
-      lanes_[sets_[s].leader].fc->set_solve_cache(&sets_[s].memo);
+      lanes_[sets_[s].leader].fc->set_solve_cache(&sets_[s].latch);
     }
   }
 
@@ -267,7 +299,7 @@ class BatchRunner {
       if (lane.set >= 0) {
         if (!lane.merged) {
           lane.fc->set_solve_cache(
-              &sets_[static_cast<std::size_t>(lane.set)].memo);
+              &sets_[static_cast<std::size_t>(lane.set)].latch);
         }
       } else if (cache_ != nullptr) {
         lane.fc->set_solve_cache(cache_);
@@ -541,7 +573,7 @@ class BatchRunner {
   /// ways, and both are handled by handing leadership to the
   /// next-smallest capacity:
   ///
-  ///  * plan clamp — a journaled solve inside on_idle_start /
+  ///  * plan clamp — a latched solve inside on_idle_start /
   ///    on_active_start was capacity-shaped. The plan is the leader's
   ///    alone: it finishes the slot solo with it, and the successor —
   ///    seated from a clone of the leader taken *before* it advances —
@@ -567,8 +599,6 @@ class BatchRunner {
     const Coulomb fuel_before = snap0.totals.fuel;
     const Joule delivered_before = snap0.totals.delivered_energy;
 
-    set.memo.begin_slot();
-
     // --- idle phase ----------------------------------------------------
     const bool have_idle = plan_.count > 0;
     core::SegmentSetpoint sp_idle{};
@@ -576,11 +606,10 @@ class BatchRunner {
     bool replan = true;
     for (;;) {
       if (replan) {
-        set.memo.set_recording(true);
+        set.latch.clear();
         static_cast<Fc*>(lanes_[li].fc)
             ->on_idle_start(idle_context(k, lanes_[li].col, Coulomb(snap0.q)));
-        set.memo.set_recording(false);
-        if (set.memo.take_clamped() && !set.followers.empty()) {
+        if (set.latch.clamped() && !set.followers.empty()) {
           const std::size_t next = seat(set, snap0);
           leader_exit_whole<Fc>(set, li, snap0, k);
           li = next;
@@ -627,12 +656,11 @@ class BatchRunner {
     replan = true;
     for (;;) {
       if (replan) {
-        set.memo.set_recording(true);
+        set.latch.clear();
         static_cast<Fc*>(lanes_[li].fc)
             ->on_active_start(
                 active_context(k, lanes_[li].col, Coulomb(snap_mid.q)));
-        set.memo.set_recording(false);
-        if (set.memo.take_clamped() && !set.followers.empty()) {
+        if (set.latch.clamped() && !set.followers.empty()) {
           const std::size_t next = seat(set, snap_mid);
           leader_exit_active_whole<Fc>(set, li, if_dt_idle, snap0, k);
           li = next;
@@ -729,7 +757,7 @@ class BatchRunner {
   }
 
   /// Seat the hand-off successor as leader: clone the outgoing leader's
-  /// policy (before it advances any further), wire it to the journal,
+  /// policy (before it advances any further), wire it to the latch,
   /// and refresh the successor's column — stale since it merged — from
   /// the phase checkpoint, which is bitwise its own state. The caller
   /// decides whether the phase needs a re-plan or only a re-integration.
@@ -737,7 +765,7 @@ class BatchRunner {
     const std::size_t next = handoff_successor(set);
     Lane& lane = lanes_[next];
     materialize(lane, *lanes_[set.leader].fc);
-    lane.fc->set_solve_cache(&set.memo);
+    lane.fc->set_solve_cache(&set.latch);
     state_.restore(lane.col, at);
     lane.merged = false;
     set.followers.erase(
@@ -789,7 +817,7 @@ class BatchRunner {
     finish_replay_audit(lane, k, snap0, if_dt);
   }
 
-  /// Leave the set: own columns from here on, journal-miss cache wiring.
+  /// Leave the set: own columns from here on, the set's cache wiring.
   void split_out(MergeSet& set, Lane& lane) {
     lane.merged = false;
     lane.set = -1;
@@ -952,7 +980,7 @@ class BatchRunner {
     const std::size_t next = handoff_successor(set);
     state_.adopt(lanes_[next].col, lanes_[set.leader].col);
     materialize(lanes_[next], *lanes_[set.leader].fc);
-    lanes_[next].fc->set_solve_cache(&set.memo);
+    lanes_[next].fc->set_solve_cache(&set.latch);
     lanes_[next].merged = false;
     set.followers.erase(
         std::find(set.followers.begin(), set.followers.end(), next));
@@ -1035,9 +1063,6 @@ class BatchRunner {
     stats_->merge_sets += sets_.size();
     stats_->merged_lane_slots += merged_lane_slots_;
     stats_->splits += splits_;
-    for (const MergeSet& set : sets_) {
-      stats_->journal_hits += set.memo.journal_hits();
-    }
   }
 
   const hot::CompiledTrace& ct_;
@@ -1054,7 +1079,7 @@ class BatchRunner {
 
   BatchState state_;
   std::vector<Lane> lanes_;
-  /// Deque, not vector: re-forms append while policies hold `&set.memo`
+  /// Deque, not vector: re-forms append while policies hold `&set.latch`
   /// pointers into existing elements, which must survive the growth.
   std::deque<MergeSet> sets_;
   std::vector<std::pair<core::FcOutputPolicy*, core::SlotSolveCache*>>
@@ -1078,37 +1103,7 @@ class BatchRunner {
   dpm::InlineIdlePlan plan_;
 };
 
-std::vector<LaneOutcome> run_batch_impl(const hot::CompiledTrace& trace,
-                                        dpm::DpmPolicy& dpm_policy,
-                                        const std::vector<BatchLaneSpec>& lanes,
-                                        const sim::SimulationOptions& shared,
-                                        core::SlotSolveCache* solve_cache,
-                                        BatchStats* stats, bool propagate) {
-  BatchRunner runner(trace, dpm_policy, lanes, shared, solve_cache, stats,
-                     propagate);
-  return runner.run();
-}
-
 }  // namespace
-
-bool lane_eligible(const power::HybridPowerSource& hybrid,
-                   const sim::SimulationOptions& options) {
-  if (!hot::lane_eligible(hybrid, options)) {
-    return false;
-  }
-  // Unlike the hot lane, the batch loop carries no profiler scopes and
-  // no governor plumbing: any active observer or cap governor routes to
-  // the hot engine instead.
-  if (options.observer != nullptr && options.observer->active()) {
-    return false;
-  }
-  if (options.governor != nullptr) {
-    return false;
-  }
-  // The hot lane tolerates a pre-attached hybrid observer when the run
-  // replaces it; the batch loop never attaches observers at all.
-  return hybrid.observer() == nullptr;
-}
 
 std::vector<LaneOutcome> run_batch(const hot::CompiledTrace& trace,
                                    dpm::DpmPolicy& dpm_policy,
@@ -1116,8 +1111,40 @@ std::vector<LaneOutcome> run_batch(const hot::CompiledTrace& trace,
                                    const sim::SimulationOptions& shared,
                                    core::SlotSolveCache* solve_cache,
                                    BatchStats* stats) {
-  return run_batch_impl(trace, dpm_policy, lanes, shared, solve_cache, stats,
-                        /*propagate=*/false);
+  for (const BatchLaneSpec& lane : lanes) {
+    FCDPM_EXPECTS(lane.fc != nullptr && lane.hybrid != nullptr,
+                  "run_batch: lane needs an FC policy and a hybrid");
+    FCDPM_EXPECTS(sim::choose_engine(sim::Engine::Batched, *lane.hybrid,
+                                     shared)
+                          .engine == sim::Engine::Batched,
+                  "run_batch: lane is not batch-eligible");
+  }
+  BatchRunner runner(trace, dpm_policy, lanes, shared, solve_cache, stats,
+                     /*propagate=*/false);
+  return runner.run();
+}
+
+sim::SimulationResult simulate_on(sim::Engine engine,
+                                  const hot::CompiledTrace& trace,
+                                  dpm::DpmPolicy& dpm_policy,
+                                  core::FcOutputPolicy& fc_policy,
+                                  power::HybridPowerSource& hybrid,
+                                  const sim::SimulationOptions& options) {
+  if (engine == sim::Engine::Reference) {
+    return sim::simulate(trace.trace(), dpm_policy, fc_policy, hybrid,
+                         options);
+  }
+  if (engine == sim::Engine::Hot) {
+    return hot::simulate_lane(trace, dpm_policy, fc_policy, hybrid, options);
+  }
+  std::vector<BatchLaneSpec> lanes(1);
+  lanes[0].fc = &fc_policy;
+  lanes[0].hybrid = &hybrid;
+  lanes[0].auditor = options.auditor;
+  lanes[0].slot_budget = options.slot_budget;
+  BatchRunner runner(trace, dpm_policy, lanes, options, nullptr, nullptr,
+                     /*propagate=*/true);
+  return std::move(runner.run()[0].result);
 }
 
 sim::SimulationResult simulate(const hot::CompiledTrace& trace,
@@ -1125,17 +1152,9 @@ sim::SimulationResult simulate(const hot::CompiledTrace& trace,
                                core::FcOutputPolicy& fc_policy,
                                power::HybridPowerSource& hybrid,
                                const sim::SimulationOptions& options) {
-  if (!lane_eligible(hybrid, options)) {
-    return hot::simulate(trace, dpm_policy, fc_policy, hybrid, options);
-  }
-  std::vector<BatchLaneSpec> lanes(1);
-  lanes[0].fc = &fc_policy;
-  lanes[0].hybrid = &hybrid;
-  lanes[0].auditor = options.auditor;
-  lanes[0].slot_budget = options.slot_budget;
-  std::vector<LaneOutcome> outcomes = run_batch_impl(
-      trace, dpm_policy, lanes, options, nullptr, nullptr, /*propagate=*/true);
-  return std::move(outcomes[0].result);
+  return simulate_on(
+      sim::choose_engine(sim::Engine::Batched, hybrid, options).engine,
+      trace, dpm_policy, fc_policy, hybrid, options);
 }
 
 }  // namespace fcdpm::batch

@@ -15,10 +15,11 @@
 // suffix on its own columns. Every lane's result is bit-identical to
 // running that point alone on the reference engine.
 //
-// batch::simulate is the single-run entry (Engine::Batched): a B = 1
-// batch, delegating to hot::simulate for configurations the batch loop
-// does not mirror (observers, governors, anything hot itself falls back
-// on) — calling it is always safe; eligibility only picks the loop.
+// batch::simulate is the single-run entry (Engine::Batched): it asks
+// sim::choose_engine once and runs a B = 1 batch, the hot lane (an
+// observer or a governor, which the batch loop does not mirror) or the
+// reference loop (anything hot itself cannot take) — calling it is
+// always safe. A dispatcher that has already decided calls simulate_on.
 #pragma once
 
 #include <cstddef>
@@ -71,15 +72,7 @@ struct BatchStats {
   std::size_t merged_lane_slots = 0;
   /// Followers that diverged and replayed onto their own columns.
   std::size_t splits = 0;
-  /// Follower solves answered from the per-slot leader journal.
-  std::size_t journal_hits = 0;
 };
-
-/// True when (hybrid, options) can take the batch loop: hot-lane
-/// eligible, no observer at all (even profiler-only: the batch loop has
-/// no per-phase profile scopes), and no cap governor.
-[[nodiscard]] bool lane_eligible(const power::HybridPowerSource& hybrid,
-                                 const sim::SimulationOptions& options);
 
 /// Run every lane over `trace` in one slot loop. All lanes share
 /// `dpm_policy` (legal because DPM state is a function of the trace's
@@ -87,27 +80,34 @@ struct BatchStats {
 /// sequence) and the shared options' initial_storage / cancellation /
 /// preserve flags; auditor and slot budget are per lane via the spec.
 ///
-/// Requires: every hybrid is the paper configuration (LinearFuelSource
-/// + SuperCapacitor) with no fault injector and no attached observer;
-/// shared options carry no faults/governor/observer/profile recording;
-/// keep_slot_records only with a single lane. Callers that cannot
-/// guarantee eligibility go through batch::simulate or par::run_sweep,
-/// which fall back per point.
+/// Requires: sim::choose_engine(Batched, *lane.hybrid, shared) lands
+/// every lane on Batched (checked); keep_slot_records only with a
+/// single lane. Callers that cannot guarantee that go through
+/// batch::simulate or par::run_sweep, which fall back per point.
 ///
-/// `solve_cache` (optional) is attached to unmerged lanes and serves as
-/// the journal-miss fallback for merged ones — pass the sweep's shared
-/// memo tap to get run_point's exact cache wiring.
+/// `solve_cache` (optional) is attached to unmerged lanes, and merged
+/// ones solve through it — pass the sweep's shared memo tap to get
+/// run_point's exact cache wiring.
 [[nodiscard]] std::vector<LaneOutcome> run_batch(
     const hot::CompiledTrace& trace, dpm::DpmPolicy& dpm_policy,
     const std::vector<BatchLaneSpec>& lanes,
     const sim::SimulationOptions& shared,
     core::SlotSolveCache* solve_cache = nullptr, BatchStats* stats = nullptr);
 
-/// Single-run entry for Engine::Batched: a B = 1 batch when eligible,
-/// else hot::simulate (which itself falls back to the reference loop).
-/// Bit-identical to both in every case. Budget exhaustion and fail-fast
-/// audit violations throw exactly like the hot engine's single-run
-/// path (DeadlineExceededError / AuditError).
+/// Run on `engine` without deciding: the caller's sim::choose_engine
+/// landed this run there. Batched is a B = 1 batch, Hot the hot lane,
+/// Reference sim::simulate(trace.trace(), ...). Budget exhaustion and
+/// fail-fast audit violations throw exactly like the hot engine's
+/// single-run path (DeadlineExceededError / AuditError).
+[[nodiscard]] sim::SimulationResult simulate_on(
+    sim::Engine engine, const hot::CompiledTrace& trace,
+    dpm::DpmPolicy& dpm_policy, core::FcOutputPolicy& fc_policy,
+    power::HybridPowerSource& hybrid,
+    const sim::SimulationOptions& options = {});
+
+/// Single-run entry for Engine::Batched: simulate_on wherever
+/// sim::choose_engine(Batched, ...) lands the run. Bit-identical to the
+/// reference in every case.
 [[nodiscard]] sim::SimulationResult simulate(
     const hot::CompiledTrace& trace, dpm::DpmPolicy& dpm_policy,
     core::FcOutputPolicy& fc_policy, power::HybridPowerSource& hybrid,

@@ -425,50 +425,15 @@ sim::SimulationResult run_lane(const CompiledTrace& ct,
 
 }  // namespace
 
-bool lane_eligible(const power::HybridPowerSource& hybrid,
-                   const sim::SimulationOptions& options) {
-  if (options.faults != nullptr || options.record_profiles) {
-    return false;
-  }
-  // A profiler-only observer changes no results (nothing reaches a sink
-  // or a registry), so the lane keeps it for the per-phase breakdown; a
-  // tracing or metering one needs the reference loop's event stream.
-  obs::Context* obs =
-      (options.observer != nullptr && options.observer->active())
-          ? options.observer
-          : nullptr;
-  if (obs != nullptr && (obs->tracing() || obs->metering())) {
-    return false;
-  }
-  if (hybrid.fault_injector() != nullptr) {
-    return false;
-  }
-  // A pre-attached hybrid observer would emit from inside run_segment;
-  // unless this run replaces it (ObserverGuard with a non-null context),
-  // only the reference loop can honor it.
-  if (hybrid.observer() != nullptr && obs == nullptr) {
-    return false;
-  }
-  return dynamic_cast<const power::LinearFuelSource*>(&hybrid.source()) !=
-             nullptr &&
-         dynamic_cast<const power::SuperCapacitor*>(&hybrid.storage()) !=
-             nullptr;
-}
-
-sim::SimulationResult simulate(const CompiledTrace& trace,
-                               dpm::DpmPolicy& dpm_policy,
-                               core::FcOutputPolicy& fc_policy,
-                               power::HybridPowerSource& hybrid,
-                               const sim::SimulationOptions& options) {
+sim::SimulationResult simulate_lane(const CompiledTrace& trace,
+                                    dpm::DpmPolicy& dpm_policy,
+                                    core::FcOutputPolicy& fc_policy,
+                                    power::HybridPowerSource& hybrid,
+                                    const sim::SimulationOptions& options) {
   const dpm::DevicePowerModel& device = dpm_policy.device();
   device.validate();
   FCDPM_EXPECTS(trace.compatible_with(device),
                 "compiled trace was built against a different device model");
-
-  if (!lane_eligible(hybrid, options)) {
-    return sim::simulate(trace.trace(), dpm_policy, fc_policy, hybrid,
-                         options);
-  }
 
   const auto& source =
       dynamic_cast<const power::LinearFuelSource&>(hybrid.source());
@@ -502,6 +467,19 @@ sim::SimulationResult simulate(const CompiledTrace& trace,
   }
   return run_lane(trace, dpm_policy, fc_policy, hybrid, source, cap, options,
                   profiler);
+}
+
+sim::SimulationResult simulate(const CompiledTrace& trace,
+                               dpm::DpmPolicy& dpm_policy,
+                               core::FcOutputPolicy& fc_policy,
+                               power::HybridPowerSource& hybrid,
+                               const sim::SimulationOptions& options) {
+  if (sim::choose_engine(sim::Engine::Hot, hybrid, options).engine ==
+      sim::Engine::Reference) {
+    return sim::simulate(trace.trace(), dpm_policy, fc_policy, hybrid,
+                         options);
+  }
+  return simulate_lane(trace, dpm_policy, fc_policy, hybrid, options);
 }
 
 }  // namespace fcdpm::hot

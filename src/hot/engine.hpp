@@ -9,10 +9,11 @@
 // for expression, so results are bit-identical — sim::simulate stays
 // the differential oracle (tests/hot holds every path to that).
 //
-// Configurations the lane cannot mirror (fault injection, segment
-// recording, a tracing/metering observer, non-paper source or storage
-// types) transparently fall back to the reference loop, so calling
-// hot::simulate is always safe; eligibility only picks the loop.
+// hot::simulate asks sim::choose_engine once per run: configurations
+// the lane cannot mirror (fault injection, profile recording, a
+// tracing/metering observer, non-paper source or storage types) run on
+// the reference loop, so calling it is always safe. A dispatcher that
+// has already decided calls simulate_lane directly.
 #pragma once
 
 #include "core/fc_policy.hpp"
@@ -23,17 +24,17 @@
 
 namespace fcdpm::hot {
 
-/// True when (hybrid, options) can take the allocation-free lane: no
-/// fault injector, no segment recording, observer absent or
-/// profiler-only, and the hybrid is the paper configuration
-/// (LinearFuelSource + SuperCapacitor).
-[[nodiscard]] bool lane_eligible(const power::HybridPowerSource& hybrid,
-                                 const sim::SimulationOptions& options);
+/// Simulate `trace` on the lane without deciding: the caller's
+/// sim::choose_engine landed this run on Hot or Batched. The trace must
+/// have been compiled against the DPM policy's device model (checked).
+[[nodiscard]] sim::SimulationResult simulate_lane(
+    const CompiledTrace& trace, dpm::DpmPolicy& dpm_policy,
+    core::FcOutputPolicy& fc_policy, power::HybridPowerSource& hybrid,
+    const sim::SimulationOptions& options = {});
 
-/// Simulate `trace` through the hot lane when eligible, else delegate
-/// to sim::simulate(trace.trace(), ...). Bit-identical to the reference
-/// in either case. The trace must have been compiled against the DPM
-/// policy's device model (checked).
+/// Simulate `trace` through the hot lane when sim::choose_engine lands
+/// the run on Hot, else through sim::simulate(trace.trace(), ...).
+/// Bit-identical to the reference in either case.
 [[nodiscard]] sim::SimulationResult simulate(
     const CompiledTrace& trace, dpm::DpmPolicy& dpm_policy,
     core::FcOutputPolicy& fc_policy, power::HybridPowerSource& hybrid,

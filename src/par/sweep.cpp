@@ -13,7 +13,6 @@
 #include "cap/governor.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
-#include "hot/engine.hpp"
 #include "par/verifying_cache.hpp"
 #include "par/worker_pool.hpp"
 #include "telemetry/sweep_telemetry.hpp"
@@ -64,6 +63,113 @@ std::vector<SweepPoint> SweepGrid::points(
   return grid;
 }
 
+sim::SimulationResult run_one(const sim::ExperimentConfig& config,
+                              sim::PolicyKind policy,
+                              core::SlotSolveCache* cache,
+                              const hot::CompiledTrace* compiled,
+                              sim::Engine* landed) {
+  // Fresh-solve source for audited cache verification. The memo itself
+  // qualifies, and so does the telemetry tap wrapping it; any other
+  // cache implementation simply runs unverified.
+  const SharedSolveCache* fresh_source = nullptr;
+  if (config.audit.enabled() && cache != nullptr) {
+    fresh_source = dynamic_cast<const SharedSolveCache*>(cache);
+    if (fresh_source == nullptr) {
+      if (const auto* tap = dynamic_cast<const SolveCacheTap*>(cache)) {
+        fresh_source = &tap->underlying();
+      }
+    }
+  }
+
+  // Everything stateful — policies, hybrid, governor, auditor — is
+  // rebuilt per attempt, so the self-heal replay below starts from the
+  // same clean state the compiled attempt did.
+  sim::Engine engine = sim::Engine::Reference;
+  std::optional<audit::AuditStats> failed_stats;
+  const auto attempt = [&](sim::Engine requested) -> sim::SimulationResult {
+    dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
+    const std::unique_ptr<core::FcOutputPolicy> fc_policy =
+        sim::make_fc_policy(policy, config);
+    power::HybridPowerSource hybrid = sim::make_hybrid(config);
+
+    sim::SimulationOptions options = config.simulation;
+    options.initial_storage = config.initial_storage;
+    // One fresh governor per run keeps the held-level state
+    // thread-private and the results independent of execution order.
+    std::optional<cap::Governor> governor;
+    if (config.cap.enabled) {
+      governor.emplace(cap::make_governor(config.cap, config.efficiency));
+      options.governor = &*governor;
+    }
+    engine = sim::choose_engine(requested, hybrid, options).engine;
+    const bool compiled_lane = engine != sim::Engine::Reference;
+
+    // Keyed to the landed engine: compiled lanes fail fast (the catch
+    // below heals them) and tamper, which models a compiled-engine
+    // defect; reference runs fail fast only in strict mode.
+    std::optional<audit::Auditor> auditor;
+    std::optional<VerifyingSolveCache> verifier;
+    core::SlotSolveCache* run_cache = cache;
+    if (config.audit.enabled()) {
+      audit::AuditSpec spec = config.audit;
+      if (!compiled_lane) {
+        spec.tamper_slot = audit::npos;
+      }
+      auditor.emplace(spec,
+                      compiled_lane || spec.mode == audit::Mode::Strict);
+      options.auditor = &*auditor;
+      if (fresh_source != nullptr) {
+        verifier.emplace(*cache, *fresh_source, *auditor);
+        run_cache = &*verifier;
+      }
+    }
+    if (run_cache != nullptr) {
+      fc_policy->set_solve_cache(run_cache);
+    }
+
+    try {
+      if (!compiled_lane) {
+        return sim::simulate(config.trace, dpm_policy, *fc_policy, hybrid,
+                             options);
+      }
+      std::optional<hot::CompiledTrace> local;
+      const hot::CompiledTrace& trace =
+          compiled != nullptr ? *compiled
+                              : local.emplace(config.trace, config.device);
+      return batch::simulate_on(engine, trace, dpm_policy, *fc_policy,
+                                hybrid, options);
+    } catch (const audit::AuditError&) {
+      // The auditor dies with this frame; keep its tally for the
+      // fallback record before rethrowing to the dispatcher.
+      if (auditor.has_value()) {
+        failed_stats = auditor->stats();
+      }
+      throw;
+    }
+  };
+
+  sim::SimulationResult result;
+  try {
+    result = attempt(config.simulation.engine);
+  } catch (const audit::AuditError&) {
+    if (engine == sim::Engine::Reference) {
+      // Reference-engine violation: nothing trusted to heal onto.
+      throw;
+    }
+    // Self-heal: the compiled lane broke an invariant, so replay the
+    // run on the reference engine (fresh state, tamper disarmed; its
+    // auditor fills result.audit) and keep that result, recording the
+    // run's violations as a fallback.
+    const audit::AuditStats failed = failed_stats.value_or(audit::AuditStats{});
+    result = attempt(sim::Engine::Reference);
+    audit::record_engine_fallback(result.audit.value(), failed);
+  }
+  if (landed != nullptr) {
+    *landed = engine;
+  }
+  return result;
+}
+
 SweepPointResult run_point(const sim::ExperimentConfig& base,
                            const SweepPoint& point,
                            std::size_t storm_faults,
@@ -84,153 +190,28 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
   // Workers own everything they mutate; the run-level observer is
   // published to after the batch, never attached to a worker's run.
   config.simulation.observer = nullptr;
-
-  // Fresh-solve source for audited cache verification. The memo itself
-  // qualifies, and so does the telemetry tap wrapping it; any other
-  // cache implementation simply runs unverified.
-  const SharedSolveCache* fresh_source = nullptr;
-  if (config.audit.enabled() && cache != nullptr) {
-    fresh_source = dynamic_cast<const SharedSolveCache*>(cache);
-    if (fresh_source == nullptr) {
-      if (const auto* tap = dynamic_cast<const SolveCacheTap*>(cache)) {
-        fresh_source = &tap->underlying();
-      }
-    }
+  config.simulation.cancel = cancel;
+  config.simulation.slot_budget = slot_budget;
+  // A storm run lands on the reference loop, which never replays.
+  std::optional<fault::FaultInjector> injector;
+  if (point.storm_seed != 0) {
+    injector.emplace(fault::FaultSchedule::random_storm(
+        point.storm_seed, storm_faults,
+        config.trace.stats().total_duration()));
+    config.simulation.faults = &*injector;
   }
-
-  // Everything stateful — policies, hybrid, injector, governor, auditor
-  // — is rebuilt per attempt, so the self-heal replay below starts from
-  // the same clean state the hot attempt did.
-  std::optional<audit::AuditStats> failed_stats;
-  const auto run_once = [&](sim::Engine engine, bool tamper_allowed,
-                            bool& ran_hot,
-                            bool& ran_batched) -> sim::SimulationResult {
-    dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
-    const std::unique_ptr<core::FcOutputPolicy> fc_policy =
-        sim::make_fc_policy(point.policy, config);
-    power::HybridPowerSource hybrid = sim::make_hybrid(config);
-
-    sim::SimulationOptions options = config.simulation;
-    options.engine = engine;
-    options.initial_storage = config.initial_storage;
-    options.cancel = cancel;
-    options.slot_budget = slot_budget;
-    std::optional<fault::FaultInjector> injector;
-    if (point.storm_seed != 0) {
-      injector.emplace(fault::FaultSchedule::random_storm(
-          point.storm_seed, storm_faults,
-          config.trace.stats().total_duration()));
-      options.faults = &*injector;
-    }
-    // Workers own their governor like they own their injector: one
-    // fresh instance per point keeps the held-level state
-    // thread-private and the results independent of execution order.
-    std::optional<cap::Governor> governor;
-    if (config.cap.enabled) {
-      governor.emplace(cap::make_governor(config.cap, config.efficiency));
-      options.governor = &*governor;
-    }
-
-    const bool hot_engine = engine == sim::Engine::Hot;
-    const bool batched_engine = engine == sim::Engine::Batched;
-    // The grid varies rho/capacity/seed but never the trace or device,
-    // so one compiled trace serves every point. A direct caller without
-    // one (a single run, a test) compiles its own.
-    std::optional<hot::CompiledTrace> local;
-    const hot::CompiledTrace* trace = compiled;
-    if ((hot_engine || batched_engine) && trace == nullptr) {
-      local.emplace(config.trace, config.device);
-      trace = &*local;
-    }
-    // Mirror of the engines' internal dispatch: batch::simulate
-    // degrades to hot::simulate for batch-ineligible runs, and hot
-    // itself falls back to the reference interpreter (storm faults,
-    // attached observers), so count each run where it actually lands.
-    const bool batch_lane =
-        batched_engine && batch::lane_eligible(hybrid, options);
-    ran_batched = batch_lane;
-    ran_hot = (hot_engine || (batched_engine && !batch_lane)) &&
-              hot::lane_eligible(hybrid, options);
-
-    // The auditor is built after eligibility is known: hot and batched
-    // lanes always fail fast (the catch below self-heals them),
-    // reference runs fail fast only in strict mode (the escape is the
-    // resilience layer's contract_violation). Tamper models a compiled
-    // -engine defect, so it arms only on a hot or batched lane — and
-    // never on the replay.
-    std::optional<audit::Auditor> auditor;
-    std::optional<VerifyingSolveCache> verifier;
-    core::SlotSolveCache* point_cache = cache;
-    if (config.audit.enabled()) {
-      audit::AuditSpec spec = config.audit;
-      if (!((ran_hot || batch_lane) && tamper_allowed)) {
-        spec.tamper_slot = audit::npos;
-      }
-      auditor.emplace(spec, ran_hot || batch_lane ||
-                                spec.mode == audit::Mode::Strict);
-      options.auditor = &*auditor;
-      if (fresh_source != nullptr) {
-        verifier.emplace(*cache, *fresh_source, *auditor);
-        point_cache = &*verifier;
-      }
-    }
-    if (point_cache != nullptr) {
-      fc_policy->set_solve_cache(point_cache);
-    }
-
-    try {
-      if (batched_engine) {
-        return batch::simulate(*trace, dpm_policy, *fc_policy, hybrid,
-                               options);
-      }
-      if (hot_engine) {
-        return hot::simulate(*trace, dpm_policy, *fc_policy, hybrid,
-                             options);
-      }
-      return sim::simulate(config.trace, dpm_policy, *fc_policy, hybrid,
-                           options);
-    } catch (const audit::AuditError&) {
-      // The auditor dies with this frame; keep its tally for the
-      // fallback record before rethrowing to the dispatcher.
-      if (auditor.has_value()) {
-        failed_stats = auditor->stats();
-      }
-      throw;
-    }
-  };
 
   SweepPointResult out;
   out.point = point;
-  try {
-    out.result = run_once(config.simulation.engine, /*tamper_allowed=*/true,
-                          out.ran_hot, out.ran_batched);
-  } catch (const audit::AuditError&) {
-    if (!out.ran_hot && !out.ran_batched) {
-      // Reference-engine violation: nothing trusted to heal onto.
-      throw;
-    }
-    // Self-heal: the compiled lane broke an invariant, so replay the
-    // point on the reference engine (fresh state, tamper disarmed) and
-    // keep that result, recording the run's violations as a fallback.
-    const audit::AuditStats hot_stats = failed_stats.value_or(
-        audit::AuditStats{});
-    failed_stats.reset();
-    out.result = run_once(sim::Engine::Reference, /*tamper_allowed=*/false,
-                          out.ran_hot, out.ran_batched);
-    if (!out.result.audit.has_value()) {
-      out.result.audit.emplace();
-      out.result.audit->mode = static_cast<int>(config.audit.mode);
-    }
-    audit::record_engine_fallback(*out.result.audit, hot_stats);
-  }
+  out.result = run_one(config, point.policy, cache, compiled, &out.engine);
   return out;
 }
 
 namespace {
 
-// Points the batch loop can take directly; everything else (fault
-// storms, multi-stack sources) runs alone through run_point, which
-// still dispatches through batch::simulate's fallback chain.
+// Points a batched task can carry, judged from the grid point before
+// any hybrid exists; everything else (fault storms, multi-stack
+// sources) runs alone through run_point, which asks choose_engine.
 bool batch_point_eligible(const SweepPoint& point) {
   return point.storm_seed == 0 && point.stacks == 0;
 }
@@ -321,7 +302,8 @@ void run_batch_chunk(
     config.storage_capacity = point.capacity;
     config.initial_storage = min(base.initial_storage, point.capacity);
     power::HybridPowerSource hybrid = sim::make_hybrid(config);
-    if (!batch::lane_eligible(hybrid, options)) {
+    if (sim::choose_engine(sim::Engine::Batched, hybrid, options).engine !=
+        sim::Engine::Batched) {
       lane_out(i) = run_point(base, point, storm_faults, cache, nullptr, 0,
                               &compiled);
       continue;
@@ -358,8 +340,7 @@ void run_batch_chunk(
     if (outcome.end == batch::LaneOutcome::End::Completed) {
       out.point = point;
       out.result = std::move(outcome.result);
-      out.ran_hot = false;
-      out.ran_batched = true;
+      out.engine = sim::Engine::Batched;
       continue;
     }
     // AuditFailed (budgets are never set here): heal on the reference
@@ -367,13 +348,9 @@ void run_batch_chunk(
     sim::ExperimentConfig ref = base;
     ref.simulation.engine = sim::Engine::Reference;
     out = run_point(ref, point, storm_faults, cache);
-    const audit::AuditStats failed =
-        outcome.result.audit.value_or(audit::AuditStats{});
-    if (!out.result.audit.has_value()) {
-      out.result.audit.emplace();
-      out.result.audit->mode = static_cast<int>(base.audit.mode);
-    }
-    audit::record_engine_fallback(*out.result.audit, failed);
+    audit::record_engine_fallback(
+        out.result.audit.value(),
+        outcome.result.audit.value_or(audit::AuditStats{}));
   }
 }
 
@@ -381,16 +358,15 @@ void SweepRunStats::add_batch(const batch::BatchStats& task) noexcept {
   batch_merge_sets += task.merge_sets;
   batch_merged_lane_slots += task.merged_lane_slots;
   batch_splits += task.splits;
-  batch_journal_hits += task.journal_hits;
 }
 
 void account_point(telemetry::WorkerShard& shard,
                    const SweepPointResult& done, double wall_us) {
   shard.points_done.fetch_add(1, std::memory_order_relaxed);
   shard.slots.fetch_add(done.result.slots, std::memory_order_relaxed);
-  if (done.ran_batched) {
+  if (done.engine == sim::Engine::Batched) {
     shard.batched_dispatches.fetch_add(1, std::memory_order_relaxed);
-  } else if (done.ran_hot) {
+  } else if (done.engine == sim::Engine::Hot) {
     shard.hot_dispatches.fetch_add(1, std::memory_order_relaxed);
   } else {
     shard.reference_dispatches.fetch_add(1, std::memory_order_relaxed);
@@ -443,7 +419,8 @@ double TimedTask::finish() {
 }
 
 void TimedTask::record_lane(std::size_t point_index, std::size_t attempt,
-                            bool ok, bool quarantined, bool hot) const {
+                            bool ok, bool quarantined,
+                            sim::Engine engine) const {
   telemetry::LaneRecorder* lanes = telemetry_->lanes();
   if (lanes == nullptr) {
     return;
@@ -460,7 +437,7 @@ void TimedTask::record_lane(std::size_t point_index, std::size_t attempt,
                  .cache_misses = count(tap_.has_value() ? tap_->misses() : 0),
                  .ok = ok,
                  .quarantined = quarantined,
-                 .hot = hot});
+                 .engine = engine});
 }
 
 SweepResult run_sweep(const sim::ExperimentConfig& base,
@@ -479,8 +456,7 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
   // Compile the trace once, up front, and share it read-only across all
   // workers (CompiledTrace is immutable after construction).
   std::optional<hot::CompiledTrace> compiled;
-  if (base.simulation.engine == sim::Engine::Hot ||
-      base.simulation.engine == sim::Engine::Batched) {
+  if (base.simulation.engine != sim::Engine::Reference) {
     compiled.emplace(base.trace, base.device);
   }
   const hot::CompiledTrace* shared =
@@ -528,7 +504,8 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
             account_point(task.shard(), out.points[k], per_point_us);
           }
           // One lane per chunk: the span covers every point it carried.
-          task.record_lane(chunk.front(), 1, true, false, false);
+          task.record_lane(chunk.front(), 1, true, false,
+                           sim::Engine::Batched);
         }
         return;
       }
@@ -537,7 +514,7 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
                                 task.cache(), nullptr, 0, shared);
       if (tel != nullptr) {
         account_point(task.shard(), out.points[k], task.finish());
-        task.record_lane(k, 1, true, false, out.points[k].ran_hot);
+        task.record_lane(k, 1, true, false, out.points[k].engine);
       }
     });
   }
@@ -546,7 +523,7 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
     out.stats.add_batch(s);
   }
   for (const SweepPointResult& r : out.points) {
-    if (r.ran_batched) {
+    if (r.engine == sim::Engine::Batched) {
       ++out.stats.points_batched;
     }
   }

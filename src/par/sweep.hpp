@@ -8,6 +8,14 @@
 // grid index. Results are therefore bit-identical for any job count —
 // `--jobs 8` must reproduce `--jobs 1` exactly, and the tests hold it
 // to that.
+//
+// Every single run goes through run_one, which run_point and the CLI's
+// run/compare share. It asks sim::choose_engine once, after building the
+// governor. Its auditor fails fast, and its tamper drill arms, only on a
+// compiled lane (strict mode fails fast everywhere). A compiled-lane
+// audit failure is healed by replaying on the reference loop and
+// recording an engine fallback. Batched tasks decide per lane in
+// run_batch_chunk.
 #pragma once
 
 #include <cstdint>
@@ -87,14 +95,9 @@ struct SweepOptions {
 struct SweepPointResult {
   SweepPoint point;
   sim::SimulationResult result;
-  /// The compiled hot lane actually ran this point (engine == Hot and
-  /// the run was lane-eligible; storms/observers fall back to the
-  /// reference interpreter inside hot::simulate).
-  bool ran_hot = false;
-  /// The batched engine actually ran this point (engine == Batched and
-  /// the point was batch-eligible — fault-free, single-stack, paper
-  /// hybrid). Mutually exclusive with ran_hot.
-  bool ran_batched = false;
+  /// The loop whose result this is: where sim::choose_engine landed the
+  /// point, or Reference after a self-heal replay.
+  sim::Engine engine = sim::Engine::Reference;
 };
 
 struct SweepRunStats {
@@ -107,11 +110,12 @@ struct SweepRunStats {
   /// Points the batched engine ran (engine Batched, batch-eligible).
   std::size_t points_batched = 0;
   /// Merge accounting aggregated over every batched task: sets formed,
-  /// follower-slots served by a leader, followers split back out, and
-  /// follower solves answered from a leader's per-slot journal.
+  /// follower-slots served by a leader, and followers split back out.
   std::size_t batch_merge_sets = 0;
   std::size_t batch_merged_lane_slots = 0;
   std::size_t batch_splits = 0;
+  /// Always 0: the per-slot solve journal it counted is gone. Kept for
+  /// the `journal_hits` field of the batch block and the bench readers.
   std::uint64_t batch_journal_hits = 0;
 
   /// Add one batched task's merge accounting.
@@ -135,15 +139,24 @@ struct SweepResult {
   SweepRunStats stats;
 };
 
-/// Evaluate one grid point serially (what each worker runs). `cancel`
-/// and `slot_budget` thread straight into SimulationOptions: the
-/// resilience layer uses them for watchdog cancellation and the
-/// deterministic per-point deadline; the defaults leave the plain sweep
-/// path untouched. When `base.simulation.engine == sim::Engine::Hot`
-/// the point runs through hot::simulate (bit-identical), and when it is
-/// `sim::Engine::Batched` through batch::simulate (a B = 1 batch, with
-/// the same transparent fallback chain); `compiled` is the trace
-/// compiled once by the sweep runner and shared read-only across
+/// One run of `policy` under `config` (see the file comment). Policies,
+/// hybrid, governor and auditor are built fresh; the options' observer,
+/// injector, cancel token and budget are used as given. `cache` is
+/// attached to the FC policy; `compiled`, when given, is config's trace
+/// compiled once; `landed` receives the loop whose result is returned.
+[[nodiscard]] sim::SimulationResult run_one(
+    const sim::ExperimentConfig& config, sim::PolicyKind policy,
+    core::SlotSolveCache* cache = nullptr,
+    const hot::CompiledTrace* compiled = nullptr,
+    sim::Engine* landed = nullptr);
+
+/// Evaluate one grid point serially (what each worker runs): run_one
+/// over the point's config, with a fresh storm injector for a nonzero
+/// storm seed and no observer. `cancel` and `slot_budget` thread
+/// straight into SimulationOptions: the resilience layer uses them for
+/// watchdog cancellation and the deterministic per-point deadline; the
+/// defaults leave the plain sweep path untouched. `compiled` is the
+/// trace compiled once by the sweep runner and shared read-only across
 /// points — nullptr makes the point compile its own.
 [[nodiscard]] SweepPointResult run_point(
     const sim::ExperimentConfig& base, const SweepPoint& point,
@@ -159,7 +172,8 @@ inline constexpr std::size_t kBatchMax = 16;
 /// True when a sweep over `base` runs multi-point batched tasks: the
 /// batched engine with no cap governor, no strict or tampered audit and
 /// no multi-stack source. Other base configs keep the per-point path,
-/// where batch::simulate degrades per point. Both runners ask this.
+/// where run_point asks sim::choose_engine per point. Both runners ask
+/// this; it plans from the config alone, before any hybrid exists.
 [[nodiscard]] bool batched_sweep(const sim::ExperimentConfig& base);
 
 /// Plan the tasks of a batched sweep over `indices` (grid indices into
@@ -167,8 +181,8 @@ inline constexpr std::size_t kBatchMax = 16;
 /// with one rho and at most kBatchMax points, so concatenating the
 /// tasks gives `indices` back. Adjacent whole policy runs are packed
 /// into one task (merge sets only form within one FC policy); a run is
-/// cut only when it alone exceeds kBatchMax. A point the batch loop
-/// cannot take (fault storm, forced stacks), or one left alone by the
+/// cut only when it alone exceeds kBatchMax. A point a batched task
+/// cannot carry (fault storm, forced stacks), or one left alone by the
 /// packing, is a one-point task. Depends on the points alone, never on
 /// the job count.
 [[nodiscard]] std::vector<std::span<const std::size_t>> plan_batches(
@@ -178,9 +192,9 @@ inline constexpr std::size_t kBatchMax = 16;
 /// Run one multi-point task: every lane shares the compiled trace, one
 /// DPM policy (rho is constant within a task) and one slot loop. The
 /// result of lane i (grid point `task[i]`) is written to lane_out(i).
-/// A lane whose hybrid is batch-ineligible runs alone through
-/// run_point, and a fail-fast audit violation self-heals like
-/// run_point's: the point is replayed on the reference engine and the
+/// A lane sim::choose_engine does not land on Batched runs alone
+/// through run_point, and a fail-fast audit violation self-heals like
+/// run_one's: the point is replayed on the reference engine and the
 /// fallback recorded. Merge accounting is added to `stats`. Throws what
 /// the runs throw; lanes written before the throw are then partial.
 void run_batch_chunk(
@@ -217,7 +231,7 @@ class TimedTask {
   /// Record the task's span as one trace lane (no-op unless lanes are
   /// recorded); call after finish().
   void record_lane(std::size_t point_index, std::size_t attempt, bool ok,
-                   bool quarantined, bool hot) const;
+                   bool quarantined, sim::Engine engine) const;
 
  private:
   telemetry::SweepTelemetry* telemetry_;

@@ -84,8 +84,7 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
   // One compiled trace serves every attempt and spot-check, shared
   // read-only across workers, as in par::run_sweep.
   std::optional<hot::CompiledTrace> compiled;
-  if (base.simulation.engine == sim::Engine::Hot ||
-      base.simulation.engine == sim::Engine::Batched) {
+  if (base.simulation.engine != sim::Engine::Reference) {
     compiled.emplace(base.trace, base.device);
   }
   const hot::CompiledTrace* shared =
@@ -306,7 +305,8 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
                                      std::memory_order_relaxed);
           task.record_lane(item.index, item.attempt, outcomes[j].ok,
                            quarantined(j),
-                           outcomes[j].ok && outcomes[j].result.ran_hot);
+                           outcomes[j].ok ? outcomes[j].result.engine
+                                          : sim::Engine::Reference);
         }
         journal_outcome(j);
       };
@@ -353,7 +353,9 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
             any_quarantined = any_quarantined || quarantined(j);
           }
           task.record_lane(lanes.front(), batch[first].attempt, ok,
-                           any_quarantined, false);
+                           any_quarantined,
+                           ran ? sim::Engine::Batched
+                               : outcomes[first].result.engine);
         }
         for (std::size_t j = first; j < first + lanes.size(); ++j) {
           journal_outcome(j);
@@ -424,7 +426,7 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
           .count();
 
   for (const ResilientPoint& point : out.points) {
-    if (point.ok && point.result.ran_batched) {
+    if (point.ok && point.result.engine == sim::Engine::Batched) {
       ++out.stats.points_batched;
     }
     if (!point.ok) {

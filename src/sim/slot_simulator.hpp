@@ -15,6 +15,7 @@
 #include "obs/context.hpp"
 #include "power/hybrid.hpp"
 #include "sim/cancellation.hpp"
+#include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "workload/trace.hpp"
 
@@ -31,15 +32,6 @@ class Auditor;
 }
 
 namespace fcdpm::sim {
-
-/// Which slot-loop implementation executes a run. Both produce
-/// bit-identical results; the reference loop stays as the differential
-/// oracle the hot engine is tested against.
-enum class Engine {
-  Reference,  ///< sim::simulate's virtual-dispatch loop (the oracle)
-  Hot,        ///< fcdpm::hot — compiled trace, allocation-free slot loop
-  Batched,    ///< fcdpm::batch — SoA multi-point slot loop over hot lanes
-};
 
 struct SimulationOptions {
   /// Buffer charge at t = 0; negative means "start full". Default is
@@ -83,8 +75,9 @@ struct SimulationOptions {
   /// mutates simulation state, so results are bit-identical with it
   /// attached. Its stats are copied into SimulationResult::audit. A
   /// fail-fast auditor may throw audit::AuditError from a slot
-  /// boundary; the dispatchers (par::run_point, the CLI) self-heal a
-  /// hot-engine throw by replaying on the reference engine. Not owned.
+  /// boundary; par::run_one (behind run_point and the CLI) self-heals a
+  /// compiled-engine throw by replaying on the reference engine. Not
+  /// owned.
   audit::Auditor* auditor = nullptr;
   /// Opt-in cooperative cancellation. Checked (and `beat()`) once per
   /// slot boundary; a cancelled token makes simulate() throw
@@ -96,9 +89,9 @@ struct SimulationOptions {
   /// limit). Simulated-slot based, so the same point exceeds (or meets)
   /// its deadline identically on any machine.
   std::size_t slot_budget = 0;
-  /// Which engine executes the run. sim::simulate itself always runs the
-  /// reference loop; dispatchers that know about the hot engine
-  /// (hot::simulate, par::run_sweep, the CLI) consult this field.
+  /// Which engine the run asks for. sim::simulate itself always runs the
+  /// reference loop; the dispatchers (hot::simulate, batch::simulate,
+  /// par::run_one) pass this to sim::choose_engine.
   Engine engine = Engine::Reference;
 };
 

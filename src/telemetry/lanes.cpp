@@ -36,7 +36,7 @@ void emit_lanes(const LaneRecorder& recorder, std::size_t total_points,
       begin.args[0] = {"index", static_cast<double>(lane.point_index)};
       begin.args[1] = {"attempt", static_cast<double>(lane.attempt)};
       begin.args[2] = {"cache_hits", static_cast<double>(lane.cache_hits)};
-      begin.args[3] = {"hot", lane.hot ? 1.0 : 0.0};
+      begin.args[3] = {"engine", static_cast<double>(lane.engine)};
       sink.event(begin);
 
       obs::TraceEvent end;

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/engine.hpp"
+
 namespace fcdpm::obs {
 class TraceSink;
 }  // namespace fcdpm::obs
@@ -33,7 +35,8 @@ struct PointLane {
   /// Failed final attempt: the point will not run again. Lets the
   /// queue-depth counter settle failed points too.
   bool quarantined = false;
-  bool hot = false;  ///< the hot lane actually ran this attempt
+  /// The loop that ran this attempt (a batched task: Batched).
+  sim::Engine engine = sim::Engine::Reference;
 };
 
 class LaneRecorder {
@@ -64,8 +67,9 @@ class LaneRecorder {
 
 /// Replay the recorded lanes into `sink` (single-threaded):
 ///   track base_track + 1 + w  — named "sweep worker w", one span per
-///                               point attempt with index/hits/misses
-///                               args;
+///                               point attempt with index, attempt,
+///                               cache_hits and engine (0 reference,
+///                               1 hot, 2 batched) args;
 ///   track base_track          — counter samples "sweep.queue_depth"
 ///                               (grid points not yet settled) and
 ///                               "sweep.cache_hit_rate" (cumulative),

@@ -167,7 +167,7 @@ TEST(AuditedSimulation, TamperedHotLaneSelfHealsExactlyOnce) {
   EXPECT_EQ(healed.result.audit->violations, 1u);
   EXPECT_EQ(healed.result.audit->first_violation, "delivered_integral");
   EXPECT_EQ(healed.result.audit->first_violation_slot, 12u);
-  EXPECT_FALSE(healed.ran_hot);
+  EXPECT_EQ(healed.engine, sim::Engine::Reference);
 
   // The healed observables are the reference engine's, bit for bit.
   sim::ExperimentConfig reference = small_config(Mode::Off);

@@ -55,8 +55,7 @@ TEST(SweepBatchedEngine, ReproducesTheReferenceSweepBitForBit) {
   EXPECT_GT(got.stats.batch_merge_sets, 0u);
   EXPECT_GT(got.stats.batch_merged_lane_slots, 0u);
   for (const par::SweepPointResult& point : got.points) {
-    EXPECT_TRUE(point.ran_batched);
-    EXPECT_FALSE(point.ran_hot);
+    EXPECT_EQ(point.engine, sim::Engine::Batched);
   }
 }
 
@@ -96,7 +95,9 @@ TEST(SweepBatchedEngine, StormPointsFallBackPerPointAndStayIdentical) {
   // seed-0 half of the grid is batched, the rest dispatched per point.
   EXPECT_EQ(got.stats.points_batched, got.points.size() / 2);
   for (const par::SweepPointResult& point : got.points) {
-    EXPECT_EQ(point.ran_batched, point.point.storm_seed == 0);
+    EXPECT_EQ(point.engine, point.point.storm_seed == 0
+                                ? sim::Engine::Batched
+                                : sim::Engine::Reference);
   }
 }
 

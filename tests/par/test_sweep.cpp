@@ -143,8 +143,7 @@ void expect_bit_identical(const SweepPointResult& a,
   EXPECT_TRUE(same_bits(x.storage_max.value(), y.storage_max.value()));
   EXPECT_EQ(x.slots, y.slots);
   EXPECT_EQ(x.sleeps, y.sleeps);
-  EXPECT_EQ(a.ran_hot, b.ran_hot);
-  EXPECT_EQ(a.ran_batched, b.ran_batched);
+  EXPECT_EQ(a.engine, b.engine);
   ASSERT_EQ(x.audit.has_value(), y.audit.has_value());
   if (x.audit.has_value()) {
     EXPECT_EQ(x.audit->slots_audited, y.audit->slots_audited);

@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/csv.hpp"
+#include "fault/injector.hpp"
+#include "fault/schedule.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "par/worker_pool.hpp"
@@ -576,7 +579,7 @@ TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
       }
       ASSERT_TRUE(point.ok);
       EXPECT_EQ(point.attempts, 1u);
-      EXPECT_TRUE(point.result.ran_batched);
+      EXPECT_EQ(point.result.engine, sim::Engine::Batched);
       EXPECT_TRUE(sim::same_result(point.result.result,
                                    plain.points[k].result));
     }
@@ -879,6 +882,80 @@ TEST(ResilientSweepTest, TelemetryAttachedRunStaysBitIdentical) {
                        reference.points[k].result.result);
   }
   EXPECT_EQ(tel.snapshot().done, reference.points.size());
+}
+
+/// The loop sim::choose_engine picks for `point` under `base`, built
+/// the way run_point builds the run: the point's source and, for a
+/// nonzero storm seed, its injector.
+sim::Engine chosen_engine(const sim::ExperimentConfig& base,
+                          const par::SweepPoint& point,
+                          std::size_t storm_faults) {
+  sim::ExperimentConfig config = base;
+  config.storage_capacity = point.capacity;
+  if (point.stacks > 0) {
+    config.stacks.enabled = true;
+    config.stacks.count = point.stacks;
+    config.stacks.distribution = point.distribution;
+  }
+  const power::HybridPowerSource hybrid = sim::make_hybrid(config);
+  sim::SimulationOptions options = config.simulation;
+  std::optional<fault::FaultInjector> injector;
+  if (point.storm_seed != 0) {
+    injector.emplace(fault::FaultSchedule::random_storm(
+        point.storm_seed, storm_faults,
+        config.trace.stats().total_duration()));
+    options.faults = &*injector;
+  }
+  return sim::choose_engine(base.simulation.engine, hybrid, options).engine;
+}
+
+TEST(ResilientSweepTest, BothRunnersReportTheEngineChooseEnginePicks) {
+  const sim::ExperimentConfig reference_base = small_base();
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::FcDpm, sim::PolicyKind::Asap};
+  grid.rhos = {0.5};
+  grid.capacities = {Coulomb(3.0), Coulomb(6.0)};
+  grid.storm_seeds = {0, 7};
+  grid.stack_counts = {0, 3};
+  grid.storm_faults = 6;
+  const par::SweepResult reference = par::run_sweep(reference_base, grid);
+
+  for (const sim::Engine engine : {sim::Engine::Hot, sim::Engine::Batched}) {
+    sim::ExperimentConfig base = reference_base;
+    base.simulation.engine = engine;
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("engine " + std::to_string(static_cast<int>(engine)) +
+                   ", jobs " + std::to_string(jobs));
+      par::SweepOptions plain_options;
+      plain_options.jobs = jobs;
+      const par::SweepResult plain = par::run_sweep(base, grid, plain_options);
+      ResilienceOptions resilient_options;
+      resilient_options.jobs = jobs;
+      const ResilientSweepResult resilient =
+          run_resilient_sweep(base, grid, resilient_options);
+      ASSERT_EQ(plain.points.size(), reference.points.size());
+      ASSERT_EQ(resilient.points.size(), reference.points.size());
+
+      std::size_t landed[3] = {0, 0, 0};
+      for (std::size_t k = 0; k < reference.points.size(); ++k) {
+        SCOPED_TRACE("point " + std::to_string(k));
+        const sim::Engine want =
+            chosen_engine(base, plain.points[k].point, grid.storm_faults);
+        ++landed[static_cast<int>(want)];
+        EXPECT_EQ(plain.points[k].engine, want);
+        EXPECT_TRUE(sim::same_result(plain.points[k].result,
+                                     reference.points[k].result));
+        ASSERT_TRUE(resilient.points[k].ok);
+        EXPECT_EQ(resilient.points[k].result.engine, want);
+        EXPECT_TRUE(sim::same_result(resilient.points[k].result.result,
+                                     reference.points[k].result));
+      }
+      // Storms and stacks land on the reference loop, plain points on the
+      // requested one.
+      EXPECT_EQ(landed[static_cast<int>(sim::Engine::Reference)], 12u);
+      EXPECT_EQ(landed[static_cast<int>(engine)], 4u);
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,43 @@ TEST(LanesTest, EveryWorkerGetsItsOwnNamedTrack) {
   }
   EXPECT_EQ(spans_on_11, 1);
   EXPECT_EQ(spans_on_13, 1);
+}
+
+TEST(LanesTest, PointSpansCarryTheLandedEngine) {
+  LaneRecorder recorder(1, 3);
+  PointLane reference = lane(0, 1000, 0);
+  PointLane hot = lane(1000, 2000, 1);
+  hot.engine = sim::Engine::Hot;
+  PointLane batched = lane(2000, 3000, 2);
+  batched.engine = sim::Engine::Batched;
+  recorder.record(0, reference);
+  recorder.record(0, hot);
+  recorder.record(0, batched);
+
+  std::ostringstream out;
+  obs::JsonlTraceSink sink(out);
+  emit_lanes(recorder, 3, sink);
+
+  std::vector<std::string> begins;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"ph\":\"B\"") != std::string::npos) {
+      begins.push_back(line);
+    }
+  }
+  // sim::Engine's order: 0 reference, 1 hot, 2 batched.
+  ASSERT_EQ(begins.size(), 3u);
+  EXPECT_EQ(begins[0],
+            R"({"ph":"B","name":"point","cat":"sweep","t":0,"track":1,)"
+            R"("args":{"index":0,"attempt":1,"cache_hits":0,"engine":0}})");
+  EXPECT_EQ(begins[1],
+            R"({"ph":"B","name":"point","cat":"sweep",)"
+            R"("t":1.0000000000000002e-06,"track":1,)"
+            R"("args":{"index":1,"attempt":1,"cache_hits":0,"engine":1}})");
+  EXPECT_EQ(begins[2],
+            R"({"ph":"B","name":"point","cat":"sweep",)"
+            R"("t":2.0000000000000003e-06,"track":1,)"
+            R"("args":{"index":2,"attempt":1,"cache_hits":0,"engine":2}})");
 }
 
 TEST(LanesTest, QueueDepthSettlesOkAndQuarantinedButNotRetries) {
