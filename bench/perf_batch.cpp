@@ -6,11 +6,15 @@
 // shape the batched engine amortizes) on the reference and batched
 // engines, at --jobs 1 and --jobs N — min-of-N wall clock with warmup —
 // plus the merge accounting of one batched run, and writes the lot
-// atomically as JSON.
+// atomically as JSON. The `single_run` block times the two compiled
+// loops on one run each, the shape of every single run: the hot lane
+// (hot::simulate_lane), which single runs take, against a one-lane
+// batch::run_batch, summed over the grid's points and reported per run.
 //
 // Two gates, both exit 1:
 //   * bit-identity: every batched point must reproduce the reference
-//     sweep to the last bit, at both job counts;
+//     sweep to the last bit, at both job counts, and every one-lane
+//     batch and hot-lane run must reproduce its reference point;
 //   * --min-speedup X (default 0 = report only): the measured jobs-1
 //     batched-vs-reference speedup must reach X. CI runs with
 //     --min-speedup 4; the checked-in baseline shows >= 4x.
@@ -20,13 +24,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "batch/engine.hpp"
 #include "common/atomic_file.hpp"
+#include "hot/engine.hpp"
 #include "par/sweep.hpp"
 #include "sim/experiments.hpp"
+#include "sim/result_fields.hpp"
 
 namespace {
 
@@ -91,6 +101,39 @@ bool identical_sweeps(const par::SweepResult& ref,
     }
   }
   return true;
+}
+
+/// One run of `point` alone, wired as par::run_point wires it, on the
+/// hot lane (`one_lane_batch` false) or as a one-lane batch. Adds the
+/// engine call's wall time, and nothing of the setup, to `seconds`.
+sim::SimulationResult single_run(const sim::ExperimentConfig& base,
+                                 const par::SweepPoint& point,
+                                 const hot::CompiledTrace& compiled,
+                                 bool one_lane_batch, double& seconds) {
+  sim::ExperimentConfig config = base;
+  config.rho = point.rho;
+  config.storage_capacity = point.capacity;
+  config.initial_storage = min(config.initial_storage, point.capacity);
+  dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
+  const std::unique_ptr<core::FcOutputPolicy> fc =
+      sim::make_fc_policy(point.policy, config);
+  power::HybridPowerSource hybrid = sim::make_hybrid(config);
+  sim::SimulationOptions options = config.simulation;
+  options.initial_storage = config.initial_storage;
+  std::vector<batch::BatchLaneSpec> lanes(1);
+  lanes[0].fc = fc.get();
+  lanes[0].hybrid = &hybrid;
+
+  sim::SimulationResult result;
+  const auto start = Clock::now();
+  if (one_lane_batch) {
+    result = std::move(
+        batch::run_batch(compiled, dpm_policy, lanes, options)[0].result);
+  } else {
+    result = hot::simulate_lane(compiled, dpm_policy, *fc, hybrid, options);
+  }
+  seconds += std::chrono::duration<double>(Clock::now() - start).count();
+  return result;
 }
 
 std::string json_number(double value) {
@@ -176,6 +219,44 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   batch_run.stats.batch_journal_hits));
 
+  // ---- Single runs: the hot lane against a one-lane batch. ------------
+  const hot::CompiledTrace compiled(batched.trace, batched.device);
+  const std::vector<par::SweepPoint> grid_points = grid.points(batched);
+  double discard = 0.0;
+  for (std::size_t k = 0; k < points; ++k) {
+    for (const bool one_lane_batch : {false, true}) {
+      if (!sim::same_result(single_run(batched, grid_points[k], compiled,
+                                       one_lane_batch, discard),
+                            ref_run.points[k].result)) {
+        fail(one_lane_batch
+                 ? "a one-lane batch diverged from the reference point"
+                 : "a hot-lane run diverged from the reference point");
+      }
+    }
+  }
+  // Rounds alternate the two loops so machine drift hits both alike;
+  // each keeps its best of 4 x --repeats rounds (a round is short).
+  double hot_best = 1e300;
+  double lane_best = 1e300;
+  for (int round = 0; round <= 4 * repeats; ++round) {  // round 0 warms up
+    for (const bool one_lane_batch : {false, true}) {
+      double seconds = 0.0;
+      for (const par::SweepPoint& point : grid_points) {
+        (void)single_run(batched, point, compiled, one_lane_batch, seconds);
+      }
+      double& best = one_lane_batch ? lane_best : hot_best;
+      if (round > 0 && seconds < best) {
+        best = seconds;
+      }
+    }
+  }
+  const double hot_us = hot_best / static_cast<double>(points) * 1e6;
+  const double lane_us = lane_best / static_cast<double>(points) * 1e6;
+  const double hot_speedup = hot_us > 0.0 ? lane_us / hot_us : 0.0;
+  std::printf("single run: hot lane %.2f us, one-lane batch %.2f us "
+              "(hot %.2fx)\n",
+              hot_us, lane_us, hot_speedup);
+
   // ---- Timing: min-of-N with warmup. ----------------------------------
   volatile double sink = 0.0;
   const auto time_sweep = [&](const sim::ExperimentConfig& config,
@@ -238,6 +319,14 @@ int main(int argc, char** argv) {
        << ",\n"
        << "    \"splits\": " << bs.batch_splits << ",\n"
        << "    \"journal_hits\": " << bs.batch_journal_hits << "\n"
+       << "  },\n"
+       << "  \"single_run\": {\n"
+       << "    \"points\": " << points << ",\n"
+       << "    \"bit_identical\": true,\n"
+       << "    \"hot_us_per_run\": " << json_number(hot_us) << ",\n"
+       << "    \"one_lane_batch_us_per_run\": " << json_number(lane_us)
+       << ",\n"
+       << "    \"hot_speedup\": " << json_number(hot_speedup) << "\n"
        << "  },\n"
        << "  \"timing\": {\n"
        << "    \"repeats\": " << repeats << ",\n"

@@ -46,8 +46,9 @@ constexpr Flag kFlags[] = {
     {"tank", kLifetime, Real, "A-s", "fuel tank (10000)", {.positive = true}},
     {"engine", kModel, Choice, "reference|hot|batched",
      "simulation engine (reference); hot = compiled-trace fast path, batched "
-     "= SoA multi-point batch loop, both bit-identical; batched rejects "
-     "--faults and --audit strict"},
+     "= SoA batch loop for multi-point sweep tasks (single runs take the "
+     "hot path), both bit-identical; batched rejects --faults and --audit "
+     "strict"},
     // Observability.
     {"trace-out", kObserved, Text, "f.json", "Chrome trace (f.jsonl: JSONL)"},
     {"metrics-out", kObserved, Text, "f.csv", "metrics dump (f.json: JSON)"},

@@ -23,7 +23,6 @@
 #include "common/atomic_file.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
-#include "batch/lifetime.hpp"
 #include "hot/compiled_trace.hpp"
 #include "hot/lifetime.hpp"
 #include "obs/context.hpp"
@@ -606,12 +605,10 @@ int cmd_lifetime(const Args& args) {
     r = sim::measure_lifetime(config.trace, dpm_policy, *fc_policy, hybrid,
                               lifetime_options);
   } else {
+    // A lifetime is a single run: --engine batched takes the hot lane.
     const hot::CompiledTrace compiled(config.trace, config.device);
-    r = config.simulation.engine == sim::Engine::Batched
-            ? batch::measure_lifetime(compiled, dpm_policy, *fc_policy,
-                                      hybrid, lifetime_options)
-            : hot::measure_lifetime(compiled, dpm_policy, *fc_policy, hybrid,
-                                    lifetime_options);
+    r = hot::measure_lifetime(compiled, dpm_policy, *fc_policy, hybrid,
+                              lifetime_options);
   }
 
   std::printf("%s on a %.0f A-s tank: ", sim::to_string(kind),

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "batch/state.hpp"
 #include "common/contracts.hpp"
-#include "hot/engine.hpp"
-#include "sim/cancellation.hpp"
 
 namespace fcdpm::batch {
 
@@ -47,7 +44,6 @@ struct Lane {
   /// own policy would have reached, by the merge_equivalent contract.
   std::unique_ptr<core::FcOutputPolicy> owned_fc;
   audit::Auditor* auditor = nullptr;
-  std::size_t budget = 0;
   std::size_t col = 0;  ///< BatchState column
   Kind kind = Kind::Generic;
   bool pure = false;
@@ -118,19 +114,13 @@ class BatchRunner {
   BatchRunner(const hot::CompiledTrace& ct, dpm::DpmPolicy& dpm_policy,
               const std::vector<BatchLaneSpec>& specs,
               const sim::SimulationOptions& shared,
-              core::SlotSolveCache* cache, BatchStats* stats, bool propagate)
-      : ct_(ct),
-        dpm_(dpm_policy),
-        shared_(shared),
-        cache_(cache),
-        stats_(stats),
-        propagate_(propagate) {
+              core::SlotSolveCache* cache, BatchStats* stats)
+      : ct_(ct), dpm_(dpm_policy), shared_(shared), cache_(cache),
+        stats_(stats) {
     const dpm::DevicePowerModel& device = dpm_policy.device();
     device.validate();
     FCDPM_EXPECTS(ct.compatible_with(device),
                   "compiled trace was built against a different device model");
-    FCDPM_EXPECTS(!shared.keep_slot_records || specs.size() == 1,
-                  "run_batch: slot records require a single lane");
     sleep_current_ = device.sleep_current();
     standby_current_ = device.standby_current();
     bus_v_ = device.bus_voltage.value();
@@ -138,18 +128,15 @@ class BatchRunner {
     init_lanes(specs);
     form_sets();
     wire_caches();
-    if (shared.keep_slot_records) {
-      records_.reserve(ct.size());
-    }
   }
 
   BatchRunner(const BatchRunner&) = delete;
   BatchRunner& operator=(const BatchRunner&) = delete;
 
   ~BatchRunner() {
-    // Every exit path — including thrown cancellation, budget and audit
-    // errors — leaves each hybrid exactly as its own reference run
-    // would have, and each policy with its original cache attachment.
+    // Every exit path leaves each hybrid exactly as its own reference
+    // run would have, and each policy with its original cache
+    // attachment.
     state_.write_back_all();
     for (auto& [fc, cache] : saved_caches_) {
       fc->set_solve_cache(cache);
@@ -157,20 +144,7 @@ class BatchRunner {
   }
 
   std::vector<LaneOutcome> run() {
-    const std::size_t slot_count = ct_.size();
-    for (std::size_t k = 0; k < slot_count; ++k) {
-      if (shared_.cancel != nullptr) {
-        shared_.cancel->beat();
-        if (shared_.cancel->cancelled()) {
-          throw sim::CancelledError("simulation cancelled at slot " +
-                                    std::to_string(k) + " of " +
-                                    std::to_string(slot_count));
-        }
-      }
-      eject_exhausted(k);
-      if (live_ == 0) {
-        break;
-      }
+    for (std::size_t k = 0; k < ct_.size() && live_ > 0; ++k) {
       slot(k);
       dpm_.observe_idle(slot_idle_);
     }
@@ -195,19 +169,15 @@ class BatchRunner {
           dynamic_cast<const power::LinearFuelSource&>(hybrid.source());
       auto& cap = dynamic_cast<power::SuperCapacitor&>(hybrid.storage());
 
-      Coulomb initial = cap.charge();
-      if (!shared_.preserve_source_state) {
-        const Coulomb capacity = cap.capacity();
-        initial = (shared_.initial_storage.value() < 0.0)
-                      ? capacity
-                      : min(shared_.initial_storage, capacity);
-        hybrid.reset(initial);
-      }
+      const Coulomb capacity = cap.capacity();
+      const Coulomb initial = (shared_.initial_storage.value() < 0.0)
+                                  ? capacity
+                                  : min(shared_.initial_storage, capacity);
+      hybrid.reset(initial);
 
       Lane lane;
       lane.fc = spec.fc;
       lane.auditor = spec.auditor;
-      lane.budget = spec.slot_budget;
       lane.col = state_.add_lane(hybrid, source, cap);
       lane.kind = kind_of(*spec.fc);
       lane.pure = spec.fc->segment_setpoint_is_pure();
@@ -364,10 +334,6 @@ class BatchRunner {
   }
 
   void solo_slot_dispatch(Lane& lane, std::size_t k) {
-    if (propagate_) {
-      solo_slot_kind(lane, k);
-      return;
-    }
     try {
       solo_slot_kind(lane, k);
     } catch (const audit::AuditError&) {
@@ -546,23 +512,6 @@ class BatchRunner {
 
     audit_slot(lane, k, col, fuel_before, delivered_before,
                if_dt_idle + if_dt_active);
-
-    if (shared_.keep_slot_records) {
-      sim::SlotRecord record;
-      record.index = k;
-      record.idle = slot_idle_;
-      record.active = active_eff_;
-      record.slept = plan_.slept;
-      const Seconds idle_span = plan_.total_duration();
-      record.if_idle = (idle_span.value() > 0.0) ? if_dt_idle / idle_span
-                                                 : Ampere(0.0);
-      record.if_active = if_dt_active / active_eff_;
-      record.fuel = state_.totals(col).fuel - fuel_before;
-      record.fuel_end = state_.totals(col).fuel;
-      record.storage_end = state_.charge(col);
-      record.latency = plan_.latency_spill;
-      records_.push_back(record);
-    }
   }
 
   /// One slot of a merge set: only the leader's policy runs — it plans
@@ -699,28 +648,23 @@ class BatchRunner {
     merged_lane_slots_ += set.followers.size();
 
     bool any_audit_failed = false;
-    if (propagate_) {
+    try {
       audit_slot(leader, k, lc, fuel_before, delivered_before,
                  if_dt_idle + if_dt_active);
-    } else {
+    } catch (const audit::AuditError&) {
+      eject_audit(leader, k);
+      any_audit_failed = true;
+    }
+    for (const std::size_t fi : set.followers) {
       try {
-        audit_slot(leader, k, lc, fuel_before, delivered_before,
+        audit_slot(lanes_[fi], k, lc, fuel_before, delivered_before,
                    if_dt_idle + if_dt_active);
       } catch (const audit::AuditError&) {
-        eject_audit(leader, k);
+        // Materialize the follower's state (bitwise the leader's)
+        // before stamping its partial result.
+        state_.adopt(lanes_[fi].col, lc);
+        eject_audit(lanes_[fi], k);
         any_audit_failed = true;
-      }
-      for (const std::size_t fi : set.followers) {
-        try {
-          audit_slot(lanes_[fi], k, lc, fuel_before, delivered_before,
-                     if_dt_idle + if_dt_active);
-        } catch (const audit::AuditError&) {
-          // Materialize the follower's state (bitwise the leader's)
-          // before stamping its partial result.
-          state_.adopt(lanes_[fi].col, lc);
-          eject_audit(lanes_[fi], k);
-          any_audit_failed = true;
-        }
       }
     }
     if (any_audit_failed) {
@@ -898,11 +842,6 @@ class BatchRunner {
 
   void finish_replay_audit(Lane& lane, std::size_t k,
                            const BatchState::Snapshot& snap0, Coulomb if_dt) {
-    if (propagate_) {
-      audit_slot(lane, k, lane.col, snap0.totals.fuel,
-                 snap0.totals.delivered_energy, if_dt);
-      return;
-    }
     try {
       audit_slot(lane, k, lane.col, snap0.totals.fuel,
                  snap0.totals.delivered_energy, if_dt);
@@ -939,57 +878,6 @@ class BatchRunner {
 
   // --- lane endings ----------------------------------------------------
 
-  void eject_exhausted(std::size_t k) {
-    for (Lane& lane : lanes_) {
-      if (lane.done || lane.budget == 0 || k < lane.budget) {
-        continue;
-      }
-      if (propagate_) {
-        throw sim::DeadlineExceededError(
-            "slot budget exhausted: " + std::to_string(lane.budget) +
-            " slots simulated, " + std::to_string(ct_.size()) + " required");
-      }
-      if (lane.merged) {
-        MergeSet& set = sets_[static_cast<std::size_t>(lane.set)];
-        state_.adopt(lane.col, lanes_[set.leader].col);
-        lane.merged = false;
-        lane.set = -1;
-        set.followers.erase(
-            std::find(set.followers.begin(), set.followers.end(),
-                      static_cast<std::size_t>(&lane - lanes_.data())));
-        if (set.followers.empty()) {
-          demote(set);
-        }
-      } else if (lane.set >= 0) {
-        promote_new_leader(sets_[static_cast<std::size_t>(lane.set)]);
-        lane.set = -1;
-      }
-      lane.out.end = LaneOutcome::End::BudgetExhausted;
-      stamp(lane, k);
-      end_audit(lane, k);
-      lane.done = true;
-      --live_;
-    }
-  }
-
-  /// The leader leaves; the smallest-capacity follower inherits its
-  /// columns and a clone of its policy (both bitwise the follower's own
-  /// state at the slot boundary) and leads the rest — the slack
-  /// invariant (leader capacity is the set minimum) holds.
-  void promote_new_leader(MergeSet& set) {
-    const std::size_t next = handoff_successor(set);
-    state_.adopt(lanes_[next].col, lanes_[set.leader].col);
-    materialize(lanes_[next], *lanes_[set.leader].fc);
-    lanes_[next].fc->set_solve_cache(&set.latch);
-    lanes_[next].merged = false;
-    set.followers.erase(
-        std::find(set.followers.begin(), set.followers.end(), next));
-    set.leader = next;
-    if (set.followers.empty()) {
-      demote(set);
-    }
-  }
-
   void eject_audit(Lane& lane, std::size_t k) {
     lane.out.end = LaneOutcome::End::AuditFailed;
     stamp(lane, k + 1);
@@ -1023,11 +911,6 @@ class BatchRunner {
     end.storage_end = lane.out.result.storage_end.value();
     end.storage_capacity = state_.capacity(lane.col);
     end.slots = slots;
-    if (propagate_) {
-      lane.auditor->on_run_end(end);
-      lane.out.result.audit = lane.auditor->stats();
-      return;
-    }
     try {
       lane.auditor->on_run_end(end);
       lane.out.result.audit = lane.auditor->stats();
@@ -1047,9 +930,6 @@ class BatchRunner {
                                           .leader].col);
       }
       stamp(lane, ct_.size());
-      if (shared_.keep_slot_records) {
-        lane.out.result.slot_records = std::move(records_);
-      }
       end_audit(lane, ct_.size());
       lane.done = true;
     }
@@ -1070,7 +950,6 @@ class BatchRunner {
   const sim::SimulationOptions& shared_;
   core::SlotSolveCache* cache_ = nullptr;
   BatchStats* stats_ = nullptr;
-  bool propagate_ = false;
 
   Ampere sleep_current_{0.0};
   Ampere standby_current_{0.0};
@@ -1085,7 +964,6 @@ class BatchRunner {
   std::vector<std::pair<core::FcOutputPolicy*, core::SlotSolveCache*>>
       saved_caches_;
   std::vector<std::size_t> solo_buf_;
-  std::vector<sim::SlotRecord> records_;
 
   std::size_t live_ = 0;
   std::size_t sleeps_ = 0;
@@ -1111,6 +989,10 @@ std::vector<LaneOutcome> run_batch(const hot::CompiledTrace& trace,
                                    const sim::SimulationOptions& shared,
                                    core::SlotSolveCache* solve_cache,
                                    BatchStats* stats) {
+  FCDPM_EXPECTS(shared.slot_budget == 0 && shared.cancel == nullptr &&
+                    !shared.keep_slot_records && !shared.preserve_source_state,
+                "run_batch: budgets, cancellation, slot records and preserved "
+                "source state are single-run options");
   for (const BatchLaneSpec& lane : lanes) {
     FCDPM_EXPECTS(lane.fc != nullptr && lane.hybrid != nullptr,
                   "run_batch: lane needs an FC policy and a hybrid");
@@ -1119,42 +1001,8 @@ std::vector<LaneOutcome> run_batch(const hot::CompiledTrace& trace,
                           .engine == sim::Engine::Batched,
                   "run_batch: lane is not batch-eligible");
   }
-  BatchRunner runner(trace, dpm_policy, lanes, shared, solve_cache, stats,
-                     /*propagate=*/false);
+  BatchRunner runner(trace, dpm_policy, lanes, shared, solve_cache, stats);
   return runner.run();
-}
-
-sim::SimulationResult simulate_on(sim::Engine engine,
-                                  const hot::CompiledTrace& trace,
-                                  dpm::DpmPolicy& dpm_policy,
-                                  core::FcOutputPolicy& fc_policy,
-                                  power::HybridPowerSource& hybrid,
-                                  const sim::SimulationOptions& options) {
-  if (engine == sim::Engine::Reference) {
-    return sim::simulate(trace.trace(), dpm_policy, fc_policy, hybrid,
-                         options);
-  }
-  if (engine == sim::Engine::Hot) {
-    return hot::simulate_lane(trace, dpm_policy, fc_policy, hybrid, options);
-  }
-  std::vector<BatchLaneSpec> lanes(1);
-  lanes[0].fc = &fc_policy;
-  lanes[0].hybrid = &hybrid;
-  lanes[0].auditor = options.auditor;
-  lanes[0].slot_budget = options.slot_budget;
-  BatchRunner runner(trace, dpm_policy, lanes, options, nullptr, nullptr,
-                     /*propagate=*/true);
-  return std::move(runner.run()[0].result);
-}
-
-sim::SimulationResult simulate(const hot::CompiledTrace& trace,
-                               dpm::DpmPolicy& dpm_policy,
-                               core::FcOutputPolicy& fc_policy,
-                               power::HybridPowerSource& hybrid,
-                               const sim::SimulationOptions& options) {
-  return simulate_on(
-      sim::choose_engine(sim::Engine::Batched, hybrid, options).engine,
-      trace, dpm_policy, fc_policy, hybrid, options);
 }
 
 }  // namespace fcdpm::batch

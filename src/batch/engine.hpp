@@ -15,11 +15,10 @@
 // suffix on its own columns. Every lane's result is bit-identical to
 // running that point alone on the reference engine.
 //
-// batch::simulate is the single-run entry (Engine::Batched): it asks
-// sim::choose_engine once and runs a B = 1 batch, the hot lane (an
-// observer or a governor, which the batch loop does not mirror) or the
-// reference loop (anything hot itself cannot take) — calling it is
-// always safe. A dispatcher that has already decided calls simulate_on.
+// The batch loop serves multi-point sweep tasks only (par::run_batch_chunk).
+// A single run takes the hot lane instead, even when Engine::Batched is
+// asked for: at B = 1 the hot lane is faster and bit-identical
+// (BENCH_batch.json, `single_run`).
 #pragma once
 
 #include <cstddef>
@@ -46,18 +45,13 @@ struct BatchLaneSpec {
   /// a violation ejects the lane with End::AuditFailed; the caller
   /// self-heals by replaying on the reference engine.
   audit::Auditor* auditor = nullptr;
-  /// 0 = run the whole trace; otherwise the lane is ejected with
-  /// End::BudgetExhausted before simulating slot `slot_budget` (ragged
-  /// batches: lanes finish at different lifetimes).
-  std::size_t slot_budget = 0;
 };
 
 /// How one lane's run ended.
 struct LaneOutcome {
   enum class End {
-    Completed,        ///< whole trace simulated
-    BudgetExhausted,  ///< spec.slot_budget hit; result holds the prefix
-    AuditFailed,      ///< fail-fast audit violation; result.audit has it
+    Completed,    ///< whole trace simulated
+    AuditFailed,  ///< fail-fast audit violation; result.audit has it
   };
   End end = End::Completed;
   sim::SimulationResult result;
@@ -77,13 +71,14 @@ struct BatchStats {
 /// Run every lane over `trace` in one slot loop. All lanes share
 /// `dpm_policy` (legal because DPM state is a function of the trace's
 /// actual idle times only — each per-point copy would see the identical
-/// sequence) and the shared options' initial_storage / cancellation /
-/// preserve flags; auditor and slot budget are per lane via the spec.
+/// sequence) and the shared options' initial_storage; the auditor is
+/// per lane via the spec.
 ///
 /// Requires: sim::choose_engine(Batched, *lane.hybrid, shared) lands
-/// every lane on Batched (checked); keep_slot_records only with a
-/// single lane. Callers that cannot guarantee that go through
-/// batch::simulate or par::run_sweep, which fall back per point.
+/// every lane on Batched, and `shared` sets no slot budget, cancellation
+/// token, slot records or preserved source state (all checked). Callers
+/// that cannot guarantee that go through par::run_sweep, which falls
+/// back per point.
 ///
 /// `solve_cache` (optional) is attached to unmerged lanes, and merged
 /// ones solve through it — pass the sweep's shared memo tap to get
@@ -93,24 +88,5 @@ struct BatchStats {
     const std::vector<BatchLaneSpec>& lanes,
     const sim::SimulationOptions& shared,
     core::SlotSolveCache* solve_cache = nullptr, BatchStats* stats = nullptr);
-
-/// Run on `engine` without deciding: the caller's sim::choose_engine
-/// landed this run there. Batched is a B = 1 batch, Hot the hot lane,
-/// Reference sim::simulate(trace.trace(), ...). Budget exhaustion and
-/// fail-fast audit violations throw exactly like the hot engine's
-/// single-run path (DeadlineExceededError / AuditError).
-[[nodiscard]] sim::SimulationResult simulate_on(
-    sim::Engine engine, const hot::CompiledTrace& trace,
-    dpm::DpmPolicy& dpm_policy, core::FcOutputPolicy& fc_policy,
-    power::HybridPowerSource& hybrid,
-    const sim::SimulationOptions& options = {});
-
-/// Single-run entry for Engine::Batched: simulate_on wherever
-/// sim::choose_engine(Batched, ...) lands the run. Bit-identical to the
-/// reference in every case.
-[[nodiscard]] sim::SimulationResult simulate(
-    const hot::CompiledTrace& trace, dpm::DpmPolicy& dpm_policy,
-    core::FcOutputPolicy& fc_policy, power::HybridPowerSource& hybrid,
-    const sim::SimulationOptions& options = {});
 
 }  // namespace fcdpm::batch

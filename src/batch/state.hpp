@@ -79,20 +79,6 @@ class BatchState {
     return hybrid_.size() - 1;
   }
 
-  [[nodiscard]] std::size_t lanes() const noexcept { return hybrid_.size(); }
-
-  /// Reset a lane's mirrored run state after HybridPowerSource::reset()
-  /// (the engine resets the real hybrid first, then re-mirrors).
-  void reload(std::size_t lane) noexcept {
-    const power::HybridPowerSource& hybrid = *hybrid_[lane];
-    q_[lane] = cap_[lane]->charge().value();
-    totals_[lane] = hybrid.totals_;
-    q_min_[lane] = hybrid.min_storage_seen_.value();
-    q_max_[lane] = hybrid.max_storage_seen_.value();
-    startups_[lane] = hybrid.startups_;
-    fc_running_[lane] = hybrid.fc_running_ ? 1 : 0;
-  }
-
   /// HybridPowerSource::run_segment() inlined, fault-free path: the hot
   /// lane's expressions, per lane. Returns the actual IF and sets
   /// `capacity_sensitive` iff the outcome depended on this lane's

@@ -13,7 +13,9 @@
 // the lane cannot mirror (fault injection, profile recording, a
 // tracing/metering observer, non-paper source or storage types) run on
 // the reference loop, so calling it is always safe. A dispatcher that
-// has already decided calls simulate_lane directly.
+// has already decided calls simulate_lane directly: par::run_one does,
+// for every single run on a compiled loop, including runs whose config
+// asks for the batch loop (which serves multi-point sweep tasks only).
 #pragma once
 
 #include "core/fc_policy.hpp"
@@ -25,7 +27,7 @@
 namespace fcdpm::hot {
 
 /// Simulate `trace` on the lane without deciding: the caller's
-/// sim::choose_engine landed this run on Hot or Batched. The trace must
+/// sim::choose_engine landed this run on Hot. The trace must
 /// have been compiled against the DPM policy's device model (checked).
 [[nodiscard]] sim::SimulationResult simulate_lane(
     const CompiledTrace& trace, dpm::DpmPolicy& dpm_policy,

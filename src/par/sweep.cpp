@@ -13,6 +13,7 @@
 #include "cap/governor.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
+#include "hot/engine.hpp"
 #include "par/verifying_cache.hpp"
 #include "par/worker_pool.hpp"
 #include "telemetry/sweep_telemetry.hpp"
@@ -101,7 +102,13 @@ sim::SimulationResult run_one(const sim::ExperimentConfig& config,
       governor.emplace(cap::make_governor(config.cap, config.efficiency));
       options.governor = &*governor;
     }
-    engine = sim::choose_engine(requested, hybrid, options).engine;
+    // The batch loop runs multi-point tasks only: a single run asks for
+    // the hot lane, which is faster at B = 1 and bit-identical.
+    engine = sim::choose_engine(requested == sim::Engine::Batched
+                                    ? sim::Engine::Hot
+                                    : requested,
+                                hybrid, options)
+                 .engine;
     const bool compiled_lane = engine != sim::Engine::Reference;
 
     // Keyed to the landed engine: compiled lanes fail fast (the catch
@@ -136,8 +143,8 @@ sim::SimulationResult run_one(const sim::ExperimentConfig& config,
       const hot::CompiledTrace& trace =
           compiled != nullptr ? *compiled
                               : local.emplace(config.trace, config.device);
-      return batch::simulate_on(engine, trace, dpm_policy, *fc_policy,
-                                hybrid, options);
+      return hot::simulate_lane(trace, dpm_policy, *fc_policy, hybrid,
+                                options);
     } catch (const audit::AuditError&) {
       // The auditor dies with this frame; keep its tally for the
       // fallback record before rethrowing to the dispatcher.

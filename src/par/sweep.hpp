@@ -11,11 +11,13 @@
 //
 // Every single run goes through run_one, which run_point and the CLI's
 // run/compare share. It asks sim::choose_engine once, after building the
-// governor. Its auditor fails fast, and its tamper drill arms, only on a
+// governor, and asks for the hot lane where the config says Batched: the
+// batch loop runs multi-point tasks only, and at B = 1 the hot lane is
+// faster. Its auditor fails fast, and its tamper drill arms, only on a
 // compiled lane (strict mode fails fast everywhere). A compiled-lane
 // audit failure is healed by replaying on the reference loop and
-// recording an engine fallback. Batched tasks decide per lane in
-// run_batch_chunk.
+// recording an engine fallback. Multi-point tasks decide per lane in
+// run_batch_chunk, the only caller that asks for Batched.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +98,8 @@ struct SweepPointResult {
   SweepPoint point;
   sim::SimulationResult result;
   /// The loop whose result this is: where sim::choose_engine landed the
-  /// point, or Reference after a self-heal replay.
+  /// point, or Reference after a self-heal replay. Batched only for a
+  /// point that ran in a multi-point task.
   sim::Engine engine = sim::Engine::Reference;
 };
 
@@ -107,7 +110,7 @@ struct SweepRunStats {
   /// Cache traffic attributable to this run (delta over the run).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Points the batched engine ran (engine Batched, batch-eligible).
+  /// Points the batch loop ran, all in multi-point tasks.
   std::size_t points_batched = 0;
   /// Merge accounting aggregated over every batched task: sets formed,
   /// follower-slots served by a leader, and followers split back out.
@@ -143,7 +146,8 @@ struct SweepResult {
 /// hybrid, governor and auditor are built fresh; the options' observer,
 /// injector, cancel token and budget are used as given. `cache` is
 /// attached to the FC policy; `compiled`, when given, is config's trace
-/// compiled once; `landed` receives the loop whose result is returned.
+/// compiled once; `landed` receives the loop whose result is returned
+/// (never Batched: a Batched config runs on the hot lane).
 [[nodiscard]] sim::SimulationResult run_one(
     const sim::ExperimentConfig& config, sim::PolicyKind policy,
     core::SlotSolveCache* cache = nullptr,
@@ -183,7 +187,8 @@ inline constexpr std::size_t kBatchMax = 16;
 /// into one task (merge sets only form within one FC policy); a run is
 /// cut only when it alone exceeds kBatchMax. A point a batched task
 /// cannot carry (fault storm, forced stacks), or one left alone by the
-/// packing, is a one-point task. Depends on the points alone, never on
+/// packing, is a one-point task, which run_point runs as a single run
+/// (never on the batch loop). Depends on the points alone, never on
 /// the job count.
 [[nodiscard]] std::vector<std::span<const std::size_t>> plan_batches(
     const std::vector<SweepPoint>& points,

@@ -26,10 +26,12 @@ bool same_bits(double a, double b) noexcept {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+/// The distribution is journaled, and matters, only on stack points.
 bool same_point(const par::SweepPoint& a, const par::SweepPoint& b) noexcept {
   return a.policy == b.policy && same_bits(a.rho, b.rho) &&
          same_bits(a.capacity.value(), b.capacity.value()) &&
-         a.storm_seed == b.storm_seed;
+         a.storm_seed == b.storm_seed && a.stacks == b.stacks &&
+         (a.stacks == 0 || a.distribution == b.distribution);
 }
 
 /// grid_fingerprint plus the memo's quanta when any is nonzero: a

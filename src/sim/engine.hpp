@@ -3,10 +3,12 @@
 // Three loops give bit-identical results: the reference loop
 // (sim::simulate, the differential oracle), the hot lane (fcdpm::hot)
 // and the batch loop (fcdpm::batch). The compiled loops mirror only the
-// paper's configuration, so every dispatcher (hot::simulate,
-// batch::simulate, run_batch's lane checks, par::run_one and
-// par::run_batch_chunk) asks choose_engine where a run goes. Nothing
-// else inspects a hybrid and its options to pick a loop.
+// paper's configuration, so every dispatcher (hot::simulate, run_batch's
+// lane checks, par::run_one and par::run_batch_chunk) asks choose_engine
+// where a run goes. Nothing else inspects a hybrid and its options to
+// pick a loop. Only par::run_batch_chunk, which runs multi-point sweep
+// tasks, asks for Batched; a single run asks for Hot, because at B = 1
+// the hot lane is the faster of the two compiled loops.
 #pragma once
 
 namespace fcdpm::power {
@@ -22,7 +24,7 @@ struct SimulationOptions;
 enum class Engine {
   Reference,  ///< sim::simulate's virtual-dispatch loop (the oracle)
   Hot,        ///< fcdpm::hot — compiled trace, allocation-free slot loop
-  Batched,    ///< fcdpm::batch — SoA multi-point slot loop over hot lanes
+  Batched,    ///< fcdpm::batch — SoA slot loop for multi-point tasks
 };
 
 /// Why a run landed where it did: Requested, or the first fallback

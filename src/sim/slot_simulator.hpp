@@ -90,8 +90,9 @@ struct SimulationOptions {
   /// its deadline identically on any machine.
   std::size_t slot_budget = 0;
   /// Which engine the run asks for. sim::simulate itself always runs the
-  /// reference loop; the dispatchers (hot::simulate, batch::simulate,
-  /// par::run_one) pass this to sim::choose_engine.
+  /// reference loop; the dispatchers (hot::simulate, par::run_one,
+  /// par::run_batch_chunk) pass this to sim::choose_engine, and
+  /// par::run_one asks for Hot where this says Batched.
   Engine engine = Engine::Reference;
 };
 

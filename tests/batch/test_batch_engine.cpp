@@ -1,5 +1,5 @@
 // Differential suite for fcdpm::batch: every lane of a batch — merged,
-// split, ragged, or audited — must be bit-identical to running that
+// split or audited — must be bit-identical to running that
 // point alone on the reference simulator, and the merge machinery
 // (sets, cascade re-forms, journals) is pure bookkeeping that never
 // leaks into results. One CompiledTrace is shared read-only by many
@@ -14,14 +14,14 @@
 #include <thread>
 #include <vector>
 
-#include "batch/lifetime.hpp"
+#include "common/contracts.hpp"
 #include "hot/compiled_trace.hpp"
 #include "hot/engine.hpp"
 #include "obs/context.hpp"
 #include "obs/profiler.hpp"
+#include "sim/cancellation.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiments.hpp"
-#include "sim/lifetime.hpp"
 #include "sim/slot_simulator.hpp"
 #include "workload/synthetic.hpp"
 
@@ -69,29 +69,19 @@ void expect_identical_hybrids(const power::HybridPowerSource& ref,
 }
 
 /// Reference run of one capacity point with run_point's exact wiring.
-/// A nonzero sub-trace `slot_budget` throws on the reference engine;
-/// the returned hybrid then holds the partial state at the throw.
 struct RefRun {
   sim::SimulationResult result;
   power::HybridPowerSource hybrid;
 };
 
 RefRun reference_run(const sim::ExperimentConfig& base, sim::PolicyKind kind,
-                     Coulomb capacity, std::size_t slot_budget = 0) {
+                     Coulomb capacity) {
   LaneRig rig(base, kind, capacity);
   dpm::PredictiveDpmPolicy dpm = sim::make_dpm_policy(rig.config);
   sim::SimulationOptions options = rig.config.simulation;
   options.initial_storage = rig.config.initial_storage;
-  options.slot_budget = slot_budget;
-  sim::SimulationResult result;
-  if (slot_budget != 0 && slot_budget < base.trace.size()) {
-    EXPECT_THROW((void)sim::simulate(rig.config.trace, dpm, *rig.fc,
-                                     rig.hybrid, options),
-                 sim::DeadlineExceededError);
-  } else {
-    result = sim::simulate(rig.config.trace, dpm, *rig.fc, rig.hybrid,
-                           options);
-  }
+  sim::SimulationResult result =
+      sim::simulate(rig.config.trace, dpm, *rig.fc, rig.hybrid, options);
   return {std::move(result), std::move(rig.hybrid)};
 }
 
@@ -210,47 +200,6 @@ TEST(BatchEngine, FuzzedTracesStayBitIdenticalAcrossRhoAndCapacity) {
   }
 }
 
-TEST(BatchEngine, RaggedBudgetsEjectLanesWithIdenticalPartialState) {
-  const sim::ExperimentConfig base = base_config();
-  const hot::CompiledTrace compiled(base.trace, base.device);
-
-  dpm::PredictiveDpmPolicy dpm = sim::make_dpm_policy(base);
-  LaneRig full(base, sim::PolicyKind::FcDpm, Coulomb(6.0));
-  LaneRig ragged(base, sim::PolicyKind::FcDpm, Coulomb(6.0));
-  LaneRig other(base, sim::PolicyKind::FcDpm, Coulomb(24.0));
-
-  std::vector<batch::BatchLaneSpec> lanes(3);
-  lanes[0].fc = full.fc.get();
-  lanes[0].hybrid = &full.hybrid;
-  lanes[1].fc = ragged.fc.get();
-  lanes[1].hybrid = &ragged.hybrid;
-  lanes[1].slot_budget = 50;
-  lanes[2].fc = other.fc.get();
-  lanes[2].hybrid = &other.hybrid;
-
-  sim::SimulationOptions shared = base.simulation;
-  shared.initial_storage = base.initial_storage;
-  const std::vector<batch::LaneOutcome> outcomes =
-      batch::run_batch(compiled, dpm, lanes, shared);
-
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(outcomes[0].end, batch::LaneOutcome::End::Completed);
-  EXPECT_EQ(outcomes[1].end, batch::LaneOutcome::End::BudgetExhausted);
-  EXPECT_EQ(outcomes[2].end, batch::LaneOutcome::End::Completed);
-
-  const RefRun ref_full =
-      reference_run(base, sim::PolicyKind::FcDpm, Coulomb(6.0));
-  expect_identical_results(ref_full.result, outcomes[0].result);
-  expect_identical_hybrids(ref_full.hybrid, full.hybrid);
-
-  // The ejected lane's write-back must land the reference engine's
-  // exact partial state after the same budget throw.
-  const RefRun ref_ragged =
-      reference_run(base, sim::PolicyKind::FcDpm, Coulomb(6.0), 50);
-  expect_identical_hybrids(ref_ragged.hybrid, ragged.hybrid);
-  EXPECT_EQ(outcomes[1].result.slots, 50u);
-}
-
 TEST(BatchEngine, EightConcurrentBatchesShareOneCompiledTrace) {
   const sim::ExperimentConfig base = base_config();
   const hot::CompiledTrace compiled(base.trace, base.device);
@@ -309,7 +258,9 @@ TEST(BatchEngine, EightConcurrentBatchesShareOneCompiledTrace) {
   }
 }
 
-TEST(BatchEngine, SimulateMatchesHotAndReferenceForASingleRun) {
+// A one-lane batch is still the batch loop, and it agrees with the hot
+// lane that single runs take instead, and with the reference loop.
+TEST(BatchEngine, OneLaneBatchMatchesHotAndReference) {
   const sim::ExperimentConfig base = base_config();
   const hot::CompiledTrace compiled(base.trace, base.device);
   for (const sim::PolicyKind kind :
@@ -317,51 +268,58 @@ TEST(BatchEngine, SimulateMatchesHotAndReferenceForASingleRun) {
         sim::PolicyKind::Oracle}) {
     SCOPED_TRACE(sim::to_string(kind));
     sim::SimulationOptions options = base.simulation;
+    options.initial_storage = base.initial_storage;
 
+    LaneRig ref(base, kind, base.storage_capacity);
     dpm::PredictiveDpmPolicy ref_dpm = sim::make_dpm_policy(base);
-    auto ref_fc = sim::make_fc_policy(kind, base);
-    power::HybridPowerSource ref_hybrid = sim::make_hybrid(base);
-    const sim::SimulationResult ref =
-        sim::simulate(base.trace, ref_dpm, *ref_fc, ref_hybrid, options);
+    const sim::SimulationResult want =
+        sim::simulate(base.trace, ref_dpm, *ref.fc, ref.hybrid, options);
 
-    dpm::PredictiveDpmPolicy got_dpm = sim::make_dpm_policy(base);
-    auto got_fc = sim::make_fc_policy(kind, base);
-    power::HybridPowerSource got_hybrid = sim::make_hybrid(base);
-    const sim::SimulationResult got =
-        batch::simulate(compiled, got_dpm, *got_fc, got_hybrid, options);
+    LaneRig hot_rig(base, kind, base.storage_capacity);
+    dpm::PredictiveDpmPolicy hot_dpm = sim::make_dpm_policy(base);
+    const sim::SimulationResult hot = hot::simulate_lane(
+        compiled, hot_dpm, *hot_rig.fc, hot_rig.hybrid, options);
+    expect_identical_results(want, hot);
+    expect_identical_hybrids(ref.hybrid, hot_rig.hybrid);
 
-    expect_identical_results(ref, got);
-    expect_identical_hybrids(ref_hybrid, got_hybrid);
+    LaneRig lane_rig(base, kind, base.storage_capacity);
+    dpm::PredictiveDpmPolicy batch_dpm = sim::make_dpm_policy(base);
+    std::vector<batch::BatchLaneSpec> lanes(1);
+    lanes[0].fc = lane_rig.fc.get();
+    lanes[0].hybrid = &lane_rig.hybrid;
+    const std::vector<batch::LaneOutcome> outcomes =
+        batch::run_batch(compiled, batch_dpm, lanes, options);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].end, batch::LaneOutcome::End::Completed);
+    expect_identical_results(want, outcomes[0].result);
+    expect_identical_hybrids(ref.hybrid, lane_rig.hybrid);
   }
 }
 
-TEST(BatchEngine, LifetimeMeasurementIsBitIdentical) {
+// Budgets, cancellation, slot records and preserved source state belong
+// to single runs, which never take the batch loop; run_batch refuses
+// them instead of ignoring them.
+TEST(BatchEngine, RunBatchRejectsSingleRunOptions) {
   const sim::ExperimentConfig base = base_config();
   const hot::CompiledTrace compiled(base.trace, base.device);
-  sim::LifetimeOptions options;
-  options.tank = Coulomb(36000.0);
-  options.simulation = base.simulation;
-
-  dpm::PredictiveDpmPolicy ref_dpm = sim::make_dpm_policy(base);
-  auto ref_fc = sim::make_fc_policy(sim::PolicyKind::FcDpm, base);
-  power::HybridPowerSource ref_hybrid = sim::make_hybrid(base);
-  const sim::LifetimeResult ref = sim::measure_lifetime(
-      base.trace, ref_dpm, *ref_fc, ref_hybrid, options);
-
-  dpm::PredictiveDpmPolicy got_dpm = sim::make_dpm_policy(base);
-  auto got_fc = sim::make_fc_policy(sim::PolicyKind::FcDpm, base);
-  power::HybridPowerSource got_hybrid = sim::make_hybrid(base);
-  const sim::LifetimeResult got = batch::measure_lifetime(
-      compiled, got_dpm, *got_fc, got_hybrid, options);
-
-  EXPECT_EQ(ref.lifetime.value(), got.lifetime.value());
-  EXPECT_EQ(ref.passes, got.passes);
-  EXPECT_EQ(ref.slots_completed, got.slots_completed);
-  EXPECT_EQ(ref.tank_emptied, got.tank_emptied);
-  EXPECT_EQ(ref.average_fuel_current.value(),
-            got.average_fuel_current.value());
+  sim::CancellationToken token;
+  const sim::SimulationOptions plain = base.simulation;
+  std::vector<sim::SimulationOptions> refused(4, plain);
+  refused[0].slot_budget = 10;
+  refused[1].cancel = &token;
+  refused[2].keep_slot_records = true;
+  refused[3].preserve_source_state = true;
+  for (std::size_t k = 0; k < refused.size(); ++k) {
+    SCOPED_TRACE(k);
+    LaneRig rig(base, sim::PolicyKind::FcDpm, Coulomb(6.0));
+    dpm::PredictiveDpmPolicy dpm = sim::make_dpm_policy(base);
+    std::vector<batch::BatchLaneSpec> lanes(1);
+    lanes[0].fc = rig.fc.get();
+    lanes[0].hybrid = &rig.hybrid;
+    EXPECT_THROW((void)batch::run_batch(compiled, dpm, lanes, refused[k]),
+                 PreconditionError);
+  }
 }
-
 
 // The batch loop takes fewer runs than the hot lane: sim::choose_engine
 // sends a Batched request it cannot keep to Hot, or to Reference when

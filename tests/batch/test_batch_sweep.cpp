@@ -1,6 +1,6 @@
 // The sweep engine under Engine::Batched: the chunked multi-point
 // scheduler (merge sets, cascade re-forms, per-point fallbacks for
-// storm points) must reproduce the reference-engine sweep bit for bit
+// storm points and lone points) must reproduce the reference-engine sweep bit for bit
 // at any job count, and the batch rollup must account every point.
 #include <gtest/gtest.h>
 
@@ -91,12 +91,13 @@ TEST(SweepBatchedEngine, StormPointsFallBackPerPointAndStayIdentical) {
   const par::SweepResult got = par::run_sweep(base, grid);
   expect_identical_sweeps(ref, got);
 
-  // Storm points are batch-ineligible (fault injection): exactly the
-  // seed-0 half of the grid is batched, the rest dispatched per point.
-  EXPECT_EQ(got.stats.points_batched, got.points.size() / 2);
+  // Storm points are batch-ineligible (fault injection) and run alone on
+  // the reference loop. They cut every policy run, so each seed-0 point
+  // is a one-point task too: a single run, which takes the hot lane.
+  EXPECT_EQ(got.stats.points_batched, 0u);
   for (const par::SweepPointResult& point : got.points) {
     EXPECT_EQ(point.engine, point.point.storm_seed == 0
-                                ? sim::Engine::Batched
+                                ? sim::Engine::Hot
                                 : sim::Engine::Reference);
   }
 }

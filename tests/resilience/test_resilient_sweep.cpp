@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -579,7 +581,12 @@ TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
       }
       ASSERT_TRUE(point.ok);
       EXPECT_EQ(point.attempts, 1u);
-      EXPECT_EQ(point.result.engine, sim::Engine::Batched);
+      // Splitting the injected failure out of its task leaves the point
+      // before it alone, and a lone point is a single run: the hot lane.
+      EXPECT_EQ(point.result.engine,
+                k + 1 == options.contract.inject_fail_index
+                    ? sim::Engine::Hot
+                    : sim::Engine::Batched);
       EXPECT_TRUE(sim::same_result(point.result.result,
                                    plain.points[k].result));
     }
@@ -884,9 +891,10 @@ TEST(ResilientSweepTest, TelemetryAttachedRunStaysBitIdentical) {
   EXPECT_EQ(tel.snapshot().done, reference.points.size());
 }
 
-/// The loop sim::choose_engine picks for `point` under `base`, built
-/// the way run_point builds the run: the point's source and, for a
-/// nonzero storm seed, its injector.
+/// The loop sim::choose_engine picks for `point` under `base` when the
+/// point runs alone, built the way run_point builds the run: the point's
+/// source and, for a nonzero storm seed, its injector. A lone point is a
+/// single run, so a Batched request asks for the hot lane.
 sim::Engine chosen_engine(const sim::ExperimentConfig& base,
                           const par::SweepPoint& point,
                           std::size_t storm_faults) {
@@ -906,7 +914,10 @@ sim::Engine chosen_engine(const sim::ExperimentConfig& base,
         config.trace.stats().total_duration()));
     options.faults = &*injector;
   }
-  return sim::choose_engine(base.simulation.engine, hybrid, options).engine;
+  const sim::Engine requested = base.simulation.engine == sim::Engine::Batched
+                                    ? sim::Engine::Hot
+                                    : base.simulation.engine;
+  return sim::choose_engine(requested, hybrid, options).engine;
 }
 
 TEST(ResilientSweepTest, BothRunnersReportTheEngineChooseEnginePicks) {
@@ -950,12 +961,142 @@ TEST(ResilientSweepTest, BothRunnersReportTheEngineChooseEnginePicks) {
         EXPECT_TRUE(sim::same_result(resilient.points[k].result.result,
                                      reference.points[k].result));
       }
-      // Storms and stacks land on the reference loop, plain points on the
-      // requested one.
+      // Storms and stacks land on the reference loop. They cut every
+      // policy run, so each plain point runs alone, on the hot lane.
       EXPECT_EQ(landed[static_cast<int>(sim::Engine::Reference)], 12u);
-      EXPECT_EQ(landed[static_cast<int>(engine)], 4u);
+      EXPECT_EQ(landed[static_cast<int>(sim::Engine::Hot)], 4u);
     }
   }
+}
+
+// A batched sweep runs the batch loop in multi-point tasks only; every
+// one-point task is a single run, which takes the hot lane. Seventeen
+// capacities at one rho plan into a kBatchMax task plus a lone point,
+// and a storm axis cuts every policy run, so each plain point of that
+// grid runs alone. A point deadline runs every point alone.
+TEST(ResilientSweepTest, LonePointsOfABatchedSweepTakeTheHotLane) {
+  sim::ExperimentConfig base = small_base();
+  base.initial_storage = Coulomb(1.0);  // sub-capacity: lanes merge
+  par::SweepGrid capped;
+  capped.policies = {sim::PolicyKind::FcDpm};
+  capped.rhos = {0.3, 0.5};
+  for (std::size_t c = 0; c <= par::kBatchMax; ++c) {
+    capped.capacities.push_back(Coulomb(2.0 + static_cast<double>(c)));
+  }
+  par::SweepGrid storm;
+  storm.policies = {sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle};
+  storm.rhos = {0.5};
+  storm.capacities = {Coulomb(3.0), Coulomb(6.0)};
+  storm.storm_seeds = {0, 7};
+  storm.storm_faults = 6;
+
+  sim::ExperimentConfig batched = base;
+  batched.simulation.engine = sim::Engine::Batched;
+  for (const par::SweepGrid* grid : {&capped, &storm}) {
+    const bool is_storm = grid == &storm;
+    SCOPED_TRACE(is_storm ? "storm grid" : "capped grid");
+    const par::SweepResult reference = par::run_sweep(base, *grid);
+    const std::vector<par::SweepPoint> points = grid->points(batched);
+    std::vector<std::size_t> order(points.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    // Batched inside a multi-point task, else where a lone run lands.
+    std::vector<sim::Engine> want(points.size());
+    std::size_t landed[3] = {0, 0, 0};
+    for (const std::span<const std::size_t> task :
+         par::plan_batches(points, order)) {
+      for (const std::size_t k : task) {
+        want[k] = task.size() > 1
+                      ? sim::Engine::Batched
+                      : chosen_engine(batched, points[k], grid->storm_faults);
+        ++landed[static_cast<int>(want[k])];
+      }
+    }
+    EXPECT_EQ(landed[static_cast<int>(sim::Engine::Hot)], is_storm ? 4u : 2u);
+    EXPECT_EQ(landed[static_cast<int>(sim::Engine::Batched)],
+              is_storm ? 0u : 2 * par::kBatchMax);
+    EXPECT_EQ(landed[static_cast<int>(sim::Engine::Reference)],
+              is_storm ? 4u : 0u);
+
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs));
+      par::SweepOptions plain_options;
+      plain_options.jobs = jobs;
+      const par::SweepResult plain =
+          par::run_sweep(batched, *grid, plain_options);
+      ResilienceOptions resilient_options;
+      resilient_options.jobs = jobs;
+      const ResilientSweepResult resilient =
+          run_resilient_sweep(batched, *grid, resilient_options);
+      ResilienceOptions deadline_options = resilient_options;
+      deadline_options.contract.point_deadline_slots = base.trace.size();
+      const ResilientSweepResult per_point =
+          run_resilient_sweep(batched, *grid, deadline_options);
+      ASSERT_EQ(plain.points.size(), points.size());
+      ASSERT_EQ(resilient.points.size(), points.size());
+      ASSERT_EQ(per_point.points.size(), points.size());
+
+      for (std::size_t k = 0; k < points.size(); ++k) {
+        SCOPED_TRACE("point " + std::to_string(k));
+        const sim::SimulationResult& ref = reference.points[k].result;
+        EXPECT_EQ(plain.points[k].engine, want[k]);
+        EXPECT_TRUE(sim::same_result(plain.points[k].result, ref));
+        ASSERT_TRUE(resilient.points[k].ok);
+        EXPECT_EQ(resilient.points[k].result.engine, want[k]);
+        EXPECT_TRUE(sim::same_result(resilient.points[k].result.result, ref));
+        ASSERT_TRUE(per_point.points[k].ok);
+        EXPECT_EQ(per_point.points[k].result.engine,
+                  chosen_engine(batched, points[k], grid->storm_faults));
+        EXPECT_TRUE(sim::same_result(per_point.points[k].result.result, ref));
+      }
+    }
+  }
+}
+
+// A journal record is filed under its grid index with the point's full
+// coordinates. One whose stack count or distribution differs from the
+// grid point at that index is foreign, even when policy, rho, capacity
+// and storm seed agree, and must not resume (spot-checks off, so only
+// the coordinate check stands in the way).
+TEST(ResilientSweepTest, ResumeRejectsARecordOfAnotherStackPoint) {
+  const sim::ExperimentConfig base = small_base();
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::FcDpm};
+  grid.rhos = {0.5};
+  grid.stack_counts = {2};
+  grid.distributions = {stacks::Distribution::Proportional,
+                        stacks::Distribution::Health};
+  const std::vector<par::SweepPoint> points = grid.points(base);
+  ASSERT_EQ(points.size(), 2u);
+  const std::string path = temp_path("stack_point.fcj");
+  const auto write_journal = [&](const par::SweepPoint& filed) {
+    JournalRecord record;
+    record.index = 0;
+    record.point = filed;
+    record.result =
+        par::run_point(base, filed, grid.storm_faults, nullptr).result;
+    Journal journal = Journal::create(
+        path, {base.trace.name(), points.size(),
+               grid_fingerprint(base, points, grid.storm_faults)});
+    journal.append(record);
+  };
+
+  ResilienceOptions options;
+  options.journal_path = path;
+  options.resume = true;
+  options.spot_checks = 0;
+  write_journal(points[0]);
+  EXPECT_EQ(resume_error(base, grid, options), "");
+
+  par::SweepPoint more_stacks = points[0];
+  more_stacks.stacks = 3;
+  for (const par::SweepPoint& filed : {points[1], more_stacks}) {
+    write_journal(filed);
+    EXPECT_THROW((void)run_resilient_sweep(base, grid, options), CsvError);
+    EXPECT_NE(resume_error(base, grid, options)
+                  .find("journal record does not match grid point 0"),
+              std::string::npos);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
