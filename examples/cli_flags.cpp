@@ -41,12 +41,13 @@ constexpr Flag kFlags[] = {
      {.max = 1.0}},
     {"sigma", kModel, Real, "S", "predictor weight of the last active period",
      {.max = 1.0}},
-    {"capacity", kModel, Real, "A-s", "storage capacity Cmax"},
+    {"capacity", kModel, Real, "A-s", "storage capacity Cmax",
+     {.positive = true}},
     {"initial", kModel, Real, "A-s", "initial charge (clamped to capacity)"},
     {"tank", kLifetime, Real, "A-s", "fuel tank (10000)", {.positive = true}},
     {"engine", kModel, Choice, "reference|hot|batched",
      "simulation engine (reference); hot = compiled-trace fast path, batched "
-     "= SoA batch loop for multi-point sweep tasks (single runs take the "
+     "= batch loop for multi-point sweep tasks (single runs take the "
      "hot path), both bit-identical; batched rejects --faults and --audit "
      "strict"},
     // Observability.
@@ -91,8 +92,8 @@ constexpr Flag kFlags[] = {
     {"policies", kSweep, ChoiceList, "conv|asap|fcdpm|oracle", "policy axis",
      {}, "policy"},
     {"rhos", kSweep, RealList, "R1,R2,...", "rho axis", {.max = 1.0}, "rho"},
-    {"capacities", kSweep, RealList, "C1,C2,...", "capacity axis", {},
-     "capacity"},
+    {"capacities", kSweep, RealList, "C1,C2,...", "capacity axis",
+     {.positive = true}, "capacity"},
     {"storm-seeds", kSweep, SeedList, "S1,S2,...", "fault-storm seed axis"},
     {"storm-faults", kSweep, Count, "N", "faults per storm (12)",
      {.count_max = kMaxStormFaults}},

@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "batch/state.hpp"
 #include "common/contracts.hpp"
+#include "hot/lane.hpp"
 
 namespace fcdpm::batch {
 
@@ -34,6 +34,16 @@ enum class Kind { FcDpm, Asap, Conv, Oracle, Generic };
   return Kind::Generic;
 }
 
+/// Where a lane's solo slot body starts: the top of the slot, or the
+/// point at which a merge set's leader stepped out at a capacity clamp.
+enum class Resume {
+  IdlePlan,    ///< on_idle_start, then the whole slot
+  IdleRun,     ///< the idle segments (the idle plan clamped)
+  ActivePlan,  ///< on_active_start (the idle integration clamped)
+  ActiveRun,   ///< the active segment (the active plan clamped)
+  SlotEnd,     ///< observation and audit (the active integration clamped)
+};
+
 /// One lane's control block.
 struct Lane {
   core::FcOutputPolicy* fc = nullptr;
@@ -44,7 +54,7 @@ struct Lane {
   /// own policy would have reached, by the merge_equivalent contract.
   std::unique_ptr<core::FcOutputPolicy> owned_fc;
   audit::Auditor* auditor = nullptr;
-  std::size_t col = 0;  ///< BatchState column
+  std::size_t col = 0;  ///< index into the runner's lane states
   Kind kind = Kind::Generic;
   bool pure = false;
   core::SlotSolveCache* original_cache = nullptr;
@@ -137,7 +147,9 @@ class BatchRunner {
     // Every exit path leaves each hybrid exactly as its own reference
     // run would have, and each policy with its original cache
     // attachment.
-    state_.write_back_all();
+    for (const hot::LaneState& state : states_) {
+      state.write_back();
+    }
     for (auto& [fc, cache] : saved_caches_) {
       fc->set_solve_cache(cache);
     }
@@ -146,7 +158,7 @@ class BatchRunner {
   std::vector<LaneOutcome> run() {
     for (std::size_t k = 0; k < ct_.size() && live_ > 0; ++k) {
       slot(k);
-      dpm_.observe_idle(slot_idle_);
+      dpm_.observe_idle(in_.idle);
     }
     finalize();
     collect_stats();
@@ -159,17 +171,25 @@ class BatchRunner {
   }
 
  private:
+  [[nodiscard]] hot::LaneState& state(const Lane& lane) {
+    return states_[lane.col];
+  }
+
+  /// Copy `from`'s run state into `to` (capacity, model and hybrid stay
+  /// `to`'s own). A merged follower's state is served by its leader: when
+  /// it leaves the set, the leader's state IS its state, bit for bit.
+  void adopt(const Lane& to, const Lane& from) {
+    state(to).restore(state(from).snapshot());
+  }
+
   // --- setup -----------------------------------------------------------
 
   void init_lanes(const std::vector<BatchLaneSpec>& specs) {
     lanes_.reserve(specs.size());
+    states_.reserve(specs.size());
     for (const BatchLaneSpec& spec : specs) {
       power::HybridPowerSource& hybrid = *spec.hybrid;
-      const auto& source =
-          dynamic_cast<const power::LinearFuelSource&>(hybrid.source());
-      auto& cap = dynamic_cast<power::SuperCapacitor&>(hybrid.storage());
-
-      const Coulomb capacity = cap.capacity();
+      const Coulomb capacity = hybrid.storage().capacity();
       const Coulomb initial = (shared_.initial_storage.value() < 0.0)
                                   ? capacity
                                   : min(shared_.initial_storage, capacity);
@@ -178,7 +198,8 @@ class BatchRunner {
       Lane lane;
       lane.fc = spec.fc;
       lane.auditor = spec.auditor;
-      lane.col = state_.add_lane(hybrid, source, cap);
+      lane.col = states_.size();
+      states_.emplace_back(hybrid);
       lane.kind = kind_of(*spec.fc);
       lane.pure = spec.fc->segment_setpoint_is_pure();
       lane.original_cache = spec.fc->solve_cache();
@@ -196,7 +217,7 @@ class BatchRunner {
   /// latch solves through). `merge_equivalent` certifies the policies
   /// make bit-identical decisions forever given identical observations
   /// and read the capacity only through clamp-reporting solves; the
-  /// physical columns must match too. The smallest capacity leads: the
+  /// lane states must match too. The smallest capacity leads: the
   /// slack property then makes every unclamped leader answer valid for
   /// all followers, and a capacity clamp hands leadership to the
   /// next-smallest capacity while the set persists.
@@ -221,7 +242,7 @@ class BatchRunner {
         }
         if (lanes_[i].fc->merge_equivalent(*lanes_[j].fc) &&
             lanes_[i].original_cache == lanes_[j].original_cache &&
-            state_.physically_identical(lanes_[i].col, lanes_[j].col)) {
+            state(lanes_[i]).physically_identical(state(lanes_[j]))) {
           group.push_back(j);
         }
       }
@@ -230,8 +251,7 @@ class BatchRunner {
       }
       std::size_t leader = group[0];
       for (const std::size_t m : group) {
-        if (state_.capacity(lanes_[m].col) <
-            state_.capacity(lanes_[leader].col)) {
+        if (state(lanes_[m]).capacity() < state(lanes_[leader]).capacity()) {
           leader = m;
         }
       }
@@ -280,18 +300,20 @@ class BatchRunner {
   // --- slot loop -------------------------------------------------------
 
   void slot(std::size_t k) {
-    slot_idle_ = ct_.idle(k);
-    run_current_ = ct_.run_current(k);
-    active_eff_ = ct_.active_eff(k);
-    dpm_.plan_idle_into(slot_idle_, plan_);
-    if (plan_.slept) {
+    in_.k = k;
+    in_.idle = ct_.idle(k);
+    in_.run_current = ct_.run_current(k);
+    in_.active = ct_.active_eff(k);
+    dpm_.plan_idle_into(in_.idle, in_.plan);
+    if (in_.plan.slept) {
       ++sleeps_;
     }
-    latency_ += plan_.latency_spill;
+    latency_ += in_.plan.latency_spill;
+    in_.idle_current = in_.plan.slept ? sleep_current_ : standby_current_;
 
-    // Snapshot the solo set before any set processing: a follower that
-    // splits out mid-slot has already replayed this slot and must not
-    // be run again as a solo until the next one.
+    // Snapshot the solo set before any set processing: a lane that
+    // leaves its set mid-slot has already finished this slot and must
+    // not be run again as a solo until the next one.
     solo_buf_.clear();
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
       const Lane& lane = lanes_[i];
@@ -302,12 +324,12 @@ class BatchRunner {
     split_this_slot_ = false;
     for (MergeSet& set : sets_) {
       if (!set.followers.empty() && !lanes_[set.leader].done) {
-        set_slot_dispatch(set, k);
+        set_slot_dispatch(set);
       }
     }
     for (const std::size_t i : solo_buf_) {
       if (!lanes_[i].done) {
-        solo_slot_dispatch(lanes_[i], k);
+        solo_slot_dispatch(lanes_[i]);
       }
     }
     if (split_this_slot_) {
@@ -315,203 +337,75 @@ class BatchRunner {
     }
   }
 
-  void set_slot_dispatch(MergeSet& set, std::size_t k) {
+  void set_slot_dispatch(MergeSet& set) {
     switch (lanes_[set.leader].kind) {
       case Kind::FcDpm:
-        set_slot<core::FcDpmPolicy>(set, k);
+        set_slot<core::FcDpmPolicy>(set);
         break;
       case Kind::Conv:
-        set_slot<core::ConvFcPolicy>(set, k);
+        set_slot<core::ConvFcPolicy>(set);
         break;
       case Kind::Oracle:
-        set_slot<core::OracleFcPolicy>(set, k);
+        set_slot<core::OracleFcPolicy>(set);
         break;
       case Kind::Asap:  // impure, never in a set; generic fallback
       case Kind::Generic:
-        set_slot<core::FcOutputPolicy>(set, k);
+        set_slot<core::FcOutputPolicy>(set);
         break;
     }
   }
 
-  void solo_slot_dispatch(Lane& lane, std::size_t k) {
-    try {
-      solo_slot_kind(lane, k);
-    } catch (const audit::AuditError&) {
-      eject_audit(lane, k);
-    }
-  }
-
-  void solo_slot_kind(Lane& lane, std::size_t k) {
+  void solo_slot_dispatch(Lane& lane) {
+    const power::HybridTotals before = state(lane).totals();
     switch (lane.kind) {
       case Kind::FcDpm:
-        solo_slot(lane, *static_cast<core::FcDpmPolicy*>(lane.fc), k);
+        solo(lane, *static_cast<core::FcDpmPolicy*>(lane.fc),
+             Resume::IdlePlan, before);
         break;
       case Kind::Asap:
-        solo_slot(lane, *static_cast<core::AsapFcPolicy*>(lane.fc), k);
+        solo(lane, *static_cast<core::AsapFcPolicy*>(lane.fc),
+             Resume::IdlePlan, before);
         break;
       case Kind::Conv:
-        solo_slot(lane, *static_cast<core::ConvFcPolicy*>(lane.fc), k);
+        solo(lane, *static_cast<core::ConvFcPolicy*>(lane.fc),
+             Resume::IdlePlan, before);
         break;
       case Kind::Oracle:
-        solo_slot(lane, *static_cast<core::OracleFcPolicy*>(lane.fc), k);
+        solo(lane, *static_cast<core::OracleFcPolicy*>(lane.fc),
+             Resume::IdlePlan, before);
         break;
       case Kind::Generic:
-        solo_slot(lane, *lane.fc, k);
+        solo(lane, *lane.fc, Resume::IdlePlan, before);
         break;
     }
   }
 
-  /// sim::run_segment with the SoA column substituted for the hybrid:
-  /// split where the buffer fills (stop_charging_when_full), then load
-  /// following for the remainder. Same expressions as the reference and
-  /// the hot lane.
-  void run_with_setpoint(std::size_t col, const core::SegmentSetpoint& sp,
-                         Ampere device_current, Seconds duration,
-                         Coulomb& if_dt, bool& capacity_sensitive) {
-    double first_span = duration.value();
-    if (sp.stop_charging_when_full && sp.setpoint > device_current) {
-      const double net = (sp.setpoint - device_current).value();
-      const double to_full = state_.bus_charge_to_full(col) / net;
-      if (to_full < first_span) {
-        first_span = to_full;
-        // The full-buffer cutoff actually bound. This column is the
-        // merge leader (minimum capacity, identical charge), so any
-        // larger-capacity follower fills strictly later — the
-        // trajectories genuinely diverge here. When the cutoff does
-        // NOT bind for the leader, it cannot bind for any follower
-        // either, and the whole segment is capacity-oblivious.
-        capacity_sensitive = true;
+  /// The hot lane's slot body for a lane running on its own state,
+  /// entered at `from`: the top of the slot for a solo lane, or where a
+  /// merge set's leader stopped when a capacity clamp made the rest of
+  /// its slot its own. `before` is the lane's totals at slot start;
+  /// `if_dt_idle` / `if_dt_active` carry phases already integrated.
+  template <typename Fc>
+  void solo(Lane& lane, Fc& fc, Resume from, const power::HybridTotals& before,
+            Coulomb if_dt_idle = Coulomb(0.0),
+            Coulomb if_dt_active = Coulomb(0.0)) {
+    hot::LaneState& lane_state = state(lane);
+    try {
+      if (from <= Resume::IdleRun) {
+        if_dt_idle = hot::idle_phase(lane_state, fc, in_,
+                                     from == Resume::IdlePlan, nullptr);
       }
+      if (from <= Resume::ActiveRun) {
+        if_dt_active = hot::active_phase(lane_state, fc, in_,
+                                         from <= Resume::ActivePlan, nullptr);
+      }
+      hot::slot_end(lane_state, fc, in_, if_dt_idle + if_dt_active, before);
+      hot::audit_slot(lane.auditor, in_.k, bus_v_, lane_state,
+                      lane_state.capacity(), before,
+                      if_dt_idle + if_dt_active);
+    } catch (const audit::AuditError&) {
+      eject_audit(lane);
     }
-    const double first_if =
-        state_.run_segment(col, first_span, device_current.value(),
-                           sp.setpoint.value(), capacity_sensitive);
-    if_dt += Ampere(first_if) * Seconds(first_span);
-
-    const double remainder = duration.value() - first_span;
-    if (remainder > 0.0) {
-      // Buffer filled mid-segment: fall back to load following.
-      const double load = device_current.value();
-      const double if_min = state_.if_min(col);
-      const double if_max = state_.if_max(col);
-      const double follow =
-          load < if_min ? if_min : (load > if_max ? if_max : load);
-      const double rest_if = state_.run_segment(col, remainder, load, follow,
-                                                capacity_sensitive);
-      if_dt += Ampere(rest_if) * Seconds(remainder);
-    }
-  }
-
-  template <typename Fc>
-  void probe_and_run(std::size_t col, Fc& fc,
-                     const core::SegmentContext& context, Seconds duration,
-                     Coulomb& if_dt, bool& capacity_sensitive) {
-    const core::SegmentSetpoint sp = fc.segment_setpoint(context);
-    run_with_setpoint(col, sp, context.device_current, duration, if_dt,
-                      capacity_sensitive);
-  }
-
-  [[nodiscard]] core::IdleContext idle_context(std::size_t k, std::size_t col,
-                                               Coulomb charge) const {
-    core::IdleContext context;
-    context.slot_index = k;
-    context.will_sleep = plan_.slept;
-    context.predicted_idle = plan_.predicted_idle;
-    context.idle_current = plan_.slept ? sleep_current_ : standby_current_;
-    context.storage_charge = charge;
-    context.storage_capacity = Coulomb(state_.capacity(col));
-    context.actual_idle = slot_idle_;
-    context.actual_active = active_eff_;
-    context.actual_active_current = run_current_;
-    return context;
-  }
-
-  [[nodiscard]] core::ActiveContext active_context(std::size_t k,
-                                                   std::size_t col,
-                                                   Coulomb charge) const {
-    core::ActiveContext context;
-    context.slot_index = k;
-    context.active_duration = active_eff_;
-    context.active_current = run_current_;
-    context.storage_charge = charge;
-    context.storage_capacity = Coulomb(state_.capacity(col));
-    return context;
-  }
-
-  [[nodiscard]] core::SlotObservation observation(std::size_t k,
-                                                  std::size_t col,
-                                                  Coulomb delivered,
-                                                  Coulomb fuel_before) const {
-    core::SlotObservation obs;
-    obs.slot_index = k;
-    obs.actual_idle = slot_idle_;
-    obs.actual_active = active_eff_;
-    obs.actual_active_current = run_current_;
-    obs.storage_charge = state_.charge(col);
-    obs.delivered_charge = delivered;
-    obs.fuel_used = state_.totals(col).fuel - fuel_before;
-    return obs;
-  }
-
-  /// Slot audit for lane `lane` with the physical values of column
-  /// `col` (a merged follower audits its leader's values — bitwise its
-  /// own — against its own capacity).
-  void audit_slot(Lane& lane, std::size_t k, std::size_t col,
-                  Coulomb fuel_before, Joule delivered_before,
-                  Coulomb if_dt) {
-    if (lane.auditor == nullptr || !lane.auditor->wants_slot(k)) {
-      return;
-    }
-    audit::SlotAudit view;
-    view.slot = k;
-    view.bus_v = bus_v_;
-    view.fuel_before = fuel_before.value();
-    view.fuel_after = state_.totals(col).fuel.value();
-    view.delivered_before = delivered_before.value();
-    view.delivered_after = state_.totals(col).delivered_energy.value();
-    view.if_dt = if_dt.value();
-    view.storage_charge = state_.q(col);
-    view.storage_capacity = state_.capacity(lane.col);
-    lane.auditor->on_slot(view);
-  }
-
-  /// The hot engine's per-slot body for one unmerged lane.
-  template <typename Fc>
-  void solo_slot(Lane& lane, Fc& fc, std::size_t k) {
-    const std::size_t col = lane.col;
-    const Coulomb fuel_before = state_.totals(col).fuel;
-    const Joule delivered_before = state_.totals(col).delivered_energy;
-
-    fc.on_idle_start(idle_context(k, col, state_.charge(col)));
-
-    Coulomb if_dt_idle{0.0};
-    bool sink = false;
-    for (std::size_t s = 0; s < plan_.count; ++s) {
-      core::SegmentContext context;
-      context.phase = core::Phase::Idle;
-      context.state = plan_.segments[s].state;
-      context.device_current = plan_.segments[s].current;
-      context.storage_charge = state_.charge(col);
-      context.storage_capacity = Coulomb(state_.capacity(col));
-      probe_and_run(col, fc, context, plan_.segments[s].duration, if_dt_idle,
-                    sink);
-    }
-
-    fc.on_active_start(active_context(k, col, state_.charge(col)));
-
-    core::SegmentContext context;
-    context.phase = core::Phase::Active;
-    context.state = dpm::PowerState::Run;
-    context.device_current = run_current_;
-    context.storage_charge = state_.charge(col);
-    context.storage_capacity = Coulomb(state_.capacity(col));
-    Coulomb if_dt_active{0.0};
-    probe_and_run(col, fc, context, active_eff_, if_dt_active, sink);
-
-    fc.on_slot_end(observation(k, col, if_dt_idle + if_dt_active, fuel_before));
-
-    audit_slot(lane, k, col, fuel_before, delivered_before,
-               if_dt_idle + if_dt_active);
   }
 
   /// One slot of a merge set: only the leader's policy runs — it plans
@@ -534,7 +428,7 @@ class BatchRunner {
   ///    filled while integrating it. The plan is bitwise every member's
   ///    own (slack property), so the successor is seated from the
   ///    post-plan clone, the phase checkpoint is restored onto its
-  ///    column, and only the integration re-runs at the larger
+  ///    state, and only the integration re-runs at the larger
   ///    capacity; no re-plan, same setpoint.
   ///
   /// Either way the set persists under the new leader — one clone and
@@ -542,128 +436,111 @@ class BatchRunner {
   /// follower. A clamp with no followers left is the (new) leader's own
   /// physics and is simply kept.
   template <typename Fc>
-  void set_slot(MergeSet& set, std::size_t k) {
+  void set_slot(MergeSet& set) {
     std::size_t li = set.leader;
-    const BatchState::Snapshot snap0 = state_.snapshot(lanes_[li].col);
-    const Coulomb fuel_before = snap0.totals.fuel;
-    const Joule delivered_before = snap0.totals.delivered_energy;
+    const hot::LaneState::Snapshot snap0 = state(lanes_[li]).snapshot();
+    const power::HybridTotals& before = snap0.totals;
 
     // --- idle phase ----------------------------------------------------
-    const bool have_idle = plan_.count > 0;
     core::SegmentSetpoint sp_idle{};
     Coulomb if_dt_idle{0.0};
     bool replan = true;
     for (;;) {
+      hot::LaneState& lead = state(lanes_[li]);
       if (replan) {
         set.latch.clear();
-        static_cast<Fc*>(lanes_[li].fc)
-            ->on_idle_start(idle_context(k, lanes_[li].col, Coulomb(snap0.q)));
+        Fc& fc = *static_cast<Fc*>(lanes_[li].fc);
+        fc.on_idle_start(hot::idle_context(in_, lead));
         if (set.latch.clamped() && !set.followers.empty()) {
           const std::size_t next = seat(set, snap0);
-          leader_exit_whole<Fc>(set, li, snap0, k);
+          leader_exit<Fc>(set, li, Resume::IdleRun, before);
           li = next;
           continue;
         }
-        if (have_idle) {
-          core::SegmentContext idle_probe;
-          idle_probe.phase = core::Phase::Idle;
-          idle_probe.state = plan_.segments[0].state;
-          idle_probe.device_current = plan_.segments[0].current;
-          idle_probe.storage_charge = Coulomb(snap0.q);
-          idle_probe.storage_capacity =
-              Coulomb(state_.capacity(lanes_[li].col));
-          sp_idle =
-              static_cast<Fc*>(lanes_[li].fc)->segment_setpoint(idle_probe);
-          // stop_charging_when_full alone is NOT capacity-sensitive:
-          // the integration below marks sensitivity only when the
-          // leader's full-buffer cutoff actually binds (leader = min
-          // capacity, so a non-binding cutoff cannot bind for any
-          // follower).
+        if (in_.plan.count > 0) {
+          // A pure policy answers every idle segment alike, so one probe
+          // serves the phase. stop_charging_when_full alone is NOT
+          // capacity-sensitive: the integration below marks sensitivity
+          // only when the leader's full-buffer cutoff actually binds.
+          sp_idle = fc.segment_setpoint(hot::idle_segment(in_, 0, lead));
         }
       }
       Coulomb accumulated{0.0};
       bool integration_sensitive = false;
-      for (std::size_t s = 0; s < plan_.count; ++s) {
-        run_with_setpoint(lanes_[li].col, sp_idle, plan_.segments[s].current,
-                          plan_.segments[s].duration, accumulated,
-                          integration_sensitive);
+      for (std::size_t s = 0; s < in_.plan.count; ++s) {
+        hot::integrate(lead, sp_idle, in_.plan.segments[s].current,
+                       in_.plan.segments[s].duration, accumulated,
+                       integration_sensitive);
       }
       if (!integration_sensitive || set.followers.empty()) {
         if_dt_idle = accumulated;
         break;
       }
       const std::size_t next = seat(set, snap0);
-      leader_exit_from_idle<Fc>(set, li, accumulated, snap0, k);
+      leader_exit<Fc>(set, li, Resume::ActivePlan, before, accumulated);
       li = next;
       replan = false;  // plan unclamped, hence bitwise the successor's own
     }
 
     // --- active phase --------------------------------------------------
-    const BatchState::Snapshot snap_mid = state_.snapshot(lanes_[li].col);
+    const hot::LaneState::Snapshot snap_mid = state(lanes_[li]).snapshot();
     core::SegmentSetpoint sp_active{};
     Coulomb if_dt_active{0.0};
     replan = true;
     for (;;) {
+      hot::LaneState& lead = state(lanes_[li]);
       if (replan) {
         set.latch.clear();
-        static_cast<Fc*>(lanes_[li].fc)
-            ->on_active_start(
-                active_context(k, lanes_[li].col, Coulomb(snap_mid.q)));
+        Fc& fc = *static_cast<Fc*>(lanes_[li].fc);
+        fc.on_active_start(hot::active_context(in_, lead));
         if (set.latch.clamped() && !set.followers.empty()) {
           const std::size_t next = seat(set, snap_mid);
-          leader_exit_active_whole<Fc>(set, li, if_dt_idle, snap0, k);
+          leader_exit<Fc>(set, li, Resume::ActiveRun, before, if_dt_idle);
           li = next;
           continue;
         }
-        core::SegmentContext active_probe;
-        active_probe.phase = core::Phase::Active;
-        active_probe.state = dpm::PowerState::Run;
-        active_probe.device_current = run_current_;
-        active_probe.storage_charge = Coulomb(snap_mid.q);
-        active_probe.storage_capacity =
-            Coulomb(state_.capacity(lanes_[li].col));
-        sp_active =
-            static_cast<Fc*>(lanes_[li].fc)->segment_setpoint(active_probe);
+        sp_active = fc.segment_setpoint(hot::active_segment(in_, lead));
       }
       Coulomb accumulated{0.0};
       bool integration_sensitive = false;
-      run_with_setpoint(lanes_[li].col, sp_active, run_current_, active_eff_,
-                        accumulated, integration_sensitive);
+      hot::integrate(lead, sp_active, in_.run_current, in_.active, accumulated,
+                     integration_sensitive);
       if (!integration_sensitive || set.followers.empty()) {
         if_dt_active = accumulated;
         break;
       }
       const std::size_t next = seat(set, snap_mid);
-      leader_exit_from_active<Fc>(set, li, if_dt_idle + accumulated, snap0, k);
+      leader_exit<Fc>(set, li, Resume::SlotEnd, before, if_dt_idle,
+                      accumulated);
       li = next;
       replan = false;
     }
 
     // --- epilogue: leader observation, per-lane audits -----------------
     Lane& leader = lanes_[li];
-    const std::size_t lc = leader.col;
-    const core::SlotObservation obs =
-        observation(k, lc, if_dt_idle + if_dt_active, fuel_before);
-    static_cast<Fc*>(leader.fc)->on_slot_end(obs);
+    const hot::LaneState& lead = state(leader);
+    const Coulomb if_dt = if_dt_idle + if_dt_active;
+    hot::slot_end(lead, *static_cast<Fc*>(leader.fc), in_, if_dt, before);
     merged_lane_slots_ += set.followers.size();
 
     bool any_audit_failed = false;
     try {
-      audit_slot(leader, k, lc, fuel_before, delivered_before,
-                 if_dt_idle + if_dt_active);
+      hot::audit_slot(leader.auditor, in_.k, bus_v_, lead, lead.capacity(),
+                      before, if_dt);
     } catch (const audit::AuditError&) {
-      eject_audit(leader, k);
+      eject_audit(leader);
       any_audit_failed = true;
     }
     for (const std::size_t fi : set.followers) {
+      Lane& follower = lanes_[fi];
       try {
-        audit_slot(lanes_[fi], k, lc, fuel_before, delivered_before,
-                   if_dt_idle + if_dt_active);
+        hot::audit_slot(follower.auditor, in_.k, bus_v_, lead,
+                        state(follower).capacity(), before, if_dt);
       } catch (const audit::AuditError&) {
         // Materialize the follower's state (bitwise the leader's)
         // before stamping its partial result.
-        state_.adopt(lanes_[fi].col, lc);
-        eject_audit(lanes_[fi], k);
+        adopt(follower, leader);
+        eject_audit(follower);
         any_audit_failed = true;
       }
     }
@@ -679,11 +556,10 @@ class BatchRunner {
   /// Next leader after a capacity clamp: the smallest capacity among the
   /// followers, preserving the set invariant that the leader's capacity
   /// is the minimum. Callers guarantee the set is non-empty.
-  [[nodiscard]] std::size_t handoff_successor(const MergeSet& set) const {
+  [[nodiscard]] std::size_t handoff_successor(const MergeSet& set) {
     std::size_t next = set.followers.front();
     for (const std::size_t fi : set.followers) {
-      if (state_.capacity(lanes_[fi].col) <
-          state_.capacity(lanes_[next].col)) {
+      if (state(lanes_[fi]).capacity() < state(lanes_[next]).capacity()) {
         next = fi;
       }
     }
@@ -702,15 +578,15 @@ class BatchRunner {
 
   /// Seat the hand-off successor as leader: clone the outgoing leader's
   /// policy (before it advances any further), wire it to the latch,
-  /// and refresh the successor's column — stale since it merged — from
+  /// and refresh the successor's state — stale since it merged — from
   /// the phase checkpoint, which is bitwise its own state. The caller
   /// decides whether the phase needs a re-plan or only a re-integration.
-  std::size_t seat(MergeSet& set, const BatchState::Snapshot& at) {
+  std::size_t seat(MergeSet& set, const hot::LaneState::Snapshot& at) {
     const std::size_t next = handoff_successor(set);
     Lane& lane = lanes_[next];
     materialize(lane, *lanes_[set.leader].fc);
     lane.fc->set_solve_cache(&set.latch);
-    state_.restore(lane.col, at);
+    state(lane).restore(at);
     lane.merged = false;
     set.followers.erase(
         std::find(set.followers.begin(), set.followers.end(), next));
@@ -718,50 +594,21 @@ class BatchRunner {
     return next;
   }
 
-  /// The leader's idle integration clamped against its own capacity:
-  /// that result is valid for it alone, so it keeps it and finishes the
-  /// slot solo on its own column — active phase, epilogue, audit — with
-  /// no restore and no replay.
+  /// A capacity clamp made the rest of the slot the outgoing leader's
+  /// alone: it leaves the set and finishes the slot solo on its own
+  /// state, from where it stopped — no restore, no replay.
   template <typename Fc>
-  void leader_exit_from_idle(MergeSet& set, std::size_t li, Coulomb if_dt_idle,
-                             const BatchState::Snapshot& snap0,
-                             std::size_t k) {
+  void leader_exit(MergeSet& set, std::size_t li, Resume from,
+                   const power::HybridTotals& before,
+                   Coulomb if_dt_idle = Coulomb(0.0),
+                   Coulomb if_dt_active = Coulomb(0.0)) {
     Lane& lane = lanes_[li];
-    Fc& fc = *static_cast<Fc*>(lane.fc);
     split_out(set, lane);
-    const std::size_t col = lane.col;
-
-    fc.on_active_start(active_context(k, col, state_.charge(col)));
-
-    core::SegmentContext context;
-    context.phase = core::Phase::Active;
-    context.state = dpm::PowerState::Run;
-    context.device_current = run_current_;
-    context.storage_charge = state_.charge(col);
-    context.storage_capacity = Coulomb(state_.capacity(col));
-    Coulomb if_dt_active{0.0};
-    bool sink = false;
-    probe_and_run(col, fc, context, active_eff_, if_dt_active, sink);
-
-    fc.on_slot_end(observation(k, col, if_dt_idle + if_dt_active,
-                               snap0.totals.fuel));
-    finish_replay_audit(lane, k, snap0, if_dt_idle + if_dt_active);
+    solo(lane, *static_cast<Fc*>(lane.fc), from, before, if_dt_idle,
+         if_dt_active);
   }
 
-  /// Same hand-off at the active integration: the slot is already fully
-  /// integrated on the leader's own column, so only the epilogue runs.
-  template <typename Fc>
-  void leader_exit_from_active(MergeSet& set, std::size_t li, Coulomb if_dt,
-                               const BatchState::Snapshot& snap0,
-                               std::size_t k) {
-    Lane& lane = lanes_[li];
-    Fc& fc = *static_cast<Fc*>(lane.fc);
-    split_out(set, lane);
-    fc.on_slot_end(observation(k, lane.col, if_dt, snap0.totals.fuel));
-    finish_replay_audit(lane, k, snap0, if_dt);
-  }
-
-  /// Leave the set: own columns from here on, the set's cache wiring.
+  /// Leave the set: own state from here on, the set's cache wiring.
   void split_out(MergeSet& set, Lane& lane) {
     lane.merged = false;
     lane.set = -1;
@@ -770,95 +617,15 @@ class BatchRunner {
     split_this_slot_ = true;
   }
 
-  /// The leader's on_idle_start produced a capacity-shaped plan: it is
-  /// valid for the leader alone, which runs the whole slot solo on its
-  /// own column (still at the slot-start state — nothing was integrated
-  /// yet).
-  template <typename Fc>
-  void leader_exit_whole(MergeSet& set, std::size_t li,
-                         const BatchState::Snapshot& snap0, std::size_t k) {
-    Lane& lane = lanes_[li];
-    Fc& fc = *static_cast<Fc*>(lane.fc);
-    split_out(set, lane);
-    const std::size_t col = lane.col;
-
-    Coulomb if_dt_idle{0.0};
-    bool sink = false;
-    for (std::size_t s = 0; s < plan_.count; ++s) {
-      core::SegmentContext context;
-      context.phase = core::Phase::Idle;
-      context.state = plan_.segments[s].state;
-      context.device_current = plan_.segments[s].current;
-      context.storage_charge = state_.charge(col);
-      context.storage_capacity = Coulomb(state_.capacity(col));
-      probe_and_run(col, fc, context, plan_.segments[s].duration, if_dt_idle,
-                    sink);
-    }
-
-    fc.on_active_start(active_context(k, col, state_.charge(col)));
-
-    core::SegmentContext context;
-    context.phase = core::Phase::Active;
-    context.state = dpm::PowerState::Run;
-    context.device_current = run_current_;
-    context.storage_charge = state_.charge(col);
-    context.storage_capacity = Coulomb(state_.capacity(col));
-    Coulomb if_dt_active{0.0};
-    probe_and_run(col, fc, context, active_eff_, if_dt_active, sink);
-
-    fc.on_slot_end(observation(k, col, if_dt_idle + if_dt_active,
-                               snap0.totals.fuel));
-    finish_replay_audit(lane, k, snap0, if_dt_idle + if_dt_active);
-  }
-
-  /// The leader's on_active_start produced a capacity-shaped replan:
-  /// the shared idle phase stays (bitwise everyone's own); the leader
-  /// finishes only the active suffix solo on its own column (already at
-  /// the post-idle state).
-  template <typename Fc>
-  void leader_exit_active_whole(MergeSet& set, std::size_t li,
-                                Coulomb if_dt_idle,
-                                const BatchState::Snapshot& snap0,
-                                std::size_t k) {
-    Lane& lane = lanes_[li];
-    Fc& fc = *static_cast<Fc*>(lane.fc);
-    split_out(set, lane);
-    const std::size_t col = lane.col;
-
-    core::SegmentContext context;
-    context.phase = core::Phase::Active;
-    context.state = dpm::PowerState::Run;
-    context.device_current = run_current_;
-    context.storage_charge = state_.charge(col);
-    context.storage_capacity = Coulomb(state_.capacity(col));
-    Coulomb if_dt_active{0.0};
-    bool sink = false;
-    probe_and_run(col, fc, context, active_eff_, if_dt_active, sink);
-
-    fc.on_slot_end(observation(k, col, if_dt_idle + if_dt_active,
-                               snap0.totals.fuel));
-    finish_replay_audit(lane, k, snap0, if_dt_idle + if_dt_active);
-  }
-
-  void finish_replay_audit(Lane& lane, std::size_t k,
-                           const BatchState::Snapshot& snap0, Coulomb if_dt) {
-    try {
-      audit_slot(lane, k, lane.col, snap0.totals.fuel,
-                 snap0.totals.delivered_energy, if_dt);
-    } catch (const audit::AuditError&) {
-      eject_audit(lane, k);
-    }
-  }
-
   /// Audit ejection dissolves the whole set: at a slot boundary every
   /// merged follower is bitwise at the leader's state, so adopting the
-  /// leader's columns and continuing solo is lossless. Rare path — an
+  /// leader's state and continuing solo is lossless. Rare path — an
   /// engine defect or tamper hook — so simplicity over merge retention.
   void dissolve(MergeSet& set) {
     Lane& leader = lanes_[set.leader];
     for (const std::size_t fi : set.followers) {
       Lane& follower = lanes_[fi];
-      state_.adopt(follower.col, leader.col);
+      adopt(follower, leader);
       materialize(follower, *leader.fc);
       follower.merged = false;
       follower.set = -1;
@@ -878,9 +645,9 @@ class BatchRunner {
 
   // --- lane endings ----------------------------------------------------
 
-  void eject_audit(Lane& lane, std::size_t k) {
+  void eject_audit(Lane& lane) {
     lane.out.end = LaneOutcome::End::AuditFailed;
-    stamp(lane, k + 1);
+    stamp(lane, in_.k + 1);
     if (lane.auditor != nullptr) {
       lane.out.result.audit = lane.auditor->stats();
     }
@@ -893,10 +660,7 @@ class BatchRunner {
     result.slots = slots;
     result.sleeps = sleeps_;
     result.latency_added = latency_;
-    result.totals = state_.totals(lane.col);
-    result.storage_end = state_.charge(lane.col);
-    result.storage_min = state_.min_charge(lane.col);
-    result.storage_max = state_.max_charge(lane.col);
+    state(lane).write_result(result);
     if (predictive_ != nullptr) {
       result.idle_accuracy = predictive_->accuracy();
     }
@@ -909,7 +673,7 @@ class BatchRunner {
     audit::EndAudit end;
     end.totals = &lane.out.result.totals;
     end.storage_end = lane.out.result.storage_end.value();
-    end.storage_capacity = state_.capacity(lane.col);
+    end.storage_capacity = state(lane).capacity();
     end.slots = slots;
     try {
       lane.auditor->on_run_end(end);
@@ -926,8 +690,8 @@ class BatchRunner {
         continue;
       }
       if (lane.merged) {
-        state_.adopt(lane.col, lanes_[sets_[static_cast<std::size_t>(lane.set)]
-                                          .leader].col);
+        adopt(lane,
+              lanes_[sets_[static_cast<std::size_t>(lane.set)].leader]);
       }
       stamp(lane, ct_.size());
       end_audit(lane, ct_.size());
@@ -956,7 +720,7 @@ class BatchRunner {
   double bus_v_ = 0.0;
   const dpm::PredictiveDpmPolicy* predictive_ = nullptr;
 
-  BatchState state_;
+  std::vector<hot::LaneState> states_;
   std::vector<Lane> lanes_;
   /// Deque, not vector: re-forms append while policies hold `&set.latch`
   /// pointers into existing elements, which must survive the growth.
@@ -974,11 +738,8 @@ class BatchRunner {
   /// still-identical survivors regroup instead of finishing solo.
   bool split_this_slot_ = false;
 
-  // Per-slot shared values (one trace, one DPM plan for the batch).
-  Seconds slot_idle_{0.0};
-  Ampere run_current_{0.0};
-  Seconds active_eff_{0.0};
-  dpm::InlineIdlePlan plan_;
+  /// The slot being run: one trace, one DPM plan for the whole batch.
+  hot::SlotInputs in_;
 };
 
 }  // namespace

@@ -1,19 +1,22 @@
 // fcdpm::batch — the multi-point batched engine.
 //
 // run_batch advances B sweep points *simultaneously* through a single
-// slot loop over point-major SoA state (BatchState). Points that share
-// a DPM policy configuration share the plan computation outright (one
-// plan_idle_into per slot for the whole batch), and points whose FC
-// policies are pure per-phase (segment_setpoint_is_pure) and start from
-// identical physical state are *merged*: one leader lane integrates,
-// and followers — identical in everything but buffer capacity — reuse
-// the leader's per-slot work. Merging is self-correcting: each phase
-// the follower's probed setpoint is bit-compared against the leader's,
-// and on the first slot whose solve actually diverges (or whose
-// integration touched the leader's capacity), the follower restores the
-// checkpointed shared-prefix state and replays only the divergent
-// suffix on its own columns. Every lane's result is bit-identical to
-// running that point alone on the reference engine.
+// slot loop, one hot::LaneState per point: the hot lane's state and its
+// slot body (hot/lane.hpp), so the batch loop holds no model of its
+// own. The points share a DPM policy, so one plan_idle_into per slot
+// serves the whole batch. Points whose FC policies are pure per-phase
+// (segment_setpoint_is_pure), merge_equivalent, and start from
+// identical lane states except for capacity form a *merge set*: the
+// smallest-capacity lane leads, and only its policy runs and
+// integrates; the followers are frozen and ride its state. When the
+// capacity shapes the leader's slot — a capacity-clamped solve while
+// planning, or a buffer that fills while integrating — the leader
+// steps out and finishes that slot solo from where it stopped, and the
+// next-smallest capacity takes over the set: re-planning after a plan
+// clamp, re-integrating from the phase checkpoint after an integration
+// clamp. Every lane's result is bit-identical to running that point
+// alone on the reference engine (docs/ARCHITECTURE.md, "Batched
+// execution & incremental sweeps").
 //
 // The batch loop serves multi-point sweep tasks only (par::run_batch_chunk).
 // A single run takes the hot lane instead, even when Engine::Batched is
@@ -60,11 +63,13 @@ struct LaneOutcome {
 /// Batch-level accounting (optional out-param of run_batch).
 struct BatchStats {
   std::size_t lanes = 0;
-  /// Merge sets formed at batch start (>= 2 physically identical lanes).
+  /// Merge sets formed (>= 2 identical lanes), at batch start or when
+  /// lanes re-converge after a split.
   std::size_t merge_sets = 0;
   /// Follower-slots served entirely by a leader's work.
   std::size_t merged_lane_slots = 0;
-  /// Followers that diverged and replayed onto their own columns.
+  /// Leaders that left their set at a capacity clamp and finished the
+  /// slot solo.
   std::size_t splits = 0;
 };
 

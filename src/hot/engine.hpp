@@ -2,12 +2,13 @@
 //
 // hot::simulate runs a CompiledTrace through an allocation-free slot
 // loop: the hybrid source's segment integration is mirrored on a local
-// register-resident lane (HybridLane), the DPM layout goes through
-// plan_idle_into() into inline storage, and the FC policy is dispatched
-// once per run (devirtualized for the four shipped policies) instead of
-// per segment. The arithmetic is the reference loop's own, expression
-// for expression, so results are bit-identical — sim::simulate stays
-// the differential oracle (tests/hot holds every path to that).
+// LaneState (hot/lane.hpp, which the batch loop runs per point too),
+// the DPM layout goes through plan_idle_into() into inline storage, and
+// the FC policy is dispatched once per run (devirtualized for the four
+// shipped policies) instead of per segment. The arithmetic is the
+// reference loop's own, expression for expression, so results are
+// bit-identical — sim::simulate stays the differential oracle
+// (tests/hot holds every path to that).
 //
 // hot::simulate asks sim::choose_engine once per run: configurations
 // the lane cannot mirror (fault injection, profile recording, a

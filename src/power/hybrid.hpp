@@ -19,11 +19,7 @@ class FaultInjector;
 }
 
 namespace fcdpm::hot {
-class HybridLane;
-}
-
-namespace fcdpm::batch {
-class BatchState;
+class LaneState;
 }
 
 namespace fcdpm::power {
@@ -207,12 +203,11 @@ class HybridPowerSource {
   }
 
  private:
-  // The hot engine's lane mirrors run_segment() bit-for-bit on local
-  // state and writes the result back through this friendship, so a run
-  // can resume on the reference path mid-stream. The batch engine's
-  // SoA state does the same for B lanes at once.
-  friend class fcdpm::hot::HybridLane;
-  friend class fcdpm::batch::BatchState;
+  // The compiled loops' lane state (hot lane and batch loop alike)
+  // mirrors run_segment() bit-for-bit on local state and writes the
+  // result back through this friendship, so a run can resume on the
+  // reference path mid-stream.
+  friend class fcdpm::hot::LaneState;
 
   std::unique_ptr<FuelSource> source_;
   std::unique_ptr<ChargeStorage> storage_;

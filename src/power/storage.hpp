@@ -16,11 +16,7 @@
 #include "common/units.hpp"
 
 namespace fcdpm::hot {
-class HybridLane;
-}
-
-namespace fcdpm::batch {
-class BatchState;
+class LaneState;
 }
 
 namespace fcdpm::power {
@@ -95,8 +91,8 @@ class SuperCapacitor final : public ChargeStorage {
   [[nodiscard]] Coulomb capacity() const override { return capacity_; }
   [[nodiscard]] Coulomb charge() const override { return charge_; }
   /// Per-leg efficiency (sqrt of the round trip), applied once on store
-  /// and once on draw. The hot engine mirrors the store/draw arithmetic
-  /// inline and needs this factor.
+  /// and once on draw. The compiled loops' lane state mirrors the
+  /// store/draw arithmetic inline and needs this factor.
   [[nodiscard]] double one_way_efficiency() const noexcept {
     return one_way_efficiency_;
   }
@@ -108,13 +104,12 @@ class SuperCapacitor final : public ChargeStorage {
   [[nodiscard]] std::unique_ptr<ChargeStorage> clone() const override;
 
  private:
-  // The hot engine's lane accumulates `charge_ += landed` on a local
-  // mirror and writes the final value back directly: `set_charge`'s
+  // The compiled loops' lane state accumulates `charge_ += landed` on a
+  // local mirror and writes the final value back directly: `set_charge`'s
   // range contract would reject the 1-ulp overshoot the reference's own
   // accumulation legitimately produces, and clamping would break
   // bit-identity.
-  friend class fcdpm::hot::HybridLane;
-  friend class fcdpm::batch::BatchState;
+  friend class fcdpm::hot::LaneState;
 
   Coulomb capacity_;
   Coulomb charge_{0.0};

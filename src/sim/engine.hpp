@@ -24,7 +24,7 @@ struct SimulationOptions;
 enum class Engine {
   Reference,  ///< sim::simulate's virtual-dispatch loop (the oracle)
   Hot,        ///< fcdpm::hot — compiled trace, allocation-free slot loop
-  Batched,    ///< fcdpm::batch — SoA slot loop for multi-point tasks
+  Batched,    ///< fcdpm::batch — one slot loop over a multi-point task
 };
 
 /// Why a run landed where it did: Requested, or the first fallback

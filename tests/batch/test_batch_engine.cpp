@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "common/contracts.hpp"
 #include "hot/compiled_trace.hpp"
 #include "hot/engine.hpp"
@@ -254,6 +255,97 @@ TEST(BatchEngine, EightConcurrentBatchesShareOneCompiledTrace) {
     ASSERT_EQ(outcomes[t].size(), golden.size());
     for (std::size_t k = 0; k < golden.size(); ++k) {
       expect_identical_results(golden[k].result, outcomes[t][k].result);
+    }
+  }
+}
+
+/// Capacity lanes from the shared 1 A-s start, each with its own
+/// fail-fast sample auditor at period 1; lane `tampered`'s auditor
+/// corrupts its view of slot `tamper_slot`.
+struct AuditedBatch {
+  std::vector<LaneRig> rigs;
+  std::vector<std::unique_ptr<audit::Auditor>> auditors;
+  std::vector<batch::LaneOutcome> outcomes;
+  batch::BatchStats stats;
+
+  AuditedBatch(const sim::ExperimentConfig& base,
+               const hot::CompiledTrace& compiled,
+               const std::vector<Coulomb>& capacities, std::size_t tampered,
+               std::size_t tamper_slot) {
+    dpm::PredictiveDpmPolicy dpm = sim::make_dpm_policy(base);
+    rigs.reserve(capacities.size());
+    std::vector<batch::BatchLaneSpec> lanes;
+    for (std::size_t i = 0; i < capacities.size(); ++i) {
+      rigs.emplace_back(base, sim::PolicyKind::FcDpm, capacities[i]);
+      audit::AuditSpec spec;
+      spec.mode = audit::Mode::Sample;
+      spec.sample_period = 1;
+      if (i == tampered) {
+        spec.tamper_slot = tamper_slot;
+      }
+      auditors.push_back(
+          std::make_unique<audit::Auditor>(spec, /*fail_fast=*/true));
+      batch::BatchLaneSpec lane;
+      lane.fc = rigs.back().fc.get();
+      lane.hybrid = &rigs.back().hybrid;
+      lane.auditor = auditors.back().get();
+      lanes.push_back(lane);
+    }
+    sim::SimulationOptions shared = base.simulation;
+    shared.initial_storage = base.initial_storage;
+    outcomes = batch::run_batch(compiled, dpm, lanes, shared, nullptr, &stats);
+  }
+};
+
+// A fail-fast audit violation inside a merge set ejects the lane it
+// hits and dissolves the set. The ejected lane keeps exactly the state
+// its own run had reached; every other lane finishes as its own
+// reference run. Lane 0 (the smallest capacity) leads the set at the
+// tampered slot and lane 2 rides it.
+TEST(BatchEngine, AuditEjectionFromAMergeSetIsLossless) {
+  const sim::ExperimentConfig base = base_config();
+  const hot::CompiledTrace compiled(base.trace, base.device);
+  const std::vector<Coulomb> capacities{Coulomb(6.0), Coulomb(12.0),
+                                        Coulomb(24.0)};
+  constexpr std::size_t kTamperSlot = 2;
+  const AuditedBatch clean(base, compiled, capacities, audit::npos, 0);
+  ASSERT_EQ(clean.stats.merge_sets, 1u);
+
+  for (const std::size_t tampered : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE(tampered);
+    const AuditedBatch run(base, compiled, capacities, tampered, kTamperSlot);
+    // The ejection cut the set short: fewer follower-slots rode a
+    // leader than in the clean batch.
+    EXPECT_LT(run.stats.merged_lane_slots, clean.stats.merged_lane_slots);
+    for (std::size_t k = 0; k < capacities.size(); ++k) {
+      SCOPED_TRACE(k);
+      const batch::LaneOutcome& outcome = run.outcomes[k];
+      if (k != tampered) {
+        EXPECT_EQ(outcome.end, batch::LaneOutcome::End::Completed);
+        const RefRun ref =
+            reference_run(base, sim::PolicyKind::FcDpm, capacities[k]);
+        expect_identical_results(ref.result, outcome.result);
+        expect_identical_hybrids(ref.hybrid, run.rigs[k].hybrid);
+        continue;
+      }
+      EXPECT_EQ(outcome.end, batch::LaneOutcome::End::AuditFailed);
+      EXPECT_EQ(outcome.result.slots, kTamperSlot + 1);
+      // The reference run cut after the same slots leaves the same
+      // partial hybrid, and the partial result reports it.
+      LaneRig ref(base, sim::PolicyKind::FcDpm, capacities[k]);
+      dpm::PredictiveDpmPolicy ref_dpm = sim::make_dpm_policy(ref.config);
+      sim::SimulationOptions options = ref.config.simulation;
+      options.initial_storage = ref.config.initial_storage;
+      options.slot_budget = kTamperSlot + 1;
+      EXPECT_THROW((void)sim::simulate(ref.config.trace, ref_dpm, *ref.fc,
+                                       ref.hybrid, options),
+                   sim::DeadlineExceededError);
+      expect_identical_hybrids(ref.hybrid, run.rigs[k].hybrid);
+      EXPECT_EQ(std::memcmp(&ref.hybrid.totals(), &outcome.result.totals,
+                            sizeof outcome.result.totals),
+                0);
+      EXPECT_EQ(ref.hybrid.storage().charge().value(),
+                outcome.result.storage_end.value());
     }
   }
 }
