@@ -234,14 +234,6 @@ void FaultSchedule::save(std::ostream& out) const {
   write_csv(out, doc);
 }
 
-void FaultSchedule::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw CsvError("cannot create fault schedule file: " + path);
-  }
-  save(out);
-}
-
 FaultSchedule FaultSchedule::random_storm(std::uint64_t seed,
                                           std::size_t count,
                                           Seconds horizon) {

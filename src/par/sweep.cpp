@@ -292,30 +292,34 @@ void run_batch_chunk(
   // reproduces run_point's per-point initial_storage exactly.
   options.initial_storage = base.initial_storage;
 
+  // Options, observers and the hybrid's type are the same for every
+  // lane of a task, so the first lane's hybrid answers for all of them.
+  config.storage_capacity = points[task.front()].capacity;
+  if (sim::choose_engine(sim::Engine::Batched, sim::make_hybrid(config),
+                         options)
+          .engine != sim::Engine::Batched) {
+    for (std::size_t i = 0; i < task.size(); ++i) {
+      lane_out(i) = run_point(base, points[task[i]], storm_faults, cache,
+                              nullptr, 0, &compiled);
+    }
+    return;
+  }
+
   std::vector<std::unique_ptr<core::FcOutputPolicy>> fcs;
   std::vector<std::unique_ptr<audit::Auditor>> auditors;
   std::vector<power::HybridPowerSource> hybrids;
   std::vector<batch::BatchLaneSpec> lanes;
-  std::vector<std::size_t> lane_of;  // batch lane -> task lane
   // Lane specs hold pointers into these vectors: no reallocation.
   fcs.reserve(task.size());
   auditors.reserve(task.size());
   hybrids.reserve(task.size());
   lanes.reserve(task.size());
-  lane_of.reserve(task.size());
 
-  for (std::size_t i = 0; i < task.size(); ++i) {
-    const SweepPoint& point = points[task[i]];
+  for (const std::size_t k : task) {
+    const SweepPoint& point = points[k];
     config.storage_capacity = point.capacity;
     config.initial_storage = min(base.initial_storage, point.capacity);
-    power::HybridPowerSource hybrid = sim::make_hybrid(config);
-    if (sim::choose_engine(sim::Engine::Batched, hybrid, options).engine !=
-        sim::Engine::Batched) {
-      lane_out(i) = run_point(base, point, storm_faults, cache, nullptr, 0,
-                              &compiled);
-      continue;
-    }
-    hybrids.push_back(std::move(hybrid));
+    hybrids.push_back(sim::make_hybrid(config));
     fcs.push_back(sim::make_fc_policy(point.policy, config));
     batch::BatchLaneSpec lane;
     lane.fc = fcs.back().get();
@@ -330,19 +334,14 @@ void run_batch_chunk(
       lane.auditor = auditors.back().get();
     }
     lanes.push_back(lane);
-    lane_of.push_back(i);
-  }
-  if (lanes.empty()) {
-    return;
   }
 
   std::vector<batch::LaneOutcome> outcomes =
       batch::run_batch(compiled, dpm_policy, lanes, options, cache, &stats);
 
-  for (std::size_t b = 0; b < outcomes.size(); ++b) {
-    const std::size_t i = lane_of[b];
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const SweepPoint& point = points[task[i]];
-    batch::LaneOutcome& outcome = outcomes[b];
+    batch::LaneOutcome& outcome = outcomes[i];
     SweepPointResult& out = lane_out(i);
     if (outcome.end == batch::LaneOutcome::End::Completed) {
       out.point = point;
@@ -476,6 +475,13 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::vector<std::span<const std::size_t>> tasks;
   if (batched_sweep(base)) {
+    // Storm and stack points run alone; moved to the back, they no
+    // longer split the fault-free points of one policy and rho (the
+    // seed axis is innermost) into one-point tasks. Results are stored
+    // by grid index, so the order changes no output.
+    std::stable_partition(order.begin(), order.end(), [&](std::size_t k) {
+      return batch_point_eligible(points[k]);
+    });
     tasks = plan_batches(points, order);
   } else {
     for (const std::size_t& k : order) {

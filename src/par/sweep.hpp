@@ -197,11 +197,12 @@ inline constexpr std::size_t kBatchMax = 16;
 /// Run one multi-point task: every lane shares the compiled trace, one
 /// DPM policy (rho is constant within a task) and one slot loop. The
 /// result of lane i (grid point `task[i]`) is written to lane_out(i).
-/// A lane sim::choose_engine does not land on Batched runs alone
-/// through run_point, and a fail-fast audit violation self-heals like
-/// run_one's: the point is replayed on the reference engine and the
-/// fallback recorded. Merge accounting is added to `stats`. Throws what
-/// the runs throw; lanes written before the throw are then partial.
+/// sim::choose_engine is asked once per task; when it does not land on
+/// Batched, every lane runs alone through run_point. A fail-fast audit
+/// violation self-heals like run_one's: the point is replayed on the
+/// reference engine and the fallback recorded. Merge accounting is
+/// added to `stats`. Throws what the runs throw; lanes written before
+/// the throw are then partial.
 void run_batch_chunk(
     const sim::ExperimentConfig& base, const std::vector<SweepPoint>& points,
     std::span<const std::size_t> task, std::size_t storm_faults,

@@ -32,10 +32,6 @@ SuperCapacitor SuperCapacitor::paper_1f() {
   return SuperCapacitor(Coulomb(6.0), 1.0);
 }
 
-SuperCapacitor SuperCapacitor::realistic_1f() {
-  return SuperCapacitor(Coulomb(6.0), 0.98);
-}
-
 SuperCapacitor SuperCapacitor::from_capacitance(
     Farad capacitance, Volt v_lo, Volt v_hi, double round_trip_efficiency) {
   FCDPM_EXPECTS(v_lo.value() >= 0.0 && v_lo < v_hi,

@@ -79,10 +79,6 @@ class SuperCapacitor final : public ChargeStorage {
   /// the charge storage element").
   [[nodiscard]] static SuperCapacitor paper_1f();
 
-  /// Same element with a realistic ~98 % round trip, for studying how
-  /// much the paper's lossless assumption matters.
-  [[nodiscard]] static SuperCapacitor realistic_1f();
-
   /// From physical capacitance and the voltage window [v_lo, v_hi].
   [[nodiscard]] static SuperCapacitor from_capacitance(
       Farad capacitance, Volt v_lo, Volt v_hi,

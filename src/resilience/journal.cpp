@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <cerrno>
-#include <charconv>
 #include <cmath>
 #include <concepts>
 #include <cstring>
-#include <deque>
-#include <limits>
 #include <string_view>
 #include <utility>
 
@@ -24,10 +20,13 @@
 #include "common/text.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/result_fields.hpp"
+#include "telemetry/json.hpp"
 
 namespace fcdpm::resilience {
 
 namespace {
+
+namespace json = telemetry::json;
 
 // --- framing ----------------------------------------------------------------
 // "R " + 8-hex payload length + " " + 16-hex FNV-1a 64 + " " ... "\n"
@@ -62,230 +61,11 @@ bool parse_hex(std::string_view text, std::uint64_t& out) {
   return true;
 }
 
-// --- minimal flat-JSON-object parser ----------------------------------------
-// Journal payloads are flat objects of string / integer / bool values,
-// emitted by record_to_json below; this parser accepts exactly that.
-// Keys and strings are views into the payload; only a string with an
-// escape in it is copied, unescaped, into the object's own storage.
-
-struct JsonField {
-  enum class Kind { String, Integer, Bool } kind = Kind::String;
-  std::string_view text;      // String
-  std::uint64_t integer = 0;  // Integer (payloads never need signs)
-  bool boolean = false;       // Bool
-};
-
-/// One parsed payload. A repeated key keeps its first value only, so
-/// every key in `fields` is unique. clear() keeps the capacity, so one
-/// object serves every record of a journal.
-struct JsonObject {
-  std::vector<std::pair<std::string_view, JsonField>> fields;
-  std::deque<std::string> unescaped;  ///< stable storage for escaped strings
-
-  void clear() {
-    fields.clear();
-    unescaped.clear();
-  }
-};
-
-class FlatJsonParser {
- public:
-  explicit FlatJsonParser(std::string_view text) : text_(text) {}
-
-  bool parse(JsonObject& out) {
-    skip_space();
-    if (!consume('{')) {
-      return false;
-    }
-    skip_space();
-    if (consume('}')) {
-      return true;
-    }
-    std::uint64_t key_filter = 0;
-    while (true) {
-      std::string_view key;
-      if (!parse_string(key, out)) {
-        return false;
-      }
-      skip_space();
-      if (!consume(':')) {
-        return false;
-      }
-      skip_space();
-      JsonField field;
-      if (!parse_value(field, out)) {
-        return false;
-      }
-      if (!repeated(out, key, key_filter)) {
-        out.fields.emplace_back(key, field);
-      }
-      skip_space();
-      if (consume(',')) {
-        skip_space();
-        continue;
-      }
-      return consume('}');
-    }
-  }
-
- private:
-  /// True when `key` is already in `out`. A 64-bit filter over each
-  /// key's length and end bytes skips the scan for most keys.
-  static bool repeated(const JsonObject& out, std::string_view key,
-                       std::uint64_t& filter) {
-    const std::size_t hash =
-        key.empty() ? 0
-                    : key.size() * 7 + static_cast<unsigned char>(key.front()) +
-                          static_cast<unsigned char>(key.back()) * 3;
-    const std::uint64_t bit = std::uint64_t{1} << (hash & 63);
-    if ((filter & bit) == 0) {
-      filter |= bit;
-      return false;
-    }
-    return std::any_of(out.fields.begin(), out.fields.end(),
-                       [&](const auto& field) { return field.first == key; });
-  }
-
-  void skip_space() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_string(std::string_view& out, JsonObject& object) {
-    if (!consume('"')) {
-      return false;
-    }
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"' &&
-           text_[pos_] != '\\') {
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    if (text_[pos_] == '"') {
-      out = text_.substr(start, pos_++ - start);
-      return true;
-    }
-    std::string& copy =
-        object.unescaped.emplace_back(text_.substr(start, pos_ - start));
-    if (!unescape_rest(copy)) {
-      return false;
-    }
-    out = copy;
-    return true;
-  }
-
-  /// Continue a string at its first backslash, appending the unescaped
-  /// bytes to `out` through the closing quote.
-  bool unescape_rest(std::string& out) {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        return false;
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return false;
-          }
-          std::uint64_t code = 0;
-          std::string hex(text_.substr(pos_, 4));
-          for (char& h : hex) {
-            h = static_cast<char>(std::tolower(h));
-          }
-          if (!parse_hex(hex, code)) {
-            return false;
-          }
-          pos_ += 4;
-          // Journal strings only ever escape control characters; wider
-          // code points pass through UTF-8 unescaped.
-          out += static_cast<char>(code & 0xff);
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;
-  }
-
-  bool parse_value(JsonField& out, JsonObject& object) {
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    if (text_[pos_] == '"') {
-      out.kind = JsonField::Kind::String;
-      return parse_string(out.text, object);
-    }
-    if (literal("true")) {
-      out.kind = JsonField::Kind::Bool;
-      out.boolean = true;
-      return true;
-    }
-    if (literal("false")) {
-      out.kind = JsonField::Kind::Bool;
-      out.boolean = false;
-      return true;
-    }
-    out.kind = JsonField::Kind::Integer;
-    const char* const first = text_.data() + pos_;
-    const auto [last, ec] =
-        std::from_chars(first, text_.data() + text_.size(), out.integer);
-    if (last == first) {
-      return false;
-    }
-    pos_ += static_cast<std::size_t>(last - first);
-    if (ec == std::errc::result_out_of_range) {
-      out.integer = std::numeric_limits<std::uint64_t>::max();  // as strtoull
-    }
-    return true;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
 /// A parsed payload, looked up in writer order.
 class FieldMap {
  public:
-  FieldMap(const JsonObject& object, std::size_t payload_bytes)
-      : fields_(object.fields), payload_bytes_(payload_bytes) {}
+  FieldMap(const json::FlatObject& object, std::size_t payload_bytes)
+      : fields_(object.members), payload_bytes_(payload_bytes) {}
 
   /// No list in the payload can be longer than this.
   [[nodiscard]] std::size_t payload_bytes() const { return payload_bytes_; }
@@ -295,7 +75,7 @@ class FieldMap {
   /// last hit, or the last hit itself when a marker key is asked for
   /// again, nearly always holds it; otherwise every field is scanned.
   /// Keys are unique, so any hit is the first match.
-  [[nodiscard]] const JsonField* find(std::string_view key) {
+  [[nodiscard]] const json::Scalar* find(std::string_view key) {
     if (next_ < fields_.size() && fields_[next_].first == key) {
       return &fields_[next_++].second;
     }
@@ -312,7 +92,7 @@ class FieldMap {
   }
 
  private:
-  const std::vector<std::pair<std::string_view, JsonField>>& fields_;
+  const std::vector<std::pair<std::string_view, json::Scalar>>& fields_;
   std::size_t payload_bytes_;
   std::size_t next_ = 0;
 };
@@ -456,13 +236,13 @@ bool decode(FieldMap& fields, std::string_view key, T&& field) {
     std::string_view text;
     return decode(fields, key, text) && parse_hexfloat(text, field);
   } else {
-    using Kind = JsonField::Kind;
+    using json::Kind;
     constexpr Kind kind = std::is_same_v<F, std::string> ||
                                   std::is_same_v<F, std::string_view>
                               ? Kind::String
                           : std::is_same_v<F, bool>      ? Kind::Bool
-                                                         : Kind::Integer;
-    const JsonField* f = fields.find(key);
+                                                         : Kind::Number;
+    const json::Scalar* f = fields.find(key);
     if (f == nullptr || f->kind != kind) {
       return false;
     }
@@ -610,10 +390,8 @@ namespace {
 
 /// Decode one payload; `object` is scratch space reused across records.
 bool record_from_json(std::string_view payload, JournalRecord& record,
-                      JsonObject& object) {
-  object.clear();
-  FlatJsonParser parser(payload);
-  if (!parser.parse(object)) {
+                      json::FlatObject& object) {
+  if (!json::parse_flat(payload, object)) {
     return false;
   }
   FieldMap fields(object, payload.size());
@@ -678,9 +456,8 @@ bool record_from_json(std::string_view payload, JournalRecord& record,
 }
 
 bool header_from_json(std::string_view line, JournalHeader& header) {
-  JsonObject object;
-  FlatJsonParser parser(line);
-  if (!parser.parse(object)) {
+  json::FlatObject object;
+  if (!json::parse_flat(line, object)) {
     return false;
   }
   FieldMap fields(object, line.size());
@@ -859,7 +636,7 @@ JournalLoad load_journal(const std::string& path) {
   load.records.reserve(
       std::min(lines, (bytes.size() - pos) / (kPrefixBytes + 1)));
   std::vector<bool> seen;
-  JsonObject object;
+  json::FlatObject object;
   while (pos < bytes.size()) {
     const std::string_view rest = std::string_view(bytes).substr(pos);
     if (rest.size() < kPrefixBytes || rest[0] != 'R' || rest[1] != ' ' ||

@@ -109,11 +109,6 @@ void MultiStackFuelSource::reset() {
   std::fill(fuel_as_.begin(), fuel_as_.end(), 0.0);
 }
 
-void MultiStackFuelSource::distribute_setpoint(
-    Ampere i_f, std::vector<double>& shares) const {
-  distribute(distribution_, i_f.value(), stacks_, shares);
-}
-
 StacksStats MultiStackFuelSource::stats() const {
   StacksStats out;
   out.distribution = distribution_;

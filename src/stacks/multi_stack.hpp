@@ -70,9 +70,6 @@ class MultiStackFuelSource final : public power::FuelSource {
   [[nodiscard]] const std::vector<StackUnit>& stacks() const noexcept {
     return stacks_;
   }
-  /// The shares fuel_current would use for this setpoint right now
-  /// (exposed for tests and tooling).
-  void distribute_setpoint(Ampere i_f, std::vector<double>& shares) const;
   /// Per-stack totals snapshot.
   [[nodiscard]] StacksStats stats() const;
 

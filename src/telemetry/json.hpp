@@ -1,15 +1,22 @@
-// Minimal recursive-descent JSON reader for the bench-history ledger.
+// The one JSON reader of the library, for the machine-written JSON it
+// reads back: the bench-history ledger (BENCH_*.json outputs and
+// BENCH_HISTORY.jsonl rows) and the result journal's records.
 //
-// The repo *writes* JSON in several places (report/, obs/) but until
-// now never read it back; bench_history must parse its own BENCH_*.json
-// outputs and BENCH_HISTORY.jsonl rows. This is a deliberately small
-// reader for that machine-written subset: full JSON values, UTF-8
-// passed through opaquely, \uXXXX unescaped only for the BMP. Objects
-// preserve insertion order (a vector of pairs) so round-trips are
-// stable and duplicate keys keep first-wins lookup semantics.
+// One cursor does all the lexing: whitespace, literals, strings (UTF-8
+// passed through opaquely, \uXXXX unescaped only for the BMP) and
+// number tokens, with the byte position of the first error. Two entry
+// points sit on it:
+//   - parse() builds a Value tree. Numbers are doubles; objects keep
+//     insertion order (a vector of pairs) so round-trips are stable and
+//     duplicate keys keep first-wins lookup semantics.
+//   - parse_flat() reads one object of scalars into a reusable list of
+//     views, with no tree. Its integers are exact std::uint64_t, so
+//     journal seeds above 2^53 survive.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -24,21 +31,28 @@ class Value {
  public:
   using Member = std::pair<std::string, Value>;
 
-  Value() = default;
+  Value() = default;  ///< null
+  explicit Value(bool b) : kind_(Kind::Bool), bool_(b) {}
+  explicit Value(double n) : kind_(Kind::Number), number_(n) {}
+  explicit Value(std::string s)
+      : kind_(Kind::String), string_(std::move(s)) {}
+  explicit Value(const char*) = delete;  // would convert to bool
+  explicit Value(std::vector<Value> items)
+      : kind_(Kind::Array), items_(std::move(items)) {}
+  explicit Value(std::vector<Member> members)
+      : kind_(Kind::Object), members_(std::move(members)) {}
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::Null; }
   [[nodiscard]] bool is_object() const noexcept {
     return kind_ == Kind::Object;
   }
-  [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::Array; }
   [[nodiscard]] bool is_number() const noexcept {
     return kind_ == Kind::Number;
   }
   [[nodiscard]] bool is_string() const noexcept {
     return kind_ == Kind::String;
   }
-  [[nodiscard]] bool is_bool() const noexcept { return kind_ == Kind::Bool; }
 
   [[nodiscard]] bool as_bool() const noexcept { return bool_; }
   [[nodiscard]] double as_number() const noexcept { return number_; }
@@ -65,38 +79,6 @@ class Value {
   /// Convenience: string at a dotted path, or empty when missing.
   [[nodiscard]] std::string string_at(std::string_view path) const;
 
-  static Value make_null() { return Value(); }
-  static Value make_bool(bool b) {
-    Value v;
-    v.kind_ = Kind::Bool;
-    v.bool_ = b;
-    return v;
-  }
-  static Value make_number(double n) {
-    Value v;
-    v.kind_ = Kind::Number;
-    v.number_ = n;
-    return v;
-  }
-  static Value make_string(std::string s) {
-    Value v;
-    v.kind_ = Kind::String;
-    v.string_ = std::move(s);
-    return v;
-  }
-  static Value make_array(std::vector<Value> items) {
-    Value v;
-    v.kind_ = Kind::Array;
-    v.items_ = std::move(items);
-    return v;
-  }
-  static Value make_object(std::vector<Member> members) {
-    Value v;
-    v.kind_ = Kind::Object;
-    v.members_ = std::move(members);
-    return v;
-  }
-
  private:
   Kind kind_ = Kind::Null;
   bool bool_ = false;
@@ -116,5 +98,35 @@ struct ParseResult {
 /// Parse one complete JSON document; trailing whitespace is allowed,
 /// any other trailing content is an error.
 [[nodiscard]] ParseResult parse(std::string_view text);
+
+/// One member value of a flat object: a String, an unsigned integer
+/// (Number) or a Bool.
+struct Scalar {
+  Kind kind = Kind::String;
+  std::string_view text;      ///< String
+  std::uint64_t integer = 0;  ///< Number
+  bool boolean = false;       ///< Bool
+};
+
+/// A flat object's members in document order, the first of each key
+/// only. Keys and strings are views into the parsed text; a string with
+/// an escape in it is unescaped into `spill`. clear() keeps the
+/// capacity, so one object serves many parses.
+struct FlatObject {
+  std::vector<std::pair<std::string_view, Scalar>> members;
+  std::deque<std::string> spill;
+
+  void clear() {
+    members.clear();
+    spill.clear();
+  }
+};
+
+/// Parse one complete document that is an object of scalars into `out`;
+/// its views stay valid while `text` and `out` do. A number must be an
+/// unsigned integer; it is read exactly and saturates at 2^64 - 1.
+/// False on anything else: null, a nested object or array, a signed or
+/// fractional number, or malformed JSON.
+[[nodiscard]] bool parse_flat(std::string_view text, FlatObject& out);
 
 }  // namespace fcdpm::telemetry::json

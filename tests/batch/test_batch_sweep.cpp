@@ -8,6 +8,7 @@
 
 #include "par/sweep.hpp"
 #include "sim/experiments.hpp"
+#include "sim/result_fields.hpp"
 
 namespace {
 
@@ -92,13 +93,41 @@ TEST(SweepBatchedEngine, StormPointsFallBackPerPointAndStayIdentical) {
   expect_identical_sweeps(ref, got);
 
   // Storm points are batch-ineligible (fault injection) and run alone on
-  // the reference loop. They cut every policy run, so each seed-0 point
-  // is a one-point task too: a single run, which takes the hot lane.
-  EXPECT_EQ(got.stats.points_batched, 0u);
+  // the reference loop. The plan puts them after the fault-free points,
+  // which still batch by policy and rho.
+  EXPECT_EQ(got.stats.points_batched, got.points.size() / 2);
+  EXPECT_GT(got.stats.batch_merge_sets, 0u);
   for (const par::SweepPointResult& point : got.points) {
     EXPECT_EQ(point.engine, point.point.storm_seed == 0
-                                ? sim::Engine::Hot
+                                ? sim::Engine::Batched
                                 : sim::Engine::Reference);
+  }
+}
+
+// Options that keep every lane of a task off the batch loop send the
+// whole task to run_point, one lane at a time: profile recording lands
+// each point on the reference loop, which reproduces the reference
+// sweep exactly.
+TEST(SweepBatchedEngine, OffLoopOptionsRunEveryLaneAlone) {
+  sim::ExperimentConfig base = sim::experiment1_config();
+  base.initial_storage = Coulomb(1.0);
+  base.simulation.record_profiles = true;
+  const par::SweepGrid grid = merge_grid();
+
+  const par::SweepResult ref = par::run_sweep(base, grid);
+  base.simulation.engine = sim::Engine::Batched;
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(jobs);
+    par::SweepOptions options;
+    options.jobs = jobs;
+    const par::SweepResult got = par::run_sweep(base, grid, options);
+    expect_identical_sweeps(ref, got);
+    EXPECT_EQ(got.stats.points_batched, 0u);
+    EXPECT_EQ(got.stats.batch_merge_sets, 0u);
+    for (std::size_t k = 0; k < got.points.size(); ++k) {
+      EXPECT_EQ(got.points[k].engine, sim::Engine::Reference);
+      EXPECT_TRUE(sim::same_result(got.points[k].result, ref.points[k].result));
+    }
   }
 }
 

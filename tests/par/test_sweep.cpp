@@ -13,6 +13,7 @@
 #include "obs/context.hpp"
 #include "par/worker_pool.hpp"
 #include "sim/experiments.hpp"
+#include "sim/result_fields.hpp"
 #include "telemetry/sweep_telemetry.hpp"
 #include "workload/camcorder.hpp"
 
@@ -360,6 +361,40 @@ TEST(SweepTest, StormPointsCarryRobustnessAndDifferFromFaultFree) {
   EXPECT_FALSE(clean.robustness.has_value());
   ASSERT_TRUE(stormy.robustness.has_value());
   EXPECT_GT(stormy.robustness->activations, 0u);
+}
+
+// The seed axis is innermost, so in grid order every fault-free point
+// of a storm grid sits between storm points. The plan takes the storm
+// points out of the way: the fault-free capacities of one policy and
+// rho still share one batch task and merge from a shared charge.
+TEST(SweepTest, BatchedStormGridKeepsItsMergeSets) {
+  sim::ExperimentConfig base = small_base();
+  base.initial_storage = Coulomb(1.0);  // sub-capacity: lanes merge
+  SweepGrid grid;
+  grid.policies = {sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle};
+  grid.rhos = {0.3};
+  grid.capacities = {Coulomb(3.0), Coulomb(6.0), Coulomb(12.0),
+                     Coulomb(24.0)};
+  grid.storm_seeds = {0, 7};
+
+  const SweepResult reference = run_sweep(base, grid);
+  base.simulation.engine = sim::Engine::Batched;
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "jobs=" << jobs);
+    SweepOptions options;
+    options.jobs = jobs;
+    const SweepResult batched = run_sweep(base, grid, options);
+    EXPECT_GT(batched.stats.batch_merge_sets, 0u);
+    EXPECT_EQ(batched.stats.points_batched, 8u);
+    ASSERT_EQ(batched.points.size(), reference.points.size());
+    for (std::size_t k = 0; k < reference.points.size(); ++k) {
+      SCOPED_TRACE(testing::Message() << "point=" << k);
+      EXPECT_EQ(batched.points[k].point.storm_seed,
+                reference.points[k].point.storm_seed);
+      EXPECT_TRUE(sim::same_result(batched.points[k].result,
+                                   reference.points[k].result));
+    }
+  }
 }
 
 TEST(SweepTest, StatsCountPointsAndPublishToObserver) {

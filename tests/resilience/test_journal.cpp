@@ -771,8 +771,18 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return hash;
 }
 
+/// A hand-made payload framed as one journal record line.
+std::string frame(const std::string& payload) {
+  char prefix[64];
+  std::snprintf(prefix, sizeof prefix, "R %08zx %016llx ", payload.size(),
+                static_cast<unsigned long long>(fnv1a(payload)));
+  return prefix + payload + "\n";
+}
+
 // Keys are looked up in writer order, but a key written twice keeps its
-// first value wherever the decoder's cursor stands.
+// first value wherever the decoder's cursor stands. A value of the
+// wrong JSON shape in an integer field fails the record even with a
+// valid checksum.
 TEST(JournalTest, RepeatedKeyKeepsItsFirstValue) {
   const std::vector<par::SweepPoint> points = grid_points(0);
   std::string payload = record_to_json(make_record(0, points[0]));
@@ -787,18 +797,29 @@ TEST(JournalTest, RepeatedKeyKeepsItsFirstValue) {
   {
     (void)Journal::create(path, {"t", points.size(), 3});
   }
-  std::string bytes = read_file(path);
-  char prefix[64];
-  std::snprintf(prefix, sizeof prefix, "R %08zx %016llx ", payload.size(),
-                static_cast<unsigned long long>(fnv1a(payload)));
-  bytes += prefix + payload + "\n";
-  write_file(path, bytes);
+  const std::string header = read_file(path);
+  write_file(path, header + frame(payload));
 
   const JournalLoad load = load_journal(path);
   ASSERT_EQ(load.records.size(), 1u);
   EXPECT_FALSE(load.torn_tail);
   EXPECT_EQ(load.records[0].attempts, 2u);
   EXPECT_TRUE(load.records[0].ok);
+
+  const std::string good = frame(record_to_json(make_record(0, points[0])));
+  for (const char* bad : {R"({"n":1})", "[1]", "null", "-1", "1.5", "1e0"}) {
+    SCOPED_TRACE(bad);
+    std::string forged = record_to_json(make_record(1, points[1]));
+    const std::string attempts = R"("attempts":2,)";
+    ASSERT_NE(forged.find(attempts), std::string::npos);
+    forged.replace(forged.find(attempts), attempts.size(),
+                   std::string(R"("attempts":)") + bad + ",");
+    write_file(path, header + good + frame(forged));
+    const JournalLoad torn = load_journal(path);
+    ASSERT_EQ(torn.records.size(), 1u);
+    EXPECT_TRUE(torn.torn_tail);
+    EXPECT_EQ(torn.valid_bytes, header.size() + good.size());
+  }
   std::remove(path.c_str());
 }
 

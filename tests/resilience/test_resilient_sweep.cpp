@@ -953,7 +953,12 @@ TEST(ResilientSweepTest, BothRunnersReportTheEngineChooseEnginePicks) {
         const sim::Engine want =
             chosen_engine(base, plain.points[k].point, grid.storm_faults);
         ++landed[static_cast<int>(want)];
-        EXPECT_EQ(plain.points[k].engine, want);
+        // The plain runner plans storm and stack points last, so the
+        // plain points of each policy form one two-point batch task.
+        EXPECT_EQ(plain.points[k].engine,
+                  engine == sim::Engine::Batched && want == sim::Engine::Hot
+                      ? sim::Engine::Batched
+                      : want);
         EXPECT_TRUE(sim::same_result(plain.points[k].result,
                                      reference.points[k].result));
         ASSERT_TRUE(resilient.points[k].ok);
@@ -961,8 +966,9 @@ TEST(ResilientSweepTest, BothRunnersReportTheEngineChooseEnginePicks) {
         EXPECT_TRUE(sim::same_result(resilient.points[k].result.result,
                                      reference.points[k].result));
       }
-      // Storms and stacks land on the reference loop. They cut every
-      // policy run, so each plain point runs alone, on the hot lane.
+      // Storms and stacks land on the reference loop. In the resilient
+      // runner's grid-order plan they cut every policy run, so each
+      // plain point runs alone, on the hot lane.
       EXPECT_EQ(landed[static_cast<int>(sim::Engine::Reference)], 12u);
       EXPECT_EQ(landed[static_cast<int>(sim::Engine::Hot)], 4u);
     }
@@ -971,9 +977,11 @@ TEST(ResilientSweepTest, BothRunnersReportTheEngineChooseEnginePicks) {
 
 // A batched sweep runs the batch loop in multi-point tasks only; every
 // one-point task is a single run, which takes the hot lane. Seventeen
-// capacities at one rho plan into a kBatchMax task plus a lone point,
-// and a storm axis cuts every policy run, so each plain point of that
-// grid runs alone. A point deadline runs every point alone.
+// capacities at one rho plan into a kBatchMax task plus a lone point.
+// In the resilient runner's grid-order plan a storm axis cuts every
+// policy run, so each plain point of that grid runs alone; the plain
+// runner plans storm points last and batches the plain points of each
+// policy. A point deadline runs every point alone.
 TEST(ResilientSweepTest, LonePointsOfABatchedSweepTakeTheHotLane) {
   sim::ExperimentConfig base = small_base();
   base.initial_storage = Coulomb(1.0);  // sub-capacity: lanes merge
@@ -1038,7 +1046,9 @@ TEST(ResilientSweepTest, LonePointsOfABatchedSweepTakeTheHotLane) {
       for (std::size_t k = 0; k < points.size(); ++k) {
         SCOPED_TRACE("point " + std::to_string(k));
         const sim::SimulationResult& ref = reference.points[k].result;
-        EXPECT_EQ(plain.points[k].engine, want[k]);
+        EXPECT_EQ(plain.points[k].engine,
+                  is_storm && points[k].storm_seed == 0 ? sim::Engine::Batched
+                                                        : want[k]);
         EXPECT_TRUE(sim::same_result(plain.points[k].result, ref));
         ASSERT_TRUE(resilient.points[k].ok);
         EXPECT_EQ(resilient.points[k].result.engine, want[k]);

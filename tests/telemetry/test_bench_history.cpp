@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace_sink.hpp"
 #include "telemetry/json.hpp"
 
 namespace fcdpm::telemetry {
@@ -56,6 +57,66 @@ TEST(JsonTest, RejectsMalformedDocumentsWithAPosition) {
   const json::ParseResult r = json::parse("{\"a\":1,xxx}");
   ASSERT_FALSE(r.ok);
   EXPECT_EQ(r.error_byte, 7u);
+}
+
+// The journal's flat read and the tree parse share one escape rule:
+// every string the JSON writer can emit comes back as the same bytes,
+// and both reject the same malformed strings.
+TEST(JsonTest, FlatAndTreeReadsShareOneEscapeRule) {
+  std::vector<std::string> texts;
+  for (int byte = 0x01; byte <= 0x7f; ++byte) {
+    texts.push_back(std::string(1, static_cast<char>(byte)) + "x");
+  }
+  texts.emplace_back("a\xc3\xa9\xe2\x82\xac\xf0\x9f\x94\x8b\"\n");
+  json::FlatObject flat;
+  for (const std::string& text : texts) {
+    SCOPED_TRACE(testing::Message()
+                 << "byte=" << static_cast<int>(text.front()));
+    std::string doc = R"({"n":1,"s":")";
+    obs::append_json_escaped(doc, text.c_str());
+    doc += R"("})";
+    const json::ParseResult tree = json::parse(doc);
+    ASSERT_TRUE(tree.ok) << tree.error;
+    EXPECT_EQ(tree.value.string_at("s"), text);
+    ASSERT_TRUE(json::parse_flat(doc, flat));
+    ASSERT_EQ(flat.members.size(), 2u);
+    EXPECT_EQ(flat.members[1].first, "s");
+    EXPECT_EQ(flat.members[1].second.kind, json::Kind::String);
+    EXPECT_EQ(flat.members[1].second.text, text);
+  }
+  for (const char* bad :
+       {R"({"s":"abc)", R"({"s":"a\q"})", R"({"s":"\u00"})",
+        R"({"s":"\u00g1"})", R"({"s":"a",})", R"({"s":"a"} x)"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(json::parse(bad).ok);
+    EXPECT_FALSE(json::parse_flat(bad, flat));
+  }
+}
+
+// The flat read keeps integers exact past 2^53, saturates past 2^64 - 1,
+// and refuses every value that is not a string, unsigned integer or bool.
+TEST(JsonTest, FlatReadTakesScalarsOnlyWithExactIntegers) {
+  json::FlatObject flat;
+  ASSERT_TRUE(json::parse_flat(
+      R"( {"a":18446744073709551557, "b":true,"c":99999999999999999999999,)"
+      R"("a":2,"d":false} )",
+      flat));
+  ASSERT_EQ(flat.members.size(), 4u);  // the repeated "a" keeps its first
+  EXPECT_EQ(flat.members[0].second.kind, json::Kind::Number);
+  EXPECT_EQ(flat.members[0].second.integer, 18446744073709551557ull);
+  EXPECT_TRUE(flat.members[1].second.boolean);
+  EXPECT_EQ(flat.members[2].second.integer, 18446744073709551615ull);
+  EXPECT_EQ(flat.members[3].first, "d");
+  EXPECT_FALSE(flat.members[3].second.boolean);
+  ASSERT_TRUE(json::parse_flat("{}", flat));
+  EXPECT_TRUE(flat.members.empty());
+  for (const char* bad :
+       {R"({"a":null})", R"({"a":{"b":1}})", R"({"a":[1]})", R"({"a":-1})",
+        R"({"a":1.5})", R"({"a":1e3})", R"({"a":+1})", R"([1])", R"("a")",
+        ""}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(json::parse_flat(bad, flat));
+  }
 }
 
 TEST(JsonTest, NumberAtReturnsNulloptForMissingOrMistyped) {
