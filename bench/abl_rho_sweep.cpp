@@ -9,6 +9,7 @@
 
 #include "par/sweep.hpp"
 #include "report/table.hpp"
+#include "resilience/resilient_sweep.hpp"
 #include "sim/experiments.hpp"
 
 namespace {

@@ -35,6 +35,7 @@
 #include "common/atomic_file.hpp"
 #include "hot/engine.hpp"
 #include "par/sweep.hpp"
+#include "resilience/resilient_sweep.hpp"
 #include "sim/experiments.hpp"
 #include "sim/result_fields.hpp"
 

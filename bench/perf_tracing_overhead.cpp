@@ -30,6 +30,7 @@
 #include "par/solve_cache.hpp"
 #include "par/sweep.hpp"
 #include "par/worker_pool.hpp"
+#include "resilience/resilient_sweep.hpp"
 #include "sim/experiments.hpp"
 #include "sim/slot_simulator.hpp"
 #include "telemetry/sweep_telemetry.hpp"

@@ -122,13 +122,18 @@ sim::ExperimentConfig build_config(const Args& args) {
     }
   }
   // Multi-stack source: --stacks N (>= 1) enables it. On sweep --stacks
-  // is the grid's count list: its first item seeds the base config and
-  // the axis overrides every point.
+  // is the grid's count list, and each point N >= 1 forces its count. A
+  // 0 point runs the base source, so a list with a 0 leaves the base
+  // single-stack; any other list seeds it (and so the journal
+  // fingerprint) with its first item.
   const std::vector<std::uint64_t> stack_list =
       args.command() == cli::kSweep
           ? args.counts("stacks")
           : std::vector<std::uint64_t>{args.count("stacks", 0)};
-  const std::size_t stack_count = stack_list.empty() ? 0 : stack_list[0];
+  const std::size_t stack_count =
+      stack_list.empty() || std::ranges::min(stack_list) == 0
+          ? 0
+          : stack_list.front();
   config.stacks.config_csv = args.text("stacks-config");
   if (stack_count > 0 || !config.stacks.config_csv.empty()) {
     config.stacks.enabled = true;
@@ -671,15 +676,12 @@ std::unique_ptr<par::SharedSolveCache> make_solve_memo(double quantum) {
   return std::make_unique<par::SharedSolveCache>(config);
 }
 
-/// The journaling/retry/watchdog sweep behind the resilience flags;
-/// prints its report and returns the bench form. Quarantined points are
-/// reported, not fatal.
-report::SweepBenchReport sweep_resilient(const sim::ExperimentConfig& config,
-                                         const par::SweepGrid& grid,
-                                         const Args& args,
-                                         par::SweepOptions sweep_options) {
+/// The runner's options from the resilience flags. Without one there
+/// is no journal and no retry, and a failed point fails the sweep.
+resilience::ResilienceOptions resilience_options(const Args& args,
+                                                 bool resilient) {
   resilience::ResilienceOptions ropt;
-  ropt.contract.max_retries = args.count("max-retries", 2);
+  ropt.contract.max_retries = args.count("max-retries", resilient ? 2 : 0);
   ropt.contract.point_deadline_slots = args.count("point-deadline", 0);
   ropt.contract.unserved_budget_as =
       args.real("unserved-budget", ropt.contract.unserved_budget_as);
@@ -698,13 +700,7 @@ report::SweepBenchReport sweep_resilient(const sim::ExperimentConfig& config,
   ropt.spot_checks = args.count("spot-checks", 1);
   ropt.watchdog_stall =
       std::chrono::milliseconds(args.count("watchdog-stall-ms", 0));
-  ropt.jobs = sweep_options.jobs;
-  ropt.cache = sweep_options.cache;
-  ropt.observer = sweep_options.observer;
-  ropt.telemetry = sweep_options.telemetry;
-  return resilience::print_sweep_report(
-      stdout, config, resilience::run_resilient_sweep(config, grid, ropt),
-      ropt);
+  return ropt;
 }
 
 int cmd_sweep(const Args& args) {
@@ -719,23 +715,30 @@ int cmd_sweep(const Args& args) {
 
   ObsSession obs(args);
 
-  // Any resilience flag routes to the journaling/retry/watchdog runner;
-  // without them the plain engine runs byte-for-byte as before.
+  // Any resilience flag turns on retries, quarantine and the resilient
+  // report; without one a failed point ends the sweep.
   const bool resilient = args.any(cli::Group::Resilience);
+  resilience::ResilienceOptions ropt = resilience_options(args, resilient);
+  const auto run = [&](const resilience::ResilienceOptions& options) {
+    resilience::ResilientSweepResult sweep =
+        resilience::run_resilient_sweep(config, grid, options);
+    if (!resilient) {
+      resilience::require_all_ok(sweep);
+    }
+    return sweep;
+  };
 
   // Plain sweeps run a single-job reference first (own memo, same
   // quantum): it provides the speedup baseline and the bit-identity
   // check.
-  par::SweepResult serial;
-  const bool have_serial =
-      !resilient && jobs != 1 && args.choice("serial-check", "on") == "on";
-  if (have_serial) {
+  std::optional<resilience::ResilientSweepResult> serial;
+  if (!resilient && jobs != 1 && args.choice("serial-check", "on") == "on") {
     const std::unique_ptr<par::SharedSolveCache> serial_memo =
         make_solve_memo(quantum);
-    par::SweepOptions serial_options;
+    resilience::ResilienceOptions serial_options = ropt;
     serial_options.jobs = 1;
     serial_options.cache = serial_memo.get();
-    serial = par::run_sweep(config, grid, serial_options);
+    serial = run(serial_options);
   }
 
   // The serial reference above runs without telemetry: shards observe
@@ -744,30 +747,29 @@ int cmd_sweep(const Args& args) {
                        !args.text("trace-out").empty());
 
   const std::unique_ptr<par::SharedSolveCache> memo = make_solve_memo(quantum);
-  par::SweepOptions sweep_options;
-  sweep_options.jobs = jobs;
-  sweep_options.cache = memo.get();
-  sweep_options.observer = obs.context();
-  sweep_options.telemetry = tel.telemetry();
+  ropt.jobs = jobs;
+  ropt.cache = memo.get();
+  ropt.observer = obs.context();
+  ropt.telemetry = tel.telemetry();
   report::SweepBenchReport bench;
   bool diverged = false;
-  if (resilient) {
-    bench = sweep_resilient(config, grid, args, sweep_options);
-  } else {
-    const par::SweepResult sweep =
-        par::run_sweep(config, grid, sweep_options);
+  {
+    // Scoped: the per-point results go once the report rows exist.
+    const resilience::ResilientSweepResult sweep = run(ropt);
     bench = resilience::print_sweep_report(stdout, config, sweep,
+                                           resilient ? &ropt : nullptr,
                                            memo != nullptr, obs.context());
-    if (have_serial) {
-      bench.serial_wall_seconds = serial.stats.wall_seconds;
+    if (serial.has_value()) {
+      bench.serial_wall_seconds = serial->stats.wall_seconds;
       bench.speedup = bench.wall_seconds > 0.0
                           ? bench.serial_wall_seconds / bench.wall_seconds
                           : 0.0;
       diverged = !std::equal(
-          serial.points.begin(), serial.points.end(), sweep.points.begin(),
+          serial->points.begin(), serial->points.end(), sweep.points.begin(),
           sweep.points.end(),
-          [](const par::SweepPointResult& a, const par::SweepPointResult& b) {
-            return sim::same_result(a.result, b.result);
+          [](const resilience::ResilientPoint& a,
+             const resilience::ResilientPoint& b) {
+            return sim::same_result(a.result.result, b.result.result);
           });
       bench.bit_identical_to_serial = diverged ? 0 : 1;
       std::printf("vs --jobs 1: %.3f s serial, speedup %.2fx, results %s\n",

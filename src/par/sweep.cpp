@@ -1,10 +1,7 @@
 #include "par/sweep.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <chrono>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -15,8 +12,6 @@
 #include "fault/schedule.hpp"
 #include "hot/engine.hpp"
 #include "par/verifying_cache.hpp"
-#include "par/worker_pool.hpp"
-#include "telemetry/sweep_telemetry.hpp"
 
 namespace fcdpm::par {
 
@@ -214,16 +209,9 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
   return out;
 }
 
-namespace {
-
-// Points a batched task can carry, judged from the grid point before
-// any hybrid exists; everything else (fault storms, multi-stack
-// sources) runs alone through run_point, which asks choose_engine.
-bool batch_point_eligible(const SweepPoint& point) {
+bool batch_point_eligible(const SweepPoint& point) noexcept {
   return point.storm_seed == 0 && point.stacks == 0;
 }
-
-}  // namespace
 
 bool batched_sweep(const sim::ExperimentConfig& base) {
   return base.simulation.engine == sim::Engine::Batched &&
@@ -274,12 +262,12 @@ std::vector<std::span<const std::size_t>> plan_batches(
   return tasks;
 }
 
-void run_batch_chunk(
+std::vector<SweepPointResult> run_batch_chunk(
     const sim::ExperimentConfig& base, const std::vector<SweepPoint>& points,
     std::span<const std::size_t> task, std::size_t storm_faults,
     const hot::CompiledTrace& compiled, core::SlotSolveCache* cache,
-    const std::function<SweepPointResult&(std::size_t lane)>& lane_out,
     batch::BatchStats& stats) {
+  std::vector<SweepPointResult> out(task.size());
   sim::ExperimentConfig config = base;
   config.rho = points[task.front()].rho;
   config.simulation.observer = nullptr;
@@ -299,10 +287,10 @@ void run_batch_chunk(
                          options)
           .engine != sim::Engine::Batched) {
     for (std::size_t i = 0; i < task.size(); ++i) {
-      lane_out(i) = run_point(base, points[task[i]], storm_faults, cache,
-                              nullptr, 0, &compiled);
+      out[i] = run_point(base, points[task[i]], storm_faults, cache, nullptr,
+                         0, &compiled);
     }
-    return;
+    return out;
   }
 
   std::vector<std::unique_ptr<core::FcOutputPolicy>> fcs;
@@ -342,244 +330,28 @@ void run_batch_chunk(
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const SweepPoint& point = points[task[i]];
     batch::LaneOutcome& outcome = outcomes[i];
-    SweepPointResult& out = lane_out(i);
     if (outcome.end == batch::LaneOutcome::End::Completed) {
-      out.point = point;
-      out.result = std::move(outcome.result);
-      out.engine = sim::Engine::Batched;
+      out[i].point = point;
+      out[i].result = std::move(outcome.result);
+      out[i].engine = sim::Engine::Batched;
       continue;
     }
     // AuditFailed (budgets are never set here): heal on the reference
     // engine from fresh state, keeping the failed lane's tally.
     sim::ExperimentConfig ref = base;
     ref.simulation.engine = sim::Engine::Reference;
-    out = run_point(ref, point, storm_faults, cache);
+    out[i] = run_point(ref, point, storm_faults, cache);
     audit::record_engine_fallback(
-        out.result.audit.value(),
+        out[i].result.audit.value(),
         outcome.result.audit.value_or(audit::AuditStats{}));
   }
+  return out;
 }
 
 void SweepRunStats::add_batch(const batch::BatchStats& task) noexcept {
   batch_merge_sets += task.merge_sets;
   batch_merged_lane_slots += task.merged_lane_slots;
   batch_splits += task.splits;
-}
-
-void account_point(telemetry::WorkerShard& shard,
-                   const SweepPointResult& done, double wall_us) {
-  shard.points_done.fetch_add(1, std::memory_order_relaxed);
-  shard.slots.fetch_add(done.result.slots, std::memory_order_relaxed);
-  if (done.engine == sim::Engine::Batched) {
-    shard.batched_dispatches.fetch_add(1, std::memory_order_relaxed);
-  } else if (done.engine == sim::Engine::Hot) {
-    shard.hot_dispatches.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    shard.reference_dispatches.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (done.result.cap.has_value()) {
-    shard.capped_slots.fetch_add(done.result.cap->slots_capped,
-                                 std::memory_order_relaxed);
-  }
-  if (done.result.audit.has_value()) {
-    const audit::AuditStats& a = *done.result.audit;
-    shard.audited_slots.fetch_add(a.slots_audited, std::memory_order_relaxed);
-    shard.audit_violations.fetch_add(a.violations,
-                                     std::memory_order_relaxed);
-    shard.engine_fallbacks.fetch_add(a.engine_fallbacks,
-                                     std::memory_order_relaxed);
-  }
-  shard.wall_us.observe(wall_us);
-  shard.sim_s.observe(done.result.totals.duration.value());
-}
-
-TimedTask::TimedTask(telemetry::SweepTelemetry* telemetry,
-                     std::size_t worker, SharedSolveCache* memo)
-    : telemetry_(telemetry), worker_(worker), memo_(memo) {
-  if (telemetry_ != nullptr) {
-    if (memo_ != nullptr) {
-      tap_.emplace(*memo_);
-    }
-    start_ns_ = telemetry_->now_ns();
-  }
-}
-
-core::SlotSolveCache* TimedTask::cache() noexcept {
-  return tap_.has_value() ? static_cast<core::SlotSolveCache*>(&*tap_)
-                          : memo_;
-}
-
-telemetry::WorkerShard& TimedTask::shard() const {
-  return telemetry_->shards().shard(worker_);
-}
-
-double TimedTask::finish() {
-  end_ns_ = telemetry_->now_ns();
-  telemetry::WorkerShard& s = shard();
-  s.busy_ns.fetch_add(end_ns_ - start_ns_, std::memory_order_relaxed);
-  if (tap_.has_value()) {
-    s.cache_hits.fetch_add(tap_->hits(), std::memory_order_relaxed);
-    s.cache_misses.fetch_add(tap_->misses(), std::memory_order_relaxed);
-  }
-  return static_cast<double>(end_ns_ - start_ns_) * 1e-3;
-}
-
-void TimedTask::record_lane(std::size_t point_index, std::size_t attempt,
-                            bool ok, bool quarantined,
-                            sim::Engine engine) const {
-  telemetry::LaneRecorder* lanes = telemetry_->lanes();
-  if (lanes == nullptr) {
-    return;
-  }
-  const auto count = [](std::uint64_t n) {
-    return static_cast<std::uint32_t>(n);
-  };
-  lanes->record(worker_,
-                {.start_ns = start_ns_,
-                 .end_ns = end_ns_,
-                 .point_index = count(point_index),
-                 .attempt = count(attempt),
-                 .cache_hits = count(tap_.has_value() ? tap_->hits() : 0),
-                 .cache_misses = count(tap_.has_value() ? tap_->misses() : 0),
-                 .ok = ok,
-                 .quarantined = quarantined,
-                 .engine = engine});
-}
-
-SweepResult run_sweep(const sim::ExperimentConfig& base,
-                      const SweepGrid& grid, const SweepOptions& options) {
-  const std::vector<SweepPoint> points = grid.points(base);
-
-  SweepResult out;
-  out.points.resize(points.size());
-  out.stats.points = points.size();
-
-  const std::uint64_t hits_before =
-      options.cache != nullptr ? options.cache->hits() : 0;
-  const std::uint64_t misses_before =
-      options.cache != nullptr ? options.cache->misses() : 0;
-
-  // Compile the trace once, up front, and share it read-only across all
-  // workers (CompiledTrace is immutable after construction).
-  std::optional<hot::CompiledTrace> compiled;
-  if (base.simulation.engine != sim::Engine::Reference) {
-    compiled.emplace(base.trace, base.device);
-  }
-  const hot::CompiledTrace* shared =
-      compiled.has_value() ? &*compiled : nullptr;
-
-  // Batched sweeps fan multi-point tasks instead of single points; the
-  // plan depends on the grid alone, so results stay bit-identical across
-  // --jobs. Other sweeps run every point as its own task.
-  std::vector<std::size_t> order(points.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<std::span<const std::size_t>> tasks;
-  if (batched_sweep(base)) {
-    // Storm and stack points run alone; moved to the back, they no
-    // longer split the fault-free points of one policy and rho (the
-    // seed axis is innermost) into one-point tasks. Results are stored
-    // by grid index, so the order changes no output.
-    std::stable_partition(order.begin(), order.end(), [&](std::size_t k) {
-      return batch_point_eligible(points[k]);
-    });
-    tasks = plan_batches(points, order);
-  } else {
-    for (const std::size_t& k : order) {
-      tasks.emplace_back(&k, 1);
-    }
-  }
-  std::vector<batch::BatchStats> task_stats(tasks.size());
-
-  const auto started = std::chrono::steady_clock::now();
-  {
-    WorkerPool pool(options.jobs);
-    out.stats.jobs = pool.thread_count();
-    telemetry::SweepTelemetry* tel = options.telemetry;
-
-    pool.run_indexed_on_workers(tasks.size(), [&](std::size_t worker,
-                                                  std::size_t t) {
-      TimedTask task(tel, worker, options.cache);
-      const std::span<const std::size_t> chunk = tasks[t];
-      if (chunk.size() > 1) {
-        run_batch_chunk(
-            base, points, chunk, grid.storm_faults, *shared, task.cache(),
-            [&](std::size_t lane) -> SweepPointResult& {
-              return out.points[chunk[lane]];
-            },
-            task_stats[t]);
-        if (tel != nullptr) {
-          // The slot loop advances all lanes together, so per-point wall
-          // time is the chunk's share — the histogram keeps per-point
-          // semantics without pretending to per-lane timers.
-          const double per_point_us =
-              task.finish() / static_cast<double>(chunk.size());
-          for (const std::size_t k : chunk) {
-            account_point(task.shard(), out.points[k], per_point_us);
-          }
-          // One lane per chunk: the span covers every point it carried.
-          task.record_lane(chunk.front(), 1, true, false,
-                           sim::Engine::Batched);
-        }
-        return;
-      }
-      const std::size_t k = chunk.front();
-      out.points[k] = run_point(base, points[k], grid.storm_faults,
-                                task.cache(), nullptr, 0, shared);
-      if (tel != nullptr) {
-        account_point(task.shard(), out.points[k], task.finish());
-        task.record_lane(k, 1, true, false, out.points[k].engine);
-      }
-    });
-  }
-
-  for (const batch::BatchStats& s : task_stats) {
-    out.stats.add_batch(s);
-  }
-  for (const SweepPointResult& r : out.points) {
-    if (r.engine == sim::Engine::Batched) {
-      ++out.stats.points_batched;
-    }
-  }
-  out.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-
-  if (options.cache != nullptr) {
-    out.stats.cache_hits = options.cache->hits() - hits_before;
-    out.stats.cache_misses = options.cache->misses() - misses_before;
-  }
-
-  if (options.observer != nullptr) {
-    publish_sweep_stats(*options.observer, out.stats, options.cache);
-  }
-  return out;
-}
-
-void publish_sweep_stats(obs::Context& obs, const SweepRunStats& stats,
-                         const SharedSolveCache* cache) {
-  if (!obs.active()) {
-    return;
-  }
-  obs.gauge("par.sweep.points", static_cast<double>(stats.points));
-  obs.gauge("par.sweep.jobs", static_cast<double>(stats.jobs));
-  obs.gauge("par.sweep.wall_s", stats.wall_seconds);
-  obs.gauge("par.sweep.points_per_s", stats.points_per_second());
-  if (stats.points_batched > 0) {
-    obs.gauge("par.sweep.points_batched",
-              static_cast<double>(stats.points_batched));
-    obs.gauge("par.sweep.batch_merge_sets",
-              static_cast<double>(stats.batch_merge_sets));
-    obs.gauge("par.sweep.batch_merged_lane_slots",
-              static_cast<double>(stats.batch_merged_lane_slots));
-    obs.gauge("par.sweep.batch_splits",
-              static_cast<double>(stats.batch_splits));
-    obs.gauge("par.sweep.batch_journal_hits",
-              static_cast<double>(stats.batch_journal_hits));
-  }
-  if (cache != nullptr) {
-    cache->publish(obs);
-  }
 }
 
 }  // namespace fcdpm::par

@@ -1,13 +1,16 @@
-// Deterministic parallel sweep engine.
+// Grid points, their planning into tasks, and the per-point and
+// per-task runs a sweep is made of.
 //
-// A sweep grid (policy x rho x capacity x fault-storm seed) is fanned
-// across the worker pool; every worker builds its *own* policies,
-// hybrid source and fault injector for each point (nothing mutable is
-// shared between points except an attached solve memo, whose answers
-// are deterministic by construction), and stores its result at the point's
-// grid index. Results are therefore bit-identical for any job count —
-// `--jobs 8` must reproduce `--jobs 1` exactly, and the tests hold it
-// to that.
+// A sweep grid (policy x rho x capacity x stacks x fault-storm seed) is
+// fanned across the worker pool by resilience::run_resilient_sweep, the
+// one sweep runner; par::run_sweep (declared in
+// resilience/resilient_sweep.hpp) is that runner with the journal off and
+// no retries. Every worker builds its *own* policies, hybrid source and
+// fault injector for each point (nothing mutable is shared between
+// points except an attached solve memo, whose answers are deterministic
+// by construction), and stores its result at the point's grid index.
+// Results are therefore bit-identical for any job count — `--jobs 8`
+// must reproduce `--jobs 1` exactly, and the tests hold it to that.
 //
 // Every single run goes through run_one, which run_point and the CLI's
 // run/compare share. It asks sim::choose_engine once, after building the
@@ -16,13 +19,11 @@
 // faster. Its auditor fails fast, and its tamper drill arms, only on a
 // compiled lane (strict mode fails fast everywhere). A compiled-lane
 // audit failure is healed by replaying on the reference loop and
-// recording an engine fallback. Multi-point tasks decide per lane in
+// recording an engine fallback. Multi-point tasks decide per task in
 // run_batch_chunk, the only caller that asks for Batched.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -38,7 +39,6 @@ struct BatchStats;
 
 namespace fcdpm::telemetry {
 class SweepTelemetry;
-struct WorkerShard;
 }  // namespace fcdpm::telemetry
 
 namespace fcdpm::par {
@@ -76,6 +76,7 @@ struct SweepGrid {
       const sim::ExperimentConfig& base) const;
 };
 
+/// Options of par::run_sweep (see resilience/resilient_sweep.hpp).
 struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency.
   std::size_t jobs = 1;
@@ -159,9 +160,9 @@ struct SweepResult {
 /// storm seed and no observer. `cancel` and `slot_budget` thread
 /// straight into SimulationOptions: the resilience layer uses them for
 /// watchdog cancellation and the deterministic per-point deadline; the
-/// defaults leave the plain sweep path untouched. `compiled` is the
-/// trace compiled once by the sweep runner and shared read-only across
-/// points — nullptr makes the point compile its own.
+/// defaults leave the run unbounded. `compiled` is the trace compiled
+/// once by the sweep runner and shared read-only across points —
+/// nullptr makes the point compile its own.
 [[nodiscard]] SweepPointResult run_point(
     const sim::ExperimentConfig& base, const SweepPoint& point,
     std::size_t storm_faults, core::SlotSolveCache* cache,
@@ -176,9 +177,16 @@ inline constexpr std::size_t kBatchMax = 16;
 /// True when a sweep over `base` runs multi-point batched tasks: the
 /// batched engine with no cap governor, no strict or tampered audit and
 /// no multi-stack source. Other base configs keep the per-point path,
-/// where run_point asks sim::choose_engine per point. Both runners ask
-/// this; it plans from the config alone, before any hybrid exists.
+/// where run_point asks sim::choose_engine per point. It plans from the
+/// config alone, before any hybrid exists.
 [[nodiscard]] bool batched_sweep(const sim::ExperimentConfig& base);
+
+/// A point a batched task can carry, judged from the grid point before
+/// any hybrid exists: no fault storm and no forced stack count. The
+/// runner plans these first in each round, so storm and stack points
+/// do not cut the fault-free points of one policy and rho into
+/// one-point tasks.
+[[nodiscard]] bool batch_point_eligible(const SweepPoint& point) noexcept;
 
 /// Plan the tasks of a batched sweep over `indices` (grid indices into
 /// `points`), in order: each task is a contiguous slice of `indices`
@@ -195,72 +203,17 @@ inline constexpr std::size_t kBatchMax = 16;
     std::span<const std::size_t> indices);
 
 /// Run one multi-point task: every lane shares the compiled trace, one
-/// DPM policy (rho is constant within a task) and one slot loop. The
-/// result of lane i (grid point `task[i]`) is written to lane_out(i).
+/// DPM policy (rho is constant within a task) and one slot loop. Returns
+/// the result of lane i (grid point `task[i]`) at index i.
 /// sim::choose_engine is asked once per task; when it does not land on
 /// Batched, every lane runs alone through run_point. A fail-fast audit
 /// violation self-heals like run_one's: the point is replayed on the
 /// reference engine and the fallback recorded. Merge accounting is
-/// added to `stats`. Throws what the runs throw; lanes written before
-/// the throw are then partial.
-void run_batch_chunk(
+/// added to `stats`. Throws what the runs throw.
+[[nodiscard]] std::vector<SweepPointResult> run_batch_chunk(
     const sim::ExperimentConfig& base, const std::vector<SweepPoint>& points,
     std::span<const std::size_t> task, std::size_t storm_faults,
     const hot::CompiledTrace& compiled, core::SlotSolveCache* cache,
-    const std::function<SweepPointResult&(std::size_t lane)>& lane_out,
     batch::BatchStats& stats);
-
-/// Telemetry of one finished point on its worker's shard: the done
-/// count, slots, dispatch engine, cap and audit counters, and the
-/// point's wall and simulated time. Both sweep runners account every
-/// completed point through this.
-void account_point(telemetry::WorkerShard& shard,
-                   const SweepPointResult& done, double wall_us);
-
-/// One task (a point, an attempt or a batched chunk) timed on its
-/// worker's shard. With telemetry attached the task solves through a
-/// tap on the memo, so its cache traffic is attributed to this worker
-/// (the tap adds no caching; results are unchanged). Without telemetry
-/// cache() is the memo itself, and shard(), finish() and record_lane()
-/// must not be called.
-class TimedTask {
- public:
-  TimedTask(telemetry::SweepTelemetry* telemetry, std::size_t worker,
-            SharedSolveCache* memo);
-
-  /// The cache the task solves through (nullptr without a memo).
-  [[nodiscard]] core::SlotSolveCache* cache() noexcept;
-  [[nodiscard]] telemetry::WorkerShard& shard() const;
-  /// Stop the clock, add the busy time and cache traffic to the shard,
-  /// and return the task's wall time in microseconds.
-  double finish();
-  /// Record the task's span as one trace lane (no-op unless lanes are
-  /// recorded); call after finish().
-  void record_lane(std::size_t point_index, std::size_t attempt, bool ok,
-                   bool quarantined, sim::Engine engine) const;
-
- private:
-  telemetry::SweepTelemetry* telemetry_;
-  std::size_t worker_;
-  SharedSolveCache* memo_;
-  std::optional<SolveCacheTap> tap_;
-  std::uint64_t start_ns_ = 0;
-  std::uint64_t end_ns_ = 0;
-};
-
-/// Fan the grid across `options.jobs` workers.
-[[nodiscard]] SweepResult run_sweep(const sim::ExperimentConfig& base,
-                                    const SweepGrid& grid,
-                                    const SweepOptions& options = {});
-
-/// Publish the end-of-sweep gauges — par.sweep.{points,jobs,wall_s,
-/// points_per_s} plus, when a cache was attached, par.cache.* via
-/// SharedSolveCache::publish — in one place. Both run_sweep and the
-/// resilient runner call this exactly once at sweep end, so the
-/// par.cache.* gauges always equal the cache's own hits()/misses() at
-/// that instant (no ad hoc call sites drifting out of sync). No-op
-/// when the observer is inactive.
-void publish_sweep_stats(obs::Context& obs, const SweepRunStats& stats,
-                         const SharedSolveCache* cache);
 
 }  // namespace fcdpm::par

@@ -1,7 +1,8 @@
 // Machine-readable sweep benchmark report (BENCH_sweep.json): the perf
 // trajectory's first artifact. Plain data in, one JSON object out — the
 // report layer stays independent of fcdpm::par and fcdpm::resilience;
-// resilience::print_sweep_report fills this from either runner's results.
+// resilience::print_sweep_report fills this from the sweep runner's
+// result, with a resilience block only when a resilience flag was given.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +59,8 @@ struct SweepPointRow {
 };
 
 /// Fault-tolerant execution accounting (`SweepReport::resilience`);
-/// emitted only when the resilient runner was engaged.
+/// emitted only when a resilience option (journal, resume, retries,
+/// deadline, watchdog, ...) was given.
 struct SweepResilienceReport {
   bool enabled = false;
   std::size_t scheduled = 0;   ///< points simulated this run
@@ -160,8 +162,10 @@ struct SweepBenchReport {
   std::size_t stack_points = 0;       ///< ok points run multi-stack
   std::uint64_t stack_startups = 0;   ///< per-stack startups, all points
   double stack_max_wear = 0.0;        ///< worst final wear seen
-  /// Sweep-level batched-engine rollup (`"batch":{...}`); emitted only
-  /// when `batched_points > 0` so non-batched reports keep their bytes.
+  /// Sweep-level batched-engine rollup (`"batch":{...}`) of what this
+  /// run batched (a resume counts only the points it re-ran); emitted
+  /// only when `batched_points > 0` so non-batched reports keep their
+  /// bytes.
   std::size_t batched_points = 0;   ///< points run inside batch tasks
   std::size_t batch_merge_sets = 0; ///< merge sets formed across tasks
   std::size_t batch_merged_lane_slots = 0;  ///< follower slots off leaders

@@ -7,8 +7,11 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "audit/audit.hpp"
 #include "batch/engine.hpp"
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
@@ -63,6 +66,110 @@ std::uint64_t sweep_fingerprint(const sim::ExperimentConfig& base,
   return hash;
 }
 
+/// Telemetry of one finished point on its worker's shard: the done
+/// count, slots, dispatch engine, cap and audit counters, and the
+/// point's wall and simulated time.
+void account_point(telemetry::WorkerShard& shard,
+                   const par::SweepPointResult& done, double wall_us) {
+  shard.points_done.fetch_add(1, std::memory_order_relaxed);
+  shard.slots.fetch_add(done.result.slots, std::memory_order_relaxed);
+  if (done.engine == sim::Engine::Batched) {
+    shard.batched_dispatches.fetch_add(1, std::memory_order_relaxed);
+  } else if (done.engine == sim::Engine::Hot) {
+    shard.hot_dispatches.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    shard.reference_dispatches.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (done.result.cap.has_value()) {
+    shard.capped_slots.fetch_add(done.result.cap->slots_capped,
+                                 std::memory_order_relaxed);
+  }
+  if (done.result.audit.has_value()) {
+    const audit::AuditStats& a = *done.result.audit;
+    shard.audited_slots.fetch_add(a.slots_audited, std::memory_order_relaxed);
+    shard.audit_violations.fetch_add(a.violations,
+                                     std::memory_order_relaxed);
+    shard.engine_fallbacks.fetch_add(a.engine_fallbacks,
+                                     std::memory_order_relaxed);
+  }
+  shard.wall_us.observe(wall_us);
+  shard.sim_s.observe(done.result.totals.duration.value());
+}
+
+/// One task (a point, an attempt or a batched chunk) timed on its
+/// worker's shard. With telemetry attached the task solves through a
+/// tap on the memo, so its cache traffic is attributed to this worker
+/// (the tap adds no caching; results are unchanged). Without telemetry
+/// cache() is the memo itself, and shard(), finish() and record_lane()
+/// must not be called.
+class TimedTask {
+ public:
+  TimedTask(telemetry::SweepTelemetry* telemetry, std::size_t worker,
+            par::SharedSolveCache* memo)
+      : telemetry_(telemetry), worker_(worker), memo_(memo) {
+    if (telemetry_ != nullptr) {
+      if (memo_ != nullptr) {
+        tap_.emplace(*memo_);
+      }
+      start_ns_ = telemetry_->now_ns();
+    }
+  }
+
+  /// The cache the task solves through (nullptr without a memo).
+  [[nodiscard]] core::SlotSolveCache* cache() noexcept {
+    return tap_.has_value() ? static_cast<core::SlotSolveCache*>(&*tap_)
+                            : memo_;
+  }
+  [[nodiscard]] telemetry::WorkerShard& shard() const {
+    return telemetry_->shards().shard(worker_);
+  }
+
+  /// Stop the clock, add the busy time and cache traffic to the shard,
+  /// and return the task's wall time in microseconds.
+  double finish() {
+    end_ns_ = telemetry_->now_ns();
+    telemetry::WorkerShard& s = shard();
+    s.busy_ns.fetch_add(end_ns_ - start_ns_, std::memory_order_relaxed);
+    if (tap_.has_value()) {
+      s.cache_hits.fetch_add(tap_->hits(), std::memory_order_relaxed);
+      s.cache_misses.fetch_add(tap_->misses(), std::memory_order_relaxed);
+    }
+    return static_cast<double>(end_ns_ - start_ns_) * 1e-3;
+  }
+
+  /// Record the task's span as one trace lane (no-op unless lanes are
+  /// recorded); call after finish().
+  void record_lane(std::size_t point_index, std::size_t attempt, bool ok,
+                   bool quarantined, sim::Engine engine) const {
+    telemetry::LaneRecorder* lanes = telemetry_->lanes();
+    if (lanes == nullptr) {
+      return;
+    }
+    const auto count = [](std::uint64_t n) {
+      return static_cast<std::uint32_t>(n);
+    };
+    lanes->record(
+        worker_,
+        {.start_ns = start_ns_,
+         .end_ns = end_ns_,
+         .point_index = count(point_index),
+         .attempt = count(attempt),
+         .cache_hits = count(tap_.has_value() ? tap_->hits() : 0),
+         .cache_misses = count(tap_.has_value() ? tap_->misses() : 0),
+         .ok = ok,
+         .quarantined = quarantined,
+         .engine = engine});
+  }
+
+ private:
+  telemetry::SweepTelemetry* telemetry_;
+  std::size_t worker_;
+  par::SharedSolveCache* memo_;
+  std::optional<par::SolveCacheTap> tap_;
+  std::uint64_t start_ns_ = 0;
+  std::uint64_t end_ns_ = 0;
+};
+
 /// One scheduled unit of work: a grid point and which attempt this is.
 struct BatchItem {
   std::size_t index = 0;
@@ -84,7 +191,7 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
   out.stats.points = points.size();
 
   // One compiled trace serves every attempt and spot-check, shared
-  // read-only across workers, as in par::run_sweep.
+  // read-only across workers (CompiledTrace is immutable).
   std::optional<hot::CompiledTrace> compiled;
   if (base.simulation.engine != sim::Engine::Reference) {
     compiled.emplace(base.trace, base.device);
@@ -187,10 +294,10 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       options.cache != nullptr ? options.cache->misses() : 0;
   std::vector<std::size_t> attempts(points.size(), 0);
 
-  // Multi-point batched tasks, planned per commit chunk as par::run_sweep
-  // plans its grid, wherever batching honours the contract. Per-point
-  // attempts stay for a nonzero deadline (a slot budget per attempt), a
-  // running watchdog (per-point cancellation) and the injected failure.
+  // Multi-point batched tasks, planned per chunk, wherever batching
+  // honours the contract. Per-point attempts stay for a nonzero deadline
+  // (a slot budget per attempt), a running watchdog (per-point
+  // cancellation) and the injected failure.
   const bool batching = par::batched_sweep(base) &&
                         options.contract.point_deadline_slots == 0 &&
                         options.watchdog_stall.count() == 0;
@@ -237,9 +344,18 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
     while (!schedule.empty()) {
       const auto head = schedule.begin();
       const std::size_t round = head->first;
-      const std::vector<std::size_t> indices = std::move(head->second);
+      std::vector<std::size_t> indices = std::move(head->second);
       schedule.erase(head);
       ++out.resilience.rounds;
+      if (batching) {
+        // Storm and stack points run alone; planned last, they no longer
+        // cut the fault-free points of one policy and rho (the seed axis
+        // is innermost) into one-point tasks. Results are stored by grid
+        // index, so only the journal's record order sees this.
+        std::stable_partition(
+            indices.begin(), indices.end(),
+            [&](std::size_t k) { return par::batch_point_eligible(points[k]); });
+      }
 
       std::vector<BatchItem> batch;
       batch.reserve(indices.size());
@@ -256,7 +372,7 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       const auto account = [&](telemetry::WorkerShard& shard, std::size_t j,
                                double wall_us) {
         if (outcomes[j].ok) {
-          par::account_point(shard, outcomes[j].result, wall_us);
+          account_point(shard, outcomes[j].result, wall_us);
           return;
         }
         // A failed attempt has no trustworthy result fields.
@@ -283,68 +399,51 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
         journal->append(record);
       };
 
-      // A one-point task: one attempt under the full contract.
-      const auto run_single = [&](std::size_t worker, std::size_t j) {
-        const BatchItem item = batch[j];
+      // One task, outcomes [first, first + lanes.size()). A multi-point
+      // task is one batched run, each lane judged by the same contract
+      // checks as a per-point attempt; if the run throws, its points
+      // re-run one by one, so every error reads exactly as on the
+      // per-point path. A one-point task is one attempt under the full
+      // contract.
+      const auto run_task = [&](std::size_t worker, std::size_t first,
+                                std::span<const std::size_t> lanes,
+                                batch::BatchStats& stats) {
+        TimedTask task(options.telemetry, worker, options.cache);
+        std::vector<par::SweepPointResult> done;
+        if (lanes.size() > 1) {
+          try {
+            done = par::run_batch_chunk(base, points, lanes,
+                                        grid.storm_faults, *shared,
+                                        task.cache(), stats);
+          } catch (const std::exception&) {
+            stats = {};
+          }
+        }
+        const bool ran = !done.empty();
         sim::CancellationToken& token = tokens[worker];
-        token.reset();
-        if (watchdog.has_value()) {
-          watchdog->begin_work(worker, &token);
-        }
-        par::TimedTask task(options.telemetry, worker, options.cache);
-        outcomes[j] = execute_point(base, points[item.index], item.index,
-                                    grid.storm_faults, task.cache(),
-                                    options.contract, &token, shared);
-        if (watchdog.has_value()) {
-          watchdog->end_work(worker);
-        }
-        if (options.telemetry != nullptr) {
-          telemetry::WorkerShard& shard = task.shard();
-          account(shard, j, task.finish());
-          // Heartbeats accumulated by this attempt's run (the token is
-          // reset per attempt, so this is exactly one attempt's beats).
-          shard.heartbeats.fetch_add(token.heartbeat(),
-                                     std::memory_order_relaxed);
-          task.record_lane(item.index, item.attempt, outcomes[j].ok,
-                           quarantined(j),
-                           outcomes[j].ok ? outcomes[j].result.engine
-                                          : sim::Engine::Reference);
-        }
-        journal_outcome(j);
-      };
-
-      // A multi-point task, outcomes [first, first + lanes.size()): one
-      // batched run, each lane judged by the same contract checks as a
-      // per-point attempt. If the run throws, the points re-run one by
-      // one, so every error reads exactly as on the per-point path.
-      const auto run_batched = [&](std::size_t worker, std::size_t first,
-                                   std::span<const std::size_t> lanes,
-                                   batch::BatchStats& stats) {
-        par::TimedTask task(options.telemetry, worker, options.cache);
-        bool ran = true;
-        try {
-          par::run_batch_chunk(
-              base, points, lanes, grid.storm_faults, *shared, task.cache(),
-              [&](std::size_t lane) -> par::SweepPointResult& {
-                return outcomes[first + lane].result;
-              },
-              stats);
-        } catch (const std::exception&) {
-          ran = false;
-          stats = {};
-        }
+        std::uint64_t heartbeats = 0;
         for (std::size_t j = first; j < first + lanes.size(); ++j) {
-          outcomes[j] =
-              ran ? check_result(std::move(outcomes[j].result),
-                                 options.contract)
-                  : execute_point(base, points[batch[j].index],
-                                  batch[j].index, grid.storm_faults,
-                                  task.cache(), options.contract, nullptr,
-                                  shared);
+          if (ran) {
+            outcomes[j] =
+                check_result(std::move(done[j - first]), options.contract);
+            continue;
+          }
+          token.reset();
+          if (watchdog.has_value()) {
+            watchdog->begin_work(worker, &token);
+          }
+          outcomes[j] = execute_point(base, points[batch[j].index],
+                                      batch[j].index, grid.storm_faults,
+                                      task.cache(), options.contract, &token,
+                                      shared);
+          if (watchdog.has_value()) {
+            watchdog->end_work(worker);
+          }
+          heartbeats += token.heartbeat();
         }
         if (options.telemetry != nullptr) {
-          // The chunk's share of wall time per point, one trace lane per
-          // chunk, as in par::run_sweep.
+          // The slot loop advances all lanes together, so a point's wall
+          // time is the task's share; one trace lane covers the task.
           const double per_point_us =
               task.finish() / static_cast<double>(lanes.size());
           bool ok = true;
@@ -354,10 +453,15 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
             ok = ok && outcomes[j].ok;
             any_quarantined = any_quarantined || quarantined(j);
           }
+          task.shard().heartbeats.fetch_add(heartbeats,
+                                            std::memory_order_relaxed);
+          sim::Engine engine = sim::Engine::Batched;
+          if (!ran) {
+            engine = outcomes[first].ok ? outcomes[first].result.engine
+                                        : sim::Engine::Reference;
+          }
           task.record_lane(lanes.front(), batch[first].attempt, ok,
-                           any_quarantined,
-                           ran ? sim::Engine::Batched
-                               : outcomes[first].result.engine);
+                           any_quarantined, engine);
         }
         for (std::size_t j = first; j < first + lanes.size(); ++j) {
           journal_outcome(j);
@@ -367,22 +471,20 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       // Group commit: each chunk's records are written as its tasks
       // finish and fsynced once when the chunk is done, before any of
       // its outcomes is folded into the result or the retry schedule.
-      for (std::size_t begin = 0; begin < batch.size();
-           begin += kCommitChunk) {
-        const std::size_t end =
-            std::min(batch.size(), begin + kCommitChunk);
+      // Without a journal the round is one chunk.
+      const std::size_t chunk =
+          journal.has_value() ? kCommitChunk : batch.size();
+      for (std::size_t begin = 0; begin < batch.size(); begin += chunk) {
+        const std::size_t end = std::min(batch.size(), begin + chunk);
         const std::vector<std::span<const std::size_t>> tasks =
             plan_tasks(std::span(indices).subspan(begin, end - begin));
         std::vector<batch::BatchStats> task_stats(tasks.size());
         pool.run_indexed_on_workers(
             tasks.size(), [&](std::size_t worker, std::size_t t) {
-              const std::size_t first =
-                  static_cast<std::size_t>(tasks[t].data() - indices.data());
-              if (tasks[t].size() > 1) {
-                run_batched(worker, first, tasks[t], task_stats[t]);
-              } else {
-                run_single(worker, first);
-              }
+              run_task(worker,
+                       static_cast<std::size_t>(tasks[t].data() -
+                                                indices.data()),
+                       tasks[t], task_stats[t]);
             });
         if (journal.has_value() && journal->commit()) {
           ++out.resilience.journal_commits;
@@ -448,10 +550,28 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
 
   if (options.observer != nullptr && options.observer->active()) {
     obs::Context& obs = *options.observer;
-    // Shared end-of-sweep publication (par.sweep.* + par.cache.*): one
-    // site for both runners, so the cache gauges always equal the
-    // cache's own counters at sweep end.
-    par::publish_sweep_stats(obs, out.stats, options.cache);
+    // Published once, at sweep end, so the par.cache.* gauges equal the
+    // cache's own counters.
+    const par::SweepRunStats& stats = out.stats;
+    obs.gauge("par.sweep.points", static_cast<double>(stats.points));
+    obs.gauge("par.sweep.jobs", static_cast<double>(stats.jobs));
+    obs.gauge("par.sweep.wall_s", stats.wall_seconds);
+    obs.gauge("par.sweep.points_per_s", stats.points_per_second());
+    if (stats.points_batched > 0) {
+      obs.gauge("par.sweep.points_batched",
+                static_cast<double>(stats.points_batched));
+      obs.gauge("par.sweep.batch_merge_sets",
+                static_cast<double>(stats.batch_merge_sets));
+      obs.gauge("par.sweep.batch_merged_lane_slots",
+                static_cast<double>(stats.batch_merged_lane_slots));
+      obs.gauge("par.sweep.batch_splits",
+                static_cast<double>(stats.batch_splits));
+      obs.gauge("par.sweep.batch_journal_hits",
+                static_cast<double>(stats.batch_journal_hits));
+    }
+    if (options.cache != nullptr) {
+      options.cache->publish(obs);
+    }
     obs.gauge("resilience.scheduled",
               static_cast<double>(out.resilience.scheduled));
     obs.gauge("resilience.replayed",
@@ -476,4 +596,39 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
   return out;
 }
 
+void require_all_ok(const ResilientSweepResult& sweep) {
+  for (std::size_t k = 0; k < sweep.points.size(); ++k) {
+    const ResilientPoint& point = sweep.points[k];
+    if (!point.ok) {
+      throw std::runtime_error("sweep point " + std::to_string(k) +
+                               " failed: " + to_string(point.error.kind) +
+                               ": " + point.error.detail);
+    }
+  }
+}
+
 }  // namespace fcdpm::resilience
+
+namespace fcdpm::par {
+
+SweepResult run_sweep(const sim::ExperimentConfig& base,
+                      const SweepGrid& grid, const SweepOptions& options) {
+  resilience::ResilienceOptions run;
+  run.contract.max_retries = 0;
+  run.jobs = options.jobs;
+  run.cache = options.cache;
+  run.observer = options.observer;
+  run.telemetry = options.telemetry;
+  resilience::ResilientSweepResult sweep =
+      resilience::run_resilient_sweep(base, grid, run);
+  resilience::require_all_ok(sweep);
+  SweepResult out;
+  out.stats = sweep.stats;
+  out.points.reserve(sweep.points.size());
+  for (resilience::ResilientPoint& point : sweep.points) {
+    out.points.push_back(std::move(point.result));
+  }
+  return out;
+}
+
+}  // namespace fcdpm::par

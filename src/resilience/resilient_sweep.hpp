@@ -1,28 +1,31 @@
-// Crash-safe sweep runner: journaling + resume, retries with
-// deterministic backoff ordering, failure quarantine, and an optional
-// hung-worker watchdog — all layered over the fcdpm::par engine.
+// The sweep runner: every sweep's tasks are scheduled on the worker
+// pool here, with journaling + resume, retries with deterministic
+// backoff ordering, failure quarantine and an optional hung-worker
+// watchdog layered over the fcdpm::par point and task runs.
+// par::run_sweep, declared below, is this runner with the journal off
+// and no retries; a failed point makes it throw.
 //
 // Execution proceeds in scheduling *rounds*. Round 0 holds every point
 // not replayed from a journal; a failed attempt is pushed back by
 // backoff_delay_rounds() and re-run in a later round, until its
 // attempts exhaust the contract and the point is quarantined. Rounds
-// and their batch order are a pure function of the grid and the
+// and their task order are a pure function of the grid and the
 // contract, so the sweep's results (and its journal, modulo the
 // append interleaving within a chunk) are reproducible for any job
-// count. Each round runs in chunks of kCommitChunk points. A finished
-// point's record is written to the journal at once, and the chunk is
-// fsynced once when it is done (group commit), before any of its
-// outcomes is folded into the result: a SIGKILL at any instant loses
-// at most work in flight, a power loss at most the uncommitted chunk,
-// and no point is reported before its record is durable.
+// count. With a journal each round runs in chunks of kCommitChunk
+// points; without one a round is a single chunk. A finished point's
+// record is written to the journal at once, and the chunk is fsynced
+// once when it is done (group commit), before any of its outcomes is
+// folded into the result: a SIGKILL at any instant loses at most work
+// in flight, a power loss at most the uncommitted chunk, and no point
+// is reported before its record is durable.
 //
-// With the batched engine each chunk is planned into the same
-// multi-point tasks as par::run_sweep's (par::plan_batches). Every
-// batched lane is judged by the per-point contract checks, and a task
-// journals its records in lane order when it finishes, so the journal
-// at --jobs 1 is the per-point runner's byte for byte. A nonzero point
-// deadline, a running watchdog and the injected failure keep their
-// points on the per-point path.
+// With the batched engine each round lists its batch-eligible points
+// first (par::batch_point_eligible), then each chunk is planned into
+// multi-point tasks (par::plan_batches). Every batched lane is judged by
+// the per-point contract checks, and a task journals its records in lane
+// order when it finishes. A nonzero point deadline, a running watchdog
+// and the injected failure keep their points on the per-point path.
 #pragma once
 
 #include <chrono>
@@ -38,7 +41,7 @@ namespace fcdpm::resilience {
 
 /// Points per group commit: one journal fsync per chunk of a round.
 /// Fixed, so the chunking (and the journal at --jobs 1) never depends
-/// on the job count.
+/// on the job count. Unjournaled rounds are not chunked.
 inline constexpr std::size_t kCommitChunk = 64;
 
 struct ResilienceOptions {
@@ -111,4 +114,19 @@ struct ResilientSweepResult {
     const sim::ExperimentConfig& base, const par::SweepGrid& grid,
     const ResilienceOptions& options);
 
+/// Throws std::runtime_error naming the lowest failed grid index, its
+/// PointErrorKind and the error detail when any point of `sweep` failed.
+void require_all_ok(const ResilientSweepResult& sweep);
+
 }  // namespace fcdpm::resilience
+
+namespace fcdpm::par {
+
+/// Fan the grid across `options.jobs` workers: run_resilient_sweep with
+/// no journal and no retries, its points moved into the result. Throws
+/// as require_all_ok when a point failed.
+[[nodiscard]] SweepResult run_sweep(const sim::ExperimentConfig& base,
+                                    const SweepGrid& grid,
+                                    const SweepOptions& options = {});
+
+}  // namespace fcdpm::par

@@ -1,5 +1,6 @@
 #include "resilience/sweep_report.hpp"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -11,21 +12,11 @@ namespace {
 
 using ull = unsigned long long;
 
-/// One grid point as the report sees it; a plain sweep's points are all
-/// ok first attempts.
-struct ReportPoint {
-  const par::SweepPointResult& done;
-  bool ok = true;
-  std::size_t attempts = 1;
-  bool replayed = false;
-  const PointError* error = nullptr;
-};
-
 /// The point's BENCH_sweep.json row (result fields only when ok); adds
 /// its share to the sweep-level cap, stacks and audit rollups.
-report::SweepPointRow point_row(const ReportPoint& p,
+report::SweepPointRow point_row(const ResilientPoint& p,
                                 report::SweepBenchReport& bench) {
-  const par::SweepPoint& point = p.done.point;
+  const par::SweepPoint& point = p.result.point;
   report::SweepPointRow row;
   row.policy = sim::to_string(point.policy);
   row.rho = point.rho;
@@ -35,10 +26,10 @@ report::SweepPointRow point_row(const ReportPoint& p,
   row.attempts = p.attempts;
   row.replayed = p.replayed;
   if (!p.ok) {
-    row.error = to_string(p.error->kind);
+    row.error = to_string(p.error.kind);
     return row;
   }
-  const sim::SimulationResult& r = p.done.result;
+  const sim::SimulationResult& r = p.result.result;
   row.fuel = r.totals.fuel.value();
   row.bled = r.totals.bled.value();
   row.unserved = r.totals.unserved.value();
@@ -91,17 +82,25 @@ report::SweepPointRow point_row(const ReportPoint& p,
   return row;
 }
 
+/// True when the point ran, or was to run, a multi-stack source: the
+/// table shows the stacks columns when any point did.
+bool stack_point(const ResilientPoint& p) {
+  return p.result.point.stacks > 0 ||
+         (p.ok && p.result.result.stacks.has_value());
+}
+
 /// One table row per point; a quarantined point shows "-" for every
 /// result cell, and a resilient sweep adds a status column.
 void print_table(std::FILE* out, const sim::ExperimentConfig& config,
-                 const std::vector<ReportPoint>& points, bool status) {
+                 const std::vector<ResilientPoint>& points, bool status) {
   std::vector<std::string> columns = {
       "policy", "rho", "capacity", "storm seed", "fuel (A-s)",
       "bled (A-s)", "unserved (A-s)", "sleeps"};
   if (config.cap.enabled) {
     columns.push_back("capped");
   }
-  if (config.stacks.enabled) {
+  const bool stacks = std::any_of(points.begin(), points.end(), stack_point);
+  if (stacks) {
     columns.push_back("stacks");
     columns.push_back("dist");
   }
@@ -109,9 +108,9 @@ void print_table(std::FILE* out, const sim::ExperimentConfig& config,
     columns.push_back("status");
   }
   report::Table table("sweep: " + config.trace.name(), std::move(columns));
-  for (const ReportPoint& p : points) {
-    const par::SweepPoint& point = p.done.point;
-    const sim::SimulationResult& r = p.done.result;
+  for (const ResilientPoint& p : points) {
+    const par::SweepPoint& point = p.result.point;
+    const sim::SimulationResult& r = p.result.result;
     std::vector<std::string> cells = {
         sim::to_string(point.policy), report::cell(point.rho, 2),
         report::cell(point.capacity.value(), 1),
@@ -126,7 +125,7 @@ void print_table(std::FILE* out, const sim::ExperimentConfig& config,
       const bool shown = p.ok && r.cap.has_value();
       cells.push_back(shown ? std::to_string(r.cap->slots_capped) : "-");
     }
-    if (config.stacks.enabled) {
+    if (stacks) {
       const bool shown = p.ok && r.stacks.has_value();
       cells.push_back(shown ? std::to_string(r.stacks->stacks.size()) : "-");
       cells.push_back(shown ? stacks::to_string(r.stacks->distribution)
@@ -135,23 +134,24 @@ void print_table(std::FILE* out, const sim::ExperimentConfig& config,
     if (status) {
       cells.push_back(p.ok ? (p.replayed ? "replayed" : "ok")
                            : std::string("quarantined: ") +
-                                 to_string(p.error->kind));
+                                 to_string(p.error.kind));
     }
     table.add_row(std::move(cells));
   }
   std::fprintf(out, "%s\n", table.to_ascii().c_str());
 }
 
-/// Both runners' report; `resilient` and `options` are null for a plain
-/// sweep.
-report::SweepBenchReport print_report(
+}  // namespace
+
+report::SweepBenchReport print_sweep_report(
     std::FILE* out, const sim::ExperimentConfig& config,
-    const par::SweepRunStats& stats, const std::vector<ReportPoint>& points,
-    bool memo_attached, const ResilientSweepResult* resilient,
-    const ResilienceOptions* options, obs::Context* observer) {
+    const ResilientSweepResult& sweep, const ResilienceOptions* resilience,
+    bool memo_attached, obs::Context* observer) {
+  const std::vector<ResilientPoint>& points = sweep.points;
+  const par::SweepRunStats& stats = sweep.stats;
   {
     obs::StageTimer timer(observer, "report.table_s");
-    print_table(out, config, points, resilient != nullptr);
+    print_table(out, config, points, resilience != nullptr);
   }
 
   report::SweepBenchReport bench;
@@ -163,17 +163,15 @@ report::SweepBenchReport print_report(
   bench.cache_hits = stats.cache_hits;
   bench.cache_misses = stats.cache_misses;
   bench.cache_hit_rate = stats.cache_hit_rate();
-  if (resilient == nullptr) {
-    // A resumed sweep batches only what it re-runs, so its counts differ
-    // from an uninterrupted run's: a resilient report has no batch block.
-    bench.batched_points = stats.points_batched;
-    bench.batch_merge_sets = stats.batch_merge_sets;
-    bench.batch_merged_lane_slots = stats.batch_merged_lane_slots;
-    bench.batch_splits = stats.batch_splits;
-    bench.batch_journal_hits = stats.batch_journal_hits;
-  }
+  // What this run batched: a resumed sweep counts only the points it
+  // re-ran.
+  bench.batched_points = stats.points_batched;
+  bench.batch_merge_sets = stats.batch_merge_sets;
+  bench.batch_merged_lane_slots = stats.batch_merged_lane_slots;
+  bench.batch_splits = stats.batch_splits;
+  bench.batch_journal_hits = stats.batch_journal_hits;
   bench.results.reserve(points.size());
-  for (const ReportPoint& p : points) {
+  for (const ResilientPoint& p : points) {
     bench.results.push_back(point_row(p, bench));
   }
 
@@ -185,8 +183,8 @@ report::SweepBenchReport print_report(
                  100.0 * bench.cache_hit_rate);
   }
   std::fprintf(out, "\n");
-  if (resilient != nullptr) {
-    const ResilienceStats& rs = resilient->resilience;
+  if (resilience != nullptr) {
+    const ResilienceStats& rs = sweep.resilience;
     bench.resilience = {
         .enabled = true,
         .scheduled = rs.scheduled,
@@ -198,8 +196,8 @@ report::SweepBenchReport print_report(
         .torn_tail_recovered = rs.torn_tail_recovered,
         .torn_bytes_dropped = rs.torn_bytes_dropped,
         .watchdog_stalls = rs.watchdog_stalls,
-        .max_retries = options->contract.max_retries,
-        .point_deadline_slots = options->contract.point_deadline_slots,
+        .max_retries = resilience->contract.max_retries,
+        .point_deadline_slots = resilience->contract.point_deadline_slots,
         .cap_enabled = config.cap.enabled,
         .capped_ok = rs.capped_ok};
     std::fprintf(out,
@@ -208,7 +206,7 @@ report::SweepBenchReport print_report(
                  "stalls",
                  rs.scheduled, rs.replayed, rs.retries, rs.quarantined,
                  rs.rounds, rs.spot_checks, rs.watchdog_stalls);
-    if (!options->journal_path.empty()) {
+    if (!resilience->journal_path.empty()) {
       std::fprintf(out, " | %zu journal commits", rs.journal_commits);
     }
     std::fprintf(out, "\n");
@@ -249,49 +247,21 @@ report::SweepBenchReport print_report(
                  ull{bench.audit_checks}, ull{bench.audit_violations},
                  ull{bench.engine_fallbacks}, bench.fallback_points);
   }
-  if (resilient == nullptr) {
+  if (resilience == nullptr) {
     return bench;
   }
-  if (resilient->resilience.torn_tail_recovered) {
+  if (sweep.resilience.torn_tail_recovered) {
     std::fprintf(out, "journal torn tail recovered (%zu bytes dropped)\n",
-                 resilient->resilience.torn_bytes_dropped);
+                 sweep.resilience.torn_bytes_dropped);
   }
   for (std::size_t k = 0; k < points.size(); ++k) {
     if (!points[k].ok) {
       std::fprintf(out, "quarantined point %zu after %zu attempts: %s: %s\n",
-                   k, points[k].attempts, to_string(points[k].error->kind),
-                   points[k].error->detail.c_str());
+                   k, points[k].attempts, to_string(points[k].error.kind),
+                   points[k].error.detail.c_str());
     }
   }
   return bench;
-}
-
-}  // namespace
-
-report::SweepBenchReport print_sweep_report(
-    std::FILE* out, const sim::ExperimentConfig& config,
-    const par::SweepResult& sweep, bool memo_attached,
-    obs::Context* observer) {
-  std::vector<ReportPoint> points;
-  points.reserve(sweep.points.size());
-  for (const par::SweepPointResult& done : sweep.points) {
-    points.push_back({done});
-  }
-  return print_report(out, config, sweep.stats, points, memo_attached,
-                      nullptr, nullptr, observer);
-}
-
-report::SweepBenchReport print_sweep_report(
-    std::FILE* out, const sim::ExperimentConfig& config,
-    const ResilientSweepResult& sweep, const ResilienceOptions& options) {
-  std::vector<ReportPoint> points;
-  points.reserve(sweep.points.size());
-  for (const ResilientPoint& p : sweep.points) {
-    points.push_back({p.result, p.ok, p.attempts, p.replayed, &p.error});
-  }
-  return print_report(out, config, sweep.stats, points,
-                      options.cache != nullptr, &sweep, &options,
-                      options.observer);
 }
 
 }  // namespace fcdpm::resilience

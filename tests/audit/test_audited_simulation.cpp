@@ -11,6 +11,7 @@
 #include "audit/audit.hpp"
 #include "par/solve_cache.hpp"
 #include "par/sweep.hpp"
+#include "resilience/resilient_sweep.hpp"
 #include "sim/experiments.hpp"
 
 namespace fcdpm::audit {

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "par/sweep.hpp"
+#include "resilience/resilient_sweep.hpp"
 #include "sim/experiments.hpp"
 #include "sim/result_fields.hpp"
 

@@ -12,6 +12,7 @@
 #include "audit/audit.hpp"
 #include "obs/context.hpp"
 #include "par/worker_pool.hpp"
+#include "resilience/resilient_sweep.hpp"
 #include "sim/experiments.hpp"
 #include "sim/result_fields.hpp"
 #include "telemetry/sweep_telemetry.hpp"
@@ -500,8 +501,8 @@ TEST(SweepTelemetryTest, PublishedCacheGaugesMatchTheCountersExactly) {
   options.observer = &obs;
   (void)run_sweep(base, grid, options);
 
-  // publish_sweep_stats is the single publication site: the gauges must
-  // equal the cache's own counters, not some call-site snapshot.
+  // The runner publishes once, at sweep end: the gauges must equal the
+  // cache's own counters, not some call-site snapshot.
   EXPECT_EQ(metrics.gauge("par.cache.hits").last(),
             static_cast<double>(cache.hits()));
   EXPECT_EQ(metrics.gauge("par.cache.misses").last(),

@@ -8,6 +8,7 @@
 
 #include "hot/compiled_trace.hpp"
 #include "par/sweep.hpp"
+#include "resilience/resilient_sweep.hpp"
 #include "sim/experiments.hpp"
 
 namespace {

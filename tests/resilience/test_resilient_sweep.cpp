@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -500,8 +502,8 @@ TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
   }
 }
 
-// The resilient runner plans the batched tasks of par::run_sweep per
-// commit chunk: every point matches the plain batched sweep bitwise,
+// A journaled batched sweep plans its tasks per commit chunk: every
+// point matches the unjournaled batched sweep bitwise,
 // merge sets form, each batched lane is judged by the per-point
 // contract checks (a lane over the unserved budget quarantines with the
 // per-point path's error), the injected failure stays per point, jobs 1
@@ -953,22 +955,22 @@ TEST(ResilientSweepTest, BothRunnersReportTheEngineChooseEnginePicks) {
         const sim::Engine want =
             chosen_engine(base, plain.points[k].point, grid.storm_faults);
         ++landed[static_cast<int>(want)];
-        // The plain runner plans storm and stack points last, so the
-        // plain points of each policy form one two-point batch task.
-        EXPECT_EQ(plain.points[k].engine,
-                  engine == sim::Engine::Batched && want == sim::Engine::Hot
-                      ? sim::Engine::Batched
-                      : want);
+        // The runner plans storm and stack points last, so the plain
+        // points of each policy form one two-point batch task.
+        const sim::Engine planned =
+            engine == sim::Engine::Batched && want == sim::Engine::Hot
+                ? sim::Engine::Batched
+                : want;
+        EXPECT_EQ(plain.points[k].engine, planned);
         EXPECT_TRUE(sim::same_result(plain.points[k].result,
                                      reference.points[k].result));
         ASSERT_TRUE(resilient.points[k].ok);
-        EXPECT_EQ(resilient.points[k].result.engine, want);
+        EXPECT_EQ(resilient.points[k].result.engine, planned);
         EXPECT_TRUE(sim::same_result(resilient.points[k].result.result,
                                      reference.points[k].result));
       }
-      // Storms and stacks land on the reference loop. In the resilient
-      // runner's grid-order plan they cut every policy run, so each
-      // plain point runs alone, on the hot lane.
+      // Storms and stacks land on the reference loop; a plain point
+      // run alone would take the hot lane.
       EXPECT_EQ(landed[static_cast<int>(sim::Engine::Reference)], 12u);
       EXPECT_EQ(landed[static_cast<int>(sim::Engine::Hot)], 4u);
     }
@@ -978,10 +980,10 @@ TEST(ResilientSweepTest, BothRunnersReportTheEngineChooseEnginePicks) {
 // A batched sweep runs the batch loop in multi-point tasks only; every
 // one-point task is a single run, which takes the hot lane. Seventeen
 // capacities at one rho plan into a kBatchMax task plus a lone point.
-// In the resilient runner's grid-order plan a storm axis cuts every
-// policy run, so each plain point of that grid runs alone; the plain
-// runner plans storm points last and batches the plain points of each
-// policy. A point deadline runs every point alone.
+// In a grid-order plan a storm axis cuts every policy run, so each
+// plain point of that grid would run alone; the runner plans storm
+// points last and batches the plain points of each policy. A point
+// deadline runs every point alone.
 TEST(ResilientSweepTest, LonePointsOfABatchedSweepTakeTheHotLane) {
   sim::ExperimentConfig base = small_base();
   base.initial_storage = Coulomb(1.0);  // sub-capacity: lanes merge
@@ -1046,12 +1048,13 @@ TEST(ResilientSweepTest, LonePointsOfABatchedSweepTakeTheHotLane) {
       for (std::size_t k = 0; k < points.size(); ++k) {
         SCOPED_TRACE("point " + std::to_string(k));
         const sim::SimulationResult& ref = reference.points[k].result;
-        EXPECT_EQ(plain.points[k].engine,
-                  is_storm && points[k].storm_seed == 0 ? sim::Engine::Batched
-                                                        : want[k]);
+        const sim::Engine planned = is_storm && points[k].storm_seed == 0
+                                        ? sim::Engine::Batched
+                                        : want[k];
+        EXPECT_EQ(plain.points[k].engine, planned);
         EXPECT_TRUE(sim::same_result(plain.points[k].result, ref));
         ASSERT_TRUE(resilient.points[k].ok);
-        EXPECT_EQ(resilient.points[k].result.engine, want[k]);
+        EXPECT_EQ(resilient.points[k].result.engine, planned);
         EXPECT_TRUE(sim::same_result(resilient.points[k].result.result, ref));
         ASSERT_TRUE(per_point.points[k].ok);
         EXPECT_EQ(per_point.points[k].result.engine,
@@ -1107,6 +1110,117 @@ TEST(ResilientSweepTest, ResumeRejectsARecordOfAnotherStackPoint) {
               std::string::npos);
   }
   std::remove(path.c_str());
+}
+
+// Every sweep runs through one runner. Across engine x storm axis x
+// stack axis x --jobs x journal, from a shared sub-capacity charge so
+// lanes merge: every point matches the reference sweep at --jobs 1
+// bitwise, par::run_sweep and a journaled run land each point on the
+// same engine, and with the journal off par::run_sweep and
+// run_resilient_sweep batch alike.
+TEST(ResilientSweepTest, OneRunnerAcrossFeatures) {
+  sim::ExperimentConfig base = small_base();
+  base.initial_storage = Coulomb(1.0);  // sub-capacity: lanes merge
+  const std::string path = temp_path("one_runner.fcj");
+  using Seeds = std::vector<std::uint64_t>;
+  using Counts = std::vector<std::size_t>;
+  for (const Seeds& storms : {Seeds{}, Seeds{0, 7}}) {
+    for (const Counts& stacks : {Counts{}, Counts{0, 2}}) {
+      par::SweepGrid grid;
+      grid.policies = {sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle};
+      grid.rhos = {0.3};
+      grid.capacities = {Coulomb(3.0), Coulomb(6.0), Coulomb(9.0)};
+      grid.storm_seeds = storms;
+      grid.storm_faults = 6;
+      grid.stack_counts = stacks;
+      const par::SweepResult reference = par::run_sweep(base, grid);
+      const std::size_t n = reference.points.size();
+
+      for (const sim::Engine engine :
+           {sim::Engine::Reference, sim::Engine::Hot, sim::Engine::Batched}) {
+        sim::ExperimentConfig config = base;
+        config.simulation.engine = engine;
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+          SCOPED_TRACE(testing::Message()
+                       << "storms " << storms.size() << ", stacks "
+                       << stacks.size() << ", engine "
+                       << static_cast<int>(engine) << ", jobs " << jobs);
+          par::SweepOptions plain_options;
+          plain_options.jobs = jobs;
+          const par::SweepResult plain =
+              par::run_sweep(config, grid, plain_options);
+          ResilienceOptions options;
+          options.jobs = jobs;
+          const ResilientSweepResult unjournaled =
+              run_resilient_sweep(config, grid, options);
+          std::remove(path.c_str());
+          options.journal_path = path;
+          const ResilientSweepResult journaled =
+              run_resilient_sweep(config, grid, options);
+          EXPECT_EQ(load_journal(path).records.size(), n);
+
+          ASSERT_EQ(plain.points.size(), n);
+          ASSERT_EQ(unjournaled.points.size(), n);
+          ASSERT_EQ(journaled.points.size(), n);
+          for (std::size_t k = 0; k < n; ++k) {
+            SCOPED_TRACE(testing::Message() << "point " << k);
+            const sim::SimulationResult& want = reference.points[k].result;
+            ASSERT_TRUE(unjournaled.points[k].ok);
+            ASSERT_TRUE(journaled.points[k].ok);
+            EXPECT_TRUE(sim::same_result(plain.points[k].result, want));
+            EXPECT_TRUE(
+                sim::same_result(unjournaled.points[k].result.result, want));
+            EXPECT_TRUE(
+                sim::same_result(journaled.points[k].result.result, want));
+            EXPECT_EQ(plain.points[k].engine,
+                      journaled.points[k].result.engine);
+          }
+          const par::SweepRunStats& a = plain.stats;
+          const par::SweepRunStats& b = unjournaled.stats;
+          EXPECT_EQ(a.points_batched, b.points_batched);
+          EXPECT_EQ(a.batch_merge_sets, b.batch_merge_sets);
+          EXPECT_EQ(a.batch_merged_lane_slots, b.batch_merged_lane_slots);
+          EXPECT_EQ(a.batch_splits, b.batch_splits);
+          if (engine == sim::Engine::Batched) {
+            // The fault-free single-stack points of each policy batch.
+            EXPECT_GT(journaled.stats.points_batched, 0u);
+            EXPECT_GT(journaled.stats.batch_merge_sets, 0u);
+          }
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// Without a journal or retries a failed point fails the sweep:
+// par::run_sweep throws naming the lowest failed grid index, its error
+// kind and detail. A zero capacity breaks the storage precondition.
+TEST(ResilientSweepTest, PlainSweepThrowsNamingTheFailedPoint) {
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::FcDpm};
+  grid.rhos = {0.5};
+  grid.capacities = {Coulomb(6.0), Coulomb(0.0), Coulomb(3.0), Coulomb(0.0)};
+  for (const sim::Engine engine :
+       {sim::Engine::Reference, sim::Engine::Hot, sim::Engine::Batched}) {
+    sim::ExperimentConfig base = small_base();
+    base.simulation.engine = engine;
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "engine " << static_cast<int>(engine)
+                                      << ", jobs " << jobs);
+      par::SweepOptions options;
+      options.jobs = jobs;
+      std::string message;
+      try {
+        (void)par::run_sweep(base, grid, options);
+      } catch (const std::runtime_error& error) {
+        message = error.what();
+      }
+      EXPECT_EQ(message.rfind("sweep point 1 failed: contract_violation: ", 0),
+                0u)
+          << message;
+    }
+  }
 }
 
 }  // namespace

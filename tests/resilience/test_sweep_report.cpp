@@ -12,14 +12,14 @@ namespace fcdpm::resilience {
 namespace {
 
 /// Everything print_sweep_report writes to its stream.
-template <typename Sweep, typename Extra>
-std::string printed(const sim::ExperimentConfig& config, const Sweep& sweep,
-                    const Extra& extra) {
+std::string printed(const sim::ExperimentConfig& config,
+                    const ResilientSweepResult& sweep,
+                    const ResilienceOptions* options) {
   char* data = nullptr;
   std::size_t size = 0;
   std::FILE* out = ::open_memstream(&data, &size);
   EXPECT_NE(out, nullptr);
-  (void)print_sweep_report(out, config, sweep, extra);
+  (void)print_sweep_report(out, config, sweep, options);
   std::fclose(out);
   std::string text(data, size);
   std::free(data);
@@ -91,7 +91,7 @@ TEST(SweepReportTest, ResilientReportTextIsPinned) {
 
   ResilienceOptions options;
   options.journal_path = "sweep.fcj";
-  EXPECT_EQ(printed(capped_config(), sweep, options),
+  EXPECT_EQ(printed(capped_config(), sweep, &options),
             "sweep: camcorder\n"
             "policy         rho   capacity  storm seed  fuel (A-s)  bled (A-s)  unserved (A-s)  sleeps  capped  status                        \n"
             "---------------------------------------------------------------------------------------------------------------------------------\n"
@@ -106,18 +106,21 @@ TEST(SweepReportTest, ResilientReportTextIsPinned) {
             "quarantined point 1 after 3 attempts: deadline_exceeded: slot budget exhausted\n");
 }
 
-// The plain runner's table: no status column, every point ok.
+// The plain presentation (no resilience options): no status column,
+// every point ok.
 TEST(SweepReportTest, PlainReportTextIsPinned) {
-  par::SweepResult sweep;
+  ResilientSweepResult sweep;
   sweep.stats.points = 2;
   sweep.stats.jobs = 1;
   sweep.stats.wall_seconds = 0.5;
-  sweep.points.push_back(done_point(sim::PolicyKind::Conv, 0.05, 400.0));
-  sweep.points.back().result.totals.fuel = Coulomb(-0.004);
-  sweep.points.push_back(done_point(sim::PolicyKind::FcDpm, 0.95, 0.5));
-  sweep.points.back().result.totals.fuel = Coulomb(1e6 / 3.0);
-  sweep.points.back().result.sleeps = 123456;
-  EXPECT_EQ(printed(sim::experiment1_config(), sweep, false),
+  sweep.points.resize(2);
+  sweep.points[0].ok = sweep.points[1].ok = true;
+  sweep.points[0].result = done_point(sim::PolicyKind::Conv, 0.05, 400.0);
+  sweep.points[0].result.result.totals.fuel = Coulomb(-0.004);
+  sweep.points[1].result = done_point(sim::PolicyKind::FcDpm, 0.95, 0.5);
+  sweep.points[1].result.result.totals.fuel = Coulomb(1e6 / 3.0);
+  sweep.points[1].result.result.sleeps = 123456;
+  EXPECT_EQ(printed(sim::experiment1_config(), sweep, nullptr),
             "sweep: camcorder\n"
             "policy    rho   capacity  storm seed  fuel (A-s)  bled (A-s)  unserved (A-s)  sleeps\n"
             "------------------------------------------------------------------------------------\n"

@@ -10,6 +10,7 @@
 
 #include "hot/engine.hpp"
 #include "par/sweep.hpp"
+#include "resilience/resilient_sweep.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiments.hpp"
 #include "stacks/multi_stack.hpp"
