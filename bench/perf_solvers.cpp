@@ -14,8 +14,8 @@
 #include "core/quantized_optimizer.hpp"
 #include "core/slot_optimizer.hpp"
 #include "dpm/predictors.hpp"
-#include "hot/polarization_table.hpp"
 #include "power/fc_system.hpp"
+#include "power/hybrid.hpp"
 
 // Global allocation counter: the per-slot hot path must be free of
 // heap traffic, and this binary proves it (see main below).
@@ -154,21 +154,6 @@ void BM_PhysicalFuelCurrent(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PhysicalFuelCurrent);
-
-void BM_PolarizationTable(benchmark::State& state) {
-  const power::PhysicalFuelSource source(power::FcSystem::paper_system(),
-                                         Ampere(0.1));
-  const hot::PolarizationTable table(
-      source, static_cast<std::size_t>(state.range(0)));
-  double i = 0.15;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.fuel_current(Ampere(i)));
-    i = (i >= 1.2) ? 0.15 : i + 0.001;
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel("surrogate for BM_PhysicalFuelCurrent");
-}
-BENCHMARK(BM_PolarizationTable)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_RegressionPredict(benchmark::State& state) {
   dpm::RegressionPredictor predictor(16, Seconds(0.0));

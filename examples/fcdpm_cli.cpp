@@ -719,6 +719,13 @@ int cmd_sweep(const Args& args) {
   // report; without one a failed point ends the sweep.
   const bool resilient = args.any(cli::Group::Resilience);
   resilience::ResilienceOptions ropt = resilience_options(args, resilient);
+  const std::size_t point_count = grid.points(config).size();
+  if (args.has("inject-fail") &&
+      ropt.contract.inject_fail_index >= point_count) {
+    throw std::runtime_error(
+        "--inject-fail " + std::to_string(ropt.contract.inject_fail_index) +
+        " is outside the " + std::to_string(point_count) + "-point grid");
+  }
   const auto run = [&](const resilience::ResilienceOptions& options) {
     resilience::ResilientSweepResult sweep =
         resilience::run_resilient_sweep(config, grid, options);
@@ -743,7 +750,7 @@ int cmd_sweep(const Args& args) {
 
   // The serial reference above runs without telemetry: shards observe
   // only the measured run, so snapshot totals equal its report.
-  TelemetrySession tel(args, jobs, grid.points(config).size(),
+  TelemetrySession tel(args, jobs, point_count,
                        !args.text("trace-out").empty());
 
   const std::unique_ptr<par::SharedSolveCache> memo = make_solve_memo(quantum);
@@ -782,7 +789,7 @@ int cmd_sweep(const Args& args) {
 
   const std::string out = args.text("out");
   if (!out.empty()) {
-    // write_sweep_bench_file in its two timed stages.
+    // The JSON is encoded, then written atomically: two timed stages.
     std::string json;
     {
       obs::StageTimer timer(obs.context(), "report.encode_s");

@@ -198,7 +198,6 @@ class Auditor {
 
   [[nodiscard]] const AuditStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const AuditSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] bool fail_fast() const noexcept { return fail_fast_; }
 
  private:
   void violation(std::uint64_t AuditStats::*counter, std::size_t slot,

@@ -107,9 +107,6 @@ class Governor {
   [[nodiscard]] const CapStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const CapTable& table() const noexcept { return table_; }
   [[nodiscard]] const CapConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const dvs::DvsPlanner& planner() const noexcept {
-    return planner_;
-  }
 
  private:
   /// Shared tail of the inline fast path: account the slot and return

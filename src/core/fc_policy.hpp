@@ -304,10 +304,6 @@ class FcDpmPolicy final : public FcOutputPolicy {
   [[nodiscard]] bool merge_equivalent(
       const FcOutputPolicy& other) const noexcept override;
 
-  [[nodiscard]] const SlotOptimizer& optimizer() const noexcept {
-    return optimizer_;
-  }
-
  private:
   SlotOptimizer optimizer_;
   std::optional<QuantizedSlotOptimizer> quantizer_;

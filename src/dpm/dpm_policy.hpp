@@ -38,8 +38,6 @@ struct IdlePlan {
 
   /// Sum of segment durations (== actual idle + latency_spill).
   [[nodiscard]] Seconds total_duration() const;
-  /// Total charge of the plan at the device terminals.
-  [[nodiscard]] Coulomb total_charge() const;
 };
 
 /// Idle plan laid out into fixed inline storage — the allocation-free
@@ -151,9 +149,6 @@ class PredictiveDpmPolicy final : public DpmPolicy {
   [[nodiscard]] Seconds break_even() const noexcept { return break_even_; }
   [[nodiscard]] const PredictionAccuracy& accuracy() const noexcept {
     return accuracy_;
-  }
-  [[nodiscard]] DurationPredictor& predictor() noexcept {
-    return *predictor_;
   }
 
  private:

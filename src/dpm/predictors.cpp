@@ -243,35 +243,6 @@ bool LearningTreePredictor::equivalent(
   return counts_ == o->counts_;  // integer histograms: exact compare
 }
 
-// --- OraclePredictor ---------------------------------------------------------
-
-OraclePredictor::OraclePredictor(Seconds initial)
-    : initial_(initial), next_(initial) {
-  FCDPM_EXPECTS(initial.value() >= 0.0, "initial estimate must be >= 0");
-}
-
-void OraclePredictor::prime(Seconds next) {
-  FCDPM_EXPECTS(next.value() >= 0.0, "durations are non-negative");
-  next_ = next;
-}
-
-void OraclePredictor::observe(Seconds /*actual*/) {
-  // The oracle already knew.
-}
-
-void OraclePredictor::reset() { next_ = initial_; }
-
-std::unique_ptr<DurationPredictor> OraclePredictor::clone() const {
-  return std::make_unique<OraclePredictor>(*this);
-}
-
-bool OraclePredictor::equivalent(
-    const DurationPredictor& other) const noexcept {
-  const auto* o = dynamic_cast<const OraclePredictor*>(&other);
-  return o != nullptr && same_bits(initial_, o->initial_) &&
-         same_bits(next_, o->next_);
-}
-
 // --- FixedPredictor ----------------------------------------------------------
 
 FixedPredictor::FixedPredictor(Seconds value) : value_(value) {

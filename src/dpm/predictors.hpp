@@ -3,9 +3,9 @@
 // FC-DPM (Section 4) predicts the coming idle period T'i, active period
 // T'a and active current I'ld,a before each idle slot. The paper uses the
 // exponential-average predictor of Hwang & Wu [1] (Eq. (14)/(15)); the
-// regression predictor of Srivastava et al. [2], an adaptive-learning-tree
-// predictor after Chung et al. [3], and an oracle (for upper bounds) are
-// provided for the predictor-sensitivity ablation.
+// regression predictor of Srivastava et al. [2] and an adaptive-learning-
+// tree predictor after Chung et al. [3] are provided for the predictor-
+// sensitivity ablation (its upper bound is core::OracleFcPolicy).
 #pragma once
 
 #include <cstddef>
@@ -64,8 +64,6 @@ class ExponentialAveragePredictor final : public DurationPredictor {
   [[nodiscard]] bool equivalent(
       const DurationPredictor& other) const noexcept override;
 
-  [[nodiscard]] double rho() const noexcept { return rho_; }
-
  private:
   double rho_;
   Seconds initial_;
@@ -122,28 +120,6 @@ class LearningTreePredictor final : public DurationPredictor {
   std::deque<int> pattern_;
   /// pattern -> histogram over next levels.
   std::map<std::vector<int>, std::vector<int>> counts_;
-};
-
-/// Oracle: told the future through `prime()`; predicts it exactly.
-/// Establishes the no-misprediction bound in ablations.
-class OraclePredictor final : public DurationPredictor {
- public:
-  explicit OraclePredictor(Seconds initial);
-
-  /// Provide the value the next predict() must return.
-  void prime(Seconds next);
-
-  [[nodiscard]] Seconds predict() const override { return next_; }
-  void observe(Seconds actual) override;
-  void reset() override;
-  [[nodiscard]] std::string name() const override { return "oracle"; }
-  [[nodiscard]] std::unique_ptr<DurationPredictor> clone() const override;
-  [[nodiscard]] bool equivalent(
-      const DurationPredictor& other) const noexcept override;
-
- private:
-  Seconds initial_;
-  Seconds next_;
 };
 
 /// Constant predictor (predicts a fixed value regardless of history);

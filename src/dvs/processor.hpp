@@ -47,7 +47,6 @@ class DvsProcessor {
     return levels_.size();
   }
   [[nodiscard]] const DvsLevel& level(std::size_t k) const;
-  [[nodiscard]] Watt idle_power() const noexcept { return idle_power_; }
   [[nodiscard]] Volt bus_voltage() const noexcept { return bus_voltage_; }
 
   /// Wall time to retire `cycles` (in units of cycles-at-full-speed

@@ -62,10 +62,6 @@ class FaultInjector {
     return stats_;
   }
 
-  [[nodiscard]] const FaultSchedule& schedule() const noexcept {
-    return schedule_;
-  }
-
  private:
   FaultSchedule schedule_;
   ActiveFaults active_;

@@ -79,7 +79,6 @@
 #include "sim/lifetime.hpp"
 #include "sim/metrics.hpp"
 #include "sim/recorder.hpp"
-#include "sim/remaining_lifetime.hpp"
 #include "sim/slot_simulator.hpp"
 #include "sim/timed_simulator.hpp"
 
@@ -87,7 +86,6 @@
 #include "hot/compiled_trace.hpp"
 #include "hot/engine.hpp"
 #include "hot/lifetime.hpp"
-#include "hot/polarization_table.hpp"
 
 #include "par/bounded_queue.hpp"
 #include "par/solve_cache.hpp"

@@ -33,36 +33,4 @@ double FuelModel::hydrogen_litres_stp(Coulomb stack_charge) const {
   return hydrogen_mol(stack_charge) * HydrogenConstants::molar_volume_l;
 }
 
-double FuelModel::hydrogen_grams(Coulomb stack_charge) const {
-  return hydrogen_mol(stack_charge) * HydrogenConstants::molar_mass_g;
-}
-
-FuelGauge::FuelGauge(Coulomb capacity) : capacity_(capacity) {
-  FCDPM_EXPECTS(capacity.value() > 0.0, "tank capacity must be positive");
-}
-
-Coulomb FuelGauge::remaining() const { return capacity_ - consumed_; }
-
-bool FuelGauge::empty() const { return remaining().value() <= 0.0; }
-
-Seconds FuelGauge::consume(Ampere ifc, Seconds duration) {
-  FCDPM_EXPECTS(ifc.value() >= 0.0, "stack current must be non-negative");
-  FCDPM_EXPECTS(duration.value() >= 0.0, "duration must be non-negative");
-  if (ifc.value() == 0.0 || duration.value() == 0.0) {
-    return duration;
-  }
-  const Seconds supportable = remaining() / ifc;
-  const Seconds actual = min(duration, supportable);
-  consumed_ += ifc * actual;
-  return actual;
-}
-
-void FuelGauge::reset() { consumed_ = Coulomb(0.0); }
-
-Seconds lifetime_at(Coulomb fuel, Ampere average_ifc) {
-  FCDPM_EXPECTS(average_ifc.value() > 0.0,
-                "average stack current must be positive");
-  return fuel / average_ifc;
-}
-
 }  // namespace fcdpm::fc

@@ -19,8 +19,6 @@ struct HydrogenConstants {
   static constexpr int electrons_per_h2 = 2;
   /// Molar volume at STP, litres/mol.
   static constexpr double molar_volume_l = 22.414;
-  /// Molar mass of H2, grams/mol.
-  static constexpr double molar_mass_g = 2.016;
 };
 
 /// Gibbs/fuel model of one stack: dEGibbs = zeta * Ifc.
@@ -33,7 +31,6 @@ class FuelModel {
   [[nodiscard]] static FuelModel bcs_20w();
 
   [[nodiscard]] double zeta() const noexcept { return zeta_w_per_a_; }
-  [[nodiscard]] int cell_count() const noexcept { return cell_count_; }
 
   /// Gibbs free-energy rate drawn from the fuel at stack current `ifc`.
   [[nodiscard]] Watt gibbs_power(Ampere ifc) const;
@@ -46,37 +43,12 @@ class FuelModel {
   /// fuel for the same charge).
   [[nodiscard]] double hydrogen_mol(Coulomb stack_charge) const;
 
-  /// Same amount in litres at STP and in grams.
+  /// Same amount in litres at STP.
   [[nodiscard]] double hydrogen_litres_stp(Coulomb stack_charge) const;
-  [[nodiscard]] double hydrogen_grams(Coulomb stack_charge) const;
 
  private:
   double zeta_w_per_a_;
   int cell_count_;
 };
-
-/// A finite fuel tank tracked in stack A-s (the paper's fuel unit).
-class FuelGauge {
- public:
-  explicit FuelGauge(Coulomb capacity);
-
-  [[nodiscard]] Coulomb capacity() const noexcept { return capacity_; }
-  [[nodiscard]] Coulomb consumed() const noexcept { return consumed_; }
-  [[nodiscard]] Coulomb remaining() const;
-  [[nodiscard]] bool empty() const;
-
-  /// Burn `ifc` for `duration`; returns the duration actually supported
-  /// before the tank ran dry (== duration when fuel suffices).
-  Seconds consume(Ampere ifc, Seconds duration);
-
-  void reset();
-
- private:
-  Coulomb capacity_;
-  Coulomb consumed_{0.0};
-};
-
-/// Lifetime of a tank of `fuel` under a constant average stack current.
-[[nodiscard]] Seconds lifetime_at(Coulomb fuel, Ampere average_ifc);
 
 }  // namespace fcdpm::fc

@@ -30,7 +30,6 @@ class FuelCellStack {
   /// The paper's BCS 20 W / 20-cell stack at 2 psig H2.
   [[nodiscard]] static FuelCellStack bcs_20w();
 
-  [[nodiscard]] int cell_count() const noexcept { return cells_; }
   [[nodiscard]] const CellParams& cell() const noexcept { return cell_; }
 
   /// Stack terminal voltage Vfc at stack current Ifc.

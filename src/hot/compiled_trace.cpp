@@ -18,7 +18,6 @@ CompiledTrace::CompiledTrace(wl::Trace trace,
   idle_.reserve(n);
   active_eff_.reserve(n);
   run_current_.reserve(n);
-  active_charge_.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
     const wl::TaskSlot& slot = trace_[k];
     // Exactly the reference loop's per-slot derivations, evaluated once.
@@ -28,9 +27,6 @@ CompiledTrace::CompiledTrace(wl::Trace trace,
     idle_.push_back(slot.idle.value());
     active_eff_.push_back(active_eff.value());
     run_current_.push_back(run_current.value());
-    const Coulomb charge = run_current * active_eff;
-    active_charge_.push_back(charge.value());
-    total_active_charge_ += charge;
   }
 }
 

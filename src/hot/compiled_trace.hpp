@@ -42,17 +42,6 @@ class CompiledTrace {
   [[nodiscard]] Ampere run_current(std::size_t k) const noexcept {
     return Ampere(run_current_[k]);
   }
-  /// Precomputed active-phase charge Ild,a * Ta' of slot k.
-  [[nodiscard]] Coulomb active_charge(std::size_t k) const noexcept {
-    return Coulomb(active_charge_[k]);
-  }
-
-  /// Total charge the device consumes over the whole trace (idle phases
-  /// excluded — those depend on the DPM policy's layout).
-  [[nodiscard]] Coulomb total_active_charge() const noexcept {
-    return total_active_charge_;
-  }
-
   /// True when `device` matches the model this trace was compiled with
   /// (exact comparison on every value baked into the arrays). The hot
   /// engine refuses to run a compiled trace against a different device.
@@ -64,8 +53,6 @@ class CompiledTrace {
   std::vector<double> idle_;
   std::vector<double> active_eff_;
   std::vector<double> run_current_;
-  std::vector<double> active_charge_;
-  Coulomb total_active_charge_{0.0};
   double bus_voltage_ = 0.0;
   double standby_to_run_ = 0.0;
   double run_to_standby_ = 0.0;

@@ -45,9 +45,6 @@ class Context {
   [[nodiscard]] bool active() const noexcept {
     return emitting_ || metrics_ != nullptr || profiler_ != nullptr;
   }
-  [[nodiscard]] MetricsRegistry* metrics() const noexcept {
-    return metrics_;
-  }
   [[nodiscard]] Profiler* profiler() const noexcept { return profiler_; }
 
   /// Caches sink->discards(): a NullTraceSink costs the same as no sink
@@ -69,7 +66,6 @@ class Context {
 
   /// Timeline track for subsequent events (Chrome "tid"); lets several
   /// sequential runs share one file without overlapping spans.
-  [[nodiscard]] int track() const noexcept { return track_; }
   void set_track(int track) noexcept { track_ = track; }
 
   // --- event emission (no-ops without a sink) --------------------------------

@@ -52,9 +52,6 @@ class VerifyingSolveCache final : public core::SlotSolveCache {
     return answer;
   }
 
-  /// Answers re-solved and compared so far.
-  [[nodiscard]] std::uint64_t verified() const noexcept { return verified_; }
-
  private:
   /// Verification is sampled even in strict mode (the point of the
   /// memo is not solving everything twice); the auditor's
@@ -79,7 +76,6 @@ class VerifyingSolveCache final : public core::SlotSolveCache {
 
   void check(const core::CheckedSetting& cached,
              const core::CheckedSetting& fresh) {
-    ++verified_;
     const core::SlotSetting& c = cached.setting;
     const core::SlotSetting& f = fresh.setting;
     const bool same =
@@ -102,7 +98,6 @@ class VerifyingSolveCache final : public core::SlotSolveCache {
   const SharedSolveCache* fresh_;
   audit::Auditor* auditor_;
   std::size_t until_check_;
-  std::uint64_t verified_ = 0;
 };
 
 }  // namespace fcdpm::par

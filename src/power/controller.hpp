@@ -43,9 +43,6 @@ class OnOffFanController final : public ControllerModel {
   [[nodiscard]] static OnOffFanController typical();
 
   [[nodiscard]] Ampere control_current(Ampere i_f) const override;
-  [[nodiscard]] Ampere cooling_on_threshold() const noexcept {
-    return threshold_;
-  }
   [[nodiscard]] std::string name() const override { return "on/off fan"; }
   [[nodiscard]] std::unique_ptr<ControllerModel> clone() const override;
 

@@ -62,15 +62,6 @@ PwmPfmConverter::PwmPfmConverter(Volt vout, ConverterLosses pwm_losses,
                 "PFM threshold must be positive");
 }
 
-PwmPfmConverter PwmPfmConverter::typical_12v() {
-  // PFM mode below 0.25 A has almost no fixed loss, so light-load
-  // efficiency stays near the heavy-load value: ~85 % across the range.
-  return PwmPfmConverter(Volt(12.0),
-                         /*pwm=*/{Watt(0.20), 1.45, 0.30},
-                         /*pfm=*/{Watt(0.03), 1.85, 0.30},
-                         /*threshold=*/Ampere(0.25));
-}
-
 PwmPfmConverter PwmPfmConverter::high_efficiency_12v() {
   // Synchronous rectification and PFM light-load mode: ~94-95 % from
   // 0.05 A to 1.3 A.

@@ -76,9 +76,6 @@ class PwmPfmConverter final : public DcDcConverter {
   PwmPfmConverter(Volt vout, ConverterLosses pwm_losses,
                   ConverterLosses pfm_losses, Ampere pfm_threshold);
 
-  /// Calibrated to the paper's stated ~85 % flat efficiency.
-  [[nodiscard]] static PwmPfmConverter typical_12v();
-
   /// High-efficiency synchronous buck (~94 % flat). Used by
   /// FcSystem::paper_system(): the paper's published alpha = 0.45 is only
   /// reachable with converter+controller losses below ~10 % (see the

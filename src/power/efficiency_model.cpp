@@ -39,24 +39,12 @@ Ampere LinearEfficiencyModel::stack_current(Ampere i_f) const {
   return Ampere(k() * i_f.value() / efficiency(i_f));
 }
 
-Coulomb LinearEfficiencyModel::fuel_charge(Ampere i_f,
-                                           Seconds duration) const {
-  FCDPM_EXPECTS(duration.value() >= 0.0, "duration must be non-negative");
-  return stack_current(i_f) * duration;
-}
-
 bool LinearEfficiencyModel::in_range(Ampere i_f) const {
   return if_min_ <= i_f && i_f <= if_max_;
 }
 
 Ampere LinearEfficiencyModel::clamp_to_range(Ampere i_f) const {
   return clamp(i_f, if_min_, if_max_);
-}
-
-LinearEfficiencyModel LinearEfficiencyModel::with_range(
-    Ampere if_min, Ampere if_max) const {
-  return LinearEfficiencyModel(bus_voltage_, zeta_, alpha_, beta_, if_min,
-                               if_max);
 }
 
 LinearEfficiencyModel LinearEfficiencyModel::with_coefficients(

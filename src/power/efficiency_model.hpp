@@ -46,18 +46,11 @@ class LinearEfficiencyModel {
   /// strictly increasing in IF on [0, alpha/beta).
   [[nodiscard]] Ampere stack_current(Ampere i_f) const;
 
-  /// Fuel charge (stack A-s) burned holding IF for `duration`.
-  [[nodiscard]] Coulomb fuel_charge(Ampere i_f, Seconds duration) const;
-
   /// True when IF lies within the load-following range (inclusive).
   [[nodiscard]] bool in_range(Ampere i_f) const;
 
   /// Clamp IF into the load-following range.
   [[nodiscard]] Ampere clamp_to_range(Ampere i_f) const;
-
-  /// Copy of this model with a different validity range (for sweeps).
-  [[nodiscard]] LinearEfficiencyModel with_range(Ampere if_min,
-                                                Ampere if_max) const;
 
   /// Copy with different alpha/beta (for the beta-sensitivity ablation).
   [[nodiscard]] LinearEfficiencyModel with_coefficients(double alpha,

@@ -85,17 +85,8 @@ class FcSystem {
 
   [[nodiscard]] FcSystem clone() const;
 
-  [[nodiscard]] const fc::FuelCellStack& stack() const noexcept {
-    return stack_;
-  }
   [[nodiscard]] const fc::FuelModel& fuel_model() const noexcept {
     return fuel_;
-  }
-  [[nodiscard]] const DcDcConverter& converter() const noexcept {
-    return *converter_;
-  }
-  [[nodiscard]] const ControllerModel& controller() const noexcept {
-    return *controller_;
   }
   [[nodiscard]] Volt bus_voltage() const;
 

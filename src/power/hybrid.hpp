@@ -174,9 +174,6 @@ class HybridPowerSource {
   /// costs hydrogen. Default 0. Enables studying the FC-off deep-idle
   /// extension (bench abl_fc_shutdown).
   void set_startup_fuel(Coulomb fuel);
-  [[nodiscard]] Coulomb startup_fuel() const noexcept {
-    return startup_fuel_;
-  }
   /// Number of 0 -> on transitions seen since the last reset.
   [[nodiscard]] std::size_t startups() const noexcept { return startups_; }
 

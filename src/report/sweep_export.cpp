@@ -3,7 +3,6 @@
 #include <concepts>
 #include <string_view>
 
-#include "common/atomic_file.hpp"
 #include "common/text.hpp"
 #include "obs/trace_sink.hpp"
 
@@ -249,11 +248,6 @@ std::string sweep_bench_to_json(const SweepBenchReport& bench) {
   }
   out += "]}\n";
   return out;
-}
-
-void write_sweep_bench_file(const std::string& path,
-                            const SweepBenchReport& bench) {
-  write_file_atomic(path, sweep_bench_to_json(bench));
 }
 
 }  // namespace fcdpm::report

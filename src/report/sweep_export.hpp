@@ -189,11 +189,4 @@ struct SweepBenchReport {
 /// One JSON object, newline-terminated.
 [[nodiscard]] std::string sweep_bench_to_json(const SweepBenchReport& bench);
 
-/// Write the JSON form to `path` via temp file + atomic rename (a
-/// killed run never leaves a truncated artifact). Throws CsvError when
-/// the file cannot be created (same error channel as the other report
-/// writers).
-void write_sweep_bench_file(const std::string& path,
-                            const SweepBenchReport& bench);
-
 }  // namespace fcdpm::report

@@ -15,9 +15,6 @@ class Table {
   Table(std::string title, std::vector<std::string> columns);
 
   [[nodiscard]] const std::string& title() const noexcept { return title_; }
-  [[nodiscard]] const std::vector<std::string>& columns() const noexcept {
-    return columns_;
-  }
   [[nodiscard]] const std::vector<std::vector<std::string>>& rows()
       const noexcept {
     return rows_;

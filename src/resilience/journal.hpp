@@ -96,8 +96,6 @@ class Journal {
   /// Throws CsvError when fsync fails.
   bool commit();
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
  private:
   Journal(std::string path, int fd);
 

@@ -111,10 +111,6 @@ SimulationResult run_policy(PolicyKind kind,
   return simulate(config.trace, dpm_policy, *fc_policy, hybrid, options);
 }
 
-std::vector<double> PolicyComparison::normalized() const {
-  return {1.0, normalized_fuel(asap, conv), normalized_fuel(fcdpm, conv)};
-}
-
 PolicyComparison compare_policies(const ExperimentConfig& config) {
   return {run_policy(PolicyKind::Conv, config),
           run_policy(PolicyKind::Asap, config),

@@ -5,7 +5,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cap/governor.hpp"
 #include "core/fc_policy.hpp"
@@ -90,9 +89,6 @@ struct PolicyComparison {
   SimulationResult conv;
   SimulationResult asap;
   SimulationResult fcdpm;
-
-  /// Normalized fuel (Table 2/3 rows): {1.0, asap/conv, fcdpm/conv}.
-  [[nodiscard]] std::vector<double> normalized() const;
 };
 
 [[nodiscard]] PolicyComparison compare_policies(

@@ -487,12 +487,4 @@ SimulationResult simulate(const wl::Trace& trace, dpm::DpmPolicy& dpm_policy,
   return result;
 }
 
-SimulationResult simulate_paper_hybrid(const wl::Trace& trace,
-                                       dpm::DpmPolicy& dpm_policy,
-                                       core::FcOutputPolicy& fc_policy,
-                                       const SimulationOptions& options) {
-  power::HybridPowerSource hybrid = power::HybridPowerSource::paper_hybrid();
-  return simulate(trace, dpm_policy, fc_policy, hybrid, options);
-}
-
 }  // namespace fcdpm::sim

@@ -105,9 +105,4 @@ struct SimulationOptions {
                                         power::HybridPowerSource& hybrid,
                                         const SimulationOptions& options = {});
 
-/// Convenience overload: builds the paper's hybrid source internally.
-[[nodiscard]] SimulationResult simulate_paper_hybrid(
-    const wl::Trace& trace, dpm::DpmPolicy& dpm_policy,
-    core::FcOutputPolicy& fc_policy, const SimulationOptions& options = {});
-
 }  // namespace fcdpm::sim

@@ -1,82 +1,16 @@
 #include "workload/analysis.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.hpp"
 
 namespace fcdpm::wl {
 
-std::size_t Histogram::total() const {
-  std::size_t sum = 0;
-  for (const std::size_t c : counts) {
-    sum += c;
-  }
-  return sum;
-}
-
-double Histogram::fraction(std::size_t k) const {
-  FCDPM_EXPECTS(k < counts.size(), "bin index out of range");
-  const std::size_t n = total();
-  if (n == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(counts[k]) / static_cast<double>(n);
-}
-
-double Histogram::bin_width() const {
-  if (counts.empty()) {
-    return 0.0;
-  }
-  return (hi - lo) / static_cast<double>(counts.size());
-}
-
-Histogram histogram(const std::vector<double>& samples, std::size_t bins) {
-  FCDPM_EXPECTS(bins >= 1, "need at least one bin");
-  FCDPM_EXPECTS(!samples.empty(), "histogram of empty samples");
-
-  Histogram h;
-  h.lo = *std::min_element(samples.begin(), samples.end());
-  h.hi = *std::max_element(samples.begin(), samples.end());
-  h.counts.assign(bins, 0);
-
-  if (h.hi == h.lo) {
-    h.counts[0] = samples.size();
-    return h;
-  }
-
-  const double width = (h.hi - h.lo) / static_cast<double>(bins);
-  for (const double s : samples) {
-    const auto k = static_cast<std::size_t>(
-        std::min(static_cast<double>(bins - 1), (s - h.lo) / width));
-    ++h.counts[k];
-  }
-  return h;
-}
-
 std::vector<double> idle_durations(const Trace& trace) {
   std::vector<double> out;
   out.reserve(trace.size());
   for (const TaskSlot& slot : trace.slots()) {
     out.push_back(slot.idle.value());
-  }
-  return out;
-}
-
-std::vector<double> active_durations(const Trace& trace) {
-  std::vector<double> out;
-  out.reserve(trace.size());
-  for (const TaskSlot& slot : trace.slots()) {
-    out.push_back(slot.active.value());
-  }
-  return out;
-}
-
-std::vector<double> active_powers(const Trace& trace) {
-  std::vector<double> out;
-  out.reserve(trace.size());
-  for (const TaskSlot& slot : trace.slots()) {
-    out.push_back(slot.active_power.value());
   }
   return out;
 }

@@ -1,7 +1,6 @@
-// Trace analysis utilities: the statistics the paper's workloads are
-// characterized by (idle/active distributions, burstiness, scene
-// correlation). Used by the generators' tests and by users validating
-// that a captured trace matches a synthetic stand-in.
+// Trace analysis: the statistics the paper's workloads are characterized
+// by (idle durations, scene correlation, duty cycle, average load), as
+// `fcdpm_cli analyze` prints them and the generators' tests check them.
 #pragma once
 
 #include <vector>
@@ -11,27 +10,8 @@
 
 namespace fcdpm::wl {
 
-/// Histogram of a sample set over uniform bins spanning [min, max].
-struct Histogram {
-  double lo = 0.0;
-  double hi = 0.0;
-  std::vector<std::size_t> counts;
-
-  [[nodiscard]] std::size_t total() const;
-  /// Fraction of samples in bin `k`.
-  [[nodiscard]] double fraction(std::size_t k) const;
-  [[nodiscard]] double bin_width() const;
-};
-
-/// Build a histogram with `bins` >= 1 uniform bins over the sample range
-/// (degenerate all-equal samples land in one bin).
-[[nodiscard]] Histogram histogram(const std::vector<double>& samples,
-                                  std::size_t bins);
-
-/// Idle durations / active durations / active powers of a trace.
+/// Idle durations of a trace, in slot order.
 [[nodiscard]] std::vector<double> idle_durations(const Trace& trace);
-[[nodiscard]] std::vector<double> active_durations(const Trace& trace);
-[[nodiscard]] std::vector<double> active_powers(const Trace& trace);
 
 /// Lag-k autocorrelation of a sample sequence (k >= 1; requires more
 /// than k samples). Near 0 for i.i.d. draws, positive for scene-

@@ -398,5 +398,22 @@ TEST(OraclePolicy, FlatPlanWithinRange) {
   EXPECT_LE(i_f.value(), 1.2);
 }
 
+TEST(Oracle, PredictsWhatItWasPrimedWith) {
+  // The oracle plans from the slot's ground truth: the predictor's guess
+  // does not move its setpoint, the actual idle length does.
+  const auto plan = [](double predicted_idle, double actual_idle) {
+    OracleFcPolicy oracle(paper_model(), camcorder());
+    IdleContext context = idle_context(predicted_idle, true, 3.0, 200.0);
+    context.actual_idle = Seconds(actual_idle);
+    context.actual_active = Seconds(5.0);
+    context.actual_active_current = Ampere(1.22);
+    oracle.on_idle_start(context);
+    return oracle.segment_setpoint(segment(Phase::Idle, 0.2, 3.0, 200.0))
+        .setpoint.value();
+  };
+  EXPECT_EQ(plan(3.0, 14.0), plan(40.0, 14.0));
+  EXPECT_NE(plan(3.0, 14.0), plan(3.0, 30.0));
+}
+
 }  // namespace
 }  // namespace fcdpm::core

@@ -221,18 +221,7 @@ TEST(LearningTree, RejectsBadConstruction) {
       PreconditionError);
 }
 
-// --- oracle and fixed ---------------------------------------------------------
-
-TEST(Oracle, PredictsWhatItWasPrimedWith) {
-  OraclePredictor p(Seconds(1.0));
-  EXPECT_DOUBLE_EQ(p.predict().value(), 1.0);
-  p.prime(Seconds(17.0));
-  EXPECT_DOUBLE_EQ(p.predict().value(), 17.0);
-  p.observe(Seconds(99.0));  // observation is irrelevant to an oracle
-  EXPECT_DOUBLE_EQ(p.predict().value(), 17.0);
-  p.reset();
-  EXPECT_DOUBLE_EQ(p.predict().value(), 1.0);
-}
+// --- fixed ---------------------------------------------------------
 
 TEST(Fixed, AlwaysTheSame) {
   FixedPredictor p(Seconds(4.0));

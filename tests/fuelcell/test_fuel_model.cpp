@@ -37,66 +37,12 @@ TEST(FuelModel, HydrogenFaradayConversion) {
   EXPECT_NEAR(mol, 20.0 * 3600.0 / (2.0 * 96485.33212), 1e-9);
   EXPECT_NEAR(model.hydrogen_litres_stp(Coulomb(3600.0)), mol * 22.414,
               1e-9);
-  EXPECT_NEAR(model.hydrogen_grams(Coulomb(3600.0)), mol * 2.016, 1e-9);
 }
 
 TEST(FuelModel, HydrogenOfZeroChargeIsZero) {
   const FuelModel model = FuelModel::bcs_20w();
   EXPECT_DOUBLE_EQ(model.hydrogen_mol(Coulomb(0.0)), 0.0);
   EXPECT_THROW((void)model.hydrogen_mol(Coulomb(-1.0)), PreconditionError);
-}
-
-TEST(FuelGauge, ConsumeTracksRemaining) {
-  FuelGauge gauge(Coulomb(100.0));
-  EXPECT_DOUBLE_EQ(gauge.remaining().value(), 100.0);
-  const Seconds served = gauge.consume(Ampere(2.0), Seconds(10.0));
-  EXPECT_DOUBLE_EQ(served.value(), 10.0);
-  EXPECT_DOUBLE_EQ(gauge.consumed().value(), 20.0);
-  EXPECT_DOUBLE_EQ(gauge.remaining().value(), 80.0);
-  EXPECT_FALSE(gauge.empty());
-}
-
-TEST(FuelGauge, RunsDryMidSegment) {
-  FuelGauge gauge(Coulomb(10.0));
-  const Seconds served = gauge.consume(Ampere(2.0), Seconds(10.0));
-  EXPECT_DOUBLE_EQ(served.value(), 5.0);  // only 10 A-s available
-  EXPECT_TRUE(gauge.empty());
-  // Further consumption serves nothing.
-  EXPECT_DOUBLE_EQ(gauge.consume(Ampere(1.0), Seconds(5.0)).value(), 0.0);
-}
-
-TEST(FuelGauge, ZeroCurrentCostsNothing) {
-  FuelGauge gauge(Coulomb(10.0));
-  EXPECT_DOUBLE_EQ(gauge.consume(Ampere(0.0), Seconds(100.0)).value(),
-                   100.0);
-  EXPECT_DOUBLE_EQ(gauge.consumed().value(), 0.0);
-}
-
-TEST(FuelGauge, ResetRestoresCapacity) {
-  FuelGauge gauge(Coulomb(10.0));
-  (void)gauge.consume(Ampere(1.0), Seconds(10.0));
-  EXPECT_TRUE(gauge.empty());
-  gauge.reset();
-  EXPECT_DOUBLE_EQ(gauge.remaining().value(), 10.0);
-}
-
-TEST(FuelGauge, RejectsBadInput) {
-  EXPECT_THROW(FuelGauge(Coulomb(0.0)), PreconditionError);
-  FuelGauge gauge(Coulomb(10.0));
-  EXPECT_THROW((void)gauge.consume(Ampere(-1.0), Seconds(1.0)),
-               PreconditionError);
-  EXPECT_THROW((void)gauge.consume(Ampere(1.0), Seconds(-1.0)),
-               PreconditionError);
-}
-
-TEST(Lifetime, InverselyProportionalToBurnRate) {
-  // The paper's core lifetime argument: lifetime = fuel / average Ifc.
-  const Seconds at_conv = lifetime_at(Coulomb(1000.0), Ampere(1.306));
-  const Seconds at_fcdpm = lifetime_at(Coulomb(1000.0), Ampere(0.402));
-  EXPECT_GT(at_fcdpm, at_conv);
-  EXPECT_NEAR(at_fcdpm / at_conv, 1.306 / 0.402, 1e-9);
-  EXPECT_THROW((void)lifetime_at(Coulomb(10.0), Ampere(0.0)),
-               PreconditionError);
 }
 
 }  // namespace

@@ -135,10 +135,10 @@ TEST(Table2, ComparisonHelperAgreesWithIndividualRuns) {
   EXPECT_NEAR(comparison.conv.fuel().value(), e.conv.fuel().value(), 1e-9);
   EXPECT_NEAR(comparison.fcdpm.fuel().value(), e.fcdpm.fuel().value(),
               1e-9);
-  const std::vector<double> normalized = comparison.normalized();
-  ASSERT_EQ(normalized.size(), 3u);
-  EXPECT_DOUBLE_EQ(normalized[0], 1.0);
-  EXPECT_LT(normalized[2], normalized[1]);
+  EXPECT_DOUBLE_EQ(sim::normalized_fuel(comparison.conv, comparison.conv),
+                   1.0);
+  EXPECT_LT(sim::normalized_fuel(comparison.fcdpm, comparison.conv),
+            sim::normalized_fuel(comparison.asap, comparison.conv));
 }
 
 // --- Table 3 (Experiment 2, synthetic) --------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 namespace fcdpm::obs {
@@ -78,6 +79,55 @@ TEST(Histogram, EmptyQuantileIsZero) {
   Histogram histogram;
   EXPECT_DOUBLE_EQ(histogram.quantile(0.5), 0.0);
   EXPECT_DOUBLE_EQ(histogram.mean(), 0.0);
+}
+
+// Power-of-two buckets: [1, 2) answers 1.5, [2, 4) answers 3, each
+// clamped into [min, max].
+TEST(Histogram, BinsAndFractions) {
+  Histogram histogram;
+  for (const double v : {1.0, 1.5, 2.0, 2.5, 3.0, 3.0}) {
+    histogram.observe(v);
+  }
+  EXPECT_EQ(histogram.count(), 6u);
+  // Two of six samples in [1, 2), four in [2, 4).
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.25), 1.5);
+  EXPECT_DOUBLE_EQ(histogram.quantile(2.0 / 6.0), 1.5);
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.5), 3.0);
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.75), 3.0);
+}
+
+TEST(Histogram, MaxSampleLandsInLastBin) {
+  Histogram histogram;
+  histogram.observe(0.0);
+  histogram.observe(10.0);
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.25), 0.0);
+  // [8, 16) answers 12, clamped to the largest sample.
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.99), 10.0);
+  EXPECT_DOUBLE_EQ(histogram.max(), 10.0);
+}
+
+TEST(Histogram, DegenerateSamplesUseOneBin) {
+  Histogram histogram;
+  for (int k = 0; k < 3; ++k) {
+    histogram.observe(2.0);
+  }
+  for (const double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+    EXPECT_DOUBLE_EQ(histogram.quantile(q), 2.0) << q;
+  }
+}
+
+TEST(Histogram, RejectsBadInput) {
+  // A NaN sample is dropped: it moves no count, bound or quantile.
+  Histogram histogram;
+  histogram.observe(std::nan(""));
+  EXPECT_EQ(histogram.count(), 0u);
+  histogram.observe(1.0);
+  histogram.observe(std::nan(""));
+  EXPECT_EQ(histogram.count(), 1u);
+  EXPECT_DOUBLE_EQ(histogram.sum(), 1.0);
+  EXPECT_DOUBLE_EQ(histogram.min(), 1.0);
+  EXPECT_DOUBLE_EQ(histogram.max(), 1.0);
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.5), 1.0);
 }
 
 TEST(MetricsRegistry, HandsOutStableReferences) {

@@ -48,7 +48,7 @@ TEST(PwmConverter, InputPowerExceedsOutputPower) {
 TEST(PwmPfmConverter, FlatEfficiencyAcrossLoadRange) {
   // The paper's point about PWM-PFM: high efficiency over the *entire*
   // range, because PFM mode kills fixed losses at light load.
-  const PwmPfmConverter conv = PwmPfmConverter::typical_12v();
+  const PwmPfmConverter conv = PwmPfmConverter::high_efficiency_12v();
   double lo = 1.0;
   double hi = 0.0;
   for (double i = 0.05; i <= 1.3; i += 0.05) {
@@ -62,7 +62,7 @@ TEST(PwmPfmConverter, FlatEfficiencyAcrossLoadRange) {
 
 TEST(PwmPfmConverter, BeatsPlainPwmAtLightLoad) {
   const PwmConverter pwm = PwmConverter::typical_12v();
-  const PwmPfmConverter pfm = PwmPfmConverter::typical_12v();
+  const PwmPfmConverter pfm = PwmPfmConverter::high_efficiency_12v();
   EXPECT_GT(pfm.efficiency(Ampere(0.05)), pwm.efficiency(Ampere(0.05)));
   EXPECT_GT(pfm.efficiency(Ampere(0.10)), pwm.efficiency(Ampere(0.10)));
 }
@@ -75,7 +75,7 @@ TEST(PwmPfmConverter, HighEfficiencyVariantIsFlatAndHigh) {
 }
 
 TEST(PwmPfmConverter, ModeSwitchAtThreshold) {
-  const PwmPfmConverter conv = PwmPfmConverter::typical_12v();
+  const PwmPfmConverter conv = PwmPfmConverter::high_efficiency_12v();
   const double just_below =
       conv.efficiency(conv.pfm_threshold() - Ampere(1e-6));
   const double just_above =
@@ -93,7 +93,7 @@ TEST(Converters, RejectInvalidInput) {
 }
 
 TEST(Converters, CloneIsIndependentCopy) {
-  const PwmPfmConverter conv = PwmPfmConverter::typical_12v();
+  const PwmPfmConverter conv = PwmPfmConverter::high_efficiency_12v();
   const std::unique_ptr<DcDcConverter> copy = conv.clone();
   ASSERT_NE(copy, nullptr);
   EXPECT_EQ(copy->name(), "PWM-PFM");

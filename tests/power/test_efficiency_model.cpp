@@ -37,7 +37,7 @@ TEST(LinearEfficiency, PaperStackCurrents) {
 TEST(LinearEfficiency, FuelCharge) {
   const LinearEfficiencyModel m = LinearEfficiencyModel::paper_default();
   // Setting (c): 0.448 A for 30 s = 13.45 A-s (the paper's number).
-  EXPECT_NEAR(m.fuel_charge(Ampere(16.0 / 30.0), Seconds(30.0)).value(),
+  EXPECT_NEAR((m.stack_current(Ampere(16.0 / 30.0)) * Seconds(30.0)).value(),
               13.45, 0.01);
 }
 
@@ -60,11 +60,9 @@ TEST(LinearEfficiency, FlatBeatsAlternatingUnderConvexity) {
   // same average — the property the whole paper rests on.
   const LinearEfficiencyModel m = LinearEfficiencyModel::paper_default();
   const double avg = 0.7;
-  const double flat =
-      m.fuel_charge(Ampere(avg), Seconds(20.0)).value();
-  const double alternating =
-      m.fuel_charge(Ampere(0.2), Seconds(10.0)).value() +
-      m.fuel_charge(Ampere(1.2), Seconds(10.0)).value();
+  const double flat = m.stack_current(Ampere(avg)).value() * 20.0;
+  const double alternating = m.stack_current(Ampere(0.2)).value() * 10.0 +
+                             m.stack_current(Ampere(1.2)).value() * 10.0;
   EXPECT_LT(flat, alternating);
 }
 
@@ -81,9 +79,6 @@ TEST(LinearEfficiency, RangeHelpers) {
 
 TEST(LinearEfficiency, WithRangeAndCoefficients) {
   const LinearEfficiencyModel m = LinearEfficiencyModel::paper_default();
-  const LinearEfficiencyModel wide = m.with_range(Ampere(0.05), Ampere(1.3));
-  EXPECT_DOUBLE_EQ(wide.min_output().value(), 0.05);
-  EXPECT_DOUBLE_EQ(wide.alpha(), 0.45);
   const LinearEfficiencyModel flat = m.with_coefficients(0.45, 0.0);
   EXPECT_DOUBLE_EQ(flat.beta(), 0.0);
   // With beta = 0 the stack current is linear in IF: no convexity gain.

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/contracts.hpp"
+#include "power/hybrid.hpp"
 
 namespace fcdpm::power {
 namespace {
@@ -177,6 +181,126 @@ TEST(FcSystem, StackEfficiencyBoundsSystemEfficiency) {
     const double stack_eta =
         sys.fuel_model().stack_efficiency(op.stack_voltage);
     EXPECT_LT(op.system_efficiency, stack_eta) << "at " << i;
+  }
+}
+
+// --- the sampled surrogate of the physical source ---------------------------
+// `fit_linear_efficiency` samples eta_s once over the load-following range
+// and answers every later query with the closed-form Eq. (2) fuel current
+// instead of the iterative operating-point solve.
+
+constexpr double kRangeLo = 0.1;
+constexpr double kRangeHi = 1.2;
+
+LinearFuelSource surrogate(const FcSystem& sys) {
+  return LinearFuelSource(
+      sys.fit_linear_efficiency(Ampere(kRangeLo), Ampere(kRangeHi)));
+}
+
+/// Largest relative fuel-current error of `approx` against `exact` over
+/// the load-following range.
+double worst_relative_error(const FuelSource& exact, const FuelSource& approx) {
+  double worst = 0.0;
+  for (int k = 0; k <= 1000; ++k) {
+    const Ampere i(kRangeLo + (kRangeHi - kRangeLo) * k / 1000.0);
+    const double truth = exact.fuel_current(i).value();
+    worst = std::max(
+        worst, std::abs(approx.fuel_current(i).value() - truth) / truth);
+  }
+  return worst;
+}
+
+TEST(PolarizationTable, ZeroMeansFcIdled) {
+  const PhysicalFuelSource physical(FcSystem::paper_system(),
+                                    Ampere(kRangeLo));
+  EXPECT_EQ(physical.fuel_current(Ampere(0.0)).value(), 0.0);
+  EXPECT_EQ(surrogate(FcSystem::paper_system())
+                .fuel_current(Ampere(0.0))
+                .value(),
+            0.0);
+}
+
+TEST(PolarizationTable, EndpointsAreExactSamples) {
+  const FcSystem sys = FcSystem::paper_system();
+  const auto samples =
+      sys.sample_efficiency(Ampere(kRangeLo), Ampere(kRangeHi), 23);
+  EXPECT_EQ(samples.front().output_current.value(), kRangeLo);
+  EXPECT_EQ(samples.back().output_current.value(), kRangeHi);
+  EXPECT_EQ(samples.front().system_efficiency,
+            sys.system_efficiency(Ampere(kRangeLo)));
+  EXPECT_EQ(samples.back().system_efficiency,
+            sys.system_efficiency(Ampere(kRangeHi)));
+}
+
+TEST(PolarizationTable, ClampsIntoTheSampledRange) {
+  // The fitted model is valid over the sampled range only, and clamps
+  // setpoints into it.
+  const LinearEfficiencyModel model = FcSystem::paper_system()
+      .fit_linear_efficiency(Ampere(kRangeLo), Ampere(kRangeHi));
+  EXPECT_EQ(model.min_output().value(), kRangeLo);
+  EXPECT_EQ(model.max_output().value(), kRangeHi);
+  EXPECT_EQ(model.clamp_to_range(Ampere(kRangeLo * 0.5)).value(), kRangeLo);
+  EXPECT_EQ(model.clamp_to_range(Ampere(kRangeHi * 2.0)).value(), kRangeHi);
+}
+
+TEST(PolarizationTable, InterpolationErrorIsBoundedLinearModel) {
+  // The fitted line passes close to every sample it was fitted to.
+  const FcSystem sys = FcSystem::paper_system();
+  const LinearEfficiencyModel model =
+      sys.fit_linear_efficiency(Ampere(kRangeLo), Ampere(kRangeHi), 23);
+  double worst = 0.0;
+  for (const EfficiencySample& s :
+       sys.sample_efficiency(Ampere(kRangeLo), Ampere(kRangeHi), 23)) {
+    worst = std::max(worst, std::abs(model.efficiency(s.output_current) -
+                                     s.system_efficiency));
+  }
+  // Measured: 0.006 of efficiency.
+  EXPECT_LT(worst, 0.008);
+}
+
+TEST(PolarizationTable, SurrogatesThePhysicalSourceWithinTolerance) {
+  // The paper's premise: a line through eta_s stands in for the whole
+  // stack-converter-controller chain over the load-following range.
+  const FcSystem sys = FcSystem::paper_system();
+  const PhysicalFuelSource physical(sys.clone(), Ampere(kRangeLo));
+  // Measured: 1.5 % worst over [0.1 A, 1.2 A].
+  EXPECT_LT(worst_relative_error(physical, surrogate(sys)), 0.02);
+}
+
+TEST(PolarizationTable, MoreSamplesTightenTheBound) {
+  // A finer grid leaves smaller gaps between neighbouring samples.
+  const FcSystem sys = FcSystem::paper_system();
+  const auto widest_gap = [&](std::size_t count) {
+    const auto samples =
+        sys.sample_efficiency(Ampere(kRangeLo), Ampere(kRangeHi), count);
+    double gap = 0.0;
+    for (std::size_t k = 1; k < samples.size(); ++k) {
+      gap = std::max(gap, std::abs(samples[k].system_efficiency -
+                                   samples[k - 1].system_efficiency));
+    }
+    return gap;
+  };
+  EXPECT_LT(widest_gap(1024), widest_gap(8));
+}
+
+TEST(PolarizationTable, RequiresAtLeastTwoSamples) {
+  const FcSystem sys = FcSystem::paper_system();
+  EXPECT_THROW((void)sys.sample_efficiency(Ampere(kRangeLo),
+                                           Ampere(kRangeHi), 1),
+               PreconditionError);
+  EXPECT_THROW((void)sys.fit_linear_efficiency(Ampere(kRangeLo),
+                                               Ampere(kRangeHi), 0),
+               PreconditionError);
+}
+
+TEST(PolarizationTable, ReportsItsGrid) {
+  const auto samples = FcSystem::paper_system().sample_efficiency(
+      Ampere(kRangeLo), Ampere(kRangeHi), 64);
+  ASSERT_EQ(samples.size(), 64u);
+  for (std::size_t k = 1; k < samples.size(); ++k) {
+    EXPECT_NEAR(samples[k].output_current.value() -
+                    samples[k - 1].output_current.value(),
+                (kRangeHi - kRangeLo) / 63.0, 1e-12);
   }
 }
 

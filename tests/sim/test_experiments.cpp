@@ -76,12 +76,12 @@ TEST(Normalized, ComparisonVectorShape) {
   ExperimentConfig config = experiment1_config();
   config.trace = config.trace.truncated(Seconds(60.0));
   const PolicyComparison c = compare_policies(config);
-  const std::vector<double> n = c.normalized();
-  ASSERT_EQ(n.size(), 3u);
-  EXPECT_DOUBLE_EQ(n[0], 1.0);
-  EXPECT_GT(n[1], 0.0);
-  EXPECT_LT(n[1], 1.0);
-  EXPECT_LT(n[2], n[1]);
+  // The Table 2/3 row: fuel normalized to Conv-DPM.
+  EXPECT_DOUBLE_EQ(normalized_fuel(c.conv, c.conv), 1.0);
+  const double asap = normalized_fuel(c.asap, c.conv);
+  EXPECT_GT(asap, 0.0);
+  EXPECT_LT(asap, 1.0);
+  EXPECT_LT(normalized_fuel(c.fcdpm, c.conv), asap);
 }
 
 // Golden regression numbers: the experiments are fully deterministic, so

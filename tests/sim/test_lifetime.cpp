@@ -348,5 +348,172 @@ TEST(Lifetime, FastPathIsDisabledUnderFaultInjection) {
   EXPECT_EQ(r.passes, r.simulated_passes);
 }
 
+// --- the tank as a fuel gauge ------------------------------------------------
+// A finite tank drained by a run's cumulative fuel series: where it runs
+// dry (resolve_crossing) and how long it lasts (measure_lifetime).
+
+TEST(FuelGauge, ConsumeTracksRemaining) {
+  // 20 A-s burned out of a 100 A-s tank: no crossing, the slot completes.
+  const std::vector<SlotRecord> records = {make_record(10.0, 20.0)};
+  const CrossingPoint fresh =
+      resolve_crossing(records, Coulomb(0.0), Coulomb(100.0));
+  EXPECT_FALSE(fresh.crossed);
+  EXPECT_EQ(fresh.slots_completed, 1u);
+  EXPECT_DOUBLE_EQ(fresh.elapsed_in_pass.value(), 10.0);
+  // With 80 A-s already burned the same slot empties the tank at its end.
+  const CrossingPoint last =
+      resolve_crossing(records, Coulomb(80.0), Coulomb(100.0));
+  EXPECT_TRUE(last.crossed);
+  EXPECT_EQ(last.slots_completed, 0u);
+  EXPECT_DOUBLE_EQ(last.elapsed_in_pass.value(), 10.0);
+}
+
+TEST(FuelGauge, RunsDryMidSegment) {
+  // 2 A for 10 s against 10 A-s: dry after 5 s; later slots never run.
+  const std::vector<SlotRecord> records = {make_record(10.0, 20.0),
+                                           make_record(10.0, 25.0)};
+  const CrossingPoint point =
+      resolve_crossing(records, Coulomb(0.0), Coulomb(10.0));
+  EXPECT_TRUE(point.crossed);
+  EXPECT_EQ(point.slots_completed, 0u);
+  EXPECT_DOUBLE_EQ(point.elapsed_in_pass.value(), 5.0);
+}
+
+TEST(FuelGauge, ZeroCurrentCostsNothing) {
+  // Slots that burn nothing (FC idled) never empty the tank.
+  const std::vector<SlotRecord> records = {make_record(100.0, 0.0),
+                                           make_record(100.0, 0.0)};
+  const CrossingPoint point =
+      resolve_crossing(records, Coulomb(0.0), Coulomb(10.0));
+  EXPECT_FALSE(point.crossed);
+  EXPECT_EQ(point.slots_completed, 2u);
+  EXPECT_DOUBLE_EQ(point.elapsed_in_pass.value(), 200.0);
+}
+
+TEST(FuelGauge, ResetRestoresCapacity) {
+  // The crossing depends only on the fuel burned before the pass: a full
+  // tank lasts the whole 5 s again after a nearly empty one.
+  const std::vector<SlotRecord> records = {make_record(10.0, 20.0)};
+  EXPECT_DOUBLE_EQ(
+      resolve_crossing(records, Coulomb(9.0), Coulomb(10.0))
+          .elapsed_in_pass.value(),
+      0.5);
+  EXPECT_DOUBLE_EQ(
+      resolve_crossing(records, Coulomb(0.0), Coulomb(10.0))
+          .elapsed_in_pass.value(),
+      5.0);
+}
+
+TEST(FuelGauge, RejectsBadInput) {
+  ExperimentConfig config = experiment1_config();
+  dpm::PredictiveDpmPolicy dpm_policy = make_dpm_policy(config);
+  const std::unique_ptr<core::FcOutputPolicy> fc =
+      make_fc_policy(PolicyKind::Conv, config);
+  power::HybridPowerSource hybrid = make_hybrid(config);
+  LifetimeOptions options;
+  options.tank = Coulomb(-1.0);
+  EXPECT_THROW((void)measure_lifetime(config.trace, dpm_policy, *fc,
+                                      hybrid, options),
+               PreconditionError);
+  options.tank = Coulomb(10.0);
+  options.convergence_passes = 0;
+  EXPECT_THROW((void)measure_lifetime(config.trace, dpm_policy, *fc,
+                                      hybrid, options),
+               PreconditionError);
+}
+
+TEST(Lifetime, InverselyProportionalToBurnRate) {
+  // The paper's core lifetime argument: lifetime = fuel / average Ifc.
+  const Coulomb tank(500.0);
+  const LifetimeResult conv = measure(PolicyKind::Conv, tank);
+  const LifetimeResult fcdpm = measure(PolicyKind::FcDpm, tank);
+  EXPECT_GT(fcdpm.lifetime, conv.lifetime);
+  for (const LifetimeResult* r : {&conv, &fcdpm}) {
+    EXPECT_NEAR((r->average_fuel_current * r->lifetime).value(), 500.0,
+                1e-9);
+  }
+  EXPECT_NEAR(fcdpm.lifetime / conv.lifetime,
+              conv.average_fuel_current / fcdpm.average_fuel_current, 1e-9);
+}
+
+// --- projecting the remaining lifetime ---------------------------------------
+// What a device's runtime gauge shows: the time a tank lasts at the burn
+// rate the policies settle into.
+
+TEST(RemainingLifetime, ProjectsConstantBurnExactly) {
+  // Conv burns at a constant rate, so the time left in a tank scales
+  // exactly with the fuel left in it.
+  const LifetimeResult one = measure(PolicyKind::Conv, Coulomb(500.0));
+  const LifetimeResult two = measure(PolicyKind::Conv, Coulomb(1000.0));
+  EXPECT_NEAR(two.lifetime.value(), 2.0 * one.lifetime.value(),
+              1e-6 * one.lifetime.value());
+}
+
+TEST(RemainingLifetime, SmoothingTracksRateChanges) {
+  // Warm-up passes (cold predictors, initial buffer fill) burn at another
+  // rate than the steady state; the bigger the tank, the closer its
+  // average current lies to the steady-state rate.
+  const double settled =
+      measure(PolicyKind::FcDpm, Coulomb(20000.0)).average_fuel_current.value();
+  const double small =
+      measure(PolicyKind::FcDpm, Coulomb(20.0)).average_fuel_current.value();
+  const double large =
+      measure(PolicyKind::FcDpm, Coulomb(2000.0)).average_fuel_current.value();
+  EXPECT_LT(std::abs(large - settled), std::abs(small - settled));
+}
+
+TEST(RemainingLifetime, EmptiesWhenConsumedExceedsTank) {
+  // A tank smaller than one pass's fuel empties inside the first pass,
+  // which is the only (crossing) pass.
+  const LifetimeResult r = measure(PolicyKind::Conv, Coulomb(3.0));
+  EXPECT_TRUE(r.tank_emptied);
+  EXPECT_EQ(r.passes, 1u);
+  EXPECT_EQ(r.simulated_passes, 1u);
+  EXPECT_GT(r.lifetime.value(), 0.0);
+  EXPECT_LT(r.lifetime.value(), 120.0);
+}
+
+TEST(RemainingLifetime, ExtensionOverReference) {
+  // Against Conv's constant burn at full output, 0.32 * 1.2 / (0.45 -
+  // 0.13 * 1.2) A, FC-DPM's tank lasts reference / average times as
+  // long: about 3.1x on this trace.
+  const double reference = 0.32 * 1.2 / (0.45 - 0.13 * 1.2);
+  const LifetimeResult fcdpm = measure(PolicyKind::FcDpm, Coulomb(500.0));
+  const double extension = fcdpm.lifetime.value() / (500.0 / reference);
+  EXPECT_NEAR(extension, reference / fcdpm.average_fuel_current.value(),
+              1e-9 * extension);
+  EXPECT_NEAR(extension, 3.09, 0.05);
+}
+
+TEST(RemainingLifetime, RequiresTelemetryBeforeProjection) {
+  // No slot records, no crossing; no workload, no lifetime.
+  const CrossingPoint point = resolve_crossing({}, Coulomb(0.0), Coulomb(10.0));
+  EXPECT_FALSE(point.crossed);
+  EXPECT_EQ(point.slots_completed, 0u);
+  EXPECT_EQ(point.elapsed_in_pass.value(), 0.0);
+
+  ExperimentConfig config = experiment1_config();
+  dpm::PredictiveDpmPolicy dpm_policy = make_dpm_policy(config);
+  const std::unique_ptr<core::FcOutputPolicy> fc =
+      make_fc_policy(PolicyKind::FcDpm, config);
+  power::HybridPowerSource hybrid = make_hybrid(config);
+  const wl::Trace empty("empty", {});
+  EXPECT_THROW((void)measure_lifetime(empty, dpm_policy, *fc, hybrid,
+                                      LifetimeOptions{}),
+               PreconditionError);
+}
+
+TEST(RemainingLifetime, AgreesWithDirectLifetimeMeasurement) {
+  // Ten tanks' worth of one pass's fuel lasts about ten passes.
+  ExperimentConfig config = experiment1_config();
+  config.trace = config.trace.truncated(Seconds(300.0));
+  const SimulationResult pass = run_policy(PolicyKind::FcDpm, config);
+  const LifetimeResult r = measure(PolicyKind::FcDpm,
+                                   Coulomb(10.0 * pass.fuel().value()),
+                                   Seconds(300.0));
+  const double expected = 10.0 * pass.totals.duration.value();
+  EXPECT_NEAR(r.lifetime.value(), expected, 0.1 * expected);
+}
+
 }  // namespace
 }  // namespace fcdpm::sim

@@ -296,7 +296,8 @@ TEST(SlotSimulator, PaperHybridConvenienceRuns) {
   Trace trace = one_slot_trace();
   PredictiveDpmPolicy dpm = paper_dpm();
   ConvFcPolicy conv(model());
-  const SimulationResult r = simulate_paper_hybrid(trace, dpm, conv);
+  power::HybridPowerSource hybrid = power::HybridPowerSource::paper_hybrid();
+  const SimulationResult r = simulate(trace, dpm, conv, hybrid);
   EXPECT_GT(r.fuel().value(), 0.0);
   EXPECT_EQ(r.fc_policy, "Conv-DPM");
   EXPECT_EQ(r.trace_name, "one");

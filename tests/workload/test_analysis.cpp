@@ -14,44 +14,11 @@ Trace small_trace() {
                      {Seconds(20.0), Seconds(4.0), Watt(16.0)}});
 }
 
-TEST(Histogram, BinsAndFractions) {
-  const std::vector<double> samples{1.0, 1.5, 2.0, 2.5, 3.0, 3.0};
-  const Histogram h = histogram(samples, 2);
-  EXPECT_DOUBLE_EQ(h.lo, 1.0);
-  EXPECT_DOUBLE_EQ(h.hi, 3.0);
-  ASSERT_EQ(h.counts.size(), 2u);
-  EXPECT_EQ(h.counts[0], 2u);  // 1.0, 1.5
-  EXPECT_EQ(h.counts[1], 4u);  // 2.0, 2.5, 3.0, 3.0
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_DOUBLE_EQ(h.fraction(1), 4.0 / 6.0);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 1.0);
-}
-
-TEST(Histogram, MaxSampleLandsInLastBin) {
-  const std::vector<double> samples{0.0, 10.0};
-  const Histogram h = histogram(samples, 5);
-  EXPECT_EQ(h.counts[4], 1u);
-}
-
-TEST(Histogram, DegenerateSamplesUseOneBin) {
-  const std::vector<double> samples{2.0, 2.0, 2.0};
-  const Histogram h = histogram(samples, 4);
-  EXPECT_EQ(h.counts[0], 3u);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 0.0);
-}
-
-TEST(Histogram, RejectsBadInput) {
-  EXPECT_THROW((void)histogram({}, 2), PreconditionError);
-  EXPECT_THROW((void)histogram({1.0}, 0), PreconditionError);
-  const Histogram h = histogram({1.0}, 2);
-  EXPECT_THROW((void)h.fraction(5), PreconditionError);
-}
-
 TEST(Extractors, PullSlotFields) {
   const Trace t = small_trace();
   EXPECT_EQ(idle_durations(t), (std::vector<double>{10.0, 20.0}));
-  EXPECT_EQ(active_durations(t), (std::vector<double>{2.0, 4.0}));
-  EXPECT_EQ(active_powers(t), (std::vector<double>{12.0, 16.0}));
+  // 2 + 4 s active out of 36 s.
+  EXPECT_DOUBLE_EQ(duty_cycle(t), 6.0 / 36.0);
 }
 
 TEST(Autocorrelation, AlternatingSequenceIsNegative) {
