@@ -93,4 +93,24 @@ ScalarRoot bisect(const std::function<double(double)>& f, double lo,
   return result;
 }
 
+ScalarMinimum minimize_on_box(const std::function<double(double)>& f,
+                              double lo, double hi, double x_tolerance) {
+  FCDPM_EXPECTS(lo <= hi, "box is inverted");
+  if (lo == hi) {
+    return {lo, f(lo), 0};
+  }
+
+  ScalarMinimum interior = golden_section_minimize(f, lo, hi, x_tolerance);
+
+  const double f_lo = f(lo);
+  const double f_hi = f(hi);
+  if (f_lo <= interior.value && f_lo <= f_hi) {
+    return {lo, f_lo, interior.iterations};
+  }
+  if (f_hi <= interior.value) {
+    return {hi, f_hi, interior.iterations};
+  }
+  return interior;
+}
+
 }  // namespace fcdpm

@@ -39,4 +39,11 @@ struct ScalarRoot {
                                 double x_tolerance = 1e-12,
                                 int max_iterations = 200);
 
+/// Minimize a convex `f` over the box [lo, hi] by golden section and
+/// explicit endpoint comparison; robust when the unconstrained optimum
+/// lies outside the box.
+[[nodiscard]] ScalarMinimum minimize_on_box(
+    const std::function<double(double)>& f, double lo, double hi,
+    double x_tolerance = 1e-10);
+
 }  // namespace fcdpm

@@ -101,4 +101,13 @@ QuantizedSetting QuantizedSlotOptimizer::solve(
   return best;
 }
 
+double QuantizedSlotOptimizer::quantization_penalty(
+    const SlotLoad& load, const StorageBounds& storage) const {
+  const SlotOptimizer continuous(model_);
+  const SlotSetting exact = continuous.solve(load, storage);
+  const QuantizedSetting snapped = solve(load, storage);
+  FCDPM_EXPECTS(exact.fuel.value() > 0.0, "slot burns no fuel");
+  return snapped.fuel / exact.fuel;
+}
+
 }  // namespace fcdpm::core

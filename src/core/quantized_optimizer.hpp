@@ -51,6 +51,11 @@ class QuantizedSlotOptimizer {
   [[nodiscard]] QuantizedSetting solve(const SlotLoad& load,
                                        const StorageBounds& storage) const;
 
+  /// Fuel penalty of quantization for one slot: quantized fuel divided
+  /// by the continuous optimum's (>= 1).
+  [[nodiscard]] double quantization_penalty(
+      const SlotLoad& load, const StorageBounds& storage) const;
+
  private:
   power::LinearEfficiencyModel model_;
   std::vector<Ampere> levels_;

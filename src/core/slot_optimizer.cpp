@@ -33,6 +33,18 @@ namespace {
 
 }  // namespace
 
+const char* to_string(SolveStatus status) noexcept {
+  switch (status) {
+    case SolveStatus::Ok:
+      return "ok";
+    case SolveStatus::InvalidInput:
+      return "invalid_input";
+    case SolveStatus::NonFinite:
+      return "non_finite";
+  }
+  return "?";
+}
+
 const char* to_string(SolveFailureKind kind) noexcept {
   switch (kind) {
     case SolveFailureKind::None:

@@ -78,6 +78,8 @@ enum class SolveStatus {
   NonFinite,     ///< inputs or the computed setting contain NaN/Inf
 };
 
+[[nodiscard]] const char* to_string(SolveStatus status) noexcept;
+
 /// Coarse classification of a SolveStatus for error-reporting layers:
 /// contract failures are caller bugs (bad inputs), numeric failures are
 /// divergence/NaN under extreme operating points. fcdpm::resilience maps

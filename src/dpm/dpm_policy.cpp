@@ -14,6 +14,14 @@ Seconds IdlePlan::total_duration() const {
   return total;
 }
 
+Coulomb IdlePlan::total_charge() const {
+  Coulomb total{0.0};
+  for (const IdleSegment& segment : segments) {
+    total += segment.current * segment.duration;
+  }
+  return total;
+}
+
 void plan_standby_into(const DevicePowerModel& device, Seconds actual_idle,
                        InlineIdlePlan& plan) {
   FCDPM_EXPECTS(actual_idle.value() >= 0.0, "idle length must be >= 0");

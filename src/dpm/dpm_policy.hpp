@@ -38,6 +38,8 @@ struct IdlePlan {
 
   /// Sum of segment durations (== actual idle + latency_spill).
   [[nodiscard]] Seconds total_duration() const;
+  /// Total charge of the plan at the device terminals.
+  [[nodiscard]] Coulomb total_charge() const;
 };
 
 /// Idle plan laid out into fixed inline storage — the allocation-free

@@ -4,6 +4,18 @@
 
 namespace fcdpm::dpm {
 
+const char* to_string(PowerState state) {
+  switch (state) {
+    case PowerState::Run:
+      return "RUN";
+    case PowerState::Standby:
+      return "STANDBY";
+    case PowerState::Sleep:
+      return "SLEEP";
+  }
+  return "?";
+}
+
 DevicePowerModel DevicePowerModel::dvd_camcorder() {
   return DevicePowerModel{};  // defaults are the Figure 6 numbers
 }
@@ -18,6 +30,9 @@ DevicePowerModel DevicePowerModel::experiment2_device() {
   return model;
 }
 
+Ampere DevicePowerModel::run_current() const {
+  return run_power / bus_voltage;
+}
 Ampere DevicePowerModel::standby_current() const {
   return standby_power / bus_voltage;
 }
@@ -29,6 +44,18 @@ Ampere DevicePowerModel::power_down_current() const {
 }
 Ampere DevicePowerModel::wake_up_current() const {
   return wake_up_power / bus_voltage;
+}
+
+Ampere DevicePowerModel::current_in(PowerState state) const {
+  switch (state) {
+    case PowerState::Run:
+      return run_current();
+    case PowerState::Standby:
+      return standby_current();
+    case PowerState::Sleep:
+      return sleep_current();
+  }
+  FCDPM_ENSURES(false, "unknown power state");
 }
 
 Seconds DevicePowerModel::sleep_transition_delay() const {

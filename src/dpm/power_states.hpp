@@ -16,6 +16,8 @@ namespace fcdpm::dpm {
 /// transition overhead.
 enum class PowerState { Run, Standby, Sleep };
 
+[[nodiscard]] const char* to_string(PowerState state);
+
 /// Static power/timing description of a DPM-managed device.
 struct DevicePowerModel {
   Volt bus_voltage{12.0};
@@ -42,10 +44,13 @@ struct DevicePowerModel {
   /// Tbe computes to ~10 s.
   [[nodiscard]] static DevicePowerModel experiment2_device();
 
+  [[nodiscard]] Ampere run_current() const;
   [[nodiscard]] Ampere standby_current() const;
   [[nodiscard]] Ampere sleep_current() const;
   [[nodiscard]] Ampere power_down_current() const;
   [[nodiscard]] Ampere wake_up_current() const;
+
+  [[nodiscard]] Ampere current_in(PowerState state) const;
 
   /// Combined SLEEP entry+exit delay.
   [[nodiscard]] Seconds sleep_transition_delay() const;

@@ -221,6 +221,19 @@ FaultSchedule FaultSchedule::load_file(const std::string& path) {
   return load(in, path);
 }
 
+void FaultSchedule::save(std::ostream& out) const {
+  CsvDocument doc;
+  doc.header = {"kind", "start_s", "duration_s", "magnitude"};
+  doc.rows.reserve(events_.size());
+  for (const FaultEvent& event : events_) {
+    doc.rows.push_back({to_string(event.kind),
+                        format_fixed(event.start.value(), 6),
+                        format_fixed(event.duration.value(), 6),
+                        format_fixed(event.magnitude, 6)});
+  }
+  write_csv(out, doc);
+}
+
 FaultSchedule FaultSchedule::random_storm(std::uint64_t seed,
                                           std::size_t count,
                                           Seconds horizon) {

@@ -57,6 +57,7 @@ class FaultSchedule {
   [[nodiscard]] static FaultSchedule load(std::istream& in,
                                           const std::string& name);
   [[nodiscard]] static FaultSchedule load_file(const std::string& path);
+  void save(std::ostream& out) const;
 
   /// Seeded random storm: `count` events of random kinds, start times
   /// uniform over [0, horizon), durations a few percent of the horizon,

@@ -33,4 +33,8 @@ double FuelModel::hydrogen_litres_stp(Coulomb stack_charge) const {
   return hydrogen_mol(stack_charge) * HydrogenConstants::molar_volume_l;
 }
 
+double FuelModel::hydrogen_grams(Coulomb stack_charge) const {
+  return hydrogen_mol(stack_charge) * HydrogenConstants::molar_mass_g;
+}
+
 }  // namespace fcdpm::fc

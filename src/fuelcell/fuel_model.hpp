@@ -19,6 +19,8 @@ struct HydrogenConstants {
   static constexpr int electrons_per_h2 = 2;
   /// Molar volume at STP, litres/mol.
   static constexpr double molar_volume_l = 22.414;
+  /// Molar mass of H2, grams/mol.
+  static constexpr double molar_mass_g = 2.016;
 };
 
 /// Gibbs/fuel model of one stack: dEGibbs = zeta * Ifc.
@@ -43,8 +45,9 @@ class FuelModel {
   /// fuel for the same charge).
   [[nodiscard]] double hydrogen_mol(Coulomb stack_charge) const;
 
-  /// Same amount in litres at STP.
+  /// Same amount in litres at STP and in grams.
   [[nodiscard]] double hydrogen_litres_stp(Coulomb stack_charge) const;
+  [[nodiscard]] double hydrogen_grams(Coulomb stack_charge) const;
 
  private:
   double zeta_w_per_a_;

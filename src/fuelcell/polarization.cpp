@@ -29,4 +29,13 @@ Volt cell_voltage(const CellParams& params, Ampere i) {
   return Volt(std::max(v, 0.0));
 }
 
+double cell_voltage_slope(const CellParams& params, Ampere i) {
+  const double h = 1e-6;
+  const double lo = std::max(i.value() - h, 0.0);
+  const double hi = i.value() + h;
+  const double v_lo = cell_voltage(params, Ampere(lo)).value();
+  const double v_hi = cell_voltage(params, Ampere(hi)).value();
+  return (v_hi - v_lo) / (hi - lo);
+}
+
 }  // namespace fcdpm::fc

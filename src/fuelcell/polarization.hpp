@@ -40,4 +40,8 @@ struct CellParams {
 /// the model floors at 0 V (a real stack would be shut down well before).
 [[nodiscard]] Volt cell_voltage(const CellParams& params, Ampere i);
 
+/// d(v)/d(i) by central finite difference; used in tests to assert the
+/// curve is monotonically decreasing.
+[[nodiscard]] double cell_voltage_slope(const CellParams& params, Ampere i);
+
 }  // namespace fcdpm::fc

@@ -1,7 +1,8 @@
 // A workload trace compiled once against a device power model into the
 // structure-of-arrays form the hot slot loop walks: per-slot idle time,
-// effective active duration (RUN transitions absorbed, Section 3.3.2),
-// run current on the bus, and the precomputed active charge Ild,a * Ta.
+// effective active duration (RUN transitions absorbed, Section 3.3.2)
+// and run current on the bus; the active charge Ild,a * Ta' is derived
+// from the last two on demand.
 //
 // Compilation happens once; the compiled trace is immutable and shared
 // read-only across sweep points and lifetime passes, instead of the
@@ -42,6 +43,21 @@ class CompiledTrace {
   [[nodiscard]] Ampere run_current(std::size_t k) const noexcept {
     return Ampere(run_current_[k]);
   }
+  /// Active-phase charge Ild,a * Ta' of slot k.
+  [[nodiscard]] Coulomb active_charge(std::size_t k) const noexcept {
+    return run_current(k) * active_eff(k);
+  }
+
+  /// Total charge the device consumes over the whole trace (idle phases
+  /// excluded — those depend on the DPM policy's layout).
+  [[nodiscard]] Coulomb total_active_charge() const noexcept {
+    Coulomb total{0.0};
+    for (std::size_t k = 0; k < size(); ++k) {
+      total += active_charge(k);
+    }
+    return total;
+  }
+
   /// True when `device` matches the model this trace was compiled with
   /// (exact comparison on every value baked into the arrays). The hot
   /// engine refuses to run a compiled trace against a different device.

@@ -32,6 +32,10 @@ class Profiler {
   }
   [[nodiscard]] bool empty() const noexcept { return scopes_.empty(); }
 
+  /// "name  calls  total_ms  mean_us  min_us  max_us" lines, longest
+  /// total first; for logs and the CLI's --profile dump.
+  [[nodiscard]] std::string summary() const;
+
   void clear() { scopes_.clear(); }
 
  private:

@@ -47,6 +47,12 @@ Ampere LinearEfficiencyModel::clamp_to_range(Ampere i_f) const {
   return clamp(i_f, if_min_, if_max_);
 }
 
+LinearEfficiencyModel LinearEfficiencyModel::with_range(
+    Ampere if_min, Ampere if_max) const {
+  return LinearEfficiencyModel(bus_voltage_, zeta_, alpha_, beta_, if_min,
+                               if_max);
+}
+
 LinearEfficiencyModel LinearEfficiencyModel::with_coefficients(
     double alpha, double beta) const {
   return LinearEfficiencyModel(bus_voltage_, zeta_, alpha, beta, if_min_,

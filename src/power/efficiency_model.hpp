@@ -52,6 +52,10 @@ class LinearEfficiencyModel {
   /// Clamp IF into the load-following range.
   [[nodiscard]] Ampere clamp_to_range(Ampere i_f) const;
 
+  /// Copy of this model with a different validity range (for sweeps).
+  [[nodiscard]] LinearEfficiencyModel with_range(Ampere if_min,
+                                                Ampere if_max) const;
+
   /// Copy with different alpha/beta (for the beta-sensitivity ablation).
   [[nodiscard]] LinearEfficiencyModel with_coefficients(double alpha,
                                                         double beta) const;

@@ -32,6 +32,14 @@ SuperCapacitor SuperCapacitor::paper_1f() {
   return SuperCapacitor(Coulomb(6.0), 1.0);
 }
 
+SuperCapacitor SuperCapacitor::from_capacitance(
+    Farad capacitance, Volt v_lo, Volt v_hi, double round_trip_efficiency) {
+  FCDPM_EXPECTS(v_lo.value() >= 0.0 && v_lo < v_hi,
+                "voltage window is empty");
+  const Coulomb window = capacitance * (v_hi - v_lo);
+  return SuperCapacitor(window, round_trip_efficiency);
+}
+
 Coulomb SuperCapacitor::store(Coulomb amount) {
   FCDPM_EXPECTS(amount.value() >= 0.0, "stored charge must be non-negative");
   const Coulomb headroom_stored = capacity_ - charge_;

@@ -67,7 +67,8 @@ class ChargeStorage {
 ///
 /// The paper's 1 F element is quoted as "100 mA-min capacity when voltage
 /// is 12 V": 100 mA-min = 6 A-s, which is exactly a 1 F capacitor swinging
-/// between 12 V and 6 V (C * dV = 6 A-s); `paper_1f` pins it.
+/// between 12 V and 6 V (C * dV = 6 A-s). `from_capacitance` computes the
+/// window generally; `paper_1f` pins the published 6 A-s.
 class SuperCapacitor final : public ChargeStorage {
  public:
   /// Usable window given directly.
@@ -77,6 +78,11 @@ class SuperCapacitor final : public ChargeStorage {
   /// (Section 3.3 assumption: "there is no charging/discharging loss in
   /// the charge storage element").
   [[nodiscard]] static SuperCapacitor paper_1f();
+
+  /// From physical capacitance and the voltage window [v_lo, v_hi].
+  [[nodiscard]] static SuperCapacitor from_capacitance(
+      Farad capacitance, Volt v_lo, Volt v_hi,
+      double round_trip_efficiency = 0.98);
 
   [[nodiscard]] Coulomb capacity() const override { return capacity_; }
   [[nodiscard]] Coulomb charge() const override { return charge_; }

@@ -15,6 +15,24 @@ std::vector<double> idle_durations(const Trace& trace) {
   return out;
 }
 
+std::vector<double> active_durations(const Trace& trace) {
+  std::vector<double> out;
+  out.reserve(trace.size());
+  for (const TaskSlot& slot : trace.slots()) {
+    out.push_back(slot.active.value());
+  }
+  return out;
+}
+
+std::vector<double> active_powers(const Trace& trace) {
+  std::vector<double> out;
+  out.reserve(trace.size());
+  for (const TaskSlot& slot : trace.slots()) {
+    out.push_back(slot.active_power.value());
+  }
+  return out;
+}
+
 double autocorrelation(const std::vector<double>& samples,
                        std::size_t lag) {
   FCDPM_EXPECTS(lag >= 1, "lag must be >= 1");

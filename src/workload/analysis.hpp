@@ -10,8 +10,10 @@
 
 namespace fcdpm::wl {
 
-/// Idle durations of a trace, in slot order.
+/// Idle durations / active durations / active powers of a trace.
 [[nodiscard]] std::vector<double> idle_durations(const Trace& trace);
+[[nodiscard]] std::vector<double> active_durations(const Trace& trace);
+[[nodiscard]] std::vector<double> active_powers(const Trace& trace);
 
 /// Lag-k autocorrelation of a sample sequence (k >= 1; requires more
 /// than k samples). Near 0 for i.i.d. draws, positive for scene-

@@ -32,6 +32,15 @@ double frame_size_mb(const MpegEncoderConfig& config, FrameType type,
   FCDPM_ENSURES(false, "unknown frame type");
 }
 
+double nominal_stream_rate(const MpegEncoderConfig& config) {
+  double gop_mb = 0.0;
+  for (int k = 0; k < config.gop_length; ++k) {
+    gop_mb += frame_size_mb(config, frame_type_at(config, k), 1.0);
+  }
+  const double gop_seconds = config.gop_length / config.fps;
+  return gop_mb / gop_seconds;
+}
+
 Trace generate_mpeg_trace(const MpegEncoderConfig& config) {
   FCDPM_EXPECTS(config.fps > 0.0, "fps must be positive");
   FCDPM_EXPECTS(config.gop_length >= 1, "GOP needs at least one frame");

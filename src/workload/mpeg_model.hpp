@@ -57,6 +57,10 @@ struct MpegEncoderConfig {
 [[nodiscard]] double frame_size_mb(const MpegEncoderConfig& config,
                                    FrameType type, double complexity);
 
+/// Mean stream rate (MB/s) at complexity 1.0 — useful for sizing the
+/// complexity band against a target idle range.
+[[nodiscard]] double nominal_stream_rate(const MpegEncoderConfig& config);
+
 /// Generate the camcorder trace frame by frame. Deterministic in the
 /// config. Idle durations are quantized to whole frames (1/fps).
 [[nodiscard]] Trace generate_mpeg_trace(const MpegEncoderConfig& config);

@@ -70,34 +70,29 @@ TEST(Bisect, DecreasingFunction) {
   EXPECT_NEAR(r.x, 5.0, 1e-10);
 }
 
-// Golden section over a box [lo, hi]: a minimum outside the box lands
-// on the nearer bound, to within the bracket tolerance.
 TEST(MinimizeOnBox, InteriorMinimum) {
   const auto f = [](double x) { return (x - 0.5) * (x - 0.5); };
-  const ScalarMinimum m = golden_section_minimize(f, 0.0, 1.0);
+  const ScalarMinimum m = minimize_on_box(f, 0.0, 1.0);
   EXPECT_NEAR(m.x, 0.5, 1e-8);
 }
 
 TEST(MinimizeOnBox, MinimumAtLowerBound) {
   const auto f = [](double x) { return x; };
-  const ScalarMinimum m = golden_section_minimize(f, 0.1, 1.2);
-  EXPECT_NEAR(m.x, 0.1, 1e-9);
-  EXPECT_NEAR(m.value, 0.1, 1e-9);
+  const ScalarMinimum m = minimize_on_box(f, 0.1, 1.2);
+  EXPECT_DOUBLE_EQ(m.x, 0.1);
 }
 
 TEST(MinimizeOnBox, MinimumAtUpperBound) {
   const auto f = [](double x) { return -x; };
-  const ScalarMinimum m = golden_section_minimize(f, 0.1, 1.2);
-  EXPECT_NEAR(m.x, 1.2, 1e-9);
+  const ScalarMinimum m = minimize_on_box(f, 0.1, 1.2);
+  EXPECT_DOUBLE_EQ(m.x, 1.2);
 }
 
 TEST(MinimizeOnBox, DegenerateBox) {
-  // An empty bracket has nothing to search.
   const auto f = [](double x) { return x * x; };
-  EXPECT_THROW((void)golden_section_minimize(f, 0.4, 0.4),
-               PreconditionError);
-  EXPECT_THROW((void)golden_section_minimize(f, 0.5, 0.4),
-               PreconditionError);
+  const ScalarMinimum m = minimize_on_box(f, 0.4, 0.4);
+  EXPECT_DOUBLE_EQ(m.x, 0.4);
+  EXPECT_DOUBLE_EQ(m.value, 0.16);
 }
 
 struct QuadraticCase {
@@ -112,7 +107,7 @@ class BoxMinimizationSweep : public ::testing::TestWithParam<QuadraticCase> {
 TEST_P(BoxMinimizationSweep, MatchesClampedCenter) {
   const QuadraticCase c = GetParam();
   const auto f = [&](double x) { return (x - c.center) * (x - c.center); };
-  const ScalarMinimum m = golden_section_minimize(f, c.lo, c.hi);
+  const ScalarMinimum m = minimize_on_box(f, c.lo, c.hi);
   const double expected = std::min(std::max(c.center, c.lo), c.hi);
   EXPECT_NEAR(m.x, expected, 1e-7);
 }

@@ -19,13 +19,6 @@ StorageBounds big_storage() {
   return {Coulomb(0.0), Coulomb(0.0), Coulomb(200.0)};
 }
 
-/// Fuel of the quantized solve over the continuous optimum's (>= 1).
-double quantization_penalty(const QuantizedSlotOptimizer& q) {
-  const SlotSetting exact =
-      SlotOptimizer(paper_model()).solve(motivational_load(), big_storage());
-  return q.solve(motivational_load(), big_storage()).fuel / exact.fuel;
-}
-
 TEST(QuantizedOptimizer, UniformLevelsSpanTheRange) {
   const QuantizedSlotOptimizer q =
       QuantizedSlotOptimizer::with_uniform_levels(paper_model(), 12);
@@ -66,7 +59,8 @@ TEST(QuantizedOptimizer, PenaltyShrinksWithMoreLevels) {
   for (const std::size_t count : {2u, 4u, 8u, 32u}) {
     const QuantizedSlotOptimizer q =
         QuantizedSlotOptimizer::with_uniform_levels(paper_model(), count);
-    const double penalty = quantization_penalty(q);
+    const double penalty =
+        q.quantization_penalty(motivational_load(), big_storage());
     EXPECT_GE(penalty, 1.0 - 1e-12);
     EXPECT_LE(penalty, previous + 1e-12) << count << " levels";
     previous = penalty;
@@ -144,7 +138,8 @@ TEST_P(QuantizationPenaltySweep, PenaltyBoundedByCoarseness) {
   const std::size_t count = GetParam();
   const QuantizedSlotOptimizer q =
       QuantizedSlotOptimizer::with_uniform_levels(paper_model(), count);
-  const double penalty = quantization_penalty(q);
+  const double penalty =
+      q.quantization_penalty(motivational_load(), big_storage());
   const double step = 1.1 / static_cast<double>(count - 1);
   EXPECT_LT(penalty, 1.0 + 2.0 * step);
 }

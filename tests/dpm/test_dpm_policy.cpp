@@ -9,15 +9,6 @@
 namespace fcdpm::dpm {
 namespace {
 
-/// Charge the plan draws at the device terminals.
-Coulomb total_charge(const IdlePlan& plan) {
-  Coulomb total{0.0};
-  for (const IdleSegment& segment : plan.segments) {
-    total += segment.current * segment.duration;
-  }
-  return total;
-}
-
 DevicePowerModel camcorder() { return DevicePowerModel::dvd_camcorder(); }
 
 TEST(PlanStandby, SingleSegmentAtStandbyCurrent) {
@@ -34,7 +25,7 @@ TEST(PlanStandby, SingleSegmentAtStandbyCurrent) {
 TEST(PlanStandby, ZeroIdleHasNoSegments) {
   const IdlePlan plan = plan_standby(camcorder(), Seconds(0.0));
   EXPECT_TRUE(plan.segments.empty());
-  EXPECT_DOUBLE_EQ(total_charge(plan).value(), 0.0);
+  EXPECT_DOUBLE_EQ(plan.total_charge().value(), 0.0);
 }
 
 TEST(PlanSleep, ThreeSegmentLayout) {
@@ -52,7 +43,7 @@ TEST(PlanSleep, ThreeSegmentLayout) {
 TEST(PlanSleep, ChargeAccounting) {
   const IdlePlan plan = plan_sleep(camcorder(), Seconds(12.0));
   const double expected = 2 * 0.5 * (4.84 / 12.0) + 11.0 * 0.2;
-  EXPECT_NEAR(total_charge(plan).value(), expected, 1e-9);
+  EXPECT_NEAR(plan.total_charge().value(), expected, 1e-9);
 }
 
 TEST(PlanSleep, TooShortIdleSpillsAsLatency) {

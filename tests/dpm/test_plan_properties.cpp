@@ -10,15 +10,6 @@
 namespace fcdpm::dpm {
 namespace {
 
-/// Charge the plan draws at the device terminals.
-Coulomb total_charge(const IdlePlan& plan) {
-  Coulomb total{0.0};
-  for (const IdleSegment& segment : plan.segments) {
-    total += segment.current * segment.duration;
-  }
-  return total;
-}
-
 DevicePowerModel random_device(Rng& rng) {
   DevicePowerModel device;
   device.run_power = Watt(rng.uniform(8.0, 20.0));
@@ -53,7 +44,7 @@ TEST_P(PlanPropertySweep, SleepPlansConserveTimeAndCharge) {
                 1e-9);
     // Charge: at least the transition charge, at most transitions plus
     // the whole idle at sleep current.
-    const double charge = total_charge(plan).value();
+    const double charge = plan.total_charge().value();
     EXPECT_GE(charge, device.sleep_transition_charge().value() - 1e-9);
     EXPECT_LE(charge, device.sleep_transition_charge().value() +
                           device.sleep_current().value() * idle.value() +
@@ -74,7 +65,7 @@ TEST_P(PlanPropertySweep, StandbyPlansAreExact) {
     const Seconds idle(rng.uniform(0.0, 40.0));
     const IdlePlan plan = plan_standby(device, idle);
     EXPECT_NEAR(plan.total_duration().value(), idle.value(), 1e-12);
-    EXPECT_NEAR(total_charge(plan).value(),
+    EXPECT_NEAR(plan.total_charge().value(),
                 device.standby_current().value() * idle.value(), 1e-9);
     EXPECT_DOUBLE_EQ(plan.latency_spill.value(), 0.0);
   }
@@ -89,9 +80,9 @@ TEST_P(PlanPropertySweep, SleepBeatsStandbyExactlyAboveBreakEven) {
     const double t_be = device.break_even_time().value();
 
     const double at_be_sleep =
-        total_charge(plan_sleep(device, Seconds(t_be))).value();
+        plan_sleep(device, Seconds(t_be)).total_charge().value();
     const double at_be_standby =
-        total_charge(plan_standby(device, Seconds(t_be))).value();
+        plan_standby(device, Seconds(t_be)).total_charge().value();
     // At Tbe the costs tie (when Tbe is not clipped by the transition
     // floor, where sleeping is already cheaper).
     if (t_be > device.sleep_transition_delay().value() + 1e-9) {
@@ -101,8 +92,8 @@ TEST_P(PlanPropertySweep, SleepBeatsStandbyExactlyAboveBreakEven) {
     }
 
     const double above = t_be * 1.5 + 1.0;
-    EXPECT_LT(total_charge(plan_sleep(device, Seconds(above))).value(),
-              total_charge(plan_standby(device, Seconds(above))).value());
+    EXPECT_LT(plan_sleep(device, Seconds(above)).total_charge().value(),
+              plan_standby(device, Seconds(above)).total_charge().value());
   }
 }
 

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include "common/contracts.hpp"
-#include "dpm/dpm_policy.hpp"
 
 namespace fcdpm::dpm {
 namespace {
+
+TEST(PowerStates, ToStringNames) {
+  EXPECT_STREQ(to_string(PowerState::Run), "RUN");
+  EXPECT_STREQ(to_string(PowerState::Standby), "STANDBY");
+  EXPECT_STREQ(to_string(PowerState::Sleep), "SLEEP");
+}
 
 TEST(DevicePowerModel, CamcorderFigureSixNumbers) {
   const DevicePowerModel device = DevicePowerModel::dvd_camcorder();
@@ -21,8 +26,7 @@ TEST(DevicePowerModel, CamcorderFigureSixNumbers) {
 
 TEST(DevicePowerModel, CurrentsAreTwelveVoltReferred) {
   const DevicePowerModel device = DevicePowerModel::dvd_camcorder();
-  EXPECT_NEAR((device.run_power / device.bus_voltage).value(), 14.65 / 12.0,
-              1e-12);
+  EXPECT_NEAR(device.run_current().value(), 14.65 / 12.0, 1e-12);
   EXPECT_NEAR(device.standby_current().value(), 4.84 / 12.0, 1e-12);
   EXPECT_NEAR(device.sleep_current().value(), 0.2, 1e-12);
   // Figure 6 quotes IWU = IPD ~= 0.40 A.
@@ -31,15 +35,10 @@ TEST(DevicePowerModel, CurrentsAreTwelveVoltReferred) {
 
 TEST(DevicePowerModel, CurrentInMatchesState) {
   const DevicePowerModel device = DevicePowerModel::dvd_camcorder();
-  // Idle plans draw each state's current in that state.
-  const IdlePlan standby = plan_standby(device, Seconds(12.0));
-  ASSERT_EQ(standby.segments.size(), 1u);
-  EXPECT_EQ(standby.segments[0].state, PowerState::Standby);
-  EXPECT_EQ(standby.segments[0].current, device.standby_current());
-  const IdlePlan sleep = plan_sleep(device, Seconds(12.0));
-  ASSERT_EQ(sleep.segments.size(), 3u);
-  EXPECT_EQ(sleep.segments[1].state, PowerState::Sleep);
-  EXPECT_EQ(sleep.segments[1].current, device.sleep_current());
+  EXPECT_EQ(device.current_in(PowerState::Run), device.run_current());
+  EXPECT_EQ(device.current_in(PowerState::Standby),
+            device.standby_current());
+  EXPECT_EQ(device.current_in(PowerState::Sleep), device.sleep_current());
 }
 
 TEST(DevicePowerModel, CamcorderBreakEvenIsOneSecond) {

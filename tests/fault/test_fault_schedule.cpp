@@ -6,7 +6,6 @@
 
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
-#include "common/text.hpp"
 
 namespace fcdpm::fault {
 namespace {
@@ -122,17 +121,8 @@ TEST(FaultScheduleSpec, ToSpecRoundTrips) {
 TEST(FaultScheduleCsv, SaveLoadRoundTrips) {
   const FaultSchedule original = FaultSchedule::parse(
       "storage_fade@100x0.7,converter_dropout@120:30,brownout@400x0.5");
-  // Every event as one row of the documented columns.
-  CsvDocument doc;
-  doc.header = {"kind", "start_s", "duration_s", "magnitude"};
-  for (const FaultEvent& event : original.events()) {
-    doc.rows.push_back({to_string(event.kind),
-                        format_fixed(event.start.value(), 6),
-                        format_fixed(event.duration.value(), 6),
-                        format_fixed(event.magnitude, 6)});
-  }
   std::ostringstream out;
-  write_csv(out, doc);
+  original.save(out);
 
   std::istringstream in(out.str());
   const FaultSchedule loaded = FaultSchedule::load(in, "roundtrip");

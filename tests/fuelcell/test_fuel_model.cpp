@@ -37,6 +37,7 @@ TEST(FuelModel, HydrogenFaradayConversion) {
   EXPECT_NEAR(mol, 20.0 * 3600.0 / (2.0 * 96485.33212), 1e-9);
   EXPECT_NEAR(model.hydrogen_litres_stp(Coulomb(3600.0)), mol * 22.414,
               1e-9);
+  EXPECT_NEAR(model.hydrogen_grams(Coulomb(3600.0)), mol * 2.016, 1e-9);
 }
 
 TEST(FuelModel, HydrogenOfZeroChargeIsZero) {

@@ -2,22 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "common/contracts.hpp"
 
 namespace fcdpm::fc {
 namespace {
-
-/// dv/di by central finite difference.
-double cell_voltage_slope(const CellParams& params, Ampere i) {
-  const double h = 1e-6;
-  const double lo = std::max(i.value() - h, 0.0);
-  const double hi = i.value() + h;
-  return (cell_voltage(params, Ampere(hi)).value() -
-          cell_voltage(params, Ampere(lo)).value()) /
-         (hi - lo);
-}
 
 TEST(Polarization, OpenCircuitBelowReversible) {
   const CellParams cell = CellParams::bcs_20w_cell();

@@ -30,24 +30,19 @@ TEST(CompiledTrace, BakesTheReferenceDerivationsPerSlot) {
     EXPECT_EQ(compiled.idle(k).value(), slot.idle.value());
     EXPECT_EQ(compiled.run_current(k).value(), run_current.value());
     EXPECT_EQ(compiled.active_eff(k).value(), active_eff.value());
+    EXPECT_EQ(compiled.active_charge(k).value(),
+              (run_current * active_eff).value());
   }
 }
 
 TEST(CompiledTrace, TotalActiveChargeSumsTheSlots) {
-  // The compiled active phases hold the trace's whole active time plus
-  // one RUN transition pair per slot.
   const wl::Trace trace = wl::paper_camcorder_trace();
-  const dpm::DevicePowerModel device = camcorder_device();
-  const hot::CompiledTrace compiled(trace, device);
-  double active = 0.0;
+  const hot::CompiledTrace compiled(trace, camcorder_device());
+  Coulomb total{0.0};
   for (std::size_t k = 0; k < compiled.size(); ++k) {
-    active += compiled.active_eff(k).value();
+    total += compiled.active_charge(k);
   }
-  const double transitions =
-      (device.standby_to_run_delay + device.run_to_standby_delay).value();
-  const double expected = trace.stats().total_active.value() +
-                          static_cast<double>(trace.size()) * transitions;
-  EXPECT_NEAR(active, expected, 1e-9 * expected);
+  EXPECT_EQ(compiled.total_active_charge().value(), total.value());
 }
 
 TEST(CompiledTrace, KeepsTheSourceTrace) {
@@ -92,6 +87,7 @@ TEST(CompiledTrace, EmptyTraceCompilesEmpty) {
   const hot::CompiledTrace compiled(wl::Trace{}, camcorder_device());
   EXPECT_TRUE(compiled.empty());
   EXPECT_EQ(compiled.size(), 0u);
+  EXPECT_EQ(compiled.total_active_charge().value(), 0.0);
 }
 
 }  // namespace

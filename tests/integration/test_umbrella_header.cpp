@@ -27,8 +27,7 @@ TEST(UmbrellaHeader, HeadlineWorkflowCompilesAndRuns) {
       dpm::PredictiveDpmPolicy::paper_policy(device, 0.5,
                                              Seconds(10.0));
   core::FcDpmPolicy fc_policy = core::FcDpmPolicy::paper_policy(
-      model, device, 0.5, Seconds(5.0),
-      device.run_power / device.bus_voltage);
+      model, device, 0.5, Seconds(5.0), device.run_current());
   power::HybridPowerSource hybrid =
       power::HybridPowerSource::paper_hybrid();
   const sim::SimulationResult result =

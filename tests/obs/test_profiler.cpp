@@ -3,11 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <sstream>
 #include <string>
-
-#include "common/csv.hpp"
-#include "report/obs_export.hpp"
 
 namespace fcdpm::obs {
 namespace {
@@ -44,21 +40,21 @@ TEST(Profiler, NullProfilerScopeIsANoop) {
   SUCCEED();
 }
 
-// The profile summary the CLI writes (--profile-out): one CSV row per
-// scope, longest total first.
 TEST(Profiler, SummaryOrdersByTotalDescending) {
   Profiler profiler;
   profiler.record("small", nanoseconds(1000));
   profiler.record("large", nanoseconds(9000000));
 
-  const CsvDocument summary = report::profile_to_csv(profiler);
-  ASSERT_EQ(summary.rows.size(), 2u);
-  EXPECT_EQ(summary.rows[0][0], "large");
-  EXPECT_EQ(summary.rows[1][0], "small");
+  const std::string summary = profiler.summary();
+  const std::size_t large_at = summary.find("large");
+  const std::size_t small_at = summary.find("small");
+  ASSERT_NE(large_at, std::string::npos);
+  ASSERT_NE(small_at, std::string::npos);
+  EXPECT_LT(large_at, small_at);
 }
 
-// The summary's bytes: "%.12g" cells, a long scope name and values that
-// do not round.
+// The summary's bytes: "%-32s %10s %12s %10s %10s %10s" columns, a
+// scope name longer than its column, and values that round.
 TEST(Profiler, SummaryBytesArePinned) {
   Profiler profiler;
   const char* const long_name = "par.sweep.point_with_a_long_scope_name";
@@ -67,13 +63,13 @@ TEST(Profiler, SummaryBytesArePinned) {
   profiler.record("solve", nanoseconds(5));
   profiler.record("solve", nanoseconds(500));
   profiler.record("solve", nanoseconds(2000));
-  std::ostringstream out;
-  write_csv(out, report::profile_to_csv(profiler));
-  EXPECT_EQ(out.str(),
-            "scope,calls,total_ms,mean_us,min_us,max_us\n"
-            "par.sweep.point_with_a_long_scope_name,2,9.001234,4500.617,"
-            "1.234,9000\n"
-            "solve,3,0.002505,0.835,0.005,2\n");
+  EXPECT_EQ(profiler.summary(),
+            "scope                                 calls     total_ms    "
+            "mean_us     min_us     max_us\n"
+            "par.sweep.point_with_a_long_scope_name          2        9.001"
+            "    4500.62       1.23    9000.00\n"
+            "solve                                     3        0.003     "
+            "  0.83       0.01       2.00\n");
 }
 
 TEST(Profiler, ClearEmptiesScopes) {

@@ -79,6 +79,9 @@ TEST(LinearEfficiency, RangeHelpers) {
 
 TEST(LinearEfficiency, WithRangeAndCoefficients) {
   const LinearEfficiencyModel m = LinearEfficiencyModel::paper_default();
+  const LinearEfficiencyModel wide = m.with_range(Ampere(0.05), Ampere(1.3));
+  EXPECT_DOUBLE_EQ(wide.min_output().value(), 0.05);
+  EXPECT_DOUBLE_EQ(wide.alpha(), 0.45);
   const LinearEfficiencyModel flat = m.with_coefficients(0.45, 0.0);
   EXPECT_DOUBLE_EQ(flat.beta(), 0.0);
   // With beta = 0 the stack current is linear in IF: no convexity gain.

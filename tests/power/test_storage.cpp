@@ -17,11 +17,12 @@ TEST(SuperCapacitor, PaperElementHoldsSixAmpSeconds) {
 }
 
 TEST(SuperCapacitor, FromCapacitanceUsesVoltageWindow) {
-  // The paper's element: 1 F swinging from 12 V down to 6 V, lossless.
-  const SuperCapacitor cap = SuperCapacitor::paper_1f();
-  EXPECT_DOUBLE_EQ(cap.capacity().value(),
-                   (Farad(1.0) * (Volt(12.0) - Volt(6.0))).value());
-  EXPECT_DOUBLE_EQ(cap.one_way_efficiency(), 1.0);
+  const SuperCapacitor cap = SuperCapacitor::from_capacitance(
+      Farad(1.0), Volt(6.0), Volt(12.0), 1.0);
+  EXPECT_DOUBLE_EQ(cap.capacity().value(), 6.0);
+  const SuperCapacitor big = SuperCapacitor::from_capacitance(
+      Farad(10.0), Volt(0.0), Volt(12.0), 1.0);
+  EXPECT_DOUBLE_EQ(big.capacity().value(), 120.0);
 }
 
 TEST(SuperCapacitor, LosslessStoreAndDraw) {
@@ -76,6 +77,9 @@ TEST(SuperCapacitor, RejectsInvalidConstruction) {
   EXPECT_THROW(SuperCapacitor(Coulomb(0.0), 1.0), PreconditionError);
   EXPECT_THROW(SuperCapacitor(Coulomb(1.0), 0.0), PreconditionError);
   EXPECT_THROW(SuperCapacitor(Coulomb(1.0), 1.1), PreconditionError);
+  EXPECT_THROW(SuperCapacitor::from_capacitance(Farad(1.0), Volt(12.0),
+                                                Volt(6.0)),
+               PreconditionError);
 }
 
 TEST(SuperCapacitor, NegativeAmountsRejected) {

@@ -6,7 +6,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -91,42 +90,6 @@ TEST(Observability, ResultsBitIdenticalWithAndWithoutObserver) {
   EXPECT_FALSE(sink.events.empty());
   EXPECT_FALSE(metrics.empty());
   EXPECT_FALSE(profiler.empty());
-}
-
-// The names the idle power states go by in a run's trace: each idle
-// segment is a span named after its state.
-TEST(PowerStates, ToStringNames) {
-  const auto idle_span_names = [](dpm::DpmPolicy& dpm) {
-    CaptureSink sink;
-    obs::Context context(&sink, nullptr, nullptr);
-    Trace trace = small_trace();
-    FcDpmPolicy fc = paper_fc();
-    HybridPowerSource hybrid = paper_hybrid();
-    SimulationOptions options;
-    options.initial_storage = Coulomb(1.0);
-    options.observer = &context;
-    (void)simulate(trace, dpm, fc, hybrid, options);
-    // Spans opened directly inside an idle span.
-    std::set<std::string> names;
-    std::vector<std::string> open;
-    for (const obs::TraceEvent& event : sink.events) {
-      if (event.kind == obs::EventKind::SpanBegin) {
-        if (!open.empty() && open.back() == "idle") {
-          names.insert(event.name);
-        }
-        open.emplace_back(event.name);
-      } else if (event.kind == obs::EventKind::SpanEnd) {
-        open.pop_back();
-      }
-    }
-    return names;
-  };
-  dpm::AlwaysStandbyDpmPolicy standby(DevicePowerModel::dvd_camcorder());
-  EXPECT_EQ(idle_span_names(standby), std::set<std::string>{"standby"});
-  // A zero timeout powers down on every idle.
-  dpm::TimeoutDpmPolicy sleeper(DevicePowerModel::dvd_camcorder(),
-                                Seconds(0.0));
-  EXPECT_EQ(idle_span_names(sleeper), std::set<std::string>{"sleep"});
 }
 
 TEST(Observability, SpansBalanceAndNest) {

@@ -17,8 +17,8 @@ Trace small_trace() {
 TEST(Extractors, PullSlotFields) {
   const Trace t = small_trace();
   EXPECT_EQ(idle_durations(t), (std::vector<double>{10.0, 20.0}));
-  // 2 + 4 s active out of 36 s.
-  EXPECT_DOUBLE_EQ(duty_cycle(t), 6.0 / 36.0);
+  EXPECT_EQ(active_durations(t), (std::vector<double>{2.0, 4.0}));
+  EXPECT_EQ(active_powers(t), (std::vector<double>{12.0, 16.0}));
 }
 
 TEST(Autocorrelation, AlternatingSequenceIsNegative) {

@@ -8,16 +8,6 @@
 namespace fcdpm::wl {
 namespace {
 
-/// Mean stream rate (MB/s) at complexity 1.0: one GOP's frames over the
-/// GOP's duration.
-double nominal_stream_rate(const MpegEncoderConfig& config) {
-  double gop_mb = 0.0;
-  for (int k = 0; k < config.gop_length; ++k) {
-    gop_mb += frame_size_mb(config, frame_type_at(config, k), 1.0);
-  }
-  return gop_mb / (config.gop_length / config.fps);
-}
-
 TEST(MpegModel, GopPatternIsIbbPbb) {
   const MpegEncoderConfig config;
   EXPECT_EQ(frame_type_at(config, 0), FrameType::I);
