@@ -1,7 +1,6 @@
-// Bounded multi-producer / multi-consumer work queue: the backpressure
-// primitive under the worker pool. push() blocks while the queue is
-// full, pop() blocks while it is empty, close() wakes everyone — pops
-// drain the remaining items and then return nullopt.
+// Bounded multi-producer / multi-consumer work queue. push() blocks
+// while the queue is full, pop() blocks while it is empty, close() wakes
+// everyone — pops drain the remaining items and then return nullopt.
 #pragma once
 
 #include <condition_variable>

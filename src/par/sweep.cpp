@@ -1,8 +1,12 @@
 #include "par/sweep.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "audit/audit.hpp"
@@ -207,6 +211,101 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
   out.point = point;
   out.result = run_one(config, point.policy, cache, compiled, &out.engine);
   return out;
+}
+
+SweepPointResult SweepTwins::serve(
+    const SweepPoint& point, const SweepPointResult& canonical_result) const {
+  SweepPointResult out = canonical_result;
+  out.point = point;
+  const auto bits = std::bit_cast<std::uint64_t>(point.rho);
+  for (const auto& [rho, tally] : accuracy) {
+    if (std::bit_cast<std::uint64_t>(rho) == bits) {
+      out.result.idle_accuracy = tally;
+    }
+  }
+  return out;
+}
+
+SweepTwins find_twins(const sim::ExperimentConfig& base,
+                      const std::vector<SweepPoint>& points,
+                      const hot::CompiledTrace& compiled,
+                      std::size_t never_twin) {
+  SweepTwins twins;
+  if (base.audit.tamper_slot != audit::npos ||
+      base.simulation.faults != nullptr) {
+    return twins;
+  }
+  const auto may_twin = [](const SweepPoint& point) {
+    return !sim::reads_idle_prediction(point.policy) &&
+           point.storm_seed == 0;
+  };
+
+  // One DPM-only pass per distinct rho: the sleep decision of every
+  // slot, stepped as the slot loops step the predictor.
+  std::vector<std::uint64_t> rho_bits;
+  std::vector<std::vector<bool>> decisions;
+  sim::ExperimentConfig config = base;
+  for (const SweepPoint& point : points) {
+    const auto bits = std::bit_cast<std::uint64_t>(point.rho);
+    if (!may_twin(point) ||
+        std::find(rho_bits.begin(), rho_bits.end(), bits) != rho_bits.end()) {
+      continue;
+    }
+    config.rho = point.rho;
+    dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
+    dpm::InlineIdlePlan plan;
+    std::vector<bool>& slept = decisions.emplace_back(compiled.size());
+    for (std::size_t k = 0; k < compiled.size(); ++k) {
+      dpm_policy.plan_idle_into(compiled.idle(k), plan);
+      slept[k] = plan.slept;
+      dpm_policy.observe_idle(compiled.idle(k));
+    }
+    rho_bits.push_back(bits);
+    twins.accuracy.emplace_back(point.rho, dpm_policy.accuracy());
+  }
+  // A rho's decision class: the first rho with the same decisions.
+  std::vector<std::size_t> classes(decisions.size());
+  for (std::size_t r = 0; r < decisions.size(); ++r) {
+    classes[r] = static_cast<std::size_t>(
+        std::find(decisions.begin(), decisions.end(), decisions[r]) -
+        decisions.begin());
+  }
+  const auto decision_class = [&](double rho) {
+    return classes[static_cast<std::size_t>(
+        std::find(rho_bits.begin(), rho_bits.end(),
+                  std::bit_cast<std::uint64_t>(rho)) -
+        rho_bits.begin())];
+  };
+
+  // The first point of each (policy, capacity, stacks, distribution,
+  // decision class) is its canonical; every later one is a twin.
+  using Key = std::tuple<sim::PolicyKind, std::uint64_t, std::size_t,
+                         stacks::Distribution, std::size_t>;
+  std::map<Key, std::size_t> canonical_of;
+  twins.canonical.resize(points.size());
+  std::iota(twins.canonical.begin(), twins.canonical.end(), std::size_t{0});
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    const SweepPoint& point = points[k];
+    if (!may_twin(point)) {
+      continue;
+    }
+    // The distribution matters only on stack points (see run_point).
+    const Key key{point.policy,
+                  std::bit_cast<std::uint64_t>(point.capacity.value()),
+                  point.stacks,
+                  point.stacks > 0 ? point.distribution
+                                   : stacks::Distribution::Proportional,
+                  decision_class(point.rho)};
+    const auto [first, inserted] = canonical_of.try_emplace(key, k);
+    if (!inserted && k != never_twin) {
+      twins.canonical[k] = first->second;
+      ++twins.count;
+    }
+  }
+  if (twins.count == 0) {
+    twins.canonical.clear();
+  }
+  return twins;
 }
 
 bool batch_point_eligible(const SweepPoint& point) noexcept {

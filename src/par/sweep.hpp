@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "hot/compiled_trace.hpp"
@@ -100,7 +101,8 @@ struct SweepPointResult {
   sim::SimulationResult result;
   /// The loop whose result this is: where sim::choose_engine landed the
   /// point, or Reference after a self-heal replay. Batched only for a
-  /// point that ran in a multi-point task.
+  /// point that ran in a multi-point task. A twin (SweepTwins) carries
+  /// its canonical's engine.
   sim::Engine engine = sim::Engine::Reference;
 };
 
@@ -118,6 +120,9 @@ struct SweepRunStats {
   std::size_t batch_merge_sets = 0;
   std::size_t batch_merged_lane_slots = 0;
   std::size_t batch_splits = 0;
+  /// Points served a copy of their canonical's result instead of being
+  /// simulated (see SweepTwins).
+  std::size_t twins = 0;
   /// Always 0: the per-slot solve journal it counted is gone. Kept for
   /// the `journal_hits` field of the batch block and the bench readers.
   std::uint64_t batch_journal_hits = 0;
@@ -168,6 +173,45 @@ struct SweepResult {
     std::size_t storm_faults, core::SlotSolveCache* cache,
     sim::CancellationToken* cancel = nullptr, std::size_t slot_budget = 0,
     const hot::CompiledTrace* compiled = nullptr);
+
+/// The twins of a compiled sweep. A point is a twin when its FC policy
+/// never reads the idle prediction (sim::reads_idle_prediction), it has
+/// no fault storm, and a lower grid index with the same policy,
+/// capacity, stacks and distribution has a rho whose predictor makes
+/// the same sleep decision in every slot of the trace. The two runs
+/// then draw the same load in every slot, so they are one run: only
+/// the predictor's own tally, idle_accuracy, tells them apart. The
+/// runner simulates the lowest such index, the canonical, and serves
+/// each twin a copy of its result.
+struct SweepTwins {
+  /// canonical[k]: the grid index whose result point k takes; k itself
+  /// for a point that is simulated. Empty when the sweep has no twins.
+  std::vector<std::size_t> canonical;
+  /// Points with canonical[k] != k.
+  std::size_t count = 0;
+  /// The predictor's tally over the trace at each rho of a point that
+  /// may be a twin.
+  std::vector<std::pair<double, dpm::PredictionAccuracy>> accuracy;
+
+  [[nodiscard]] bool is_twin(std::size_t k) const noexcept {
+    return !canonical.empty() && canonical[k] != k;
+  }
+  /// The result a twin at `point` would end its own run with:
+  /// `canonical_result` with the twin's point and its rho's
+  /// idle_accuracy.
+  [[nodiscard]] SweepPointResult serve(
+      const SweepPoint& point, const SweepPointResult& canonical_result) const;
+};
+
+/// Find the twins of `points` (see SweepTwins): one DPM-only pass per
+/// distinct rho of the points that may be twins, stepping the predictor
+/// over `compiled` as the slot loops do. `never_twin` is a grid index
+/// that is always simulated (the injected failure). A base config that
+/// arms a tamper drill or carries a fault injector has no twins.
+[[nodiscard]] SweepTwins find_twins(const sim::ExperimentConfig& base,
+                                    const std::vector<SweepPoint>& points,
+                                    const hot::CompiledTrace& compiled,
+                                    std::size_t never_twin);
 
 /// Maximum points per batched task. Fixed — never derived from the job
 /// count — so the task list, and therefore every result, is identical

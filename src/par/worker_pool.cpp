@@ -1,11 +1,7 @@
 #include "par/worker_pool.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-
-#include "common/contracts.hpp"
+#include <utility>
 
 namespace fcdpm::par {
 
@@ -16,24 +12,56 @@ std::size_t WorkerPool::resolve(std::size_t threads) noexcept {
   return std::max<std::size_t>(threads, 1);
 }
 
-WorkerPool::WorkerPool(std::size_t threads)
-    : queue_(2 * WorkerPool::resolve(threads)) {
-  const std::size_t n = WorkerPool::resolve(threads);
-  threads_.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    threads_.emplace_back([this, k] {
-      while (std::optional<std::function<void(std::size_t)>> task =
-                 queue_.pop()) {
-        (*task)(k);
+WorkerPool::WorkerPool(std::size_t threads) {
+  const std::size_t helpers = WorkerPool::resolve(threads) - 1;
+  helpers_.reserve(helpers);
+  for (std::size_t k = 1; k <= helpers; ++k) {
+    helpers_.emplace_back([this, k] {
+      std::uint64_t seen = 0;
+      std::unique_lock lock(mutex_);
+      for (;;) {
+        batch_ready_.wait(lock,
+                          [&] { return stopping_ || generation_ != seen; });
+        if (stopping_) {
+          return;
+        }
+        seen = generation_;
+        lock.unlock();
+        drain(k);
+        lock.lock();
+        if (--helpers_busy_ == 0) {
+          helpers_done_.notify_one();
+        }
       }
     });
   }
 }
 
 WorkerPool::~WorkerPool() {
-  queue_.close();
-  for (std::thread& thread : threads_) {
+  {
+    const std::lock_guard lock(mutex_);
+    stopping_ = true;
+  }
+  batch_ready_.notify_all();
+  for (std::thread& thread : helpers_) {
     thread.join();
+  }
+}
+
+void WorkerPool::drain(std::size_t worker) noexcept {
+  for (;;) {
+    const std::size_t k = next_.fetch_add(1, std::memory_order_relaxed);
+    if (k >= count_) {
+      return;
+    }
+    try {
+      (*fn_)(worker, k);
+    } catch (...) {
+      const std::lock_guard lock(mutex_);
+      if (first_error_ == nullptr) {
+        first_error_ = std::current_exception();
+      }
+    }
   }
 }
 
@@ -49,38 +77,28 @@ void WorkerPool::run_indexed_on_workers(
   if (count == 0) {
     return;
   }
-  std::mutex mutex;
-  std::condition_variable all_done;
-  std::size_t done = 0;
-  std::exception_ptr first_error;
-
-  for (std::size_t k = 0; k < count; ++k) {
-    const bool pushed = queue_.push([&, k](std::size_t worker) {
-      try {
-        fn(worker, k);
-      } catch (...) {
-        const std::lock_guard lock(mutex);
-        if (first_error == nullptr) {
-          first_error = std::current_exception();
-        }
-      }
-      {
-        // Notify while holding the lock: the condition variable lives on
-        // the caller's stack and is destroyed as soon as the waiter sees
-        // done == count, so the signal must complete before the waiter
-        // can observe the final increment.
-        const std::lock_guard lock(mutex);
-        ++done;
-        all_done.notify_one();
-      }
-    });
-    FCDPM_ENSURES(pushed, "worker pool queue closed mid-batch");
+  {
+    const std::lock_guard lock(mutex_);
+    fn_ = &fn;
+    count_ = count;
+    next_.store(0, std::memory_order_relaxed);
+    helpers_busy_ = helpers_.size();
+    ++generation_;
   }
+  batch_ready_.notify_all();
+  drain(0);
 
-  std::unique_lock lock(mutex);
-  all_done.wait(lock, [&] { return done == count; });
-  if (first_error != nullptr) {
-    std::rethrow_exception(first_error);
+  // Every helper leaves the batch before the next one can be published,
+  // so none can miss a generation or run an index of the wrong batch.
+  std::exception_ptr error;
+  {
+    std::unique_lock lock(mutex_);
+    helpers_done_.wait(lock, [&] { return helpers_busy_ == 0; });
+    fn_ = nullptr;
+    error = std::exchange(first_error_, nullptr);
+  }
+  if (error != nullptr) {
+    std::rethrow_exception(error);
   }
 }
 

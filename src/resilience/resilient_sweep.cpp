@@ -66,11 +66,11 @@ std::uint64_t sweep_fingerprint(const sim::ExperimentConfig& base,
   return hash;
 }
 
-/// Telemetry of one finished point on its worker's shard: the done
-/// count, slots, dispatch engine, cap and audit counters, and the
-/// point's wall and simulated time.
+/// Telemetry of one finished point on a worker's shard: the done count,
+/// slots, dispatch engine, cap and audit counters, and the point's
+/// simulated time. The caller observes its wall time.
 void account_point(telemetry::WorkerShard& shard,
-                   const par::SweepPointResult& done, double wall_us) {
+                   const par::SweepPointResult& done) {
   shard.points_done.fetch_add(1, std::memory_order_relaxed);
   shard.slots.fetch_add(done.result.slots, std::memory_order_relaxed);
   if (done.engine == sim::Engine::Batched) {
@@ -92,7 +92,6 @@ void account_point(telemetry::WorkerShard& shard,
     shard.engine_fallbacks.fetch_add(a.engine_fallbacks,
                                      std::memory_order_relaxed);
   }
-  shard.wall_us.observe(wall_us);
   shard.sim_s.observe(done.result.totals.duration.value());
 }
 
@@ -198,6 +197,13 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
   }
   const hot::CompiledTrace* shared =
       compiled.has_value() ? &*compiled : nullptr;
+  // Round-0 points served their canonical's result (par::SweepTwins).
+  const par::SweepTwins twins =
+      shared != nullptr
+          ? par::find_twins(base, points, *shared,
+                            options.contract.inject_fail_index)
+          : par::SweepTwins{};
+  std::vector<std::size_t> position;  // grid index -> batch slot, round 0
 
   // --- resume: replay the journal, schedule only the remainder --------
   std::size_t journal_valid_bytes = 0;
@@ -356,6 +362,30 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
             indices.begin(), indices.end(),
             [&](std::size_t k) { return par::batch_point_eligible(points[k]); });
       }
+      // Group commit: each chunk's records are written as its tasks
+      // finish and fsynced once when the chunk is done, before any of
+      // its outcomes is folded into the result or the retry schedule.
+      // Without a journal the round is one chunk.
+      const std::size_t chunk =
+          journal.has_value() ? kCommitChunk : indices.size();
+      // Twins are first attempts only. Each chunk lists its twins last,
+      // so its tasks are planned over the points it simulates.
+      const bool serve_twins = round == 0 && twins.count > 0;
+      if (serve_twins) {
+        for (std::size_t begin = 0; begin < indices.size(); begin += chunk) {
+          const auto first =
+              indices.begin() + static_cast<std::ptrdiff_t>(begin);
+          std::stable_partition(
+              first,
+              first + static_cast<std::ptrdiff_t>(
+                          std::min(chunk, indices.size() - begin)),
+              [&](std::size_t k) { return !twins.is_twin(k); });
+        }
+        position.assign(points.size(), 0);
+        for (std::size_t j = 0; j < indices.size(); ++j) {
+          position[indices[j]] = j;
+        }
+      }
 
       std::vector<BatchItem> batch;
       batch.reserve(indices.size());
@@ -368,17 +398,15 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       const auto quarantined = [&](std::size_t j) {
         return !outcomes[j].ok && batch[j].attempt >= max_attempts;
       };
-      // One finished attempt on its worker's shard.
-      const auto account = [&](telemetry::WorkerShard& shard, std::size_t j,
-                               double wall_us) {
+      // One finished attempt on a worker's shard.
+      const auto account = [&](telemetry::WorkerShard& shard, std::size_t j) {
         if (outcomes[j].ok) {
-          account_point(shard, outcomes[j].result, wall_us);
+          account_point(shard, outcomes[j].result);
           return;
         }
         // A failed attempt has no trustworthy result fields.
         (quarantined(j) ? shard.points_quarantined : shard.points_retried)
             .fetch_add(1, std::memory_order_relaxed);
-        shard.wall_us.observe(wall_us);
       };
       // Journal a final outcome at once: written through, so a crash can
       // only lose in-flight points; the chunk's commit makes it durable.
@@ -449,7 +477,8 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
           bool ok = true;
           bool any_quarantined = false;
           for (std::size_t j = first; j < first + lanes.size(); ++j) {
-            account(task.shard(), j, per_point_us);
+            account(task.shard(), j);
+            task.shard().wall_us.observe(per_point_us);
             ok = ok && outcomes[j].ok;
             any_quarantined = any_quarantined || quarantined(j);
           }
@@ -468,29 +497,75 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
         }
       };
 
-      // Group commit: each chunk's records are written as its tasks
-      // finish and fsynced once when the chunk is done, before any of
-      // its outcomes is folded into the result or the retry schedule.
-      // Without a journal the round is one chunk.
-      const std::size_t chunk =
-          journal.has_value() ? kCommitChunk : batch.size();
+      // Tasks whose points are batch slots: each lands its outcomes and
+      // journal records, and its merge accounting goes to the stats.
+      const auto run_tasks =
+          [&](const std::vector<std::span<const std::size_t>>& tasks) {
+            std::vector<batch::BatchStats> task_stats(tasks.size());
+            pool.run_indexed_on_workers(
+                tasks.size(), [&](std::size_t worker, std::size_t t) {
+                  run_task(worker,
+                           static_cast<std::size_t>(tasks[t].data() -
+                                                    indices.data()),
+                           tasks[t], task_stats[t]);
+                });
+            for (const batch::BatchStats& stats : task_stats) {
+              out.stats.add_batch(stats);
+            }
+          };
+
       for (std::size_t begin = 0; begin < batch.size(); begin += chunk) {
         const std::size_t end = std::min(batch.size(), begin + chunk);
-        const std::vector<std::span<const std::size_t>> tasks =
-            plan_tasks(std::span(indices).subspan(begin, end - begin));
-        std::vector<batch::BatchStats> task_stats(tasks.size());
-        pool.run_indexed_on_workers(
-            tasks.size(), [&](std::size_t worker, std::size_t t) {
-              run_task(worker,
-                       static_cast<std::size_t>(tasks[t].data() -
-                                                indices.data()),
-                       tasks[t], task_stats[t]);
-            });
+        // Simulated points are [begin, twins_from), twins [twins_from, end).
+        std::size_t twins_from = end;
+        if (serve_twins) {
+          twins_from = static_cast<std::size_t>(
+              std::partition_point(
+                  batch.begin() + static_cast<std::ptrdiff_t>(begin),
+                  batch.begin() + static_cast<std::ptrdiff_t>(end),
+                  [&](const BatchItem& item) {
+                    return !twins.is_twin(item.index);
+                  }) -
+              batch.begin());
+        }
+        run_tasks(plan_tasks(
+            std::span(indices).subspan(begin, twins_from - begin)));
+
+        // The canonical's ok result: replayed or folded from an earlier
+        // chunk, or simulated in this one; nullptr when it failed.
+        const auto canonical_result =
+            [&](std::size_t c) -> const par::SweepPointResult* {
+          if (out.points[c].ok) {
+            return &out.points[c].result;
+          }
+          const std::size_t j = position[c];
+          return j >= begin && j < twins_from && batch[j].index == c &&
+                         outcomes[j].ok
+                     ? &outcomes[j].result
+                     : nullptr;
+        };
+        std::vector<std::span<const std::size_t>> unserved;
+        for (std::size_t j = twins_from; j < end; ++j) {
+          const std::size_t k = batch[j].index;
+          const par::SweepPointResult* source =
+              canonical_result(twins.canonical[k]);
+          if (source == nullptr) {
+            unserved.push_back(std::span(indices).subspan(j, 1));
+            continue;
+          }
+          outcomes[j] = check_result(twins.serve(points[k], *source),
+                                     options.contract);
+          ++out.stats.twins;
+          if (options.telemetry != nullptr) {
+            account(options.telemetry->shards().shard(0), j);
+          }
+          journal_outcome(j);
+        }
+        // A twin whose canonical failed is simulated like any point.
+        run_tasks(unserved);
+
         if (journal.has_value() && journal->commit()) {
           ++out.resilience.journal_commits;
-        }
-        for (const batch::BatchStats& stats : task_stats) {
-          out.stats.add_batch(stats);
         }
 
         // Serial post-pass in batch order: deterministic retry schedule.
@@ -557,6 +632,7 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
     obs.gauge("par.sweep.jobs", static_cast<double>(stats.jobs));
     obs.gauge("par.sweep.wall_s", stats.wall_seconds);
     obs.gauge("par.sweep.points_per_s", stats.points_per_second());
+    obs.gauge("par.sweep.twins", static_cast<double>(stats.twins));
     if (stats.points_batched > 0) {
       obs.gauge("par.sweep.points_batched",
                 static_cast<double>(stats.points_batched));

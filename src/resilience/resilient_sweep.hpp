@@ -26,6 +26,12 @@
 // the per-point contract checks, and a task journals its records in lane
 // order when it finishes. A nonzero point deadline, a running watchdog
 // and the injected failure keep their points on the per-point path.
+//
+// Hot and batched sweeps simulate each distinct run once
+// (par::SweepTwins): each round-0 chunk lists its twins after the points
+// it simulates, and before the chunk's commit every twin takes its
+// canonical's ok result and is journaled; a twin whose canonical is not
+// ok is simulated in a second pass of the chunk.
 #pragma once
 
 #include <chrono>

@@ -20,6 +20,13 @@ enum class PolicyKind { Conv, Asap, FcDpm, Oracle };
 
 [[nodiscard]] const char* to_string(PolicyKind kind);
 
+/// True for the FC policy that reads the DPM's idle prediction: FC-DPM
+/// hands it to the slot optimizer. Conv, ASAP and the oracle see only
+/// the sleep decision, so their runs depend on rho through it alone.
+[[nodiscard]] constexpr bool reads_idle_prediction(PolicyKind kind) noexcept {
+  return kind == PolicyKind::FcDpm;
+}
+
 /// Everything needed to reproduce one of the paper's experiments.
 struct ExperimentConfig {
   wl::Trace trace;

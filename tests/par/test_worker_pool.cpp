@@ -101,6 +101,28 @@ TEST(WorkerPool, IndexedOnWorkersReportsInRangeWorkerIds) {
   }
 }
 
+TEST(WorkerPool, CallingThreadIsWorkerZero) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    WorkerPool pool(threads);
+    EXPECT_EQ(pool.thread_count(), threads);
+    std::atomic<bool> zero_is_caller{true};
+    std::atomic<int> on_caller{0};
+    pool.run_indexed_on_workers(
+        60, [&](std::size_t worker, std::size_t /*index*/) {
+          const bool here = std::this_thread::get_id() == caller;
+          if ((worker == 0) != here) {
+            zero_is_caller.store(false);
+          }
+          on_caller.fetch_add(here ? 1 : 0);
+        });
+    EXPECT_TRUE(zero_is_caller.load());
+    if (threads == 1) {
+      EXPECT_EQ(on_caller.load(), 60);  // a one-worker pool has no thread
+    }
+  }
+}
+
 TEST(WorkerPool, FirstExceptionPropagatesAfterBatchDrains) {
   WorkerPool pool(2);
   std::atomic<int> completed{0};

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -16,6 +18,7 @@
 #include "common/csv.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
+#include "hot/compiled_trace.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "par/worker_pool.hpp"
@@ -68,6 +71,43 @@ std::string read_file(const std::string& path) {
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The grid indices a --jobs 1 journal lists round 0 in, for a grid of
+/// batch-eligible points: each commit chunk's simulated points in grid
+/// order, then its twins served from a canonical, then the twins of a
+/// `failing` canonical, which are simulated last. The `failing` points
+/// themselves are journaled only in later rounds and are left out.
+std::vector<std::size_t> serial_round0_order(
+    const sim::ExperimentConfig& base, const par::SweepGrid& grid,
+    std::size_t inject_fail, const std::vector<std::size_t>& failing) {
+  const std::vector<par::SweepPoint> points = grid.points(base);
+  const par::SweepTwins twins = par::find_twins(
+      base, points, hot::CompiledTrace(base.trace, base.device), inject_fail);
+  EXPECT_GT(twins.count, 0u);
+  const auto rank = [&](std::size_t k) {
+    if (!twins.is_twin(k)) {
+      return 0;
+    }
+    return std::find(failing.begin(), failing.end(), twins.canonical[k]) ==
+                   failing.end()
+               ? 1
+               : 2;
+  };
+  std::vector<std::size_t> order(points.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t begin = 0; begin < order.size(); begin += kCommitChunk) {
+    const auto first = order.begin() + static_cast<std::ptrdiff_t>(begin);
+    const auto last = order.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                          order.size(), begin + kCommitChunk));
+    std::stable_sort(first, last, [&](std::size_t a, std::size_t b) {
+      return rank(a) < rank(b);
+    });
+  }
+  std::erase_if(order, [&](std::size_t k) {
+    return std::find(failing.begin(), failing.end(), k) != failing.end();
+  });
+  return order;
 }
 
 /// "SIGKILL" partway through: keep the header, `records` full records
@@ -390,8 +430,9 @@ TEST(ResilientSweepTest, FullJournalResumeReSimulatesNothing) {
 // Group commit: each round runs in kCommitChunk-point chunks with one
 // fsync per chunk that journaled anything. Every point is journaled
 // exactly once, the commit count is a function of the grid alone, jobs
-// 1 writes records in batch order, and a cut at a commit boundary or
-// mid-chunk resumes to the uninterrupted rows.
+// 1 writes records in batch order (each chunk's twins after its
+// simulated points), and a cut at a commit boundary or mid-chunk
+// resumes to the uninterrupted rows.
 TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
   sim::ExperimentConfig base = small_base();
   base.simulation.engine = sim::Engine::Batched;  // shared compiled trace
@@ -449,15 +490,11 @@ TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
     }
   }
 
-  // Jobs 1: round 0 in grid order without the failure, then the
+  // Jobs 1: round 0 in batch order without the failure, then the
   // quarantine record from round 2.
   const JournalLoad serial = load_journal(paths[0]);
-  std::vector<std::size_t> batch_order;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (k != poisoned) {
-      batch_order.push_back(k);
-    }
-  }
+  std::vector<std::size_t> batch_order =
+      serial_round0_order(base, grid, poisoned, {poisoned});
   batch_order.push_back(poisoned);
   for (std::size_t r = 0; r < n; ++r) {
     EXPECT_EQ(serial.records[r].index, batch_order[r]) << "record " << r;
@@ -482,9 +519,13 @@ TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
     EXPECT_EQ(resumed.resilience.replayed, kept);
     EXPECT_EQ(resumed.resilience.spot_checks, 3u);
     EXPECT_EQ(record_lines(cut), n);
+    std::vector<bool> kept_record(n, false);
+    for (std::size_t r = 0; r < kept; ++r) {
+      kept_record[batch_order[r]] = true;
+    }
     for (std::size_t k = 0; k < n; ++k) {
       SCOPED_TRACE(testing::Message() << "point=" << k);
-      EXPECT_EQ(resumed.points[k].replayed, k < kept);
+      EXPECT_EQ(resumed.points[k].replayed, kept_record[k]);
       EXPECT_EQ(resumed.points[k].attempts, sweeps[0].points[k].attempts);
       ASSERT_EQ(resumed.points[k].ok, sweeps[0].points[k].ok);
       if (resumed.points[k].ok) {
@@ -507,7 +548,8 @@ TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
 // merge sets form, each batched lane is judged by the per-point
 // contract checks (a lane over the unserved budget quarantines with the
 // per-point path's error), the injected failure stays per point, jobs 1
-// journals in batch order, and a cut journal resumes to the same rows.
+// journals in batch order (each chunk's twins after its simulated
+// points), and a cut journal resumes to the same rows.
 TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
   sim::ExperimentConfig base = small_base();
   base.simulation.engine = sim::Engine::Batched;
@@ -552,6 +594,9 @@ TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
   const std::vector<std::size_t> failing = {
       std::min(over_budget, options.contract.inject_fail_index),
       std::max(over_budget, options.contract.inject_fail_index)};
+  const par::SweepTwins twins =
+      par::find_twins(base, points, hot::CompiledTrace(base.trace, base.device),
+                      options.contract.inject_fail_index);
 
   std::string serial_path;
   std::vector<ResilientSweepResult> sweeps;
@@ -585,8 +630,10 @@ TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
       EXPECT_EQ(point.attempts, 1u);
       // Splitting the injected failure out of its task leaves the point
       // before it alone, and a lone point is a single run: the hot lane.
+      // A twin carries the engine of the canonical it copies.
+      const std::size_t ran = twins.is_twin(k) ? twins.canonical[k] : k;
       EXPECT_EQ(point.result.engine,
-                k + 1 == options.contract.inject_fail_index
+                ran + 1 == options.contract.inject_fail_index
                     ? sim::Engine::Hot
                     : sim::Engine::Batched);
       EXPECT_TRUE(sim::same_result(point.result.result,
@@ -600,7 +647,7 @@ TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
     sweeps.push_back(std::move(sweep));
   }
 
-  // Jobs 1: round 0 in grid order without the two failures, whose final
+  // Jobs 1: round 0 in batch order without the two failures, whose final
   // attempts come later.
   const JournalLoad serial = load_journal(serial_path);
   ASSERT_EQ(serial.records.size(), n);
@@ -608,12 +655,9 @@ TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
   for (const JournalRecord& record : serial.records) {
     order.push_back(record.index);
   }
-  std::vector<std::size_t> batch_order;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (k != failing[0] && k != failing[1]) {
-      batch_order.push_back(k);
-    }
-  }
+  const std::vector<std::size_t> batch_order = serial_round0_order(
+      base, grid, options.contract.inject_fail_index, failing);
+  ASSERT_EQ(batch_order.size(), n - 2);
   EXPECT_TRUE(std::equal(batch_order.begin(), batch_order.end(),
                          order.begin()));
   std::sort(order.begin() + static_cast<std::ptrdiff_t>(n - 2), order.end());
@@ -1220,6 +1264,297 @@ TEST(ResilientSweepTest, PlainSweepThrowsNamingTheFailedPoint) {
                 0u)
           << message;
     }
+  }
+}
+
+// --- Twins -----------------------------------------------------------------
+
+/// The grid of the twin tests: every policy, 19 rho, two capacities.
+/// Conv comes first, so grid index 2 * r + c is Conv at rho r and
+/// capacity c.
+par::SweepGrid twin_grid() {
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::Conv, sim::PolicyKind::Asap,
+                   sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle};
+  for (int k = 1; k <= 19; ++k) {
+    grid.rhos.push_back(0.05 * k);
+  }
+  grid.capacities = {Coulomb(4.0), Coulomb(12.0)};
+  return grid;
+}
+
+/// The sleep decision of every slot at `rho`, stepped through the
+/// vector plan_idle path of the reference loop.
+std::vector<bool> decisions_at(const sim::ExperimentConfig& base,
+                               double rho) {
+  sim::ExperimentConfig config = base;
+  config.rho = rho;
+  dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
+  std::vector<bool> slept;
+  for (const wl::TaskSlot& slot : base.trace.slots()) {
+    slept.push_back(dpm_policy.plan_idle(slot.idle).slept);
+    dpm_policy.observe_idle(slot.idle);
+  }
+  return slept;
+}
+
+/// Which points of a fault-free grid the DPM classes make twins: a
+/// policy that ignores the prediction, at a rho whose decisions an
+/// earlier rho of the axis already made.
+std::vector<bool> predicted_twins(const sim::ExperimentConfig& base,
+                                  const par::SweepGrid& grid,
+                                  std::size_t* classes = nullptr) {
+  std::vector<std::vector<bool>> seen;
+  std::vector<bool> repeated;
+  for (const double rho : grid.rhos) {
+    std::vector<bool> slept = decisions_at(base, rho);
+    repeated.push_back(std::find(seen.begin(), seen.end(), slept) !=
+                       seen.end());
+    if (!repeated.back()) {
+      seen.push_back(std::move(slept));
+    }
+  }
+  if (classes != nullptr) {
+    *classes = seen.size();
+  }
+  std::vector<bool> twin;
+  for (const par::SweepPoint& point : grid.points(base)) {
+    const auto r = static_cast<std::size_t>(
+        std::find(grid.rhos.begin(), grid.rhos.end(), point.rho) -
+        grid.rhos.begin());
+    twin.push_back(!sim::reads_idle_prediction(point.policy) && repeated[r]);
+  }
+  return twin;
+}
+
+std::size_t count_true(const std::vector<bool>& flags) {
+  return static_cast<std::size_t>(
+      std::count(flags.begin(), flags.end(), true));
+}
+
+void expect_same_accuracy(const dpm::PredictionAccuracy& a,
+                          const dpm::PredictionAccuracy& b) {
+  EXPECT_EQ(a.total(), b.total());
+  EXPECT_EQ(a.false_sleeps(), b.false_sleeps());
+  EXPECT_EQ(a.missed_sleeps(), b.missed_sleeps());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean_absolute_error()),
+            std::bit_cast<std::uint64_t>(b.mean_absolute_error()));
+}
+
+/// Every point of `grid` run alone through par::run_point.
+std::vector<par::SweepPointResult> run_alone(
+    const sim::ExperimentConfig& base, const par::SweepGrid& grid) {
+  std::vector<par::SweepPointResult> alone;
+  for (const par::SweepPoint& point : grid.points(base)) {
+    alone.push_back(par::run_point(base, point, grid.storm_faults, nullptr));
+  }
+  return alone;
+}
+
+/// Point k of `sweep` is ok and bit-identical to its own run; a point
+/// that was simulated or served in this run also has its own rho's
+/// predictor tally (a replayed point has none: it is not journaled).
+void expect_matches_alone(const ResilientSweepResult& sweep,
+                          const std::vector<par::SweepPointResult>& alone) {
+  ASSERT_EQ(sweep.points.size(), alone.size());
+  for (std::size_t k = 0; k < alone.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "point=" << k);
+    const ResilientPoint& point = sweep.points[k];
+    ASSERT_TRUE(point.ok);
+    EXPECT_EQ(point.attempts, 1u);
+    EXPECT_TRUE(sim::same_result(point.result.result, alone[k].result));
+    if (!point.replayed) {
+      ASSERT_TRUE(point.result.result.idle_accuracy.has_value());
+      expect_same_accuracy(*point.result.result.idle_accuracy,
+                           *alone[k].result.idle_accuracy);
+    }
+  }
+}
+
+// Twin serving against each point's own run over the feature
+// cross-product: the camcorder trace, where every rho sleeps alike, and
+// the experiment-2 synthetic trace, where the 19 rho fall into at least
+// 12 decision classes; hot and batched; one and four jobs; no journal,
+// a full journal, and a journal cut mid-chunk with a torn tail, then
+// resumed; the cap governor off and on; audit sampling throughout.
+TEST(SweepTwinsTest, EveryPointMatchesItsOwnRunAcrossFeatures) {
+  const std::string path = temp_path("twins.fcj");
+  const par::SweepGrid grid = twin_grid();
+  for (const bool synthetic : {false, true}) {
+    sim::ExperimentConfig trace_base =
+        synthetic ? sim::experiment2_config() : sim::experiment1_config();
+    trace_base.audit.mode = audit::Mode::Sample;
+    std::size_t classes = 0;
+    const std::vector<bool> twin =
+        predicted_twins(trace_base, grid, &classes);
+    if (synthetic) {
+      EXPECT_GE(classes, 12u);
+    } else {
+      EXPECT_EQ(classes, 1u);
+    }
+    ASSERT_GT(count_true(twin), 0u);
+    const std::size_t n = twin.size();
+
+    for (const bool cap : {false, true}) {
+      for (const sim::Engine engine :
+           {sim::Engine::Hot, sim::Engine::Batched}) {
+        sim::ExperimentConfig base = trace_base;
+        base.cap.enabled = cap;
+        base.simulation.engine = engine;
+        const std::vector<par::SweepPointResult> alone =
+            run_alone(base, grid);
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+          for (const int journal : {0, 1, 2}) {  // none, full, cut + resume
+            SCOPED_TRACE(testing::Message()
+                         << (synthetic ? "synthetic" : "camcorder")
+                         << ", cap " << cap << ", engine "
+                         << static_cast<int>(engine) << ", jobs " << jobs
+                         << ", journal " << journal);
+            ResilienceOptions options;
+            options.jobs = jobs;
+            if (journal > 0) {
+              std::remove(path.c_str());
+              options.journal_path = path;
+            }
+            ResilientSweepResult sweep =
+                run_resilient_sweep(base, grid, options);
+            std::size_t want = count_true(twin);
+            if (journal == 2) {
+              cut_journal(path, static_cast<int>(kCommitChunk + 21));
+              options.resume = true;
+              options.spot_checks = 3;
+              sweep = run_resilient_sweep(base, grid, options);
+              ASSERT_EQ(sweep.resilience.replayed, kCommitChunk + 21);
+              want = 0;
+              for (std::size_t k = 0; k < n; ++k) {
+                want += twin[k] && !sweep.points[k].replayed ? 1 : 0;
+              }
+            }
+            EXPECT_EQ(sweep.stats.twins, want);
+            expect_matches_alone(sweep, alone);
+          }
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// FC-DPM reads the prediction, so it is never a twin: on the camcorder
+// trace every rho makes the same decisions, yet FC-DPM's rows differ
+// across rho. Serving them from one run would change answers, which
+// the differential test above would catch.
+TEST(SweepTwinsTest, FcDpmIsNeverATwinAndItsRowsDifferAcrossRho) {
+  sim::ExperimentConfig base = sim::experiment1_config();
+  base.simulation.engine = sim::Engine::Hot;
+  const par::SweepGrid grid = twin_grid();
+  const std::vector<par::SweepPoint> points = grid.points(base);
+  const par::SweepTwins twins = par::find_twins(
+      base, points, hot::CompiledTrace(base.trace, base.device),
+      std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(twins.count, count_true(predicted_twins(base, grid)));
+  const std::vector<par::SweepPointResult> alone = run_alone(base, grid);
+  std::size_t fcdpm_rows = 0;
+  std::size_t differing = 0;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    if (points[k].policy != sim::PolicyKind::FcDpm) {
+      continue;
+    }
+    EXPECT_FALSE(twins.is_twin(k)) << "point " << k;
+    ++fcdpm_rows;
+    // Index k - 2 is the same capacity at the previous rho.
+    if (points[k].rho != grid.rhos.front() &&
+        !sim::same_result(alone[k].result, alone[k - 2].result)) {
+      ++differing;
+    }
+  }
+  EXPECT_EQ(fcdpm_rows, grid.rhos.size() * grid.capacities.size());
+  EXPECT_GT(differing, 0u);
+}
+
+// The reference engine is the oracle: it simulates every point.
+TEST(SweepTwinsTest, ReferenceSweepReportsNoTwins) {
+  const sim::ExperimentConfig reference_base = sim::experiment1_config();
+  const par::SweepGrid grid = twin_grid();
+  for (const sim::Engine engine :
+       {sim::Engine::Reference, sim::Engine::Hot}) {
+    sim::ExperimentConfig base = reference_base;
+    base.simulation.engine = engine;
+    obs::MetricsRegistry metrics;
+    obs::Context obs(nullptr, &metrics, nullptr);
+    ResilienceOptions options;
+    options.observer = &obs;
+    const ResilientSweepResult sweep =
+        run_resilient_sweep(base, grid, options);
+    const std::size_t want = engine == sim::Engine::Reference
+                                 ? 0
+                                 : count_true(predicted_twins(base, grid));
+    EXPECT_EQ(sweep.stats.twins, want);
+    EXPECT_EQ(metrics.gauge("par.sweep.twins").last(),
+              static_cast<double>(want));
+  }
+}
+
+// --inject-fail on a canonical quarantines it; its twins have no ok
+// result to copy, so each is simulated and gets its own outcome.
+// --inject-fail on a twin fails that point alone.
+TEST(SweepTwinsTest, InjectedFailureOnACanonicalOrATwin) {
+  sim::ExperimentConfig base = sim::experiment1_config();
+  base.simulation.engine = sim::Engine::Batched;
+  const par::SweepGrid grid = twin_grid();
+  const std::size_t twins = count_true(predicted_twins(base, grid));
+  const std::vector<par::SweepPointResult> alone = run_alone(base, grid);
+  // Conv at capacity 0: index 0 is the canonical of 2, 4, ..., 36.
+  const std::size_t canonical = 0;
+  const std::size_t conv_rhos = grid.rhos.size();
+  for (const std::size_t poisoned : {canonical, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "poisoned=" << poisoned);
+    ResilienceOptions options;
+    options.jobs = 4;
+    options.contract.max_retries = 1;
+    options.contract.inject_fail_index = poisoned;
+    const ResilientSweepResult sweep =
+        run_resilient_sweep(base, grid, options);
+    EXPECT_EQ(sweep.stats.twins,
+              poisoned == canonical ? twins - (conv_rhos - 1) : twins - 1);
+    for (std::size_t k = 0; k < alone.size(); ++k) {
+      SCOPED_TRACE(testing::Message() << "point=" << k);
+      const ResilientPoint& point = sweep.points[k];
+      if (k == poisoned) {
+        ASSERT_FALSE(point.ok);
+        EXPECT_EQ(point.error.kind, PointErrorKind::solver_diverged);
+        EXPECT_EQ(point.attempts, 2u);
+        continue;
+      }
+      ASSERT_TRUE(point.ok);
+      EXPECT_EQ(point.attempts, 1u);
+      EXPECT_TRUE(sim::same_result(point.result.result, alone[k].result));
+      expect_same_accuracy(*point.result.result.idle_accuracy,
+                           *alone[k].result.idle_accuracy);
+    }
+  }
+}
+
+// An armed tamper drill is a per-point engine drill: every point runs,
+// heals on the reference loop and records its own fallback.
+TEST(SweepTwinsTest, ArmedTamperDrillTurnsTwinsOff) {
+  sim::ExperimentConfig base = sim::experiment1_config();
+  base.simulation.engine = sim::Engine::Hot;
+  base.audit.mode = audit::Mode::Sample;
+  base.audit.tamper_slot = 32;  // an audited slot (period 16)
+  const par::SweepGrid grid = twin_grid();
+  EXPECT_EQ(par::find_twins(base, grid.points(base),
+                            hot::CompiledTrace(base.trace, base.device),
+                            std::numeric_limits<std::size_t>::max())
+                .count,
+            0u);
+  const ResilientSweepResult sweep =
+      run_resilient_sweep(base, grid, ResilienceOptions{});
+  EXPECT_EQ(sweep.stats.twins, 0u);
+  const std::vector<par::SweepPointResult> alone = run_alone(base, grid);
+  expect_matches_alone(sweep, alone);
+  for (const ResilientPoint& point : sweep.points) {
+    EXPECT_EQ(point.result.result.audit->engine_fallbacks, 1u);
   }
 }
 
