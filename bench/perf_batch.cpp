@@ -2,8 +2,8 @@
 // BENCH_batch.json.
 //
 // Measures par::run_sweep over a merge-heavy capacity grid (camcorder
-// trace, pure policies, shared sub-capacity initial charge — the sweep
-// shape the batched engine amortizes) on the reference and batched
+// trace, FC-DPM, no twins, shared sub-capacity initial charge — the
+// sweep shape the batched engine amortizes) on the reference and batched
 // engines, at --jobs 1 and --jobs N — min-of-N wall clock with warmup —
 // plus the merge accounting of one batched run, and writes the lot
 // atomically as JSON. The `single_run` block times the two compiled
@@ -13,8 +13,9 @@
 //
 // Two gates, both exit 1:
 //   * bit-identity: every batched point must reproduce the reference
-//     sweep to the last bit, at both job counts, and every one-lane
-//     batch and hot-lane run must reproduce its reference point;
+//     sweep to the last bit, at both job counts, with no point served
+//     as a twin, and every one-lane batch and hot-lane run must
+//     reproduce its reference point;
 //   * --min-speedup X (default 0 = report only): the measured jobs-1
 //     batched-vs-reference speedup must reach X. CI runs with
 //     --min-speedup 4; the checked-in baseline shows >= 4x.
@@ -44,24 +45,26 @@ namespace {
 using namespace fcdpm;
 using Clock = std::chrono::steady_clock;
 
-/// Merge-heavy grid: planning policies only — Asap's stateful lanes
-/// never merge, and Conv pins storage at the ceiling from the first
-/// slot, so both would just dilute the measurement into a
-/// hot-vs-reference comparison. The capacity axis spans the
+/// Merge-heavy grid: FC-DPM only. Asap's stateful lanes never merge,
+/// and Conv pins storage at the ceiling from the first slot, so both
+/// would dilute the measurement into a hot-vs-reference comparison; and
+/// FC-DPM reads the idle prediction, so no point is a twin
+/// (par::SweepTwins) that the batched sweep serves without simulating
+/// while the reference sweep simulates it. The capacity axis spans the
 /// above-saturation regime a capacity ablation actually explores
 /// (where the planner's buffered level fits and lanes stay bitwise
 /// shared), with a sub-saturation tail so the split/hand-off machinery
 /// is exercised too.
 par::SweepGrid bench_grid() {
   par::SweepGrid grid;
-  grid.policies = {sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle};
+  grid.policies = {sim::PolicyKind::FcDpm};
   grid.rhos = {0.3, 0.5, 0.7};
-  grid.capacities = {Coulomb(3.0),  Coulomb(4.0),  Coulomb(5.0),
-                     Coulomb(6.0),  Coulomb(7.0),  Coulomb(8.0),
-                     Coulomb(10.0), Coulomb(12.0), Coulomb(14.0),
-                     Coulomb(16.0), Coulomb(20.0), Coulomb(24.0),
-                     Coulomb(32.0), Coulomb(40.0), Coulomb(48.0),
-                     Coulomb(64.0)};
+  for (const double capacity :
+       {3.0,  4.0,  5.0,  6.0,  7.0,  8.0,  9.0,  10.0, 11.0, 12.0, 13.0,
+        14.0, 15.0, 16.0, 18.0, 20.0, 22.0, 24.0, 26.0, 28.0, 32.0, 36.0,
+        40.0, 44.0, 48.0, 52.0, 56.0, 64.0, 72.0, 80.0, 96.0, 128.0}) {
+    grid.capacities.push_back(Coulomb(capacity));
+  }
   return grid;
 }
 
@@ -206,6 +209,9 @@ int main(int argc, char** argv) {
     fail("batched sweep diverged from the reference sweep (--jobs N)");
   }
   const std::size_t points = ref_run.points.size();
+  if (batch_run.stats.twins != 0 || batch_run_n.stats.twins != 0) {
+    fail("a grid point was served as a twin, not simulated");
+  }
   if (batch_run.stats.points_batched != points) {
     fail("a grid point fell off the batched path");
   }
@@ -304,7 +310,7 @@ int main(int argc, char** argv) {
        << "  \"workload\": {\n"
        << "    \"trace\": \"" << reference.trace.name() << "\",\n"
        << "    \"slots\": " << reference.trace.size() << ",\n"
-       << "    \"policies\": [\"fcdpm\", \"oracle\"],\n"
+       << "    \"policies\": [\"fcdpm\"],\n"
        << "    \"rhos\": " << grid.rhos.size() << ",\n"
        << "    \"capacities\": " << grid.capacities.size() << ",\n"
        << "    \"points\": " << points << "\n"

@@ -66,11 +66,19 @@ std::uint64_t sweep_fingerprint(const sim::ExperimentConfig& base,
   return hash;
 }
 
-/// Telemetry of one finished point on a worker's shard: the done count,
-/// slots, dispatch engine, cap and audit counters, and the point's
-/// simulated time. The caller observes its wall time.
-void account_point(telemetry::WorkerShard& shard,
-                   const par::SweepPointResult& done) {
+/// Telemetry of one finished attempt on a worker's shard. An ok point
+/// adds the done count, slots, dispatch engine, cap and audit counters
+/// and its simulated time; a failed attempt has no trustworthy result
+/// fields and counts as retried, or as `quarantined`. The caller
+/// observes its wall time.
+void account_attempt(telemetry::WorkerShard& shard,
+                     const PointOutcome& outcome, bool quarantined) {
+  if (!outcome.ok) {
+    (quarantined ? shard.points_quarantined : shard.points_retried)
+        .fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  const par::SweepPointResult& done = outcome.result;
   shard.points_done.fetch_add(1, std::memory_order_relaxed);
   shard.slots.fetch_add(done.result.slots, std::memory_order_relaxed);
   if (done.engine == sim::Engine::Batched) {
@@ -197,13 +205,13 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
   }
   const hot::CompiledTrace* shared =
       compiled.has_value() ? &*compiled : nullptr;
-  // Round-0 points served their canonical's result (par::SweepTwins).
+  // Points served their canonical's result after the rounds
+  // (par::SweepTwins).
   const par::SweepTwins twins =
       shared != nullptr
           ? par::find_twins(base, points, *shared,
                             options.contract.inject_fail_index)
           : par::SweepTwins{};
-  std::vector<std::size_t> position;  // grid index -> batch slot, round 0
 
   // --- resume: replay the journal, schedule only the remainder --------
   std::size_t journal_valid_bytes = 0;
@@ -286,11 +294,17 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
   }
 
   // --- round-based schedule -------------------------------------------
+  // A twin waits to be served after the rounds, unless its canonical
+  // was replayed as quarantined: then it is simulated like any point.
   std::map<std::size_t, std::vector<std::size_t>> schedule;
   for (std::size_t k = 0; k < points.size(); ++k) {
-    if (!out.points[k].replayed) {
+    if (out.points[k].replayed) {
+      continue;
+    }
+    ++out.resilience.scheduled;
+    if (!twins.is_twin(k) || (out.points[twins.canonical[k]].replayed &&
+                              !out.points[twins.canonical[k]].ok)) {
       schedule[0].push_back(k);
-      ++out.resilience.scheduled;
     }
   }
 
@@ -333,6 +347,30 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
     }
     return tasks;
   };
+  // Journal a final outcome at once: written through, so a crash can
+  // only lose in-flight points; the next commit makes it durable.
+  const auto journal_final = [&](std::size_t index, std::size_t attempt,
+                                 const PointOutcome& outcome) {
+    if (!journal.has_value()) {
+      return;
+    }
+    JournalRecord record;
+    record.index = index;
+    record.point = points[index];
+    record.attempts = attempt;
+    record.ok = outcome.ok;
+    if (record.ok) {
+      record.result = outcome.result.result;
+    } else {
+      record.error = outcome.error;
+    }
+    journal->append(record);
+  };
+  const auto commit = [&] {
+    if (journal.has_value() && journal->commit()) {
+      ++out.resilience.journal_commits;
+    }
+  };
 
   const auto started = std::chrono::steady_clock::now();
   {
@@ -368,24 +406,6 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       // Without a journal the round is one chunk.
       const std::size_t chunk =
           journal.has_value() ? kCommitChunk : indices.size();
-      // Twins are first attempts only. Each chunk lists its twins last,
-      // so its tasks are planned over the points it simulates.
-      const bool serve_twins = round == 0 && twins.count > 0;
-      if (serve_twins) {
-        for (std::size_t begin = 0; begin < indices.size(); begin += chunk) {
-          const auto first =
-              indices.begin() + static_cast<std::ptrdiff_t>(begin);
-          std::stable_partition(
-              first,
-              first + static_cast<std::ptrdiff_t>(
-                          std::min(chunk, indices.size() - begin)),
-              [&](std::size_t k) { return !twins.is_twin(k); });
-        }
-        position.assign(points.size(), 0);
-        for (std::size_t j = 0; j < indices.size(); ++j) {
-          position[indices[j]] = j;
-        }
-      }
 
       std::vector<BatchItem> batch;
       batch.reserve(indices.size());
@@ -397,34 +417,6 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       // Outcome j failed its last attempt.
       const auto quarantined = [&](std::size_t j) {
         return !outcomes[j].ok && batch[j].attempt >= max_attempts;
-      };
-      // One finished attempt on a worker's shard.
-      const auto account = [&](telemetry::WorkerShard& shard, std::size_t j) {
-        if (outcomes[j].ok) {
-          account_point(shard, outcomes[j].result);
-          return;
-        }
-        // A failed attempt has no trustworthy result fields.
-        (quarantined(j) ? shard.points_quarantined : shard.points_retried)
-            .fetch_add(1, std::memory_order_relaxed);
-      };
-      // Journal a final outcome at once: written through, so a crash can
-      // only lose in-flight points; the chunk's commit makes it durable.
-      const auto journal_outcome = [&](std::size_t j) {
-        if (!journal.has_value() || !(outcomes[j].ok || quarantined(j))) {
-          return;
-        }
-        JournalRecord record;
-        record.index = batch[j].index;
-        record.point = points[record.index];
-        record.attempts = batch[j].attempt;
-        record.ok = outcomes[j].ok;
-        if (record.ok) {
-          record.result = outcomes[j].result.result;
-        } else {
-          record.error = outcomes[j].error;
-        }
-        journal->append(record);
       };
 
       // One task, outcomes [first, first + lanes.size()). A multi-point
@@ -477,7 +469,7 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
           bool ok = true;
           bool any_quarantined = false;
           for (std::size_t j = first; j < first + lanes.size(); ++j) {
-            account(task.shard(), j);
+            account_attempt(task.shard(), outcomes[j], quarantined(j));
             task.shard().wall_us.observe(per_point_us);
             ok = ok && outcomes[j].ok;
             any_quarantined = any_quarantined || quarantined(j);
@@ -493,80 +485,30 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
                            any_quarantined, engine);
         }
         for (std::size_t j = first; j < first + lanes.size(); ++j) {
-          journal_outcome(j);
+          if (outcomes[j].ok || quarantined(j)) {
+            journal_final(batch[j].index, batch[j].attempt, outcomes[j]);
+          }
         }
       };
 
-      // Tasks whose points are batch slots: each lands its outcomes and
-      // journal records, and its merge accounting goes to the stats.
-      const auto run_tasks =
-          [&](const std::vector<std::span<const std::size_t>>& tasks) {
-            std::vector<batch::BatchStats> task_stats(tasks.size());
-            pool.run_indexed_on_workers(
-                tasks.size(), [&](std::size_t worker, std::size_t t) {
-                  run_task(worker,
-                           static_cast<std::size_t>(tasks[t].data() -
-                                                    indices.data()),
-                           tasks[t], task_stats[t]);
-                });
-            for (const batch::BatchStats& stats : task_stats) {
-              out.stats.add_batch(stats);
-            }
-          };
-
       for (std::size_t begin = 0; begin < batch.size(); begin += chunk) {
         const std::size_t end = std::min(batch.size(), begin + chunk);
-        // Simulated points are [begin, twins_from), twins [twins_from, end).
-        std::size_t twins_from = end;
-        if (serve_twins) {
-          twins_from = static_cast<std::size_t>(
-              std::partition_point(
-                  batch.begin() + static_cast<std::ptrdiff_t>(begin),
-                  batch.begin() + static_cast<std::ptrdiff_t>(end),
-                  [&](const BatchItem& item) {
-                    return !twins.is_twin(item.index);
-                  }) -
-              batch.begin());
+        // Each task lands its outcomes and journal records, and its merge
+        // accounting goes to the stats.
+        const std::vector<std::span<const std::size_t>> tasks =
+            plan_tasks(std::span(indices).subspan(begin, end - begin));
+        std::vector<batch::BatchStats> task_stats(tasks.size());
+        pool.run_indexed_on_workers(
+            tasks.size(), [&](std::size_t worker, std::size_t t) {
+              run_task(worker,
+                       static_cast<std::size_t>(tasks[t].data() -
+                                                indices.data()),
+                       tasks[t], task_stats[t]);
+            });
+        for (const batch::BatchStats& stats : task_stats) {
+          out.stats.add_batch(stats);
         }
-        run_tasks(plan_tasks(
-            std::span(indices).subspan(begin, twins_from - begin)));
-
-        // The canonical's ok result: replayed or folded from an earlier
-        // chunk, or simulated in this one; nullptr when it failed.
-        const auto canonical_result =
-            [&](std::size_t c) -> const par::SweepPointResult* {
-          if (out.points[c].ok) {
-            return &out.points[c].result;
-          }
-          const std::size_t j = position[c];
-          return j >= begin && j < twins_from && batch[j].index == c &&
-                         outcomes[j].ok
-                     ? &outcomes[j].result
-                     : nullptr;
-        };
-        std::vector<std::span<const std::size_t>> unserved;
-        for (std::size_t j = twins_from; j < end; ++j) {
-          const std::size_t k = batch[j].index;
-          const par::SweepPointResult* source =
-              canonical_result(twins.canonical[k]);
-          if (source == nullptr) {
-            unserved.push_back(std::span(indices).subspan(j, 1));
-            continue;
-          }
-          outcomes[j] = check_result(twins.serve(points[k], *source),
-                                     options.contract);
-          ++out.stats.twins;
-          if (options.telemetry != nullptr) {
-            account(options.telemetry->shards().shard(0), j);
-          }
-          journal_outcome(j);
-        }
-        // A twin whose canonical failed is simulated like any point.
-        run_tasks(unserved);
-
-        if (journal.has_value() && journal->commit()) {
-          ++out.resilience.journal_commits;
-        }
+        commit();
 
         // Serial post-pass in batch order: deterministic retry schedule.
         for (std::size_t j = begin; j < end; ++j) {
@@ -587,6 +529,14 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
             ++out.resilience.retries;
             continue;
           }
+          // A quarantined canonical's twins have no result to take: they
+          // run in the next round as first attempts.
+          for (std::size_t k = item.index + 1; k < points.size(); ++k) {
+            if (twins.is_twin(k) && twins.canonical[k] == item.index &&
+                !out.points[k].replayed) {
+              schedule[round + 1].push_back(k);
+            }
+          }
           slot.ok = false;
           slot.result.point = points[item.index];
           slot.error = std::move(outcomes[j].error);
@@ -599,6 +549,37 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       out.resilience.watchdog_stalls = watchdog->stalls_detected();
     }
   }
+
+  // Every twin that neither was replayed nor ran takes its canonical's
+  // ok result, simulated this run or replayed. The twins are journaled
+  // in grid order under one trailing commit: a crash before it loses no
+  // simulated work, as a resume serves them again from their replayed
+  // canonicals.
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    ResilientPoint& slot = out.points[k];
+    if (!twins.is_twin(k) || slot.replayed || attempts[k] > 0) {
+      continue;
+    }
+    const ResilientPoint& canonical = out.points[twins.canonical[k]];
+    FCDPM_ENSURES(canonical.ok, "a twin left to serve has an ok canonical");
+    PointOutcome outcome = check_result(
+        twins.serve(points[k], canonical.result), options.contract);
+    ++out.stats.twins;
+    if (options.telemetry != nullptr) {
+      account_attempt(options.telemetry->shards().shard(0), outcome,
+                      !outcome.ok);
+    }
+    journal_final(k, 1, outcome);
+    slot.ok = outcome.ok;
+    if (outcome.ok) {
+      slot.result = std::move(outcome.result);
+    } else {
+      slot.result.point = points[k];
+      slot.error = std::move(outcome.error);
+    }
+  }
+  commit();
+
   out.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started)

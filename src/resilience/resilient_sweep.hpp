@@ -6,19 +6,20 @@
 // and no retries; a failed point makes it throw.
 //
 // Execution proceeds in scheduling *rounds*. Round 0 holds every point
-// not replayed from a journal; a failed attempt is pushed back by
-// backoff_delay_rounds() and re-run in a later round, until its
-// attempts exhaust the contract and the point is quarantined. Rounds
-// and their task order are a pure function of the grid and the
-// contract, so the sweep's results (and its journal, modulo the
-// append interleaving within a chunk) are reproducible for any job
-// count. With a journal each round runs in chunks of kCommitChunk
-// points; without one a round is a single chunk. A finished point's
-// record is written to the journal at once, and the chunk is fsynced
-// once when it is done (group commit), before any of its outcomes is
-// folded into the result: a SIGKILL at any instant loses at most work
-// in flight, a power loss at most the uncommitted chunk, and no point
-// is reported before its record is durable.
+// not replayed from a journal and not a twin (par::SweepTwins); a
+// failed attempt is pushed back by backoff_delay_rounds() and re-run in
+// a later round, until its attempts exhaust the contract and the point
+// is quarantined. Rounds and their task order are a pure function of
+// the grid and the contract, so the sweep's results (and its journal,
+// modulo the append interleaving within a chunk) are reproducible for
+// any job count. With a journal each round runs in chunks of
+// kCommitChunk points; without one a round is a single chunk. A
+// finished point's record is written to the journal at once, and the
+// chunk is fsynced once when it is done (group commit), before any of
+// its outcomes is folded into the result: a SIGKILL at any instant
+// loses at most work in flight, a power loss at most the uncommitted
+// chunk of kCommitChunk simulated points plus twins a resume serves
+// again, and no point is reported before its record is durable.
 //
 // With the batched engine each round lists its batch-eligible points
 // first (par::batch_point_eligible), then each chunk is planned into
@@ -28,10 +29,12 @@
 // and the injected failure keep their points on the per-point path.
 //
 // Hot and batched sweeps simulate each distinct run once
-// (par::SweepTwins): each round-0 chunk lists its twins after the points
-// it simulates, and before the chunk's commit every twin takes its
-// canonical's ok result and is journaled; a twin whose canonical is not
-// ok is simulated in a second pass of the chunk.
+// (par::SweepTwins). A twin is not scheduled: after the last round the
+// calling thread serves it its canonical's ok result, simulated this run
+// or replayed, and journals the served twins in grid order under one
+// trailing commit. A twin whose canonical is quarantined runs in the
+// round after that quarantine (in round 0 when the journal replays the
+// quarantine) as a first attempt, like any point.
 #pragma once
 
 #include <chrono>
@@ -45,9 +48,10 @@
 
 namespace fcdpm::resilience {
 
-/// Points per group commit: one journal fsync per chunk of a round.
-/// Fixed, so the chunking (and the journal at --jobs 1) never depends
-/// on the job count. Unjournaled rounds are not chunked.
+/// Simulated points per group commit: one journal fsync per chunk of a
+/// round (served twins take one more). Fixed, so the chunking (and the
+/// journal at --jobs 1) never depends on the job count. Unjournaled
+/// rounds are not chunked.
 inline constexpr std::size_t kCommitChunk = 64;
 
 struct ResilienceOptions {
@@ -93,7 +97,7 @@ struct ResilientPoint {
 
 /// Bookkeeping for reports and the resilience.* metrics.
 struct ResilienceStats {
-  std::size_t scheduled = 0;    ///< points simulated this run
+  std::size_t scheduled = 0;    ///< points not replayed, twins included
   std::size_t replayed = 0;     ///< points restored from the journal
   std::size_t retries = 0;      ///< re-attempts beyond each first try
   std::size_t quarantined = 0;  ///< points that exhausted their retries

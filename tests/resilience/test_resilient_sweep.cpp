@@ -73,40 +73,34 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// The grid indices a --jobs 1 journal lists round 0 in, for a grid of
-/// batch-eligible points: each commit chunk's simulated points in grid
-/// order, then its twins served from a canonical, then the twins of a
-/// `failing` canonical, which are simulated last. The `failing` points
-/// themselves are journaled only in later rounds and are left out.
-std::vector<std::size_t> serial_round0_order(
+/// The grid indices a --jobs 1 journal lists its records in, for a grid
+/// of batch-eligible points: the points simulated in round 0 in grid
+/// order, then the `failing` points (quarantined in later rounds, in the
+/// order given; none is a twin's canonical), then the twins served after
+/// the last round in grid order.
+std::vector<std::size_t> serial_record_order(
     const sim::ExperimentConfig& base, const par::SweepGrid& grid,
     std::size_t inject_fail, const std::vector<std::size_t>& failing) {
   const std::vector<par::SweepPoint> points = grid.points(base);
   const par::SweepTwins twins = par::find_twins(
       base, points, hot::CompiledTrace(base.trace, base.device), inject_fail);
   EXPECT_GT(twins.count, 0u);
-  const auto rank = [&](std::size_t k) {
-    if (!twins.is_twin(k)) {
-      return 0;
-    }
-    return std::find(failing.begin(), failing.end(), twins.canonical[k]) ==
-                   failing.end()
-               ? 1
-               : 2;
-  };
-  std::vector<std::size_t> order(points.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  for (std::size_t begin = 0; begin < order.size(); begin += kCommitChunk) {
-    const auto first = order.begin() + static_cast<std::ptrdiff_t>(begin);
-    const auto last = order.begin() + static_cast<std::ptrdiff_t>(std::min(
-                                          order.size(), begin + kCommitChunk));
-    std::stable_sort(first, last, [&](std::size_t a, std::size_t b) {
-      return rank(a) < rank(b);
-    });
-  }
-  std::erase_if(order, [&](std::size_t k) {
+  const auto is_failing = [&](std::size_t k) {
     return std::find(failing.begin(), failing.end(), k) != failing.end();
-  });
+  };
+  std::vector<std::size_t> order;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    EXPECT_FALSE(twins.is_twin(k) && is_failing(twins.canonical[k]));
+    if (!twins.is_twin(k) && !is_failing(k)) {
+      order.push_back(k);
+    }
+  }
+  order.insert(order.end(), failing.begin(), failing.end());
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    if (twins.is_twin(k)) {
+      order.push_back(k);
+    }
+  }
   return order;
 }
 
@@ -427,12 +421,13 @@ TEST(ResilientSweepTest, FullJournalResumeReSimulatesNothing) {
   std::remove(path.c_str());
 }
 
-// Group commit: each round runs in kCommitChunk-point chunks with one
-// fsync per chunk that journaled anything. Every point is journaled
+// Group commit: each round runs in chunks of kCommitChunk simulated
+// points with one fsync per chunk that journaled anything, and the
+// twins served after the rounds take one more. Every point is journaled
 // exactly once, the commit count is a function of the grid alone, jobs
-// 1 writes records in batch order (each chunk's twins after its
-// simulated points), and a cut at a commit boundary or mid-chunk
-// resumes to the uninterrupted rows.
+// 1 writes the simulated records by round and then the served twins in
+// grid order, and a cut at a commit boundary, mid-chunk or among the
+// uncommitted twins resumes to the uninterrupted rows.
 TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
   sim::ExperimentConfig base = small_base();
   base.simulation.engine = sim::Engine::Batched;  // shared compiled trace
@@ -441,19 +436,28 @@ TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
   grid.capacities = {Coulomb(1.5), Coulomb(3.0), Coulomb(4.5),
                      Coulomb(6.0), Coulomb(9.0), Coulomb(12.0)};
   const std::size_t n = grid.points(base).size();  // trio x 10 x 6 = 180
-  ASSERT_GT(n, 2 * kCommitChunk);
-  // In round 0's third chunk, so the first chunk commits kCommitChunk
-  // records and the retries land in later rounds.
+  // An FC-DPM point in round 0's first chunk, so that chunk commits
+  // kCommitChunk - 1 records and the retries land in later rounds.
   const std::size_t poisoned = 2 * kCommitChunk + 5;
   ASSERT_LT(poisoned, n);
+  // Conv and Asap at every rho but the first: each rho sleeps alike.
+  const std::size_t twins =
+      par::find_twins(base, grid.points(base),
+                      hot::CompiledTrace(base.trace, base.device), poisoned)
+          .count;
+  ASSERT_EQ(twins, 2u * 9u * 6u);
+  const std::size_t simulated = n - twins;  // round 0, poisoned included
+  ASSERT_GT(simulated, kCommitChunk);
 
   ResilienceOptions options;
   options.contract.max_retries = 2;
   options.contract.inject_fail_index = poisoned;
   // Round 0 commits each of its chunks; round 1's lone retry is not
   // final, journals nothing and so makes no fsync; round 2 commits the
-  // quarantine record.
-  const std::size_t chunks = (n + kCommitChunk - 1) / kCommitChunk + 1;
+  // quarantine record; the served twins commit once.
+  const std::size_t commits =
+      (simulated + kCommitChunk - 1) / kCommitChunk + 1 + 1;
+  ASSERT_EQ(commits, 4u);
 
   std::vector<ResilientSweepResult> sweeps;
   std::vector<std::string> paths;
@@ -467,7 +471,8 @@ TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
     EXPECT_EQ(sweep.resilience.rounds, 3u);
     EXPECT_EQ(sweep.resilience.retries, 2u);
     EXPECT_EQ(sweep.resilience.quarantined, 1u);
-    EXPECT_EQ(sweep.resilience.journal_commits, chunks);
+    EXPECT_EQ(sweep.stats.twins, twins);
+    EXPECT_EQ(sweep.resilience.journal_commits, commits);
 
     EXPECT_EQ(record_lines(path), n);
     const JournalLoad load = load_journal(path);
@@ -490,19 +495,21 @@ TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
     }
   }
 
-  // Jobs 1: round 0 in batch order without the failure, then the
-  // quarantine record from round 2.
+  // Jobs 1: round 0 without the failure, the quarantine record from
+  // round 2, then the served twins.
   const JournalLoad serial = load_journal(paths[0]);
-  std::vector<std::size_t> batch_order =
-      serial_round0_order(base, grid, poisoned, {poisoned});
-  batch_order.push_back(poisoned);
+  const std::vector<std::size_t> record_order =
+      serial_record_order(base, grid, poisoned, {poisoned});
+  ASSERT_EQ(record_order.size(), n);
   for (std::size_t r = 0; r < n; ++r) {
-    EXPECT_EQ(serial.records[r].index, batch_order[r]) << "record " << r;
+    EXPECT_EQ(serial.records[r].index, record_order[r]) << "record " << r;
   }
 
-  // Cut the jobs-1 journal at the first commit and mid-way through the
-  // second chunk, each with a torn half record after the cut.
-  for (const std::size_t kept : {kCommitChunk, kCommitChunk + 37}) {
+  // Cut the jobs-1 journal at the first commit, mid-way through the
+  // second chunk and among the served twins, each with a torn half
+  // record after the cut.
+  for (const std::size_t kept :
+       {kCommitChunk - 1, kCommitChunk + 3, simulated + 37}) {
     SCOPED_TRACE(testing::Message() << "kept=" << kept);
     const std::string cut = temp_path("group_commit_cut.fcj");
     write_file(cut, read_file(paths[0]));
@@ -521,7 +528,7 @@ TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
     EXPECT_EQ(record_lines(cut), n);
     std::vector<bool> kept_record(n, false);
     for (std::size_t r = 0; r < kept; ++r) {
-      kept_record[batch_order[r]] = true;
+      kept_record[record_order[r]] = true;
     }
     for (std::size_t k = 0; k < n; ++k) {
       SCOPED_TRACE(testing::Message() << "point=" << k);
@@ -548,8 +555,9 @@ TEST(ResilientSweepTest, GroupCommitJournalsOncePerPointAndResumesAnyCut) {
 // merge sets form, each batched lane is judged by the per-point
 // contract checks (a lane over the unserved budget quarantines with the
 // per-point path's error), the injected failure stays per point, jobs 1
-// journals in batch order (each chunk's twins after its simulated
-// points), and a cut journal resumes to the same rows.
+// journals in batch order (the simulated records by round, then the
+// served twins), the commit count is exact, and a cut journal resumes
+// to the same rows.
 TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
   sim::ExperimentConfig base = small_base();
   base.simulation.engine = sim::Engine::Batched;
@@ -563,11 +571,12 @@ TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
   grid.policies = {sim::PolicyKind::Conv, sim::PolicyKind::Asap,
                    sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle};
   grid.rhos = {0.2, 0.4, 0.6, 0.8};
-  grid.capacities = {Coulomb(1.5), Coulomb(3.0), Coulomb(6.0),
-                     Coulomb(12.0), Coulomb(24.0), Coulomb(48.0)};
+  grid.capacities = {Coulomb(1.5),  Coulomb(2.0),  Coulomb(3.0),
+                     Coulomb(4.0),  Coulomb(6.0),  Coulomb(8.0),
+                     Coulomb(12.0), Coulomb(16.0), Coulomb(24.0),
+                     Coulomb(32.0), Coulomb(48.0), Coulomb(96.0)};
   const std::vector<par::SweepPoint> points = grid.points(base);
-  const std::size_t n = points.size();  // 4 x 4 x 6 = 96: two chunks
-  ASSERT_GT(n, kCommitChunk);
+  const std::size_t n = points.size();  // 4 x 4 x 12 = 192
 
   par::SweepOptions plain_options;
   plain_options.jobs = 1;
@@ -597,6 +606,19 @@ TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
   const par::SweepTwins twins =
       par::find_twins(base, points, hot::CompiledTrace(base.trace, base.device),
                       options.contract.inject_fail_index);
+  // Round 0 simulates two chunks. Each failing point is quarantined in
+  // the round of its retry, and the served twins commit once.
+  const std::size_t simulated = n - twins.count;
+  ASSERT_GT(simulated, kCommitChunk);
+  ASSERT_LE(simulated, 2 * kCommitChunk);
+  std::vector<std::size_t> retry_rounds;
+  for (const std::size_t k : failing) {
+    retry_rounds.push_back(backoff_delay_rounds(
+        options.contract.backoff_seed, k, 1,
+        options.contract.max_backoff_exponent));
+  }
+  const bool one_retry_round = retry_rounds[0] == retry_rounds[1];
+  const std::size_t commits = 2 + (one_retry_round ? 1 : 2) + 1;
 
   std::string serial_path;
   std::vector<ResilientSweepResult> sweeps;
@@ -610,6 +632,9 @@ TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
     EXPECT_GT(sweep.stats.points_batched, 0u);
     EXPECT_GT(sweep.stats.batch_merge_sets, 0u);
     EXPECT_EQ(sweep.resilience.quarantined, 2u);
+    EXPECT_EQ(sweep.resilience.rounds, one_retry_round ? 2u : 3u);
+    EXPECT_EQ(sweep.stats.twins, twins.count);
+    EXPECT_EQ(sweep.resilience.journal_commits, commits);
     ASSERT_EQ(sweep.points.size(), n);
     for (std::size_t k = 0; k < n; ++k) {
       SCOPED_TRACE(testing::Message() << "point=" << k);
@@ -648,23 +673,22 @@ TEST(ResilientSweepTest, BatchedJournalMatchesThePlainBatchedSweep) {
   }
 
   // Jobs 1: round 0 in batch order without the two failures, whose final
-  // attempts come later.
+  // attempts come in later rounds (in grid order when they share one),
+  // then the served twins.
   const JournalLoad serial = load_journal(serial_path);
   ASSERT_EQ(serial.records.size(), n);
   std::vector<std::size_t> order;
   for (const JournalRecord& record : serial.records) {
     order.push_back(record.index);
   }
-  const std::vector<std::size_t> batch_order = serial_round0_order(
-      base, grid, options.contract.inject_fail_index, failing);
-  ASSERT_EQ(batch_order.size(), n - 2);
-  EXPECT_TRUE(std::equal(batch_order.begin(), batch_order.end(),
-                         order.begin()));
-  std::sort(order.begin() + static_cast<std::ptrdiff_t>(n - 2), order.end());
-  EXPECT_EQ(order[n - 2], failing[0]);
-  EXPECT_EQ(order[n - 1], failing[1]);
+  const std::vector<std::size_t> record_order = serial_record_order(
+      base, grid, options.contract.inject_fail_index,
+      one_retry_round || retry_rounds[0] < retry_rounds[1]
+          ? failing
+          : std::vector<std::size_t>{failing[1], failing[0]});
+  EXPECT_EQ(order, record_order);
 
-  // Cut mid-way through the first chunk, with a torn half record.
+  // Cut mid-way through round 0's first chunk, with a torn half record.
   const std::string cut = temp_path("batched_cut.fcj");
   write_file(cut, read_file(serial_path));
   cut_journal(cut, 41);
@@ -1496,14 +1520,16 @@ TEST(SweepTwinsTest, ReferenceSweepReportsNoTwins) {
 }
 
 // --inject-fail on a canonical quarantines it; its twins have no ok
-// result to copy, so each is simulated and gets its own outcome.
-// --inject-fail on a twin fails that point alone.
+// result to copy, so each is simulated, as a first attempt in the round
+// after the quarantine, and gets its own outcome. --inject-fail on a
+// twin fails that point alone.
 TEST(SweepTwinsTest, InjectedFailureOnACanonicalOrATwin) {
   sim::ExperimentConfig base = sim::experiment1_config();
   base.simulation.engine = sim::Engine::Batched;
   const par::SweepGrid grid = twin_grid();
   const std::size_t twins = count_true(predicted_twins(base, grid));
   const std::vector<par::SweepPointResult> alone = run_alone(base, grid);
+  const std::string path = temp_path("twin_failure.fcj");
   // Conv at capacity 0: index 0 is the canonical of 2, 4, ..., 36.
   const std::size_t canonical = 0;
   const std::size_t conv_rhos = grid.rhos.size();
@@ -1511,12 +1537,61 @@ TEST(SweepTwinsTest, InjectedFailureOnACanonicalOrATwin) {
     SCOPED_TRACE(testing::Message() << "poisoned=" << poisoned);
     ResilienceOptions options;
     options.jobs = 4;
+    options.journal_path = path;
     options.contract.max_retries = 1;
     options.contract.inject_fail_index = poisoned;
     const ResilientSweepResult sweep =
         run_resilient_sweep(base, grid, options);
     EXPECT_EQ(sweep.stats.twins,
               poisoned == canonical ? twins - (conv_rhos - 1) : twins - 1);
+    // Round 0, the retry's round and, for a canonical, its twins' round.
+    EXPECT_EQ(sweep.resilience.rounds, poisoned == canonical ? 3u : 2u);
+    if (poisoned == canonical) {
+      // Rounds run one after another, so the journal lists the
+      // quarantine record, then the canonical's twins (its round alone),
+      // then the served twins.
+      const JournalLoad load = load_journal(path);
+      const auto quarantine = std::find_if(
+          load.records.begin(), load.records.end(),
+          [&](const JournalRecord& record) {
+            return record.index == canonical;
+          });
+      ASSERT_LE(quarantine + static_cast<std::ptrdiff_t>(conv_rhos),
+                load.records.end());
+      EXPECT_FALSE(quarantine->ok);
+      std::vector<std::size_t> next;
+      for (auto record = quarantine + 1;
+           record != quarantine + static_cast<std::ptrdiff_t>(conv_rhos);
+           ++record) {
+        EXPECT_TRUE(record->ok);
+        next.push_back(record->index);
+      }
+      std::sort(next.begin(), next.end());
+      std::vector<std::size_t> want;
+      for (std::size_t r = 1; r < conv_rhos; ++r) {
+        want.push_back(2 * r);
+      }
+      EXPECT_EQ(next, want);
+
+      // Cut right after the quarantine record: the resume replays the
+      // quarantine, so the canonical's twins run in its round 0.
+      cut_journal(path,
+                  static_cast<int>(quarantine - load.records.begin() + 1));
+      ResilienceOptions resume = options;
+      resume.resume = true;
+      const ResilientSweepResult resumed =
+          run_resilient_sweep(base, grid, resume);
+      EXPECT_EQ(resumed.resilience.rounds, 1u);
+      EXPECT_EQ(resumed.stats.twins, twins - (conv_rhos - 1));
+      for (const std::size_t k : want) {
+        SCOPED_TRACE(testing::Message() << "resumed twin=" << k);
+        const ResilientPoint& point = resumed.points[k];
+        ASSERT_TRUE(point.ok);
+        EXPECT_FALSE(point.replayed);
+        EXPECT_EQ(point.attempts, 1u);
+        EXPECT_TRUE(sim::same_result(point.result.result, alone[k].result));
+      }
+    }
     for (std::size_t k = 0; k < alone.size(); ++k) {
       SCOPED_TRACE(testing::Message() << "point=" << k);
       const ResilientPoint& point = sweep.points[k];
@@ -1533,6 +1608,84 @@ TEST(SweepTwinsTest, InjectedFailureOnACanonicalOrATwin) {
                            *alone[k].result.idle_accuracy);
     }
   }
+  std::remove(path.c_str());
+}
+
+// Journals from before twins left the schedule list each 64-grid-point
+// chunk of round 0 with its twins after its simulated points. Such a
+// journal, cut mid-record with a torn tail, resumes at one and four jobs
+// to the uninterrupted rows; each twin record it holds is replayed, not
+// served again.
+TEST(SweepTwinsTest, ChunkInterleavedJournalResumesToTheSameRows) {
+  sim::ExperimentConfig base = sim::experiment1_config();
+  base.simulation.engine = sim::Engine::Batched;
+  const par::SweepGrid grid = twin_grid();
+  const std::size_t n = grid.points(base).size();
+  const std::vector<bool> twin = predicted_twins(base, grid);
+  const std::string path = temp_path("interleaved.fcj");
+  ResilienceOptions options;
+  options.journal_path = path;
+  const ResilientSweepResult uninterrupted =
+      run_resilient_sweep(base, grid, options);
+
+  // Rewrite the journal's records in the interleaved order.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t begin = 0; begin < n; begin += kCommitChunk) {
+    std::stable_partition(
+        order.begin() + static_cast<std::ptrdiff_t>(begin),
+        order.begin() +
+            static_cast<std::ptrdiff_t>(std::min(n, begin + kCommitChunk)),
+        [&](std::size_t k) { return !twin[k]; });
+  }
+  {
+    const JournalLoad load = load_journal(path);
+    ASSERT_EQ(load.records.size(), n);
+    std::vector<const JournalRecord*> by_index(n);
+    for (const JournalRecord& record : load.records) {
+      by_index[record.index] = &record;
+    }
+    Journal journal = Journal::create(path, load.header);
+    for (const std::size_t k : order) {
+      journal.append(*by_index[k]);
+    }
+    (void)journal.commit();
+  }
+  const std::string interleaved = read_file(path);
+
+  // Into the second chunk, past the first chunk's twins.
+  const std::size_t kept = kCommitChunk + 21;
+  std::vector<bool> kept_record(n, false);
+  std::size_t kept_twins = 0;
+  for (std::size_t r = 0; r < kept; ++r) {
+    kept_record[order[r]] = true;
+    kept_twins += twin[order[r]] ? 1 : 0;
+  }
+  ASSERT_GT(kept_twins, 0u);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "jobs=" << jobs);
+    write_file(path, interleaved);
+    cut_journal(path, static_cast<int>(kept));
+    ResilienceOptions resume;
+    resume.jobs = jobs;
+    resume.journal_path = path;
+    resume.resume = true;
+    resume.spot_checks = 3;
+    const ResilientSweepResult resumed =
+        run_resilient_sweep(base, grid, resume);
+    EXPECT_TRUE(resumed.resilience.torn_tail_recovered);
+    EXPECT_EQ(resumed.resilience.replayed, kept);
+    EXPECT_EQ(resumed.stats.twins, count_true(twin) - kept_twins);
+    for (std::size_t k = 0; k < n; ++k) {
+      SCOPED_TRACE(testing::Message() << "point=" << k);
+      ASSERT_TRUE(resumed.points[k].ok);
+      EXPECT_EQ(resumed.points[k].replayed, kept_record[k]);
+      EXPECT_TRUE(sim::same_result(resumed.points[k].result.result,
+                                   uninterrupted.points[k].result.result));
+    }
+    EXPECT_EQ(load_journal(path).records.size(), n);
+  }
+  std::remove(path.c_str());
 }
 
 // An armed tamper drill is a per-point engine drill: every point runs,
