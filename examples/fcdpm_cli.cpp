@@ -295,7 +295,9 @@ class TelemetrySession {
       sampler_->stop();
       sampled = sampler_->emitted();
     }
-    const telemetry::SweepSnapshot snap = telemetry_->snapshot();
+    const telemetry::SweepSnapshot& snap =
+        bench.telemetry.emplace(telemetry_->snapshot());
+    bench.telemetry_snapshots = sampled + 1;
     emit(snap);
     if (live_) {
       std::fprintf(stderr, "\n");
@@ -308,50 +310,6 @@ class TelemetrySession {
         telemetry_->lanes() != nullptr) {
       telemetry::emit_lanes(*telemetry_->lanes(), telemetry_->total_points(),
                             *sink);
-    }
-
-    report::TelemetryReport& t = bench.telemetry;
-    t.enabled = true;
-    t.snapshots = sampled + 1;
-    t.done = snap.done;
-    t.retried = snap.retried;
-    t.quarantined = snap.quarantined;
-    t.cache_hits = snap.cache_hits;
-    t.cache_misses = snap.cache_misses;
-    t.hot_dispatches = snap.hot_dispatches;
-    t.reference_dispatches = snap.reference_dispatches;
-    t.batched_dispatches = snap.batched_dispatches;
-    t.heartbeats = snap.heartbeats;
-    t.slots = snap.slots;
-    t.capped_slots = snap.capped_slots;
-    t.audited_slots = snap.audited_slots;
-    t.audit_violations = snap.audit_violations;
-    t.engine_fallbacks = snap.engine_fallbacks;
-    t.throughput_points_per_s = snap.throughput_points_per_s;
-    t.wall_p50_us = snap.wall_p50_us;
-    t.wall_p95_us = snap.wall_p95_us;
-    t.wall_p99_us = snap.wall_p99_us;
-    t.wall_max_us = snap.wall_max_us;
-    t.worker_skew = snap.worker_skew;
-    for (const telemetry::WorkerSnapshot& w : snap.workers) {
-      report::TelemetryWorkerRow row;
-      row.worker = w.worker;
-      row.done = w.done;
-      row.retried = w.retried;
-      row.quarantined = w.quarantined;
-      row.cache_hits = w.cache_hits;
-      row.cache_misses = w.cache_misses;
-      row.hot_dispatches = w.hot_dispatches;
-      row.reference_dispatches = w.reference_dispatches;
-      row.batched_dispatches = w.batched_dispatches;
-      row.heartbeats = w.heartbeats;
-      row.slots = w.slots;
-      row.capped_slots = w.capped_slots;
-      row.audited_slots = w.audited_slots;
-      row.audit_violations = w.audit_violations;
-      row.engine_fallbacks = w.engine_fallbacks;
-      row.busy_seconds = w.busy_seconds;
-      t.workers.push_back(row);
     }
   }
 

@@ -5,6 +5,7 @@
 
 #include "common/text.hpp"
 #include "obs/trace_sink.hpp"
+#include "telemetry/progress.hpp"
 
 namespace fcdpm::report {
 
@@ -124,52 +125,19 @@ void append_resilience(std::string& out, const SweepResilienceReport& r) {
   out += '}';
 }
 
-/// The counters a worker row and the sweep total share, from "done" to
-/// "engine_fallbacks"; the optional ones only when nonzero.
-template <typename Counters>
-void put_telemetry_counters(std::string& out, const Counters& c) {
-  put(out, "done", c.done);
-  put(out, "retried", c.retried);
-  put(out, "quarantined", c.quarantined);
-  put(out, "cache_hits", c.cache_hits);
-  put(out, "cache_misses", c.cache_misses);
-  put(out, "hot_dispatches", c.hot_dispatches);
-  put(out, "reference_dispatches", c.reference_dispatches);
-  if (c.batched_dispatches > 0) {
-    put(out, "batched_dispatches", c.batched_dispatches);
-  }
-  put(out, "heartbeats", c.heartbeats);
-  put(out, "slots", c.slots);
-  if (c.capped_slots > 0) {
-    put(out, "capped_slots", c.capped_slots);
-  }
-  if (c.audited_slots > 0) {
-    put(out, "audited_slots", c.audited_slots);
-    put(out, "audit_violations", c.audit_violations);
-    put(out, "engine_fallbacks", c.engine_fallbacks);
-  }
-}
-
-void append_telemetry(std::string& out, const TelemetryReport& t) {
+void append_telemetry(std::string& out, const telemetry::SweepSnapshot& t,
+                      std::uint64_t snapshots) {
   out += ",\"telemetry\":{\"snapshots\":";
-  append_integer(out, t.snapshots);
-  put_telemetry_counters(out, t);
+  append_integer(out, snapshots);
+  telemetry::append_counters(out, t);
   put_short(out, "points_per_s", t.throughput_points_per_s);
   put_short(out, "wall_p50_us", t.wall_p50_us);
   put_short(out, "wall_p95_us", t.wall_p95_us);
   put_short(out, "wall_p99_us", t.wall_p99_us);
   put_short(out, "wall_max_us", t.wall_max_us);
   put_short(out, "worker_skew", t.worker_skew);
-  out += ",\"workers\":[";
-  for (std::size_t k = 0; k < t.workers.size(); ++k) {
-    const TelemetryWorkerRow& w = t.workers[k];
-    out += k == 0 ? "{\"worker\":" : ",{\"worker\":";
-    append_integer(out, w.worker);
-    put_telemetry_counters(out, w);
-    put_short(out, "busy_s", w.busy_seconds);
-    out += '}';
-  }
-  out += "]}";
+  telemetry::append_workers(out, t.workers);
+  out += '}';
 }
 
 /// Bytes reserved per result row. A plain ok row takes ~270, one with
@@ -181,8 +149,7 @@ constexpr std::size_t kRowReserve = 640;
 
 std::string sweep_bench_to_json(const SweepBenchReport& bench) {
   std::string out;
-  out.reserve(1024 + bench.telemetry.workers.size() * 320 +
-              bench.results.size() * kRowReserve);
+  out.reserve(1024 + bench.results.size() * kRowReserve);
   out += "{\"trace\":\"";
   obs::append_json_escaped(out, bench.trace_name.c_str());
   out += '"';
@@ -236,8 +203,8 @@ std::string sweep_bench_to_json(const SweepBenchReport& bench) {
   if (bench.resilience.enabled) {
     append_resilience(out, bench.resilience);
   }
-  if (bench.telemetry.enabled) {
-    append_telemetry(out, bench.telemetry);
+  if (bench.telemetry.has_value()) {
+    append_telemetry(out, *bench.telemetry, bench.telemetry_snapshots);
   }
   out += ",\"results\":[";
   for (std::size_t k = 0; k < bench.results.size(); ++k) {

@@ -3,11 +3,16 @@
 // report layer stays independent of fcdpm::par and fcdpm::resilience;
 // resilience::print_sweep_report fills this from the sweep runner's
 // result, with a resilience block only when a resilience flag was given.
+// The telemetry block is the final telemetry::SweepSnapshot as it is,
+// encoded by the progress stream's counter encoder.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "telemetry/sweep_telemetry.hpp"
 
 namespace fcdpm::report {
 
@@ -63,7 +68,7 @@ struct SweepPointRow {
 /// deadline, watchdog, ...) was given.
 struct SweepResilienceReport {
   bool enabled = false;
-  std::size_t scheduled = 0;   ///< points simulated this run
+  std::size_t scheduled = 0;   ///< points not replayed, twins included
   std::size_t replayed = 0;    ///< points restored from the journal
   std::size_t retries = 0;     ///< extra attempts beyond the first
   std::size_t quarantined = 0;
@@ -77,61 +82,6 @@ struct SweepResilienceReport {
   /// Emit `capped_ok` (below) — true only when the cap governor ran.
   bool cap_enabled = false;
   std::size_t capped_ok = 0;  ///< ok points the governor throttled
-};
-
-/// One worker's telemetry totals (`TelemetryReport::workers`).
-struct TelemetryWorkerRow {
-  std::size_t worker = 0;
-  std::uint64_t done = 0;
-  std::uint64_t retried = 0;
-  std::uint64_t quarantined = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t hot_dispatches = 0;
-  std::uint64_t reference_dispatches = 0;
-  /// Batch-lane dispatches; serialized only when nonzero.
-  std::uint64_t batched_dispatches = 0;
-  std::uint64_t heartbeats = 0;
-  std::uint64_t slots = 0;
-  /// Governor-throttled slots; serialized only when nonzero (cap-off
-  /// telemetry stays byte-identical).
-  std::uint64_t capped_slots = 0;
-  /// Audit counters; serialized only when audited_slots is nonzero.
-  std::uint64_t audited_slots = 0;
-  std::uint64_t audit_violations = 0;
-  std::uint64_t engine_fallbacks = 0;
-  double busy_seconds = 0.0;
-};
-
-/// Final telemetry snapshot of the sweep (`SweepBenchReport::telemetry`);
-/// emitted only when the CLI ran with telemetry attached. Plain data —
-/// the report layer stays independent of fcdpm::telemetry; the CLI
-/// copies the final SweepSnapshot in.
-struct TelemetryReport {
-  bool enabled = false;
-  std::uint64_t snapshots = 0;  ///< progress snapshots emitted (sampler+final)
-  std::uint64_t done = 0;
-  std::uint64_t retried = 0;
-  std::uint64_t quarantined = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t hot_dispatches = 0;
-  std::uint64_t reference_dispatches = 0;
-  std::uint64_t batched_dispatches = 0;  ///< serialized only when nonzero
-  std::uint64_t heartbeats = 0;
-  std::uint64_t slots = 0;
-  std::uint64_t capped_slots = 0;  ///< serialized only when nonzero
-  /// Audit counters; serialized only when audited_slots is nonzero.
-  std::uint64_t audited_slots = 0;
-  std::uint64_t audit_violations = 0;
-  std::uint64_t engine_fallbacks = 0;
-  double throughput_points_per_s = 0.0;
-  double wall_p50_us = 0.0;
-  double wall_p95_us = 0.0;
-  double wall_p99_us = 0.0;
-  double wall_max_us = 0.0;
-  double worker_skew = 0.0;
-  std::vector<TelemetryWorkerRow> workers;
 };
 
 struct SweepBenchReport {
@@ -183,7 +133,10 @@ struct SweepBenchReport {
   /// Per-point deterministic results, grid order.
   std::vector<SweepPointRow> results;
   SweepResilienceReport resilience;
-  TelemetryReport telemetry;
+  /// Final telemetry snapshot of the sweep (`"telemetry":{...}`);
+  /// emitted only when the sweep ran with telemetry attached.
+  std::optional<telemetry::SweepSnapshot> telemetry;
+  std::uint64_t telemetry_snapshots = 0;  ///< progress snapshots emitted
 };
 
 /// One JSON object, newline-terminated.

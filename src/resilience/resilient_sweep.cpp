@@ -74,12 +74,12 @@ std::uint64_t sweep_fingerprint(const sim::ExperimentConfig& base,
 void account_attempt(telemetry::WorkerShard& shard,
                      const PointOutcome& outcome, bool quarantined) {
   if (!outcome.ok) {
-    (quarantined ? shard.points_quarantined : shard.points_retried)
+    (quarantined ? shard.quarantined : shard.retried)
         .fetch_add(1, std::memory_order_relaxed);
     return;
   }
   const par::SweepPointResult& done = outcome.result;
-  shard.points_done.fetch_add(1, std::memory_order_relaxed);
+  shard.done.fetch_add(1, std::memory_order_relaxed);
   shard.slots.fetch_add(done.result.slots, std::memory_order_relaxed);
   if (done.engine == sim::Engine::Batched) {
     shard.batched_dispatches.fetch_add(1, std::memory_order_relaxed);
@@ -566,8 +566,11 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
         twins.serve(points[k], canonical.result), options.contract);
     ++out.stats.twins;
     if (options.telemetry != nullptr) {
-      account_attempt(options.telemetry->shards().shard(0), outcome,
-                      !outcome.ok);
+      telemetry::WorkerShard& shard = options.telemetry->shards().shard(0);
+      account_attempt(shard, outcome, !outcome.ok);
+      if (outcome.ok) {
+        shard.twins.fetch_add(1, std::memory_order_relaxed);
+      }
     }
     journal_final(k, 1, outcome);
     slot.ok = outcome.ok;

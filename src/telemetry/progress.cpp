@@ -1,41 +1,49 @@
 #include "telemetry/progress.hpp"
 
+#include <string_view>
+
 #include "common/text.hpp"
 
 namespace fcdpm::telemetry {
+
+void append_counters(std::string& out, const SweepCounters<std::uint64_t>& c,
+                     std::optional<double> hit_rate) {
+  for_each_counter(
+      [&](std::string_view key, Gate gate, std::uint64_t value) {
+        if ((gate == Gate::Nonzero && value == 0) ||
+            (gate == Gate::Audited && c.audited_slots == 0)) {
+          return;
+        }
+        out += ",\"";
+        out += key;
+        out += "\":";
+        append_integer(out, value);
+        if (hit_rate.has_value() && key == "cache_misses") {
+          out += ",\"cache_hit_rate\":" + format_g12(*hit_rate);
+        }
+      },
+      c);
+}
+
+void append_workers(std::string& out,
+                    const std::vector<WorkerSnapshot>& workers) {
+  out += ",\"workers\":[";
+  for (std::size_t k = 0; k < workers.size(); ++k) {
+    const WorkerSnapshot& w = workers[k];
+    out += k == 0 ? "{\"worker\":" : ",{\"worker\":";
+    append_integer(out, w.worker);
+    append_counters(out, w);
+    out += ",\"busy_s\":" + format_g12(w.busy_seconds) + "}";
+  }
+  out += ']';
+}
 
 std::string snapshot_to_json(const SweepSnapshot& snap) {
   std::string out = "{\"schema\":\"fcdpm.sweep_progress.v1\"";
   out += ",\"seq\":" + std::to_string(snap.seq);
   out += ",\"elapsed_s\":" + format_g12(snap.elapsed_seconds);
   out += ",\"total_points\":" + std::to_string(snap.total_points);
-  out += ",\"done\":" + std::to_string(snap.done);
-  out += ",\"retried\":" + std::to_string(snap.retried);
-  out += ",\"quarantined\":" + std::to_string(snap.quarantined);
-  out += ",\"cache_hits\":" + std::to_string(snap.cache_hits);
-  out += ",\"cache_misses\":" + std::to_string(snap.cache_misses);
-  out += ",\"cache_hit_rate\":" + format_g12(snap.cache_hit_rate());
-  out += ",\"hot_dispatches\":" + std::to_string(snap.hot_dispatches);
-  out += ",\"reference_dispatches\":" +
-         std::to_string(snap.reference_dispatches);
-  // Gated like capping/auditing: batched-off streams keep their bytes.
-  if (snap.batched_dispatches > 0) {
-    out += ",\"batched_dispatches\":" +
-           std::to_string(snap.batched_dispatches);
-  }
-  out += ",\"heartbeats\":" + std::to_string(snap.heartbeats);
-  out += ",\"slots\":" + std::to_string(snap.slots);
-  // Emitted only once capping is live so cap-off streams stay
-  // byte-identical to pre-cap builds.
-  if (snap.capped_slots > 0) {
-    out += ",\"capped_slots\":" + std::to_string(snap.capped_slots);
-  }
-  // Same gating for auditing: audit-off streams keep their bytes.
-  if (snap.audited_slots > 0) {
-    out += ",\"audited_slots\":" + std::to_string(snap.audited_slots);
-    out += ",\"audit_violations\":" + std::to_string(snap.audit_violations);
-    out += ",\"engine_fallbacks\":" + std::to_string(snap.engine_fallbacks);
-  }
+  append_counters(out, snap, snap.cache_hit_rate());
   out += ",\"points_per_s\":" + format_g12(snap.throughput_points_per_s);
   out += ",\"eta_s\":" + format_g12(snap.eta_seconds);
   out += ",\"wall_p50_us\":" + format_g12(snap.wall_p50_us);
@@ -47,38 +55,8 @@ std::string snapshot_to_json(const SweepSnapshot& snap) {
   out += ",\"sim_p99_s\":" + format_g12(snap.sim_p99_s);
   out += ",\"sim_max_s\":" + format_g12(snap.sim_max_s);
   out += ",\"worker_skew\":" + format_g12(snap.worker_skew);
-  out += ",\"workers\":[";
-  for (std::size_t i = 0; i < snap.workers.size(); ++i) {
-    const WorkerSnapshot& w = snap.workers[i];
-    if (i != 0) {
-      out += ',';
-    }
-    out += "{\"worker\":" + std::to_string(w.worker);
-    out += ",\"done\":" + std::to_string(w.done);
-    out += ",\"retried\":" + std::to_string(w.retried);
-    out += ",\"quarantined\":" + std::to_string(w.quarantined);
-    out += ",\"cache_hits\":" + std::to_string(w.cache_hits);
-    out += ",\"cache_misses\":" + std::to_string(w.cache_misses);
-    out += ",\"hot_dispatches\":" + std::to_string(w.hot_dispatches);
-    out += ",\"reference_dispatches\":" +
-           std::to_string(w.reference_dispatches);
-    if (w.batched_dispatches > 0) {
-      out += ",\"batched_dispatches\":" +
-             std::to_string(w.batched_dispatches);
-    }
-    out += ",\"heartbeats\":" + std::to_string(w.heartbeats);
-    out += ",\"slots\":" + std::to_string(w.slots);
-    if (w.capped_slots > 0) {
-      out += ",\"capped_slots\":" + std::to_string(w.capped_slots);
-    }
-    if (w.audited_slots > 0) {
-      out += ",\"audited_slots\":" + std::to_string(w.audited_slots);
-      out += ",\"audit_violations\":" + std::to_string(w.audit_violations);
-      out += ",\"engine_fallbacks\":" + std::to_string(w.engine_fallbacks);
-    }
-    out += ",\"busy_s\":" + format_g12(w.busy_seconds) + "}";
-  }
-  out += "]}";
+  append_workers(out, snap.workers);
+  out += '}';
   return out;
 }
 

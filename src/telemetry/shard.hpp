@@ -103,25 +103,63 @@ class AtomicHistogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
+/// The sweep counters, one member each. `WorkerShard` holds them as
+/// relaxed atomics; `WorkerSnapshot` and `SweepSnapshot` as plain
+/// integers. `for_each_counter` below lists them: a new counter is a
+/// member here and a line there, and the snapshot merge and the one
+/// JSON encoder (progress.hpp) follow.
+template <typename T>
+struct SweepCounters {
+  T done{};         ///< points completed ok, served twins included
+  T twins{};        ///< ok twins served from their canonical's result
+  T retried{};      ///< failed attempts that will re-run
+  T quarantined{};
+  T cache_hits{};   ///< via the per-worker tap
+  T cache_misses{};
+  T hot_dispatches{};  ///< hot lane actually ran
+  T reference_dispatches{};
+  T batched_dispatches{};  ///< batch lane ran
+  T heartbeats{};     ///< watchdog-token slot beats
+  T slots{};          ///< simulated slots executed
+  T capped_slots{};   ///< governor-throttled slots
+  T audited_slots{};  ///< auditor-sampled slots
+  T audit_violations{};
+  T engine_fallbacks{};  ///< hot runs self-healed
+};
+
+/// When an encoder writes a counter: always, only when it is nonzero,
+/// or only when `audited_slots` is nonzero. The gates keep the bytes of
+/// streams written before the counter existed.
+enum class Gate { Always, Nonzero, Audited };
+
+/// Calls `visit(key, gate, field...)` once per counter, in JSON key
+/// order; each `c` is a (const) SweepCounters of any value type, so
+/// passing several visits the same counter of each side by side.
+template <typename Visit, typename... C>
+void for_each_counter(Visit&& visit, C&... c) {
+  visit("done", Gate::Always, c.done...);
+  visit("twins", Gate::Nonzero, c.twins...);
+  visit("retried", Gate::Always, c.retried...);
+  visit("quarantined", Gate::Always, c.quarantined...);
+  visit("cache_hits", Gate::Always, c.cache_hits...);
+  visit("cache_misses", Gate::Always, c.cache_misses...);
+  visit("hot_dispatches", Gate::Always, c.hot_dispatches...);
+  visit("reference_dispatches", Gate::Always, c.reference_dispatches...);
+  visit("batched_dispatches", Gate::Nonzero, c.batched_dispatches...);
+  visit("heartbeats", Gate::Always, c.heartbeats...);
+  visit("slots", Gate::Always, c.slots...);
+  visit("capped_slots", Gate::Nonzero, c.capped_slots...);
+  visit("audited_slots", Gate::Audited, c.audited_slots...);
+  visit("audit_violations", Gate::Audited, c.audit_violations...);
+  visit("engine_fallbacks", Gate::Audited, c.engine_fallbacks...);
+}
+
 /// One worker's private counters. Writers: exactly one worker thread
 /// (plus the resilience layer's end-of-point accounting on that same
 /// thread). Readers: the aggregator, concurrently, relaxed.
-struct alignas(kCacheLine) WorkerShard {
-  std::atomic<std::uint64_t> points_done{0};      ///< completed ok
-  std::atomic<std::uint64_t> points_retried{0};   ///< failed, will re-run
-  std::atomic<std::uint64_t> points_quarantined{0};
-  std::atomic<std::uint64_t> cache_hits{0};    ///< via the per-worker tap
-  std::atomic<std::uint64_t> cache_misses{0};
-  std::atomic<std::uint64_t> hot_dispatches{0};  ///< hot lane actually ran
-  std::atomic<std::uint64_t> reference_dispatches{0};
-  std::atomic<std::uint64_t> batched_dispatches{0};  ///< batch lane ran
-  std::atomic<std::uint64_t> heartbeats{0};  ///< watchdog-token slot beats
-  std::atomic<std::uint64_t> busy_ns{0};     ///< wall time inside points
-  std::atomic<std::uint64_t> slots{0};       ///< simulated slots executed
-  std::atomic<std::uint64_t> capped_slots{0};  ///< governor-throttled slots
-  std::atomic<std::uint64_t> audited_slots{0};  ///< auditor-sampled slots
-  std::atomic<std::uint64_t> audit_violations{0};
-  std::atomic<std::uint64_t> engine_fallbacks{0};  ///< hot runs self-healed
+struct alignas(kCacheLine) WorkerShard
+    : SweepCounters<std::atomic<std::uint64_t>> {
+  std::atomic<std::uint64_t> busy_ns{0};  ///< wall time inside points
   AtomicHistogram wall_us;  ///< per-point wall latency, microseconds
   AtomicHistogram sim_s;    ///< per-point simulated duration, seconds
 };

@@ -1,6 +1,7 @@
 #include "telemetry/sweep_telemetry.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 namespace fcdpm::telemetry {
@@ -73,54 +74,28 @@ SweepSnapshot SweepTelemetry::snapshot() const {
 
   MergedHistogram wall;
   MergedHistogram sim;
-  std::uint64_t max_done = 0;
+  std::uint64_t simulated = 0;
+  std::uint64_t max_simulated = 0;
   for (std::size_t w = 0; w < shards_.size(); ++w) {
     const WorkerShard& shard = shards_.shard(w);
-    WorkerSnapshot row;
+    WorkerSnapshot& row = snap.workers.emplace_back();
     row.worker = w;
-    row.done = shard.points_done.load(std::memory_order_relaxed);
-    row.retried = shard.points_retried.load(std::memory_order_relaxed);
-    row.quarantined =
-        shard.points_quarantined.load(std::memory_order_relaxed);
-    row.cache_hits = shard.cache_hits.load(std::memory_order_relaxed);
-    row.cache_misses = shard.cache_misses.load(std::memory_order_relaxed);
-    row.hot_dispatches =
-        shard.hot_dispatches.load(std::memory_order_relaxed);
-    row.reference_dispatches =
-        shard.reference_dispatches.load(std::memory_order_relaxed);
-    row.batched_dispatches =
-        shard.batched_dispatches.load(std::memory_order_relaxed);
-    row.heartbeats = shard.heartbeats.load(std::memory_order_relaxed);
-    row.slots = shard.slots.load(std::memory_order_relaxed);
-    row.capped_slots = shard.capped_slots.load(std::memory_order_relaxed);
-    row.audited_slots = shard.audited_slots.load(std::memory_order_relaxed);
-    row.audit_violations =
-        shard.audit_violations.load(std::memory_order_relaxed);
-    row.engine_fallbacks =
-        shard.engine_fallbacks.load(std::memory_order_relaxed);
+    for_each_counter(
+        [](std::string_view, Gate, std::uint64_t& into, std::uint64_t& total,
+           const std::atomic<std::uint64_t>& from) {
+          into = from.load(std::memory_order_relaxed);
+          total += into;
+        },
+        row, snap, shard);
     row.busy_seconds =
         static_cast<double>(shard.busy_ns.load(std::memory_order_relaxed)) *
         1e-9;
-
-    snap.done += row.done;
-    snap.retried += row.retried;
-    snap.quarantined += row.quarantined;
-    snap.cache_hits += row.cache_hits;
-    snap.cache_misses += row.cache_misses;
-    snap.hot_dispatches += row.hot_dispatches;
-    snap.reference_dispatches += row.reference_dispatches;
-    snap.batched_dispatches += row.batched_dispatches;
-    snap.heartbeats += row.heartbeats;
-    snap.slots += row.slots;
-    snap.capped_slots += row.capped_slots;
-    snap.audited_slots += row.audited_slots;
-    snap.audit_violations += row.audit_violations;
-    snap.engine_fallbacks += row.engine_fallbacks;
-    max_done = std::max(max_done, row.done);
-
+    // A live read may see a twin before its done count.
+    const std::uint64_t own = row.done - std::min(row.done, row.twins);
+    simulated += own;
+    max_simulated = std::max(max_simulated, own);
     wall.add(shard.wall_us);
     sim.add(shard.sim_s);
-    snap.workers.push_back(std::move(row));
   }
 
   if (snap.elapsed_seconds > 0.0) {
@@ -144,10 +119,10 @@ SweepSnapshot SweepTelemetry::snapshot() const {
   snap.sim_p99_s = sim.quantile(0.99);
   snap.sim_max_s = sim.max;
 
-  if (snap.done > 0 && !snap.workers.empty()) {
-    const double mean = static_cast<double>(snap.done) /
+  if (simulated > 0) {
+    const double mean = static_cast<double>(simulated) /
                         static_cast<double>(snap.workers.size());
-    snap.worker_skew = static_cast<double>(max_done) / mean;
+    snap.worker_skew = static_cast<double>(max_simulated) / mean;
   }
   return snap;
 }

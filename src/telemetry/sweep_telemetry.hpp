@@ -29,44 +29,17 @@
 namespace fcdpm::telemetry {
 
 /// One worker's slice of a snapshot.
-struct WorkerSnapshot {
+struct WorkerSnapshot : SweepCounters<std::uint64_t> {
   std::size_t worker = 0;
-  std::uint64_t done = 0;
-  std::uint64_t retried = 0;
-  std::uint64_t quarantined = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t hot_dispatches = 0;
-  std::uint64_t reference_dispatches = 0;
-  std::uint64_t batched_dispatches = 0;
-  std::uint64_t heartbeats = 0;
-  std::uint64_t slots = 0;
-  std::uint64_t capped_slots = 0;
-  std::uint64_t audited_slots = 0;
-  std::uint64_t audit_violations = 0;
-  std::uint64_t engine_fallbacks = 0;
   double busy_seconds = 0.0;
 };
 
-/// A merged, monotonic view of every shard at one instant.
-struct SweepSnapshot {
+/// A merged, monotonic view of every shard at one instant; the counters
+/// are the sums over `workers`.
+struct SweepSnapshot : SweepCounters<std::uint64_t> {
   std::uint64_t seq = 0;          ///< 1, 2, ... per SweepTelemetry
   double elapsed_seconds = 0.0;   ///< wall time since construction
   std::size_t total_points = 0;   ///< grid size (constant)
-  std::uint64_t done = 0;
-  std::uint64_t retried = 0;
-  std::uint64_t quarantined = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t hot_dispatches = 0;
-  std::uint64_t reference_dispatches = 0;
-  std::uint64_t batched_dispatches = 0;
-  std::uint64_t heartbeats = 0;
-  std::uint64_t slots = 0;
-  std::uint64_t capped_slots = 0;
-  std::uint64_t audited_slots = 0;
-  std::uint64_t audit_violations = 0;
-  std::uint64_t engine_fallbacks = 0;
   double throughput_points_per_s = 0.0;
   /// Remaining points / throughput; 0 when done or unknown.
   double eta_seconds = 0.0;
@@ -81,8 +54,10 @@ struct SweepSnapshot {
   double sim_p95_s = 0.0;
   double sim_p99_s = 0.0;
   double sim_max_s = 0.0;
-  /// max(done per worker) / mean(done per worker); 1 = perfectly even,
-  /// equals worker count when one worker did everything. 1 when idle.
+  /// max / mean over workers of the points each simulated (done -
+  /// twins: the calling thread serves every twin on worker 0); 1 =
+  /// perfectly even, equals worker count when one worker did
+  /// everything. 1 when nothing was simulated.
   double worker_skew = 1.0;
   std::vector<WorkerSnapshot> workers;
 

@@ -119,29 +119,29 @@ SweepBenchReport pinned_report() {
   bench.resilience.cap_enabled = true;
   bench.resilience.capped_ok = 1;
 
-  bench.telemetry.enabled = true;
-  bench.telemetry.snapshots = 5;
-  bench.telemetry.done = 3;
-  bench.telemetry.retried = 3;
-  bench.telemetry.quarantined = 1;
-  bench.telemetry.cache_hits = 7;
-  bench.telemetry.cache_misses = 9;
-  bench.telemetry.hot_dispatches = 1;
-  bench.telemetry.reference_dispatches = 2;
-  bench.telemetry.batched_dispatches = 3;
-  bench.telemetry.heartbeats = 12;
-  bench.telemetry.slots = 336;
-  bench.telemetry.capped_slots = 11;
-  bench.telemetry.audited_slots = 95;
-  bench.telemetry.audit_violations = 1;
-  bench.telemetry.engine_fallbacks = 2;
-  bench.telemetry.throughput_points_per_s = kWide;
-  bench.telemetry.wall_p50_us = kTenth;
-  bench.telemetry.wall_p95_us = kNegZero;
-  bench.telemetry.wall_p99_us = kSubnormal;
-  bench.telemetry.wall_max_us = kMax;
-  bench.telemetry.worker_skew = kBig;
-  TelemetryWorkerRow busy;
+  telemetry::SweepSnapshot& t = bench.telemetry.emplace();
+  bench.telemetry_snapshots = 5;
+  t.done = 3;
+  t.retried = 3;
+  t.quarantined = 1;
+  t.cache_hits = 7;
+  t.cache_misses = 9;
+  t.hot_dispatches = 1;
+  t.reference_dispatches = 2;
+  t.batched_dispatches = 3;
+  t.heartbeats = 12;
+  t.slots = 336;
+  t.capped_slots = 11;
+  t.audited_slots = 95;
+  t.audit_violations = 1;
+  t.engine_fallbacks = 2;
+  t.throughput_points_per_s = kWide;
+  t.wall_p50_us = kTenth;
+  t.wall_p95_us = kNegZero;
+  t.wall_p99_us = kSubnormal;
+  t.wall_max_us = kMax;
+  t.worker_skew = kBig;
+  telemetry::WorkerSnapshot busy;
   busy.worker = 0;
   busy.done = 2;
   busy.batched_dispatches = 3;
@@ -150,11 +150,11 @@ SweepBenchReport pinned_report() {
   busy.audit_violations = 1;
   busy.engine_fallbacks = 2;
   busy.busy_seconds = kTenth;
-  bench.telemetry.workers.push_back(busy);
-  TelemetryWorkerRow idle;
+  t.workers.push_back(busy);
+  telemetry::WorkerSnapshot idle;
   idle.worker = 1;
   idle.busy_seconds = kMax;
-  bench.telemetry.workers.push_back(idle);
+  t.workers.push_back(idle);
   return bench;
 }
 

@@ -1519,6 +1519,42 @@ TEST(SweepTwinsTest, ReferenceSweepReportsNoTwins) {
   }
 }
 
+// The calling thread serves every twin on worker 0's shard, where each
+// counts as done and as a twin. The skew is taken over the points each
+// worker simulated, so the served twins do not make worker 0 look like
+// the busiest.
+TEST(SweepTwinsTest, TelemetrySkewCountsOnlySimulatedPoints) {
+  sim::ExperimentConfig base = sim::experiment1_config();
+  base.simulation.engine = sim::Engine::Hot;
+  const par::SweepGrid grid = twin_grid();
+  telemetry::TelemetryConfig config;
+  config.workers = par::WorkerPool::resolve(4);
+  config.total_points = grid.points(base).size();
+  telemetry::SweepTelemetry tel(config);
+  ResilienceOptions options;
+  options.jobs = 4;
+  options.telemetry = &tel;
+  const ResilientSweepResult sweep = run_resilient_sweep(base, grid, options);
+  ASSERT_GT(sweep.stats.twins, 0u);
+
+  const telemetry::SweepSnapshot snap = tel.snapshot();
+  EXPECT_EQ(snap.done, sweep.stats.points);
+  EXPECT_EQ(snap.twins, sweep.stats.twins);
+  ASSERT_EQ(snap.workers.size(), config.workers);
+  EXPECT_EQ(snap.workers[0].twins, sweep.stats.twins);
+  std::uint64_t simulated = 0;
+  std::uint64_t max_simulated = 0;
+  for (const telemetry::WorkerSnapshot& w : snap.workers) {
+    simulated += w.done - w.twins;
+    max_simulated = std::max(max_simulated, w.done - w.twins);
+  }
+  EXPECT_EQ(simulated, sweep.stats.points - sweep.stats.twins);
+  const double mean = static_cast<double>(simulated) /
+                      static_cast<double>(snap.workers.size());
+  EXPECT_DOUBLE_EQ(snap.worker_skew,
+                   static_cast<double>(max_simulated) / mean);
+}
+
 // --inject-fail on a canonical quarantines it; its twins have no ok
 // result to copy, so each is simulated, as a first attempt in the round
 // after the quarantine, and gets its own outcome. --inject-fail on a
