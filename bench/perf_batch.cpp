@@ -21,10 +21,10 @@
 //     --min-speedup 4; the checked-in baseline shows >= 4x.
 //
 //   perf_batch [--out BENCH_batch.json] [--repeats N] [--min-speedup X]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -90,21 +90,10 @@ double best_of(int repeats, int warmup, Body&& body) {
 
 bool identical_sweeps(const par::SweepResult& ref,
                       const par::SweepResult& got) {
-  if (ref.points.size() != got.points.size()) {
-    return false;
-  }
-  for (std::size_t k = 0; k < ref.points.size(); ++k) {
-    const sim::SimulationResult& a = ref.points[k].result;
-    const sim::SimulationResult& b = got.points[k].result;
-    if (std::memcmp(&a.totals, &b.totals, sizeof a.totals) != 0 ||
-        a.slots != b.slots || a.sleeps != b.sleeps ||
-        a.storage_end != b.storage_end || a.storage_min != b.storage_min ||
-        a.storage_max != b.storage_max ||
-        a.latency_added != b.latency_added) {
-      return false;
-    }
-  }
-  return true;
+  return std::equal(ref.points.begin(), ref.points.end(), got.points.begin(),
+                    got.points.end(), [](const auto& a, const auto& b) {
+                      return sim::same_result(a.result, b.result);
+                    });
 }
 
 /// One run of `point` alone, wired as par::run_point wires it, on the

@@ -32,6 +32,7 @@
 #include "par/worker_pool.hpp"
 #include "resilience/resilient_sweep.hpp"
 #include "sim/experiments.hpp"
+#include "sim/result_fields.hpp"
 #include "sim/slot_simulator.hpp"
 #include "telemetry/sweep_telemetry.hpp"
 
@@ -125,25 +126,12 @@ double sweep_sample(const sim::ExperimentConfig& config,
   return elapsed.count();
 }
 
-/// Bitwise equality of every per-point result field the reports carry.
+/// sim::same_result at every grid point.
 bool identical_results(const par::SweepResult& a, const par::SweepResult& b) {
-  if (a.points.size() != b.points.size()) {
-    return false;
-  }
-  for (std::size_t k = 0; k < a.points.size(); ++k) {
-    const sim::SimulationResult& x = a.points[k].result;
-    const sim::SimulationResult& y = b.points[k].result;
-    if (x.totals.fuel.value() != y.totals.fuel.value() ||
-        x.totals.bled.value() != y.totals.bled.value() ||
-        x.totals.unserved.value() != y.totals.unserved.value() ||
-        x.totals.duration.value() != y.totals.duration.value() ||
-        x.storage_end.value() != y.storage_end.value() ||
-        x.latency_added.value() != y.latency_added.value() ||
-        x.slots != y.slots || x.sleeps != y.sleeps) {
-      return false;
-    }
-  }
-  return true;
+  return std::equal(a.points.begin(), a.points.end(), b.points.begin(),
+                    b.points.end(), [](const auto& x, const auto& y) {
+                      return sim::same_result(x.result, y.result);
+                    });
 }
 
 }  // namespace
@@ -260,7 +248,11 @@ int main() {
     par::SweepOptions plain;
     plain.jobs = kSweepJobs;
     const par::SweepResult without = par::run_sweep(config, grid, plain);
-    const par::SweepResult with = par::run_sweep(strict, grid, plain);
+    par::SweepResult with = par::run_sweep(strict, grid, plain);
+    // The audit block is the one thing the auditor adds.
+    for (par::SweepPointResult& point : with.points) {
+      point.result.audit.reset();
+    }
     if (!identical_results(without, with)) {
       std::fprintf(stderr,
                    "FAIL: sweep results changed with strict audit on\n");
