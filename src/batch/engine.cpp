@@ -64,55 +64,11 @@ struct Lane {
   LaneOutcome out;
 };
 
-/// A merge-set leader's solve hook: each solve goes to the attached
-/// cache, or is solved fresh, and the latch notes an answer that failed
-/// or was capacity-clamped. By the slot optimizer's slack property
-/// (solve reads the capacity only in its preconditions and the two
-/// store-clamp branches, which set capacity_clamped), only such an
-/// answer can differ at a follower's larger capacity; the engine clears
-/// the latch before each planning callback and hands leadership on if
-/// it is set after.
-class ClampLatch final : public core::SlotSolveCache {
- public:
-  explicit ClampLatch(core::SlotSolveCache* underlying)
-      : underlying_(underlying) {}
-
-  void clear() noexcept { clamped_ = false; }
-  [[nodiscard]] bool clamped() const noexcept { return clamped_; }
-
-  [[nodiscard]] core::CheckedSetting solve(
-      const core::SlotOptimizer& optimizer, const core::SlotLoad& load,
-      const core::StorageBounds& storage) override {
-    return latch(underlying_ != nullptr
-                     ? underlying_->solve(optimizer, load, storage)
-                     : optimizer.solve_checked(load, storage));
-  }
-
-  [[nodiscard]] core::CheckedSetting solve_active_only(
-      const core::SlotOptimizer& optimizer, Seconds duration, Coulomb charge,
-      const core::StorageBounds& storage) override {
-    return latch(underlying_ != nullptr
-                     ? underlying_->solve_active_only(optimizer, duration,
-                                                      charge, storage)
-                     : optimizer.solve_active_only_checked(duration, charge,
-                                                           storage));
-  }
-
- private:
-  core::CheckedSetting latch(const core::CheckedSetting& answer) noexcept {
-    clamped_ = clamped_ || !answer.ok() || answer.setting.capacity_clamped;
-    return answer;
-  }
-
-  core::SlotSolveCache* underlying_ = nullptr;
-  bool clamped_ = false;
-};
-
 /// A leader plus the followers still riding it.
 struct MergeSet {
   std::size_t leader = 0;
   std::vector<std::size_t> followers;
-  ClampLatch latch;
+  core::ClampLatch latch;
   core::SlotSolveCache* underlying = nullptr;
 
   explicit MergeSet(core::SlotSolveCache* cache)
@@ -390,14 +346,18 @@ class BatchRunner {
             Coulomb if_dt_idle = Coulomb(0.0),
             Coulomb if_dt_active = Coulomb(0.0)) {
     hot::LaneState& lane_state = state(lane);
+    // A lane on its own state: the clamps are its own physics.
+    bool capacity_sensitive = false;
     try {
       if (from <= Resume::IdleRun) {
-        if_dt_idle = hot::idle_phase(lane_state, fc, in_,
-                                     from == Resume::IdlePlan, nullptr);
+        if_dt_idle =
+            hot::idle_phase(lane_state, fc, in_, from == Resume::IdlePlan,
+                            capacity_sensitive, nullptr);
       }
       if (from <= Resume::ActiveRun) {
-        if_dt_active = hot::active_phase(lane_state, fc, in_,
-                                         from <= Resume::ActivePlan, nullptr);
+        if_dt_active =
+            hot::active_phase(lane_state, fc, in_, from <= Resume::ActivePlan,
+                              capacity_sensitive, nullptr);
       }
       hot::slot_end(lane_state, fc, in_, if_dt_idle + if_dt_active, before);
       hot::audit_slot(lane.auditor, in_.k, bus_v_, lane_state,

@@ -38,4 +38,49 @@ class SlotSolveCache {
       const StorageBounds& storage) = 0;
 };
 
+/// A solve hook that notes when the capacity may have shaped an answer:
+/// each solve goes to the underlying cache, or is solved fresh, and the
+/// latch notes an answer that failed or was capacity-clamped. By the
+/// slot optimizer's slack property (solve reads the capacity only in its
+/// preconditions and the two store-clamp branches, which set
+/// capacity_clamped), only such an answer can differ at a larger
+/// capacity. The batch loop's merge sets clear it before each planning
+/// callback and hand leadership on if it is set after; the hot lane's
+/// slack witness (hot::SlackWitness) keeps it for a whole run.
+class ClampLatch final : public SlotSolveCache {
+ public:
+  explicit ClampLatch(SlotSolveCache* underlying)
+      : underlying_(underlying) {}
+
+  void clear() noexcept { clamped_ = false; }
+  [[nodiscard]] bool clamped() const noexcept { return clamped_; }
+
+  [[nodiscard]] CheckedSetting solve(const SlotOptimizer& optimizer,
+                                     const SlotLoad& load,
+                                     const StorageBounds& storage) override {
+    return latch(underlying_ != nullptr
+                     ? underlying_->solve(optimizer, load, storage)
+                     : optimizer.solve_checked(load, storage));
+  }
+
+  [[nodiscard]] CheckedSetting solve_active_only(
+      const SlotOptimizer& optimizer, Seconds duration, Coulomb charge,
+      const StorageBounds& storage) override {
+    return latch(underlying_ != nullptr
+                     ? underlying_->solve_active_only(optimizer, duration,
+                                                      charge, storage)
+                     : optimizer.solve_active_only_checked(duration, charge,
+                                                           storage));
+  }
+
+ private:
+  CheckedSetting latch(const CheckedSetting& answer) noexcept {
+    clamped_ = clamped_ || !answer.ok() || answer.setting.capacity_clamped;
+    return answer;
+  }
+
+  SlotSolveCache* underlying_ = nullptr;
+  bool clamped_ = false;
+};
+
 }  // namespace fcdpm::core

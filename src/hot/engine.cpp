@@ -39,7 +39,7 @@ sim::SimulationResult run_lane(const CompiledTrace& ct,
                                dpm::DpmPolicy& dpm_policy, Fc& fc_policy,
                                power::HybridPowerSource& hybrid,
                                const sim::SimulationOptions& options,
-                               obs::Profiler* profiler) {
+                               obs::Profiler* profiler, SlackWitness* witness) {
   const dpm::DevicePowerModel& device = dpm_policy.device();
   const Coulomb capacity = hybrid.storage().capacity();
   Coulomb initial = hybrid.storage().charge();
@@ -83,6 +83,7 @@ sim::SimulationResult run_lane(const CompiledTrace& ct,
   const double bus_v = device.bus_voltage.value();
 
   SlotInputs in;
+  bool capacity_sensitive = false;
   const std::size_t slot_count = ct.size();
   for (std::size_t k = 0; k < slot_count; ++k) {
     if (options.cancel != nullptr) {
@@ -134,9 +135,11 @@ sim::SimulationResult run_lane(const CompiledTrace& ct,
     in.idle_current = in.plan.slept ? sleep_current : standby_current;
 
     const Coulomb if_dt_idle =
-        idle_phase(lane, fc_policy, in, /*planning=*/true, profiler);
+        idle_phase(lane, fc_policy, in, /*planning=*/true, capacity_sensitive,
+                   profiler);
     const Coulomb if_dt_active =
-        active_phase(lane, fc_policy, in, /*planning=*/true, profiler);
+        active_phase(lane, fc_policy, in, /*planning=*/true,
+                     capacity_sensitive, profiler);
     dpm_policy.observe_idle(in.idle);
     slot_end(lane, fc_policy, in, if_dt_idle + if_dt_active, before);
     audit_slot(auditor, k, bus_v, lane, lane.capacity(), before,
@@ -161,6 +164,11 @@ sim::SimulationResult run_lane(const CompiledTrace& ct,
   }
 
   lane.write_result(result);
+  if (witness != nullptr) {
+    // A charge above the capacity is what reproject_bounds clamps.
+    witness->capacity_sensitive =
+        capacity_sensitive || result.storage_max > capacity;
+  }
 
   if (governor != nullptr) {
     result.cap = governor->stats();
@@ -193,7 +201,8 @@ sim::SimulationResult simulate_lane(const CompiledTrace& trace,
                                     dpm::DpmPolicy& dpm_policy,
                                     core::FcOutputPolicy& fc_policy,
                                     power::HybridPowerSource& hybrid,
-                                    const sim::SimulationOptions& options) {
+                                    const sim::SimulationOptions& options,
+                                    SlackWitness* witness) {
   const dpm::DevicePowerModel& device = dpm_policy.device();
   device.validate();
   FCDPM_EXPECTS(trace.compatible_with(device),
@@ -210,18 +219,23 @@ sim::SimulationResult simulate_lane(const CompiledTrace& trace,
   // the shipped FC policies; anything else runs the generic lane with
   // virtual segment_setpoint calls (still allocation-free).
   if (auto* fc = dynamic_cast<core::FcDpmPolicy*>(&fc_policy)) {
-    return run_lane(trace, dpm_policy, *fc, hybrid, options, profiler);
+    return run_lane(trace, dpm_policy, *fc, hybrid, options, profiler,
+                    witness);
   }
   if (auto* fc = dynamic_cast<core::AsapFcPolicy*>(&fc_policy)) {
-    return run_lane(trace, dpm_policy, *fc, hybrid, options, profiler);
+    return run_lane(trace, dpm_policy, *fc, hybrid, options, profiler,
+                    witness);
   }
   if (auto* fc = dynamic_cast<core::ConvFcPolicy*>(&fc_policy)) {
-    return run_lane(trace, dpm_policy, *fc, hybrid, options, profiler);
+    return run_lane(trace, dpm_policy, *fc, hybrid, options, profiler,
+                    witness);
   }
   if (auto* fc = dynamic_cast<core::OracleFcPolicy*>(&fc_policy)) {
-    return run_lane(trace, dpm_policy, *fc, hybrid, options, profiler);
+    return run_lane(trace, dpm_policy, *fc, hybrid, options, profiler,
+                    witness);
   }
-  return run_lane(trace, dpm_policy, fc_policy, hybrid, options, profiler);
+  return run_lane(trace, dpm_policy, fc_policy, hybrid, options, profiler,
+                  witness);
 }
 
 sim::SimulationResult simulate(const CompiledTrace& trace,

@@ -321,14 +321,15 @@ inline void integrate(LaneState& lane, const core::SegmentSetpoint& sp,
 }
 
 /// Ask `fc` for the segment's setpoint and integrate it on a lane that
-/// runs on its own: the clamps are its own physics, so the sensitivity
-/// signal is dropped.
+/// runs on its own. The clamps are its own physics; `capacity_sensitive`
+/// collects integrate's signal for a caller that asks whether the
+/// capacity shaped the run (hot::SlackWitness).
 template <typename Fc>
 void probe_and_integrate(LaneState& lane, Fc& fc,
                          const core::SegmentContext& context, Seconds duration,
-                         Coulomb& if_dt, obs::Profiler* profiler) {
+                         Coulomb& if_dt, bool& capacity_sensitive,
+                         obs::Profiler* profiler) {
   const obs::ProfileScope profile(profiler, "hot.segment");
-  bool capacity_sensitive = false;
   integrate(lane, fc.segment_setpoint(context), context.device_current,
             duration, if_dt, capacity_sensitive);
 }
@@ -338,14 +339,16 @@ void probe_and_integrate(LaneState& lane, Fc& fc,
 /// Returns the phase's ∫IF dt.
 template <typename Fc>
 [[nodiscard]] Coulomb idle_phase(LaneState& lane, Fc& fc, const SlotInputs& in,
-                                 bool planning, obs::Profiler* profiler) {
+                                 bool planning, bool& capacity_sensitive,
+                                 obs::Profiler* profiler) {
   if (planning) {
     fc.on_idle_start(idle_context(in, lane));
   }
   Coulomb if_dt{0.0};
   for (std::size_t s = 0; s < in.plan.count; ++s) {
     probe_and_integrate(lane, fc, idle_segment(in, s, lane),
-                        in.plan.segments[s].duration, if_dt, profiler);
+                        in.plan.segments[s].duration, if_dt,
+                        capacity_sensitive, profiler);
   }
   return if_dt;
 }
@@ -355,13 +358,14 @@ template <typename Fc>
 template <typename Fc>
 [[nodiscard]] Coulomb active_phase(LaneState& lane, Fc& fc,
                                    const SlotInputs& in, bool planning,
+                                   bool& capacity_sensitive,
                                    obs::Profiler* profiler) {
   if (planning) {
     fc.on_active_start(active_context(in, lane));
   }
   Coulomb if_dt{0.0};
   probe_and_integrate(lane, fc, active_segment(in, lane), in.active, if_dt,
-                      profiler);
+                      capacity_sensitive, profiler);
   return if_dt;
 }
 

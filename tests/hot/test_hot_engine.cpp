@@ -10,8 +10,10 @@
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "common/contracts.hpp"
+#include "core/fc_policy.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
 #include "hot/compiled_trace.hpp"
@@ -352,6 +354,92 @@ TEST(HotEngine, RefusesACompiledTraceFromAnotherDevice) {
                PreconditionError);
 }
 
+
+// The slack witness over FC-DPM on the camcorder trace from a 1 A-s
+// reserve: a 4 A-s buffer clamps the plans and fills, so the run is
+// dirty; at 50 A-s neither happens and the witness stays clean. The run
+// through the latch is bit-identical to one without it.
+TEST(HotEngine, SlackWitnessSeesTheCapacityClamps) {
+  for (const double capacity : {4.0, 50.0}) {
+    SCOPED_TRACE(testing::Message() << "capacity=" << capacity);
+    sim::ExperimentConfig config = sim::experiment1_config();
+    config.storage_capacity = Coulomb(capacity);
+    const hot::CompiledTrace ct(config.trace, config.device);
+    sim::SimulationOptions options = config.simulation;
+    options.initial_storage = config.initial_storage;
+
+    Rig plain(config, sim::PolicyKind::FcDpm);
+    const sim::SimulationResult want =
+        hot::simulate_lane(ct, plain.dpm, *plain.fc, plain.hybrid, options);
+
+    Rig rig(config, sim::PolicyKind::FcDpm);
+    hot::SlackWitness witness;
+    rig.fc->set_solve_cache(&witness.latch.emplace(nullptr));
+    const sim::SimulationResult got = hot::simulate_lane(
+        ct, rig.dpm, *rig.fc, rig.hybrid, options, &witness);
+    expect_identical_results(want, got);
+    EXPECT_EQ(witness.latch->clamped(), capacity == 4.0);
+    EXPECT_EQ(witness.capacity_sensitive, capacity == 4.0);
+    EXPECT_EQ(witness.clean(), capacity == 50.0);
+  }
+}
+
+/// Solves a slot whose flat optimum overfills a small buffer, then runs
+/// the FC off, so the buffer only drains: the capacity shapes the plan
+/// and never the integration.
+class ClampedPlanPolicy final : public core::FcOutputPolicy {
+ public:
+  explicit ClampedPlanPolicy(const power::LinearEfficiencyModel& model)
+      : optimizer_(model) {}
+
+  void on_idle_start(const core::IdleContext& context) override {
+    const core::SlotLoad load{Seconds(100.0), Ampere(0.01), Seconds(10.0),
+                              Ampere(2.0)};
+    clamped_ = cached_solve(optimizer_, load,
+                            {context.storage_charge, context.storage_charge,
+                             context.storage_capacity})
+                   .setting.capacity_clamped;
+  }
+  void on_active_start(const core::ActiveContext&) override {}
+  [[nodiscard]] core::SegmentSetpoint segment_setpoint(
+      const core::SegmentContext&) override {
+    return {Ampere(0.0), false};
+  }
+  void on_slot_end(const core::SlotObservation&) override {}
+  [[nodiscard]] std::string name() const override { return "clamped-plan"; }
+  [[nodiscard]] std::unique_ptr<core::FcOutputPolicy> clone() const override {
+    return std::make_unique<ClampedPlanPolicy>(*this);
+  }
+  void reset() override {}
+
+  [[nodiscard]] bool clamped() const noexcept { return clamped_; }
+
+ private:
+  core::SlotOptimizer optimizer_;
+  bool clamped_ = false;
+};
+
+// A plan the capacity clamped makes the witness dirty on its own: the
+// latch carries it even when the buffer never fills.
+TEST(HotEngine, SlackWitnessLatchesAPlanClampWithoutAStoreClamp) {
+  sim::ExperimentConfig config = sim::experiment1_config();
+  config.storage_capacity = Coulomb(1.0);
+  const hot::CompiledTrace ct(config.trace, config.device);
+  sim::SimulationOptions options = config.simulation;
+  options.initial_storage = Coulomb(0.5);
+  dpm::PredictiveDpmPolicy dpm = sim::make_dpm_policy(config);
+  ClampedPlanPolicy fc(config.efficiency);
+  power::HybridPowerSource hybrid = sim::make_hybrid(config);
+  hot::SlackWitness witness;
+  fc.set_solve_cache(&witness.latch.emplace(nullptr));
+  const sim::SimulationResult result =
+      hot::simulate_lane(ct, dpm, fc, hybrid, options, &witness);
+  ASSERT_TRUE(fc.clamped());
+  EXPECT_LE(result.storage_max.value(), 0.5);
+  EXPECT_FALSE(witness.capacity_sensitive);
+  EXPECT_TRUE(witness.latch->clamped());
+  EXPECT_FALSE(witness.clean());
+}
 
 // The hot lane's eligibility rules, asked of sim::choose_engine with a
 // Hot request: Hot when the run stays, Reference with the first
