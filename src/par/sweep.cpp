@@ -12,6 +12,7 @@
 #include "audit/audit.hpp"
 #include "batch/engine.hpp"
 #include "cap/governor.hpp"
+#include "common/contracts.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
 #include "hot/engine.hpp"
@@ -67,7 +68,8 @@ sim::SimulationResult run_one(const sim::ExperimentConfig& config,
                               sim::PolicyKind policy,
                               core::SlotSolveCache* cache,
                               const hot::CompiledTrace* compiled,
-                              sim::Engine* landed) {
+                              sim::Engine* landed,
+                              hot::SlackWitness* witness) {
   // Fresh-solve source for audited cache verification. The memo itself
   // qualifies, and so does the telemetry tap wrapping it; any other
   // cache implementation simply runs unverified.
@@ -129,6 +131,12 @@ sim::SimulationResult run_one(const sim::ExperimentConfig& config,
         run_cache = &*verifier;
       }
     }
+    if (witness != nullptr) {
+      witness->latch.reset();
+      if (compiled_lane) {
+        run_cache = &witness->latch.emplace(run_cache);
+      }
+    }
     if (run_cache != nullptr) {
       fc_policy->set_solve_cache(run_cache);
     }
@@ -143,7 +151,7 @@ sim::SimulationResult run_one(const sim::ExperimentConfig& config,
           compiled != nullptr ? *compiled
                               : local.emplace(config.trace, config.device);
       return hot::simulate_lane(trace, dpm_policy, *fc_policy, hybrid,
-                                options);
+                                options, witness);
     } catch (const audit::AuditError&) {
       // The auditor dies with this frame; keep its tally for the
       // fallback record before rethrowing to the dispatcher.
@@ -176,13 +184,11 @@ sim::SimulationResult run_one(const sim::ExperimentConfig& config,
   return result;
 }
 
-SweepPointResult run_point(const sim::ExperimentConfig& base,
-                           const SweepPoint& point,
-                           std::size_t storm_faults,
-                           core::SlotSolveCache* cache,
-                           sim::CancellationToken* cancel,
-                           std::size_t slot_budget,
-                           const hot::CompiledTrace* compiled) {
+namespace {
+
+/// The config a grid point runs under, before any per-attempt wiring.
+sim::ExperimentConfig point_config(const sim::ExperimentConfig& base,
+                                   const SweepPoint& point) {
   sim::ExperimentConfig config = base;
   config.rho = point.rho;
   config.storage_capacity = point.capacity;
@@ -196,6 +202,33 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
   // Workers own everything they mutate; the run-level observer is
   // published to after the batch, never attached to a worker's run.
   config.simulation.observer = nullptr;
+  return config;
+}
+
+/// The charge a point's run starts from: point_config's reserve, then
+/// the slot loops' clamp (a negative reserve means a full buffer).
+double starting_charge(const sim::ExperimentConfig& base,
+                       const SweepPoint& point) {
+  const Coulomb reserve = min(base.initial_storage, point.capacity);
+  return (reserve.value() < 0.0 ? point.capacity
+                                : min(reserve, point.capacity))
+      .value();
+}
+
+bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
+
+SweepPointResult run_point(const sim::ExperimentConfig& base,
+                           const SweepPoint& point,
+                           std::size_t storm_faults,
+                           core::SlotSolveCache* cache,
+                           sim::CancellationToken* cancel,
+                           std::size_t slot_budget,
+                           const hot::CompiledTrace* compiled) {
+  sim::ExperimentConfig config = point_config(base, point);
   config.simulation.cancel = cancel;
   config.simulation.slot_budget = slot_budget;
   // A storm run lands on the reference loop, which never replays.
@@ -310,6 +343,16 @@ SweepTwins find_twins(const sim::ExperimentConfig& base,
 
 bool batch_point_eligible(const SweepPoint& point) noexcept {
   return point.storm_seed == 0 && point.stacks == 0;
+}
+
+bool capacity_twin_eligible(const SweepPoint& point) noexcept {
+  return batch_point_eligible(point) && point.policy != sim::PolicyKind::Asap;
+}
+
+bool hot_chunked_sweep(const sim::ExperimentConfig& base) {
+  return base.simulation.engine == sim::Engine::Hot && !base.cap.enabled &&
+         base.audit.tamper_slot == audit::npos &&
+         base.simulation.faults == nullptr && !base.stacks.enabled;
 }
 
 bool batched_sweep(const sim::ExperimentConfig& base) {
@@ -443,6 +486,51 @@ std::vector<SweepPointResult> run_batch_chunk(
     audit::record_engine_fallback(
         out[i].result.audit.value(),
         outcome.result.audit.value_or(audit::AuditStats{}));
+  }
+  return out;
+}
+
+std::vector<SweepPointResult> run_hot_chunk(
+    const sim::ExperimentConfig& base, const std::vector<SweepPoint>& points,
+    std::span<const std::size_t> task, const hot::CompiledTrace& compiled,
+    core::SlotSolveCache* cache, std::vector<bool>& served) {
+  std::vector<SweepPointResult> out(task.size());
+  served.assign(task.size(), false);
+  // Smallest capacity first, grid order among equal ones.
+  std::vector<std::size_t> order(task.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return points[task[a]].capacity < points[task[b]].capacity;
+                   });
+  for (std::size_t at = 0; at < order.size(); ++at) {
+    const std::size_t i = order[at];
+    if (served[i]) {
+      continue;
+    }
+    const SweepPoint& point = points[task[i]];
+    FCDPM_EXPECTS(capacity_twin_eligible(point),
+                  "run_hot_chunk: a point that can have no capacity twin");
+    hot::SlackWitness witness;
+    out[i].point = point;
+    out[i].result = run_one(point_config(base, point), point.policy, cache,
+                            &compiled, &out[i].engine, &witness);
+    if (out[i].engine != sim::Engine::Hot || !witness.clean()) {
+      continue;  // the next-smallest capacity of the group runs
+    }
+    const double initial = starting_charge(base, point);
+    for (std::size_t later = at + 1; later < order.size(); ++later) {
+      const std::size_t j = order[later];
+      const SweepPoint& twin = points[task[j]];
+      if (served[j] || twin.policy != point.policy ||
+          !same_bits(twin.rho, point.rho) ||
+          !same_bits(starting_charge(base, twin), initial)) {
+        continue;
+      }
+      out[j] = out[i];
+      out[j].point = twin;
+      served[j] = true;
+    }
   }
   return out;
 }

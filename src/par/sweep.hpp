@@ -20,7 +20,8 @@
 // compiled lane (strict mode fails fast everywhere). A compiled-lane
 // audit failure is healed by replaying on the reference loop and
 // recording an engine fallback. Multi-point tasks decide per task in
-// run_batch_chunk, the only caller that asks for Batched.
+// run_batch_chunk, the only caller that asks for Batched, and in
+// run_hot_chunk, which runs a hot sweep's capacity groups.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +38,10 @@
 namespace fcdpm::batch {
 struct BatchStats;
 }  // namespace fcdpm::batch
+
+namespace fcdpm::hot {
+struct SlackWitness;
+}  // namespace fcdpm::hot
 
 namespace fcdpm::telemetry {
 class SweepTelemetry;
@@ -102,7 +107,7 @@ struct SweepPointResult {
   /// The loop whose result this is: where sim::choose_engine landed the
   /// point, or Reference after a self-heal replay. Batched only for a
   /// point that ran in a multi-point task. A twin (SweepTwins) carries
-  /// its canonical's engine.
+  /// its canonical's engine, a capacity twin (run_hot_chunk) Hot.
   sim::Engine engine = sim::Engine::Reference;
 };
 
@@ -120,8 +125,9 @@ struct SweepRunStats {
   std::size_t batch_merge_sets = 0;
   std::size_t batch_merged_lane_slots = 0;
   std::size_t batch_splits = 0;
-  /// Points served a copy of their canonical's result instead of being
-  /// simulated (see SweepTwins).
+  /// Points served a copy of their canonical's result (see SweepTwins)
+  /// or of their capacity group's leader (see run_hot_chunk) instead of
+  /// being simulated.
   std::size_t twins = 0;
   /// Always 0: the per-slot solve journal it counted is gone. Kept for
   /// the `journal_hits` field of the batch block and the bench readers.
@@ -153,12 +159,14 @@ struct SweepResult {
 /// injector, cancel token and budget are used as given. `cache` is
 /// attached to the FC policy; `compiled`, when given, is config's trace
 /// compiled once; `landed` receives the loop whose result is returned
-/// (never Batched: a Batched config runs on the hot lane).
+/// (never Batched: a Batched config runs on the hot lane). `witness`,
+/// when given, records a hot-lane run's capacity reads (the FC policy
+/// solves through its latch); it stays unclean on the reference loop.
 [[nodiscard]] sim::SimulationResult run_one(
     const sim::ExperimentConfig& config, sim::PolicyKind policy,
     core::SlotSolveCache* cache = nullptr,
     const hot::CompiledTrace* compiled = nullptr,
-    sim::Engine* landed = nullptr);
+    sim::Engine* landed = nullptr, hot::SlackWitness* witness = nullptr);
 
 /// Evaluate one grid point serially (what each worker runs): run_one
 /// over the point's config, with a fresh storm injector for a nonzero
@@ -232,8 +240,19 @@ inline constexpr std::size_t kBatchMax = 16;
 /// one-point tasks.
 [[nodiscard]] bool batch_point_eligible(const SweepPoint& point) noexcept;
 
-/// Plan the tasks of a batched sweep over `indices` (grid indices into
-/// `points`), in order: each task is a contiguous slice of `indices`
+/// True when a sweep over `base` runs multi-point hot tasks
+/// (run_hot_chunk): the hot engine with no cap governor, tamper drill,
+/// fault injector or multi-stack source. Like batched_sweep, it plans
+/// from the config alone.
+[[nodiscard]] bool hot_chunked_sweep(const sim::ExperimentConfig& base);
+
+/// A point a hot multi-point task can carry: batch_point_eligible, and
+/// an FC policy that reads the capacity only where the slack witness
+/// sees it (Conv, FC-DPM, Oracle; ASAP reads its state of charge).
+[[nodiscard]] bool capacity_twin_eligible(const SweepPoint& point) noexcept;
+
+/// Plan the tasks of a batched or hot sweep over `indices` (grid indices
+/// into `points`), in order: each task is a contiguous slice of `indices`
 /// with one rho and at most kBatchMax points, so concatenating the
 /// tasks gives `indices` back. Adjacent whole policy runs are packed
 /// into one task (merge sets only form within one FC policy); a run is
@@ -259,5 +278,19 @@ inline constexpr std::size_t kBatchMax = 16;
     std::span<const std::size_t> task, std::size_t storm_faults,
     const hot::CompiledTrace& compiled, core::SlotSolveCache* cache,
     batch::BatchStats& stats);
+
+/// Run one multi-point task of a hot sweep: capacity twins. Every point
+/// must be capacity_twin_eligible. The points of one policy, rho and
+/// bitwise starting charge form a group; each group runs smallest
+/// capacity first on the hot lane with a slack witness. When the
+/// witness stays clean and the run lands on Hot, every larger capacity
+/// of the group is served that result with its own point (served[i] is
+/// set); otherwise the next-smallest capacity runs the same way.
+/// Returns the result of grid point `task[i]` at index i, each
+/// bit-identical to its own run_point. Throws what the runs throw.
+[[nodiscard]] std::vector<SweepPointResult> run_hot_chunk(
+    const sim::ExperimentConfig& base, const std::vector<SweepPoint>& points,
+    std::span<const std::size_t> task, const hot::CompiledTrace& compiled,
+    core::SlotSolveCache* cache, std::vector<bool>& served);
 
 }  // namespace fcdpm::par

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <span>
@@ -314,16 +315,23 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       options.cache != nullptr ? options.cache->misses() : 0;
   std::vector<std::size_t> attempts(points.size(), 0);
 
-  // Multi-point batched tasks, planned per chunk, wherever batching
-  // honours the contract. Per-point attempts stay for a nonzero deadline
-  // (a slot budget per attempt), a running watchdog (per-point
-  // cancellation) and the injected failure.
-  const bool batching = par::batched_sweep(base) &&
-                        options.contract.point_deadline_slots == 0 &&
-                        options.watchdog_stall.count() == 0;
+  // Multi-point tasks, planned per chunk, wherever they honour the
+  // contract: batched tasks on the batch loop, capacity groups on the hot
+  // lane (par::run_hot_chunk). Per-point attempts stay for a nonzero
+  // deadline (a slot budget per attempt), a running watchdog (per-point
+  // cancellation) and the injected failure; a hot sweep also runs alone
+  // each point that can have no capacity twin.
+  const bool per_point_only = options.contract.point_deadline_slots != 0 ||
+                              options.watchdog_stall.count() != 0;
+  const bool batching = par::batched_sweep(base) && !per_point_only;
+  const bool grouping = par::hot_chunked_sweep(base) && !per_point_only;
+  const auto alone = [&](std::size_t k) {
+    return k == options.contract.inject_fail_index ||
+           (grouping && !par::capacity_twin_eligible(points[k]));
+  };
   const auto plan_tasks = [&](std::span<const std::size_t> chunk) {
     std::vector<std::span<const std::size_t>> tasks;
-    if (!batching) {
+    if (!batching && !grouping) {
       for (std::size_t c = 0; c < chunk.size(); ++c) {
         tasks.push_back(chunk.subspan(c, 1));
       }
@@ -331,18 +339,19 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
     }
     for (const std::span<const std::size_t> task :
          par::plan_batches(points, chunk)) {
-      const auto at = std::find(task.begin(), task.end(),
-                                options.contract.inject_fail_index);
-      if (at == task.end()) {
-        tasks.push_back(task);
-        continue;
-      }
-      const auto i = static_cast<std::size_t>(at - task.begin());
-      for (const std::span<const std::size_t> piece :
-           {task.first(i), task.subspan(i, 1), task.subspan(i + 1)}) {
-        if (!piece.empty()) {
-          tasks.push_back(piece);
+      std::size_t begin = 0;  // the open piece is task[begin, i)
+      for (std::size_t i = 0; i < task.size(); ++i) {
+        if (!alone(task[i])) {
+          continue;
         }
+        if (i > begin) {
+          tasks.push_back(task.subspan(begin, i - begin));
+        }
+        tasks.push_back(task.subspan(i, 1));
+        begin = i + 1;
+      }
+      if (begin < task.size()) {
+        tasks.push_back(task.subspan(begin));
       }
     }
     return tasks;
@@ -413,6 +422,9 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
         batch.push_back({k, attempts[k] + 1});
       }
       std::vector<PointOutcome> outcomes(batch.size());
+      // Outcome j is a capacity twin's, served by run_hot_chunk (one
+      // byte per outcome: tasks write theirs concurrently).
+      std::vector<std::uint8_t> served(batch.size(), 0);
 
       // Outcome j failed its last attempt.
       const auto quarantined = [&](std::size_t j) {
@@ -420,11 +432,11 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
       };
 
       // One task, outcomes [first, first + lanes.size()). A multi-point
-      // task is one batched run, each lane judged by the same contract
-      // checks as a per-point attempt; if the run throws, its points
-      // re-run one by one, so every error reads exactly as on the
-      // per-point path. A one-point task is one attempt under the full
-      // contract.
+      // task is one batched run or one hot capacity group, each lane
+      // judged by the same contract checks as a per-point attempt; if the
+      // run throws, its points re-run one by one, so every error reads
+      // exactly as on the per-point path. A one-point task is one attempt
+      // under the full contract.
       const auto run_task = [&](std::size_t worker, std::size_t first,
                                 std::span<const std::size_t> lanes,
                                 batch::BatchStats& stats) {
@@ -432,9 +444,18 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
         std::vector<par::SweepPointResult> done;
         if (lanes.size() > 1) {
           try {
-            done = par::run_batch_chunk(base, points, lanes,
-                                        grid.storm_faults, *shared,
-                                        task.cache(), stats);
+            if (batching) {
+              done = par::run_batch_chunk(base, points, lanes,
+                                          grid.storm_faults, *shared,
+                                          task.cache(), stats);
+            } else {
+              std::vector<bool> twin;
+              done = par::run_hot_chunk(base, points, lanes, *shared,
+                                        task.cache(), twin);
+              for (std::size_t i = 0; i < lanes.size(); ++i) {
+                served[first + i] = twin[i] ? 1 : 0;
+              }
+            }
           } catch (const std::exception&) {
             stats = {};
           }
@@ -470,6 +491,9 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
           bool any_quarantined = false;
           for (std::size_t j = first; j < first + lanes.size(); ++j) {
             account_attempt(task.shard(), outcomes[j], quarantined(j));
+            if (served[j] != 0 && outcomes[j].ok) {
+              task.shard().twins.fetch_add(1, std::memory_order_relaxed);
+            }
             task.shard().wall_us.observe(per_point_us);
             ok = ok && outcomes[j].ok;
             any_quarantined = any_quarantined || quarantined(j);
@@ -477,7 +501,7 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
           task.shard().heartbeats.fetch_add(heartbeats,
                                             std::memory_order_relaxed);
           sim::Engine engine = sim::Engine::Batched;
-          if (!ran) {
+          if (!ran || !batching) {
             engine = outcomes[first].ok ? outcomes[first].result.engine
                                         : sim::Engine::Reference;
           }
@@ -519,6 +543,7 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
           if (outcomes[j].ok) {
             slot.ok = true;
             slot.result = std::move(outcomes[j].result);
+            out.stats.twins += served[j];
             continue;
           }
           if (item.attempt < max_attempts) {

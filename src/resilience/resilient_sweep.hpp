@@ -25,7 +25,11 @@
 // first (par::batch_point_eligible), then each chunk is planned into
 // multi-point tasks (par::plan_batches). Every batched lane is judged by
 // the per-point contract checks, and a task journals its records in lane
-// order when it finishes. A nonzero point deadline, a running watchdog
+// order when it finishes. A hot sweep keeps its round order (so its
+// --jobs 1 journal does not move), plans each chunk with
+// par::plan_batches too, and runs each multi-point task as capacity
+// groups (par::run_hot_chunk), journaling served capacity twins with the
+// task like any lane; ASAP points run alone there. A nonzero point deadline, a running watchdog
 // and the injected failure keep their points on the per-point path.
 //
 // Hot and batched sweeps simulate each distinct run once

@@ -55,7 +55,8 @@ struct SweepSnapshot : SweepCounters<std::uint64_t> {
   double sim_p99_s = 0.0;
   double sim_max_s = 0.0;
   /// max / mean over workers of the points each simulated (done -
-  /// twins: the calling thread serves every twin on worker 0); 1 =
+  /// twins: the calling thread serves every rho twin on worker 0, and a
+  /// hot task's worker its capacity twins); 1 =
   /// perfectly even, equals worker count when one worker did
   /// everything. 1 when nothing was simulated.
   double worker_skew = 1.0;

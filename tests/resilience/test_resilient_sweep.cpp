@@ -1724,6 +1724,107 @@ TEST(SweepTwinsTest, ChunkInterleavedJournalResumesToTheSameRows) {
   std::remove(path.c_str());
 }
 
+/// All four policies x rho {0.3, 0.5} x a capacity axis from a 1 A-s
+/// reserve: 0.5 A-s starts below the reserve (a group of its own), the
+/// 4 A-s buffer clamps so the next-smallest capacity must lead, and
+/// 12 A-s appears twice. FC-DPM first: its rho-0.3 group is grid
+/// indices 0-4, led (after the clamped 4 A-s run) by index 2.
+par::SweepGrid capacity_twin_grid() {
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle,
+                   sim::PolicyKind::Conv, sim::PolicyKind::Asap};
+  grid.rhos = {0.3, 0.5};
+  grid.capacities = {Coulomb(0.5), Coulomb(4.0), Coulomb(12.0),
+                     Coulomb(12.0), Coulomb(50.0)};
+  return grid;
+}
+
+// Capacity twins against each point's own run: a hot sweep's capacity
+// groups over one and four jobs; no journal, a full journal, and a
+// journal cut (torn tail) right after a group leader's record, then
+// resumed; an injected failure on a leader; audit sampling throughout.
+// The capacity-twin counts are those of the axis above: FC-DPM serves
+// the second 12 A-s and the 50 A-s point at each rho, Oracle its 50 A-s
+// point at rho 0.3 (its second 12 A-s point and rho 0.5 are rho twins),
+// Conv fills every buffer and ASAP never leads.
+TEST(SweepTwinsTest, CapacityTwinsMatchTheirOwnRunsAcrossFeatures) {
+  const std::string path = temp_path("capacity_twins.fcj");
+  const par::SweepGrid grid = capacity_twin_grid();
+  sim::ExperimentConfig base = sim::experiment1_config();
+  base.simulation.engine = sim::Engine::Hot;
+  base.audit.mode = audit::Mode::Sample;
+  ASSERT_EQ(base.initial_storage.value(), 1.0);
+  const std::vector<par::SweepPoint> points = grid.points(base);
+  const std::size_t rho_twins =
+      par::find_twins(base, points, hot::CompiledTrace(base.trace, base.device),
+                      std::numeric_limits<std::size_t>::max())
+          .count;
+  ASSERT_EQ(rho_twins, 18u);
+  const std::vector<par::SweepPointResult> alone = run_alone(base, grid);
+  const std::size_t leader = 2;
+  ASSERT_EQ(points[leader].capacity.value(), 12.0);
+
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    for (const int journal : {0, 1, 2}) {  // none, full, cut + resume
+      for (const bool poison : {false, true}) {
+        if (journal == 2 && poison) {
+          continue;
+        }
+        SCOPED_TRACE(testing::Message() << "jobs " << jobs << ", journal "
+                                        << journal << ", poison " << poison);
+        ResilienceOptions options;
+        options.jobs = jobs;
+        if (poison) {
+          options.contract.inject_fail_index = leader;
+        }
+        if (journal > 0) {
+          std::remove(path.c_str());
+          options.journal_path = path;
+        }
+        std::size_t capacity_twins = poison ? 4 : 5;
+        if (journal == 2) {
+          // Round 0 journals grid order at one job: indices 0, 1 and the
+          // leader 2; its followers 3 and 4 run again on resume, 3 leading.
+          ResilienceOptions write = options;
+          write.jobs = 1;
+          (void)run_resilient_sweep(base, grid, write);
+          cut_journal(path, 3);
+          options.resume = true;
+          options.spot_checks = 3;
+          capacity_twins = 4;
+        }
+        const ResilientSweepResult sweep =
+            run_resilient_sweep(base, grid, options);
+        if (journal == 2) {
+          EXPECT_TRUE(sweep.resilience.torn_tail_recovered);
+          ASSERT_EQ(sweep.resilience.replayed, 3u);
+          EXPECT_TRUE(sweep.points[leader].replayed);
+          EXPECT_FALSE(sweep.points[leader + 1].replayed);
+        }
+        EXPECT_EQ(sweep.stats.twins, rho_twins + capacity_twins);
+        for (std::size_t k = 0; k < points.size(); ++k) {
+          SCOPED_TRACE(testing::Message() << "point=" << k);
+          const ResilientPoint& point = sweep.points[k];
+          if (poison && k == leader) {
+            ASSERT_FALSE(point.ok);
+            EXPECT_EQ(point.error.kind, PointErrorKind::solver_diverged);
+            continue;
+          }
+          ASSERT_TRUE(point.ok);
+          EXPECT_EQ(point.attempts, 1u);
+          EXPECT_TRUE(sim::same_result(point.result.result, alone[k].result));
+          if (!point.replayed) {
+            EXPECT_EQ(point.result.engine, sim::Engine::Hot);
+            expect_same_accuracy(*point.result.result.idle_accuracy,
+                                 *alone[k].result.idle_accuracy);
+          }
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // An armed tamper drill is a per-point engine drill: every point runs,
 // heals on the reference loop and records its own fallback.
 TEST(SweepTwinsTest, ArmedTamperDrillTurnsTwinsOff) {
