@@ -10,12 +10,18 @@
 // loops on one run each, the shape of every single run: the hot lane
 // (hot::simulate_lane), which single runs take, against a one-lane
 // batch::run_batch, summed over the grid's points and reported per run.
+// The `capacity_twins` block times the hot engine's capacity twins
+// (par::run_hot_chunk) on the FC-DPM slice of the ROADMAP Baseline grid
+// (19 rho x 80 capacities): one sweep, which serves every capacity its
+// group's clean leader certifies, against one sweep per capacity, which
+// can serve none.
 //
 // Two gates, both exit 1:
 //   * bit-identity: every batched point must reproduce the reference
 //     sweep to the last bit, at both job counts, with no point served
 //     as a twin, and every one-lane batch and hot-lane run must
-//     reproduce its reference point;
+//     reproduce its reference point; the one hot sweep must serve
+//     capacity twins and reproduce the per-capacity sweeps;
 //   * --min-speedup X (default 0 = report only): the measured jobs-1
 //     batched-vs-reference speedup must reach X. CI runs with
 //     --min-speedup 4; the checked-in baseline shows >= 4x.
@@ -64,6 +70,20 @@ par::SweepGrid bench_grid() {
         14.0, 15.0, 16.0, 18.0, 20.0, 22.0, 24.0, 26.0, 28.0, 32.0, 36.0,
         40.0, 44.0, 48.0, 52.0, 56.0, 64.0, 72.0, 80.0, 96.0, 128.0}) {
     grid.capacities.push_back(Coulomb(capacity));
+  }
+  return grid;
+}
+
+/// The ROADMAP Baseline grid's FC-DPM slice: rho 0.05..0.95 by 0.05 and
+/// capacities 5..400 A-s by 5, 1520 points with no rho twins.
+par::SweepGrid baseline_fcdpm_grid() {
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::FcDpm};
+  for (int k = 1; k <= 19; ++k) {
+    grid.rhos.push_back(0.05 * k);
+  }
+  for (int k = 1; k <= 80; ++k) {
+    grid.capacities.push_back(Coulomb(5.0 * k));
   }
   return grid;
 }
@@ -253,6 +273,68 @@ int main(int argc, char** argv) {
               "(hot %.2fx)\n",
               hot_us, lane_us, hot_speedup);
 
+  // ---- Capacity twins: one hot sweep against one per capacity. -------
+  sim::ExperimentConfig hot = sim::experiment1_config();
+  hot.simulation.engine = sim::Engine::Hot;
+  const par::SweepGrid twin_grid = baseline_fcdpm_grid();
+  const std::size_t twin_capacities = twin_grid.capacities.size();
+  // Grid order is rho, then capacity: point r * capacities + c.
+  const auto per_capacity = [&] {
+    std::vector<par::SweepPointResult> rows(twin_grid.rhos.size() *
+                                            twin_capacities);
+    std::size_t served = 0;
+    for (std::size_t c = 0; c < twin_capacities; ++c) {
+      par::SweepGrid slice = twin_grid;
+      slice.capacities = {twin_grid.capacities[c]};
+      par::SweepResult r = par::run_sweep(hot, slice, one);
+      served += r.stats.twins;
+      for (std::size_t i = 0; i < r.points.size(); ++i) {
+        rows[i * twin_capacities + c] = std::move(r.points[i]);
+      }
+    }
+    return std::make_pair(std::move(rows), served);
+  };
+  const par::SweepResult one_sweep = par::run_sweep(hot, twin_grid, one);
+  const auto [split_rows, split_twins] = per_capacity();
+  const std::size_t twins = one_sweep.stats.twins;
+  if (split_twins != 0) {
+    fail("a one-capacity hot sweep served a twin");
+  }
+  if (twins == 0) {
+    fail("the hot sweep served no capacity twin (capacity twins are dead)");
+  }
+  if (!std::equal(split_rows.begin(), split_rows.end(),
+                  one_sweep.points.begin(), one_sweep.points.end(),
+                  [](const auto& a, const auto& b) {
+                    return sim::same_result(a.result, b.result);
+                  })) {
+    fail("the hot sweep diverged from its per-capacity sweeps");
+  }
+  // Rounds alternate the two ways, each keeping its best.
+  double one_best = 1e300;
+  double split_best = 1e300;
+  for (int round = 0; round <= repeats; ++round) {  // round 0 warms up
+    for (const bool split : {false, true}) {
+      const auto start = Clock::now();
+      if (split) {
+        (void)per_capacity();
+      } else {
+        (void)par::run_sweep(hot, twin_grid, one);
+      }
+      const double seconds =
+          std::chrono::duration<double>(Clock::now() - start).count();
+      double& best = split ? split_best : one_best;
+      if (round > 0 && seconds < best) {
+        best = seconds;
+      }
+    }
+  }
+  const double twin_speedup = one_best > 0.0 ? split_best / one_best : 0.0;
+  std::printf("capacity twins: %zu of %zu points; one hot sweep %.2f ms, "
+              "one per capacity %.2f ms (%.2fx)\n",
+              twins, split_rows.size(), one_best * 1e3, split_best * 1e3,
+              twin_speedup);
+
   // ---- Timing: min-of-N with warmup. ----------------------------------
   volatile double sink = 0.0;
   const auto time_sweep = [&](const sim::ExperimentConfig& config,
@@ -323,6 +405,19 @@ int main(int argc, char** argv) {
        << "    \"one_lane_batch_us_per_run\": " << json_number(lane_us)
        << ",\n"
        << "    \"hot_speedup\": " << json_number(hot_speedup) << "\n"
+       << "  },\n"
+       << "  \"capacity_twins\": {\n"
+       << "    \"engine\": \"hot\",\n"
+       << "    \"policies\": [\"fcdpm\"],\n"
+       << "    \"rhos\": " << twin_grid.rhos.size() << ",\n"
+       << "    \"capacities\": " << twin_capacities << ",\n"
+       << "    \"points\": " << split_rows.size() << ",\n"
+       << "    \"twins\": " << twins << ",\n"
+       << "    \"bit_identical\": true,\n"
+       << "    \"one_sweep_s\": " << json_number(one_best) << ",\n"
+       << "    \"per_capacity_sweeps_s\": " << json_number(split_best)
+       << ",\n"
+       << "    \"speedup\": " << json_number(twin_speedup) << "\n"
        << "  },\n"
        << "  \"timing\": {\n"
        << "    \"repeats\": " << repeats << ",\n"
