@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -840,6 +841,89 @@ TEST(ResilientSweepTest, PublishesResilienceMetrics) {
             static_cast<double>(sweep.resilience.rounds));
   EXPECT_EQ(metrics.gauge("resilience.journal_commits").last(), 0.0)
       << "no journal, no commits";
+
+  // The whole par.sweep.* and resilience.* gauge set of two more sweeps,
+  // values included; the timing gauges are checked for presence only.
+  const auto sweep_gauges = [](const sim::ExperimentConfig& config,
+                               const par::SweepGrid& sweep_grid,
+                               ResilienceOptions run) {
+    obs::MetricsRegistry registry;
+    obs::Context context(nullptr, &registry, nullptr);
+    run.observer = &context;
+    (void)run_resilient_sweep(config, sweep_grid, run);
+    std::map<std::string, double> gauges;
+    for (const obs::MetricRow& row : registry.rows()) {
+      if (row.type == "gauge" && (row.name.starts_with("par.sweep.") ||
+                                  row.name.starts_with("resilience."))) {
+        gauges[row.name] = row.value;
+      }
+    }
+    for (const char* timing : {"par.sweep.wall_s", "par.sweep.points_per_s"}) {
+      EXPECT_EQ(gauges.erase(timing), 1u) << timing;
+    }
+    return gauges;
+  };
+
+  // A journaled batched sweep whose capacity-only lanes merge; Oracle
+  // serves its rho twins.
+  sim::ExperimentConfig batched = base;
+  batched.simulation.engine = sim::Engine::Batched;
+  batched.initial_storage = Coulomb(1.0);
+  par::SweepGrid merge_grid;
+  merge_grid.policies = {sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle};
+  merge_grid.rhos = {0.3, 0.5};
+  merge_grid.capacities = {Coulomb(3.0), Coulomb(6.0), Coulomb(12.0)};
+  ResilienceOptions journaled;
+  journaled.journal_path = temp_path("gauges.fcj");
+  std::remove(journaled.journal_path.c_str());
+  EXPECT_EQ(sweep_gauges(batched, merge_grid, journaled),
+            (std::map<std::string, double>{
+                {"par.sweep.points", 12.0},
+                {"par.sweep.jobs", 1.0},
+                {"par.sweep.twins", 3.0},
+                {"par.sweep.points_batched", 12.0},
+                {"par.sweep.batch_merge_sets", 3.0},
+                {"par.sweep.batch_merged_lane_slots", 18.0},
+                {"par.sweep.batch_splits", 5.0},
+                {"par.sweep.batch_journal_hits", 0.0},
+                {"resilience.scheduled", 12.0},
+                {"resilience.replayed", 0.0},
+                {"resilience.retries", 0.0},
+                {"resilience.quarantined", 0.0},
+                {"resilience.capped_ok", 0.0},
+                {"resilience.rounds", 1.0},
+                {"resilience.spot_checks", 0.0},
+                {"resilience.watchdog_stalls", 0.0},
+                {"resilience.torn_bytes_dropped", 0.0},
+                {"resilience.journal_commits", 2.0}}));
+  std::remove(journaled.journal_path.c_str());
+
+  // A plain hot sweep that serves rho twins and capacity twins: no batch
+  // gauges.
+  sim::ExperimentConfig hot = base;
+  hot.simulation.engine = sim::Engine::Hot;
+  par::SweepGrid twin_grid;
+  twin_grid.policies = {sim::PolicyKind::Conv, sim::PolicyKind::FcDpm};
+  twin_grid.rhos = {0.3, 0.5, 0.7};
+  twin_grid.capacities = {Coulomb(3.0), Coulomb(6.0)};
+  ResilienceOptions plain;
+  plain.contract.max_retries = 0;
+  plain.jobs = 2;
+  EXPECT_EQ(sweep_gauges(hot, twin_grid, plain),
+            (std::map<std::string, double>{
+                {"par.sweep.points", 12.0},
+                {"par.sweep.jobs", 2.0},
+                {"par.sweep.twins", 4.0},
+                {"resilience.scheduled", 12.0},
+                {"resilience.replayed", 0.0},
+                {"resilience.retries", 0.0},
+                {"resilience.quarantined", 0.0},
+                {"resilience.capped_ok", 0.0},
+                {"resilience.rounds", 1.0},
+                {"resilience.spot_checks", 0.0},
+                {"resilience.watchdog_stalls", 0.0},
+                {"resilience.torn_bytes_dropped", 0.0},
+                {"resilience.journal_commits", 0.0}}));
 }
 
 TEST(ResilientSweepTest, DeadlineContractQuarantinesEveryPointTyped) {
