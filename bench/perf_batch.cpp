@@ -5,8 +5,10 @@
 // trace, FC-DPM, no twins, shared sub-capacity initial charge — the
 // sweep shape the batched engine amortizes) on the reference and batched
 // engines, at --jobs 1 and --jobs N — min-of-N wall clock with warmup —
-// plus the merge accounting of one batched run, and writes the lot
-// atomically as JSON. The `single_run` block times the two compiled
+// plus the merge accounting of one batched run (the `batch` block) and
+// the --jobs 1 wall and twin count of the hot engine's sweep of the same
+// grid, which serves capacity twins where the batched sweep forms merge
+// sets, and writes the lot atomically as JSON. The `single_run` block times the two compiled
 // loops on one run each, the shape of every single run: the hot lane
 // (hot::simulate_lane), which single runs take, against a one-lane
 // batch::run_batch, summed over the grid's points and reported per run.
@@ -19,7 +21,8 @@
 // Two gates, both exit 1:
 //   * bit-identity: every batched point must reproduce the reference
 //     sweep to the last bit, at both job counts, with no point served
-//     as a twin, and every one-lane batch and hot-lane run must
+//     as a twin, the hot sweep of that grid must reproduce the batched
+//     one, and every one-lane batch and hot-lane run must
 //     reproduce its reference point; the one hot sweep must serve
 //     capacity twins and reproduce the per-capacity sweeps;
 //   * --min-speedup X (default 0 = report only): the measured jobs-1
@@ -45,6 +48,7 @@
 #include "resilience/resilient_sweep.hpp"
 #include "sim/experiments.hpp"
 #include "sim/result_fields.hpp"
+#include "telemetry/sweep_stats.hpp"
 
 namespace {
 
@@ -227,13 +231,19 @@ int main(int argc, char** argv) {
   if (batch_run.stats.batch_merged_lane_slots == 0) {
     fail("no follower slot was served by a leader (merging is dead)");
   }
-  std::printf("bit-identity: OK (%zu points, %zu merge sets, "
-              "%zu merged lane-slots, %zu splits, %llu journal hits)\n",
-              points, batch_run.stats.batch_merge_sets,
-              batch_run.stats.batch_merged_lane_slots,
-              batch_run.stats.batch_splits,
-              static_cast<unsigned long long>(
-                  batch_run.stats.batch_journal_hits));
+  std::string merge_line = std::to_string(points) + " points";
+  telemetry::for_each_batch_stat(telemetry::LabelLine{merge_line, " | ", {}},
+                                 batch_run.stats);
+  std::printf("bit-identity: OK (%s)\n", merge_line.c_str());
+
+  // The hot engine's sweep of the same grid: it runs the capacity groups
+  // as capacity twins instead of merge sets.
+  sim::ExperimentConfig hot_sweep = reference;
+  hot_sweep.simulation.engine = sim::Engine::Hot;
+  const par::SweepResult hot_run = par::run_sweep(hot_sweep, grid, one);
+  if (!identical_sweeps(batch_run, hot_run)) {
+    fail("the hot sweep diverged from the batched sweep (--jobs 1)");
+  }
 
   // ---- Single runs: the hot lane against a one-lane batch. ------------
   const hot::CompiledTrace compiled(batched.trace, batched.device);
@@ -346,6 +356,7 @@ int main(int argc, char** argv) {
   };
   const double ref_1 = time_sweep(reference, one);
   const double batch_1 = time_sweep(batched, one);
+  const double hot_1 = time_sweep(hot_sweep, one);
   const double ref_n = time_sweep(reference, many);
   const double batch_n = time_sweep(batched, many);
 
@@ -353,8 +364,9 @@ int main(int argc, char** argv) {
   const double speedup_1 = batch_1 > 0.0 ? ref_1 / batch_1 : 0.0;
   const double speedup_n = batch_n > 0.0 ? ref_n / batch_n : 0.0;
   std::printf("--jobs 1 : ref %.2f ms, batched %.2f ms (%.2fx, "
-              "%.0f devices/s)\n",
-              ref_1 * 1e3, batch_1 * 1e3, speedup_1, pts / batch_1);
+              "%.0f devices/s), hot %.2f ms (%zu twins)\n",
+              ref_1 * 1e3, batch_1 * 1e3, speedup_1, pts / batch_1,
+              hot_1 * 1e3, hot_run.stats.twins);
   std::printf("--jobs %zu: ref %.2f ms, batched %.2f ms (%.2fx, "
               "%.0f devices/s)\n",
               jobs_n, ref_n * 1e3, batch_n * 1e3, speedup_n,
@@ -389,15 +401,16 @@ int main(int argc, char** argv) {
        << "  \"identity\": {\n"
        << "    \"bit_identical_jobs1\": true,\n"
        << "    \"bit_identical_jobsN\": true,\n"
-       << "    \"points_batched\": " << bs.points_batched << "\n"
+       << "    \"hot_bit_identical_jobs1\": true\n"
        << "  },\n"
-       << "  \"merge\": {\n"
-       << "    \"sets\": " << bs.batch_merge_sets << ",\n"
-       << "    \"merged_lane_slots\": " << bs.batch_merged_lane_slots
-       << ",\n"
-       << "    \"splits\": " << bs.batch_splits << ",\n"
-       << "    \"journal_hits\": " << bs.batch_journal_hits << "\n"
-       << "  },\n"
+       << "  \"batch\": {\n"
+       << "    \"points\": " << bs.points_batched;
+  telemetry::for_each_batch_stat(
+      [&](const telemetry::Stat& stat, auto value) {
+        json << ",\n    \"" << stat.key << "\": " << value;
+      },
+      bs);
+  json << "\n  },\n"
        << "  \"single_run\": {\n"
        << "    \"points\": " << points << ",\n"
        << "    \"bit_identical\": true,\n"
@@ -425,7 +438,9 @@ int main(int argc, char** argv) {
        << "      \"reference_s\": " << json_number(ref_1) << ",\n"
        << "      \"batched_s\": " << json_number(batch_1) << ",\n"
        << "      \"speedup\": " << json_number(speedup_1) << ",\n"
-       << "      \"devices_per_s\": " << json_number(pts / batch_1) << "\n"
+       << "      \"devices_per_s\": " << json_number(pts / batch_1) << ",\n"
+       << "      \"hot_s\": " << json_number(hot_1) << ",\n"
+       << "      \"hot_twins\": " << hot_run.stats.twins << "\n"
        << "    },\n"
        << "    \"jobsN\": {\n"
        << "      \"jobs\": " << jobs_n << ",\n"

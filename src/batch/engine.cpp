@@ -664,9 +664,9 @@ class BatchRunner {
       return;
     }
     stats_->lanes += lanes_.size();
-    stats_->merge_sets += sets_.size();
-    stats_->merged_lane_slots += merged_lane_slots_;
-    stats_->splits += splits_;
+    stats_->batch_merge_sets += sets_.size();
+    stats_->batch_merged_lane_slots += merged_lane_slots_;
+    stats_->batch_splits += splits_;
   }
 
   const hot::CompiledTrace& ct_;

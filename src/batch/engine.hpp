@@ -34,6 +34,7 @@
 #include "hot/compiled_trace.hpp"
 #include "power/hybrid.hpp"
 #include "sim/slot_simulator.hpp"
+#include "telemetry/sweep_stats.hpp"
 
 namespace fcdpm::batch {
 
@@ -60,17 +61,10 @@ struct LaneOutcome {
   sim::SimulationResult result;
 };
 
-/// Batch-level accounting (optional out-param of run_batch).
-struct BatchStats {
+/// Batch-level accounting (optional out-param of run_batch): the lanes
+/// and the merge counters a sweep sums over its tasks.
+struct BatchStats : telemetry::BatchCounters {
   std::size_t lanes = 0;
-  /// Merge sets formed (>= 2 identical lanes), at batch start or when
-  /// lanes re-converge after a split.
-  std::size_t merge_sets = 0;
-  /// Follower-slots served entirely by a leader's work.
-  std::size_t merged_lane_slots = 0;
-  /// Leaders that left their set at a capacity clamp and finished the
-  /// slot solo.
-  std::size_t splits = 0;
 };
 
 /// Run every lane over `trace` in one slot loop. All lanes share

@@ -535,10 +535,4 @@ std::vector<SweepPointResult> run_hot_chunk(
   return out;
 }
 
-void SweepRunStats::add_batch(const batch::BatchStats& task) noexcept {
-  batch_merge_sets += task.merge_sets;
-  batch_merged_lane_slots += task.merged_lane_slots;
-  batch_splits += task.splits;
-}
-
 }  // namespace fcdpm::par

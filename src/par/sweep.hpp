@@ -34,6 +34,7 @@
 #include "par/solve_cache.hpp"
 #include "sim/cancellation.hpp"
 #include "sim/experiments.hpp"
+#include "telemetry/sweep_stats.hpp"
 
 namespace fcdpm::batch {
 struct BatchStats;
@@ -111,30 +112,11 @@ struct SweepPointResult {
   sim::Engine engine = sim::Engine::Reference;
 };
 
-struct SweepRunStats {
-  std::size_t points = 0;
-  std::size_t jobs = 1;
-  double wall_seconds = 0.0;
-  /// Cache traffic attributable to this run (delta over the run).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+/// The run and batch statistics of one sweep (telemetry/sweep_stats.hpp
+/// lists them), and the points its batch loop ran.
+struct SweepRunStats : telemetry::RunCounters, telemetry::BatchCounters {
   /// Points the batch loop ran, all in multi-point tasks.
   std::size_t points_batched = 0;
-  /// Merge accounting aggregated over every batched task: sets formed,
-  /// follower-slots served by a leader, and followers split back out.
-  std::size_t batch_merge_sets = 0;
-  std::size_t batch_merged_lane_slots = 0;
-  std::size_t batch_splits = 0;
-  /// Points served a copy of their canonical's result (see SweepTwins)
-  /// or of their capacity group's leader (see run_hot_chunk) instead of
-  /// being simulated.
-  std::size_t twins = 0;
-  /// Always 0: the per-slot solve journal it counted is gone. Kept for
-  /// the `journal_hits` field of the batch block and the bench readers.
-  std::uint64_t batch_journal_hits = 0;
-
-  /// Add one batched task's merge accounting.
-  void add_batch(const batch::BatchStats& task) noexcept;
 
   [[nodiscard]] double points_per_second() const noexcept {
     return wall_seconds > 0.0

@@ -106,22 +106,34 @@ void append_point_row(std::string& out, const SweepPointRow& row) {
   out += '}';
 }
 
-void append_resilience(std::string& out, const SweepResilienceReport& r) {
-  out += ",\"resilience\":{\"scheduled\":";
-  append_integer(out, r.scheduled);
-  put(out, "replayed", r.replayed);
-  put(out, "retries", r.retries);
-  put(out, "quarantined", r.quarantined);
-  put(out, "rounds", r.rounds);
-  put(out, "spot_checks", r.spot_checks);
-  put(out, "torn_tail_recovered", r.torn_tail_recovered);
-  put(out, "torn_bytes_dropped", r.torn_bytes_dropped);
-  put(out, "watchdog_stalls", r.watchdog_stalls);
-  put(out, "max_retries", r.max_retries);
-  put(out, "point_deadline_slots", r.point_deadline_slots);
-  if (r.cap_enabled) {
-    put(out, "capped_ok", r.capped_ok);
+/// `,"key":value` for a statistic of a telemetry/sweep_stats.hpp list
+/// that has a key and that its gate shows; doubles are timings (%.12g).
+template <typename T>
+void put_stat(std::string& out, const telemetry::Stat& stat, const T& value,
+              telemetry::GateFlags flags = {}) {
+  if (stat.key.empty() || !telemetry::shown(stat.gate, value, flags)) {
+    return;
   }
+  if constexpr (std::floating_point<T>) {
+    put_short(out, stat.key, value);
+  } else {
+    put(out, stat.key, value);
+  }
+}
+
+void append_resilience(std::string& out, const SweepResilienceReport& r) {
+  out += ",\"resilience\":";
+  const std::size_t open = out.size();
+  telemetry::for_each_resilience_stat(
+      [&](const telemetry::Stat& stat, const auto& value) {
+        put_stat(out, stat, value, {.capped = r.cap_enabled});
+        if (stat.key == "watchdog_stalls") {
+          put(out, "max_retries", r.max_retries);
+          put(out, "point_deadline_slots", r.point_deadline_slots);
+        }
+      },
+      r);
+  out[open] = '{';  // the first key's comma opens the block
   out += '}';
 }
 
@@ -153,10 +165,14 @@ std::string sweep_bench_to_json(const SweepBenchReport& bench) {
   out += "{\"trace\":\"";
   obs::append_json_escaped(out, bench.trace_name.c_str());
   out += '"';
-  put(out, "points", bench.points);
-  put(out, "jobs", bench.jobs);
-  put_short(out, "wall_s", bench.wall_seconds);
-  put_short(out, "points_per_s", bench.points_per_second);
+  telemetry::for_each_run_stat(
+      [&](const telemetry::Stat& stat, const auto& value) {
+        put_stat(out, stat, value);
+        if (stat.key == "wall_s") {
+          put_short(out, "points_per_s", bench.points_per_second);
+        }
+      },
+      bench);
   out += ",\"cache\":{\"hits\":";
   append_integer(out, bench.cache_hits);
   put(out, "misses", bench.cache_misses);
@@ -183,10 +199,11 @@ std::string sweep_bench_to_json(const SweepBenchReport& bench) {
   if (bench.batched_points > 0) {
     out += ",\"batch\":{\"points\":";
     append_integer(out, bench.batched_points);
-    put(out, "merge_sets", bench.batch_merge_sets);
-    put(out, "merged_lane_slots", bench.batch_merged_lane_slots);
-    put(out, "splits", bench.batch_splits);
-    put(out, "journal_hits", bench.batch_journal_hits);
+    telemetry::for_each_batch_stat(
+        [&](const telemetry::Stat& stat, const auto& value) {
+          put_stat(out, stat, value);
+        },
+        bench);
     out += '}';
   }
   if (bench.audit_enabled) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/sweep_stats.hpp"
 #include "telemetry/sweep_telemetry.hpp"
 
 namespace fcdpm::report {
@@ -63,35 +64,23 @@ struct SweepPointRow {
   std::string audit_first;             ///< first violated check; empty = clean
 };
 
-/// Fault-tolerant execution accounting (`SweepReport::resilience`);
-/// emitted only when a resilience option (journal, resume, retries,
-/// deadline, watchdog, ...) was given.
-struct SweepResilienceReport {
+/// Fault-tolerant execution accounting (`SweepReport::resilience`): the
+/// runner's counters and the contract they ran under; emitted only when
+/// a resilience option (journal, resume, retries, deadline, watchdog,
+/// ...) was given.
+struct SweepResilienceReport : telemetry::ResilienceCounters {
   bool enabled = false;
-  std::size_t scheduled = 0;   ///< points not replayed, twins included
-  std::size_t replayed = 0;    ///< points restored from the journal
-  std::size_t retries = 0;     ///< extra attempts beyond the first
-  std::size_t quarantined = 0;
-  std::size_t rounds = 0;      ///< scheduling rounds (retry backoff)
-  std::size_t spot_checks = 0; ///< journal points re-verified bitwise
-  bool torn_tail_recovered = false;
-  std::size_t torn_bytes_dropped = 0;
-  std::uint64_t watchdog_stalls = 0;
   std::size_t max_retries = 0;
   std::size_t point_deadline_slots = 0;
-  /// Emit `capped_ok` (below) — true only when the cap governor ran.
+  /// Emit `capped_ok` — true only when the cap governor ran.
   bool cap_enabled = false;
-  std::size_t capped_ok = 0;  ///< ok points the governor throttled
 };
 
-struct SweepBenchReport {
+/// The run and batch counters are the bases (telemetry/sweep_stats.hpp);
+/// a nonzero `twins` is written after `points_per_s`.
+struct SweepBenchReport : telemetry::RunCounters, telemetry::BatchCounters {
   std::string trace_name;
-  std::size_t points = 0;
-  std::size_t jobs = 0;
-  double wall_seconds = 0.0;
   double points_per_second = 0.0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   double cache_hit_rate = 0.0;
   /// Wall-clock of the single-job reference run; 0 when none was taken.
   double serial_wall_seconds = 0.0;
@@ -112,15 +101,11 @@ struct SweepBenchReport {
   std::size_t stack_points = 0;       ///< ok points run multi-stack
   std::uint64_t stack_startups = 0;   ///< per-stack startups, all points
   double stack_max_wear = 0.0;        ///< worst final wear seen
-  /// Sweep-level batched-engine rollup (`"batch":{...}`) of what this
-  /// run batched (a resume counts only the points it re-ran); emitted
-  /// only when `batched_points > 0` so non-batched reports keep their
-  /// bytes.
-  std::size_t batched_points = 0;   ///< points run inside batch tasks
-  std::size_t batch_merge_sets = 0; ///< merge sets formed across tasks
-  std::size_t batch_merged_lane_slots = 0;  ///< follower slots off leaders
-  std::size_t batch_splits = 0;     ///< followers replayed onto own lanes
-  std::uint64_t batch_journal_hits = 0;  ///< journal-served follower solves
+  /// Points run inside batch tasks: the head of the batched-engine
+  /// rollup (`"batch":{...}`) of what this run batched (a resume counts
+  /// only the points it re-ran), emitted only when nonzero so
+  /// non-batched reports keep their bytes.
+  std::size_t batched_points = 0;
   /// Sweep-level runtime-audit rollup (`"audit":{...}`); emitted only
   /// when `audit_enabled` so audit-off reports keep their bytes.
   bool audit_enabled = false;

@@ -190,8 +190,11 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
                                          const par::SweepGrid& grid,
                                          const ResilienceOptions& options) {
   const std::vector<par::SweepPoint> points = grid.points(base);
+  // Only a journal's header and a resume read the fingerprint.
   const std::uint64_t fingerprint =
-      sweep_fingerprint(base, points, grid.storm_faults, options.cache);
+      options.journal_path.empty()
+          ? 0
+          : sweep_fingerprint(base, points, grid.storm_faults, options.cache);
   const std::size_t max_attempts = 1 + options.contract.max_retries;
 
   ResilientSweepResult out;
@@ -530,7 +533,8 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
                        tasks[t], task_stats[t]);
             });
         for (const batch::BatchStats& stats : task_stats) {
-          out.stats.add_batch(stats);
+          telemetry::for_each_batch_stat(telemetry::merge_stat, out.stats,
+                                         stats);
         }
         commit();
 
@@ -634,49 +638,25 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
 
   if (options.observer != nullptr && options.observer->active()) {
     obs::Context& obs = *options.observer;
-    // Published once, at sweep end, so the par.cache.* gauges equal the
-    // cache's own counters.
+    const auto gauge = [&obs](const telemetry::Stat& stat, auto value) {
+      if (stat.gauge != nullptr) {
+        obs.gauge(stat.gauge, static_cast<double>(value));
+      }
+    };
     const par::SweepRunStats& stats = out.stats;
-    obs.gauge("par.sweep.points", static_cast<double>(stats.points));
-    obs.gauge("par.sweep.jobs", static_cast<double>(stats.jobs));
-    obs.gauge("par.sweep.wall_s", stats.wall_seconds);
+    telemetry::for_each_run_stat(gauge, stats);
     obs.gauge("par.sweep.points_per_s", stats.points_per_second());
-    obs.gauge("par.sweep.twins", static_cast<double>(stats.twins));
     if (stats.points_batched > 0) {
       obs.gauge("par.sweep.points_batched",
                 static_cast<double>(stats.points_batched));
-      obs.gauge("par.sweep.batch_merge_sets",
-                static_cast<double>(stats.batch_merge_sets));
-      obs.gauge("par.sweep.batch_merged_lane_slots",
-                static_cast<double>(stats.batch_merged_lane_slots));
-      obs.gauge("par.sweep.batch_splits",
-                static_cast<double>(stats.batch_splits));
-      obs.gauge("par.sweep.batch_journal_hits",
-                static_cast<double>(stats.batch_journal_hits));
+      telemetry::for_each_batch_stat(gauge, stats);
     }
+    // Published once, at sweep end, so the par.cache.* gauges equal the
+    // cache's own counters.
     if (options.cache != nullptr) {
       options.cache->publish(obs);
     }
-    obs.gauge("resilience.scheduled",
-              static_cast<double>(out.resilience.scheduled));
-    obs.gauge("resilience.replayed",
-              static_cast<double>(out.resilience.replayed));
-    obs.gauge("resilience.retries",
-              static_cast<double>(out.resilience.retries));
-    obs.gauge("resilience.quarantined",
-              static_cast<double>(out.resilience.quarantined));
-    obs.gauge("resilience.capped_ok",
-              static_cast<double>(out.resilience.capped_ok));
-    obs.gauge("resilience.rounds",
-              static_cast<double>(out.resilience.rounds));
-    obs.gauge("resilience.spot_checks",
-              static_cast<double>(out.resilience.spot_checks));
-    obs.gauge("resilience.watchdog_stalls",
-              static_cast<double>(out.resilience.watchdog_stalls));
-    obs.gauge("resilience.torn_bytes_dropped",
-              static_cast<double>(out.resilience.torn_bytes_dropped));
-    obs.gauge("resilience.journal_commits",
-              static_cast<double>(out.resilience.journal_commits));
+    telemetry::for_each_resilience_stat(gauge, out.resilience);
   }
   return out;
 }

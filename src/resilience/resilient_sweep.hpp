@@ -49,6 +49,7 @@
 #include "par/solve_cache.hpp"
 #include "par/sweep.hpp"
 #include "resilience/retry.hpp"
+#include "telemetry/sweep_stats.hpp"
 
 namespace fcdpm::resilience {
 
@@ -99,20 +100,9 @@ struct ResilientPoint {
   bool replayed = false;  ///< restored from the journal, not re-run
 };
 
-/// Bookkeeping for reports and the resilience.* metrics.
-struct ResilienceStats {
-  std::size_t scheduled = 0;    ///< points not replayed, twins included
-  std::size_t replayed = 0;     ///< points restored from the journal
-  std::size_t retries = 0;      ///< re-attempts beyond each first try
-  std::size_t quarantined = 0;  ///< points that exhausted their retries
-  std::size_t capped_ok = 0;    ///< ok points the cap governor throttled
-  std::size_t rounds = 0;       ///< scheduling rounds executed
-  std::size_t spot_checks = 0;  ///< replayed points re-verified bitwise
-  bool torn_tail_recovered = false;
-  std::size_t torn_bytes_dropped = 0;
-  std::size_t watchdog_stalls = 0;
-  std::size_t journal_commits = 0;  ///< group-commit fsyncs made
-};
+/// Bookkeeping for reports and the resilience.* metrics (listed in
+/// telemetry/sweep_stats.hpp).
+using ResilienceStats = telemetry::ResilienceCounters;
 
 struct ResilientSweepResult {
   std::vector<ResilientPoint> points;  ///< grid order

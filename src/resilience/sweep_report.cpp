@@ -1,6 +1,7 @@
 #include "resilience/sweep_report.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -156,20 +157,13 @@ report::SweepBenchReport print_sweep_report(
 
   report::SweepBenchReport bench;
   bench.trace_name = config.trace.name();
-  bench.points = stats.points;
-  bench.jobs = stats.jobs;
-  bench.wall_seconds = stats.wall_seconds;
+  static_cast<telemetry::RunCounters&>(bench) = stats;
+  static_cast<telemetry::BatchCounters&>(bench) = stats;
   bench.points_per_second = stats.points_per_second();
-  bench.cache_hits = stats.cache_hits;
-  bench.cache_misses = stats.cache_misses;
   bench.cache_hit_rate = stats.cache_hit_rate();
   // What this run batched: a resumed sweep counts only the points it
   // re-ran.
   bench.batched_points = stats.points_batched;
-  bench.batch_merge_sets = stats.batch_merge_sets;
-  bench.batch_merged_lane_slots = stats.batch_merged_lane_slots;
-  bench.batch_splits = stats.batch_splits;
-  bench.batch_journal_hits = stats.batch_journal_hits;
   bench.results.reserve(points.size());
   for (const ResilientPoint& p : points) {
     bench.results.push_back(point_row(p, bench));
@@ -185,31 +179,15 @@ report::SweepBenchReport print_sweep_report(
   std::fprintf(out, "\n");
   if (resilience != nullptr) {
     const ResilienceStats& rs = sweep.resilience;
-    bench.resilience = {
-        .enabled = true,
-        .scheduled = rs.scheduled,
-        .replayed = rs.replayed,
-        .retries = rs.retries,
-        .quarantined = rs.quarantined,
-        .rounds = rs.rounds,
-        .spot_checks = rs.spot_checks,
-        .torn_tail_recovered = rs.torn_tail_recovered,
-        .torn_bytes_dropped = rs.torn_bytes_dropped,
-        .watchdog_stalls = rs.watchdog_stalls,
-        .max_retries = resilience->contract.max_retries,
-        .point_deadline_slots = resilience->contract.point_deadline_slots,
-        .cap_enabled = config.cap.enabled,
-        .capped_ok = rs.capped_ok};
-    std::fprintf(out,
-                 "resilience: %zu scheduled | %zu replayed | %zu retries | "
-                 "%zu quarantined | %zu rounds | %zu spot-checks | %zu "
-                 "stalls",
-                 rs.scheduled, rs.replayed, rs.retries, rs.quarantined,
-                 rs.rounds, rs.spot_checks, rs.watchdog_stalls);
-    if (!resilience->journal_path.empty()) {
-      std::fprintf(out, " | %zu journal commits", rs.journal_commits);
-    }
-    std::fprintf(out, "\n");
+    bench.resilience = {rs, true, resilience->contract.max_retries,
+                        resilience->contract.point_deadline_slots,
+                        config.cap.enabled};
+    std::string line = "resilience:";
+    telemetry::for_each_resilience_stat(
+        telemetry::LabelLine{
+            line, " ", {.journaled = !resilience->journal_path.empty()}},
+        rs);
+    std::fprintf(out, "%s\n", line.c_str());
     if (config.cap.enabled) {
       std::fprintf(out,
                    "power cap: %zu points throttled to completion | "
@@ -232,12 +210,11 @@ report::SweepBenchReport print_sweep_report(
                  bench.stack_max_wear);
   }
   if (stats.points_batched > 0) {
-    std::fprintf(out,
-                 "batched: %zu/%zu points | %zu merge sets | %zu merged "
-                 "lane-slots | %zu splits | %llu journal hits\n",
-                 stats.points_batched, stats.points, stats.batch_merge_sets,
-                 stats.batch_merged_lane_slots, stats.batch_splits,
-                 ull{stats.batch_journal_hits});
+    std::string line = "batched: " + std::to_string(stats.points_batched) +
+                       "/" + std::to_string(stats.points) + " points";
+    telemetry::for_each_batch_stat(telemetry::LabelLine{line, " | ", {}},
+                                   stats);
+    std::fprintf(out, "%s\n", line.c_str());
   }
   if (bench.audit_enabled) {
     std::fprintf(out,

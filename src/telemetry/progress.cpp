@@ -10,8 +10,7 @@ void append_counters(std::string& out, const SweepCounters<std::uint64_t>& c,
                      std::optional<double> hit_rate) {
   for_each_counter(
       [&](std::string_view key, Gate gate, std::uint64_t value) {
-        if ((gate == Gate::Nonzero && value == 0) ||
-            (gate == Gate::Audited && c.audited_slots == 0)) {
+        if (!shown(gate, value, {.audited = c.audited_slots != 0})) {
           return;
         }
         out += ",\"";

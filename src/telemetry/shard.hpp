@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "telemetry/sweep_stats.hpp"
+
 namespace fcdpm::telemetry {
 
 /// Destructive-interference granularity. 64 is right for every
@@ -126,11 +128,6 @@ struct SweepCounters {
   T audit_violations{};
   T engine_fallbacks{};  ///< hot runs self-healed
 };
-
-/// When an encoder writes a counter: always, only when it is nonzero,
-/// or only when `audited_slots` is nonzero. The gates keep the bytes of
-/// streams written before the counter existed.
-enum class Gate { Always, Nonzero, Audited };
 
 /// Calls `visit(key, gate, field...)` once per counter, in JSON key
 /// order; each `c` is a (const) SweepCounters of any value type, so

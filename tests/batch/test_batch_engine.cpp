@@ -158,12 +158,12 @@ TEST(BatchEngine, PureLanesMergeAndCascadeAfterLeaderDivergence) {
   // fills, leadership hands off to the next-smallest capacity in place
   // (the clamped ex-leader splits out solo) instead of dissolving and
   // re-forming the set.
-  EXPECT_GE(stats.merge_sets, 1u);
-  EXPECT_GT(stats.merged_lane_slots, 0u);
+  EXPECT_GE(stats.batch_merge_sets, 1u);
+  EXPECT_GT(stats.batch_merged_lane_slots, 0u);
   // Each hand-off splits exactly one ex-leader out, and a lane can exit
   // leadership at most once — strictly fewer splits than lanes.
-  EXPECT_GT(stats.splits, 0u);
-  EXPECT_LT(stats.splits, capacities.size());
+  EXPECT_GT(stats.batch_splits, 0u);
+  EXPECT_LT(stats.batch_splits, capacities.size());
 }
 
 TEST(BatchEngine, StatefulPolicyNeverMergesButStaysIdentical) {
@@ -173,9 +173,9 @@ TEST(BatchEngine, StatefulPolicyNeverMergesButStaysIdentical) {
                                         Coulomb(12.0)};
   const batch::BatchStats stats =
       run_and_check_batch(base, sim::PolicyKind::Asap, capacities, compiled);
-  EXPECT_EQ(stats.merge_sets, 0u);
-  EXPECT_EQ(stats.merged_lane_slots, 0u);
-  EXPECT_EQ(stats.splits, 0u);
+  EXPECT_EQ(stats.batch_merge_sets, 0u);
+  EXPECT_EQ(stats.batch_merged_lane_slots, 0u);
+  EXPECT_EQ(stats.batch_splits, 0u);
 }
 
 TEST(BatchEngine, FuzzedTracesStayBitIdenticalAcrossRhoAndCapacity) {
@@ -309,14 +309,15 @@ TEST(BatchEngine, AuditEjectionFromAMergeSetIsLossless) {
                                         Coulomb(24.0)};
   constexpr std::size_t kTamperSlot = 2;
   const AuditedBatch clean(base, compiled, capacities, audit::npos, 0);
-  ASSERT_EQ(clean.stats.merge_sets, 1u);
+  ASSERT_EQ(clean.stats.batch_merge_sets, 1u);
 
   for (const std::size_t tampered : {std::size_t{0}, std::size_t{2}}) {
     SCOPED_TRACE(tampered);
     const AuditedBatch run(base, compiled, capacities, tampered, kTamperSlot);
     // The ejection cut the set short: fewer follower-slots rode a
     // leader than in the clean batch.
-    EXPECT_LT(run.stats.merged_lane_slots, clean.stats.merged_lane_slots);
+    EXPECT_LT(run.stats.batch_merged_lane_slots,
+              clean.stats.batch_merged_lane_slots);
     for (std::size_t k = 0; k < capacities.size(); ++k) {
       SCOPED_TRACE(k);
       const batch::LaneOutcome& outcome = run.outcomes[k];
