@@ -236,5 +236,18 @@ TEST(SweepExportTest, EmptyReportBytesArePinned) {
             "\n");
 }
 
+// A nonzero twin count is the one run key gated on its value: it follows
+// points_per_s, and a report without twins keeps the bytes above.
+TEST(SweepExportTest, TwinsFollowPointsPerSecondWhenNonzero) {
+  SweepBenchReport bench;
+  bench.twins = 5;
+  EXPECT_EQ(sweep_bench_to_json(bench),
+            R"({"trace":"","points":0,"jobs":0,"wall_s":0,"points_per_s":0)"
+            R"(,"twins":5,"cache":{"hits":0,"misses":0,"hit_rate":0})"
+            R"(,"serial_wall_s":0,"speedup":0,"bit_identical_to_serial":-1)"
+            R"(,"results":[]})"
+            "\n");
+}
+
 }  // namespace
 }  // namespace fcdpm::report
