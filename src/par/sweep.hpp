@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -108,14 +109,15 @@ struct SweepPointResult {
   /// The loop whose result this is: where sim::choose_engine landed the
   /// point, or Reference after a self-heal replay. Batched only for a
   /// point that ran in a multi-point task. A twin (SweepTwins) carries
-  /// its canonical's engine, a capacity twin (run_hot_chunk) Hot.
+  /// its canonical's engine.
   sim::Engine engine = sim::Engine::Reference;
 };
 
 /// The run and batch statistics of one sweep (telemetry/sweep_stats.hpp
-/// lists them), and the points its batch loop ran.
+/// lists them), and the points whose result the batch loop made.
 struct SweepRunStats : telemetry::RunCounters, telemetry::BatchCounters {
-  /// Points the batch loop ran, all in multi-point tasks.
+  /// Ok points with engine Batched: those the batch loop ran, all in
+  /// multi-point tasks, and the rho twins served their results.
   std::size_t points_batched = 0;
 
   [[nodiscard]] double points_per_second() const noexcept {
@@ -164,20 +166,19 @@ struct SweepResult {
     sim::CancellationToken* cancel = nullptr, std::size_t slot_budget = 0,
     const hot::CompiledTrace* compiled = nullptr);
 
-/// The twins of a compiled sweep. A point is a twin when its FC policy
-/// never reads the idle prediction (sim::reads_idle_prediction), it has
-/// no fault storm, and a lower grid index with the same policy,
-/// capacity, stacks and distribution has a rho whose predictor makes
-/// the same sleep decision in every slot of the trace. The two runs
-/// then draw the same load in every slot, so they are one run: only
-/// the predictor's own tally, idle_accuracy, tells them apart. The
-/// runner simulates the lowest such index, the canonical, and serves
-/// each twin a copy of its result.
+/// The sweep's one served-from table: a twin takes a copy of its
+/// canonical's bit-identical run. A rho twin's FC policy never reads the
+/// idle prediction (sim::reads_idle_prediction), it has no fault storm,
+/// and a lower grid index with the same policy, capacity, stacks and
+/// distribution has a rho whose predictor makes the same sleep decision
+/// in every slot: only idle_accuracy tells the two runs apart. A
+/// capacity twin takes a clean leader's run (capacity_key). find_twins
+/// fills the rho entries, the runner the capacity entries.
 struct SweepTwins {
   /// canonical[k]: the grid index whose result point k takes; k itself
-  /// for a point that is simulated. Empty when the sweep has no twins.
+  /// for a point that is simulated. Empty when no point can be a twin.
   std::vector<std::size_t> canonical;
-  /// Points with canonical[k] != k.
+  /// The rho twins find_twins found.
   std::size_t count = 0;
   /// The predictor's tally over the trace at each rho of a point that
   /// may be a twin.
@@ -261,18 +262,27 @@ inline constexpr std::size_t kBatchMax = 16;
     const hot::CompiledTrace& compiled, core::SlotSolveCache* cache,
     batch::BatchStats& stats);
 
-/// Run one multi-point task of a hot sweep: capacity twins. Every point
-/// must be capacity_twin_eligible. The points of one policy, rho and
-/// bitwise starting charge form a group; each group runs smallest
-/// capacity first on the hot lane with a slack witness. When the
-/// witness stays clean and the run lands on Hot, every larger capacity
-/// of the group is served that result with its own point (served[i] is
-/// set); otherwise the next-smallest capacity runs the same way.
-/// Returns the result of grid point `task[i]` at index i, each
-/// bit-identical to its own run_point. Throws what the runs throw.
+/// What a clean leader (hot::SlackWitness) shares with each point it
+/// serves at a capacity no smaller than its own: the policy, and the rho
+/// and the starting charge bit for bit.
+using CapacityKey = std::tuple<sim::PolicyKind, std::uint64_t, std::uint64_t>;
+[[nodiscard]] CapacityKey capacity_key(const sim::ExperimentConfig& base,
+                                       const SweepPoint& point);
+
+/// A lane of run_hot_chunk that no clean leader serves.
+inline constexpr std::size_t kNoLeader = ~std::size_t{0};
+
+/// Run one multi-point task of a hot sweep: capacity groups. Every point
+/// must be capacity_twin_eligible. Lanes run smallest capacity first on
+/// the hot lane with a slack witness; a run that stays clean on Hot
+/// leads every lane not yet run with its capacity_key, which then does
+/// not run. leader[i]: the grid index of the clean leader lane i takes
+/// its result from (task[i] when it led), else kNoLeader. Returns the
+/// result of task[i] at index i for each lane that ran, bit-identical to
+/// its own run_point. Throws what the runs throw.
 [[nodiscard]] std::vector<SweepPointResult> run_hot_chunk(
     const sim::ExperimentConfig& base, const std::vector<SweepPoint>& points,
     std::span<const std::size_t> task, const hot::CompiledTrace& compiled,
-    core::SlotSolveCache* cache, std::vector<bool>& served);
+    core::SlotSolveCache* cache, std::vector<std::size_t>& leader);
 
 }  // namespace fcdpm::par

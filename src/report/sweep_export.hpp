@@ -101,10 +101,11 @@ struct SweepBenchReport : telemetry::RunCounters, telemetry::BatchCounters {
   std::size_t stack_points = 0;       ///< ok points run multi-stack
   std::uint64_t stack_startups = 0;   ///< per-stack startups, all points
   double stack_max_wear = 0.0;        ///< worst final wear seen
-  /// Points run inside batch tasks: the head of the batched-engine
-  /// rollup (`"batch":{...}`) of what this run batched (a resume counts
-  /// only the points it re-ran), emitted only when nonzero so
-  /// non-batched reports keep their bytes.
+  /// Points whose result the batch loop made, the rho twins served from
+  /// them included (SweepRunStats::points_batched): the head of the
+  /// batched-engine rollup (`"batch":{...}`), emitted only when nonzero
+  /// so non-batched reports keep their bytes. A resume counts only the
+  /// points it ran or served.
   std::size_t batched_points = 0;
   /// Sweep-level runtime-audit rollup (`"audit":{...}`); emitted only
   /// when `audit_enabled` so audit-off reports keep their bytes.

@@ -369,6 +369,9 @@ std::string record_to_json(const JournalRecord& record) {
     out += '}';
     return out;
   }
+  if (record.clean_leader) {
+    out += ",\"clean_leader\":true";
+  }
   // Each optional block only when its run had one, so journals of runs
   // without it stay byte-identical to builds before it existed.
   const auto encode_field = [&out](std::string_view key, const auto& field) {
@@ -442,6 +445,7 @@ bool record_from_json(std::string_view payload, JournalRecord& record,
     return false;
   }
 
+  record.clean_leader = fields.find("clean_leader") != nullptr;
   sim::for_each_core_field(decode_field, record.result);
   // An optional block is absent without its marker key; with it, every
   // field of the block is required.

@@ -56,6 +56,10 @@ struct JournalRecord {
   bool ok = true;
   PointError error;            ///< valid when !ok
   sim::SimulationResult result;  ///< observable fields only, when ok
+  /// An ok hot run whose slack witness stayed clean (par::run_hot_chunk):
+  /// on resume it serves its capacity twins. Journaled only when true,
+  /// so older journals read every leader as dirty.
+  bool clean_leader = false;
 };
 
 /// Fingerprint of (base config, grid points, storm size);

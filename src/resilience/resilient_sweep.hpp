@@ -28,17 +28,19 @@
 // order when it finishes. A hot sweep keeps its round order (so its
 // --jobs 1 journal does not move), plans each chunk with
 // par::plan_batches too, and runs each multi-point task as capacity
-// groups (par::run_hot_chunk), journaling served capacity twins with the
-// task like any lane; ASAP points run alone there. A nonzero point deadline, a running watchdog
-// and the injected failure keep their points on the per-point path.
+// groups (par::run_hot_chunk); ASAP points run alone there. A nonzero
+// point deadline, a running watchdog and the injected failure keep their
+// points on the per-point path.
 //
 // Hot and batched sweeps simulate each distinct run once
-// (par::SweepTwins). A twin is not scheduled: after the last round the
-// calling thread serves it its canonical's ok result, simulated this run
-// or replayed, and journals the served twins in grid order under one
-// trailing commit. A twin whose canonical is quarantined runs in the
-// round after that quarantine (in round 0 when the journal replays the
-// quarantine) as a first attempt, like any point.
+// (par::SweepTwins). A rho twin is not scheduled, and a capacity twin's
+// lane does not run: after the last round the calling thread serves each
+// twin its canonical's ok result, simulated this run or replayed, and
+// journals the served twins in grid order under one trailing commit. On
+// resume a replayed clean leader serves the capacity twins a fresh run
+// would. A twin whose canonical is quarantined runs in the round after
+// that quarantine (in round 0 when the journal replays the quarantine)
+// as a first attempt, like any point.
 #pragma once
 
 #include <chrono>

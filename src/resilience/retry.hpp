@@ -83,6 +83,10 @@ struct PointOutcome {
   par::SweepPointResult result;  ///< valid when ok
   bool ok = false;
   PointError error;              ///< valid when !ok
+  /// The clean leader whose result a hot task's lane takes
+  /// (par::run_hot_chunk): the point's own index when it led; another
+  /// point's when that one serves it, and then nothing else is set.
+  std::size_t leader = par::kNoLeader;
 };
 
 /// The contract's verdict on a finished run: its result must be finite

@@ -100,9 +100,8 @@ struct RunCounters {
   /// Cache traffic attributable to this run (delta over the run).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Points served a copy of their canonical's result (par::SweepTwins)
-  /// or of their capacity group's leader (par::run_hot_chunk) instead of
-  /// being simulated.
+  /// Points served a copy of their canonical's result instead of being
+  /// simulated (par::SweepTwins): rho twins and capacity twins.
   std::size_t twins = 0;
 };
 
