@@ -460,6 +460,13 @@ TEST(JournalTest, RecordBytesArePinned) {
             R"("seed":11,"attempts":3,"ok":false,)"
             R"("error_kind":"power_undeliverable",)"
             R"("error_detail":"unserved 0.5 A-s > budget\t\"0\""})");
+
+  // A clean leader's record gains one key after "ok"; nothing else moves.
+  JournalRecord leader = make_record(2, grid_points(1)[0]);
+  std::string keyed = record_to_json(leader);
+  keyed.insert(keyed.find(R"(,"ok":true)") + 10, R"(,"clean_leader":true)");
+  leader.clean_leader = true;
+  EXPECT_EQ(record_to_json(leader), keyed);
 }
 
 // Every entry of the result field lists reaches the journal encoder, the
