@@ -16,7 +16,11 @@
 // (par::run_hot_chunk) on the FC-DPM slice of the ROADMAP Baseline grid
 // (19 rho x 80 capacities): one sweep, which serves every capacity its
 // group's clean leader certifies, against one sweep per capacity, which
-// can serve none.
+// can serve none. Its `baseline_grid` block says what each twin kind
+// buys on the whole hot Baseline grid (4 policies x 19 rho x 80
+// capacities): one sweep, one sweep per rho (no rho twins) and one
+// sweep per capacity (no capacity twins). A split row pays a trace
+// compile and a twin pass per sweep.
 //
 // Two gates, both exit 1:
 //   * bit-identity: every batched point must reproduce the reference
@@ -24,7 +28,8 @@
 //     as a twin, the hot sweep of that grid must reproduce the batched
 //     one, and every one-lane batch and hot-lane run must
 //     reproduce its reference point; the one hot sweep must serve
-//     capacity twins and reproduce the per-capacity sweeps;
+//     capacity twins and reproduce the per-capacity sweeps, and the
+//     Baseline grid's one, per-rho and per-capacity sweeps must agree;
 //   * --min-speedup X (default 0 = report only): the measured jobs-1
 //     batched-vs-reference speedup must reach X. CI runs with
 //     --min-speedup 4; the checked-in baseline shows >= 4x.
@@ -34,6 +39,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -78,11 +84,12 @@ par::SweepGrid bench_grid() {
   return grid;
 }
 
-/// The ROADMAP Baseline grid's FC-DPM slice: rho 0.05..0.95 by 0.05 and
-/// capacities 5..400 A-s by 5, 1520 points with no rho twins.
-par::SweepGrid baseline_fcdpm_grid() {
+/// The ROADMAP Baseline grid over `policies`: rho 0.05..0.95 by 0.05
+/// and capacities 5..400 A-s by 5. Its FC-DPM slice (1520 points) has no
+/// rho twins.
+par::SweepGrid baseline_grid(std::vector<sim::PolicyKind> policies) {
   par::SweepGrid grid;
-  grid.policies = {sim::PolicyKind::FcDpm};
+  grid.policies = std::move(policies);
   for (int k = 1; k <= 19; ++k) {
     grid.rhos.push_back(0.05 * k);
   }
@@ -90,6 +97,37 @@ par::SweepGrid baseline_fcdpm_grid() {
     grid.capacities.push_back(Coulomb(5.0 * k));
   }
   return grid;
+}
+
+/// `grid` run at --jobs 1 as one sweep per rho (`by_rho`) or per
+/// capacity, its rows put back in grid order (policy, rho, capacity),
+/// with the twins the sweeps served.
+std::pair<std::vector<par::SweepPointResult>, std::size_t> split_sweeps(
+    const sim::ExperimentConfig& base, const par::SweepGrid& grid,
+    bool by_rho) {
+  const std::size_t rhos = grid.rhos.size();
+  const std::size_t capacities = grid.capacities.size();
+  std::vector<par::SweepPointResult> rows(grid.policies.size() * rhos *
+                                          capacities);
+  std::size_t served = 0;
+  for (std::size_t v = 0; v < (by_rho ? rhos : capacities); ++v) {
+    par::SweepGrid slice = grid;
+    if (by_rho) {
+      slice.rhos = {grid.rhos[v]};
+    } else {
+      slice.capacities = {grid.capacities[v]};
+    }
+    par::SweepResult r = par::run_sweep(base, slice);
+    served += r.stats.twins;
+    const std::size_t other = by_rho ? capacities : rhos;
+    for (std::size_t i = 0; i < r.points.size(); ++i) {
+      const std::size_t rho = by_rho ? v : i % other;
+      const std::size_t capacity = by_rho ? i % other : v;
+      rows[((i / other) * rhos + rho) * capacities + capacity] =
+          std::move(r.points[i]);
+    }
+  }
+  return {std::move(rows), served};
 }
 
 /// Best-of-`repeats` wall-clock seconds for one call of `body`, after
@@ -112,12 +150,17 @@ double best_of(int repeats, int warmup, Body&& body) {
   return best;
 }
 
-bool identical_sweeps(const par::SweepResult& ref,
-                      const par::SweepResult& got) {
-  return std::equal(ref.points.begin(), ref.points.end(), got.points.begin(),
-                    got.points.end(), [](const auto& a, const auto& b) {
+bool identical_rows(const std::vector<par::SweepPointResult>& ref,
+                    const std::vector<par::SweepPointResult>& got) {
+  return std::equal(ref.begin(), ref.end(), got.begin(), got.end(),
+                    [](const auto& a, const auto& b) {
                       return sim::same_result(a.result, b.result);
                     });
+}
+
+bool identical_sweeps(const par::SweepResult& ref,
+                      const par::SweepResult& got) {
+  return identical_rows(ref.points, got.points);
 }
 
 /// One run of `point` alone, wired as par::run_point wires it, on the
@@ -286,26 +329,10 @@ int main(int argc, char** argv) {
   // ---- Capacity twins: one hot sweep against one per capacity. -------
   sim::ExperimentConfig hot = sim::experiment1_config();
   hot.simulation.engine = sim::Engine::Hot;
-  const par::SweepGrid twin_grid = baseline_fcdpm_grid();
+  const par::SweepGrid twin_grid = baseline_grid({sim::PolicyKind::FcDpm});
   const std::size_t twin_capacities = twin_grid.capacities.size();
-  // Grid order is rho, then capacity: point r * capacities + c.
-  const auto per_capacity = [&] {
-    std::vector<par::SweepPointResult> rows(twin_grid.rhos.size() *
-                                            twin_capacities);
-    std::size_t served = 0;
-    for (std::size_t c = 0; c < twin_capacities; ++c) {
-      par::SweepGrid slice = twin_grid;
-      slice.capacities = {twin_grid.capacities[c]};
-      par::SweepResult r = par::run_sweep(hot, slice, one);
-      served += r.stats.twins;
-      for (std::size_t i = 0; i < r.points.size(); ++i) {
-        rows[i * twin_capacities + c] = std::move(r.points[i]);
-      }
-    }
-    return std::make_pair(std::move(rows), served);
-  };
   const par::SweepResult one_sweep = par::run_sweep(hot, twin_grid, one);
-  const auto [split_rows, split_twins] = per_capacity();
+  const auto [split_rows, split_twins] = split_sweeps(hot, twin_grid, false);
   const std::size_t twins = one_sweep.stats.twins;
   if (split_twins != 0) {
     fail("a one-capacity hot sweep served a twin");
@@ -313,37 +340,62 @@ int main(int argc, char** argv) {
   if (twins == 0) {
     fail("the hot sweep served no capacity twin (capacity twins are dead)");
   }
-  if (!std::equal(split_rows.begin(), split_rows.end(),
-                  one_sweep.points.begin(), one_sweep.points.end(),
-                  [](const auto& a, const auto& b) {
-                    return sim::same_result(a.result, b.result);
-                  })) {
+  if (!identical_rows(split_rows, one_sweep.points)) {
     fail("the hot sweep diverged from its per-capacity sweeps");
   }
-  // Rounds alternate the two ways, each keeping its best.
-  double one_best = 1e300;
-  double split_best = 1e300;
-  for (int round = 0; round <= repeats; ++round) {  // round 0 warms up
-    for (const bool split : {false, true}) {
-      const auto start = Clock::now();
-      if (split) {
-        (void)per_capacity();
-      } else {
-        (void)par::run_sweep(hot, twin_grid, one);
-      }
-      const double seconds =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      double& best = split ? split_best : one_best;
-      if (round > 0 && seconds < best) {
-        best = seconds;
+  // Rounds alternate the ways of running a grid, each keeping its best.
+  const auto best_ways = [&](const std::vector<std::function<void()>>& ways) {
+    std::vector<double> best(ways.size(), 1e300);
+    for (int round = 0; round <= repeats; ++round) {  // round 0 warms up
+      for (std::size_t w = 0; w < ways.size(); ++w) {
+        const auto start = Clock::now();
+        ways[w]();
+        const double seconds =
+            std::chrono::duration<double>(Clock::now() - start).count();
+        if (round > 0 && seconds < best[w]) {
+          best[w] = seconds;
+        }
       }
     }
-  }
+    return best;
+  };
+  const std::vector<double> slice_best = best_ways(
+      {[&] { (void)par::run_sweep(hot, twin_grid, one); },
+       [&] { (void)split_sweeps(hot, twin_grid, false); }});
+  const double one_best = slice_best[0];
+  const double split_best = slice_best[1];
   const double twin_speedup = one_best > 0.0 ? split_best / one_best : 0.0;
   std::printf("capacity twins: %zu of %zu points; one hot sweep %.2f ms, "
               "one per capacity %.2f ms (%.2fx)\n",
               twins, split_rows.size(), one_best * 1e3, split_best * 1e3,
               twin_speedup);
+
+  // ---- What each twin kind buys on the whole hot Baseline grid. -------
+  const par::SweepGrid full_grid =
+      baseline_grid({sim::PolicyKind::FcDpm, sim::PolicyKind::Oracle,
+                     sim::PolicyKind::Asap, sim::PolicyKind::Conv});
+  const par::SweepResult full = par::run_sweep(hot, full_grid, one);
+  const auto [by_rho_rows, by_rho_twins] = split_sweeps(hot, full_grid, true);
+  const auto [by_capacity_rows, by_capacity_twins] =
+      split_sweeps(hot, full_grid, false);
+  if (!identical_rows(full.points, by_rho_rows) ||
+      !identical_rows(full.points, by_capacity_rows)) {
+    fail("the Baseline grid's one, per-rho and per-capacity hot sweeps "
+         "disagree");
+  }
+  const std::vector<double> full_best = best_ways(
+      {[&] { (void)par::run_sweep(hot, full_grid, one); },
+       [&] { (void)split_sweeps(hot, full_grid, true); },
+       [&] { (void)split_sweeps(hot, full_grid, false); }});
+  const std::size_t full_twins[] = {full.stats.twins, by_rho_twins,
+                                    by_capacity_twins};
+  const std::size_t full_sweeps[] = {1, full_grid.rhos.size(),
+                                     full_grid.capacities.size()};
+  std::printf("Baseline grid, %zu points: one hot sweep %.2f ms (%zu twins), "
+              "one per rho %.2f ms (%zu), one per capacity %.2f ms (%zu)\n",
+              full.points.size(), full_best[0] * 1e3, full_twins[0],
+              full_best[1] * 1e3, full_twins[1], full_best[2] * 1e3,
+              full_twins[2]);
 
   // ---- Timing: min-of-N with warmup. ----------------------------------
   volatile double sink = 0.0;
@@ -430,7 +482,22 @@ int main(int argc, char** argv) {
        << "    \"one_sweep_s\": " << json_number(one_best) << ",\n"
        << "    \"per_capacity_sweeps_s\": " << json_number(split_best)
        << ",\n"
-       << "    \"speedup\": " << json_number(twin_speedup) << "\n"
+       << "    \"speedup\": " << json_number(twin_speedup) << ",\n"
+       << "    \"baseline_grid\": {\n"
+       << "      \"policies\": [\"fcdpm\", \"oracle\", \"asap\", \"conv\"],\n"
+       << "      \"points\": " << full.points.size() << ",\n"
+       << "      \"bit_identical\": true,\n"
+       << "      \"note\": \"a split row pays a trace compile and a twin "
+          "pass per sweep\"";
+  const char* const way_names[] = {"one_sweep", "per_rho_sweeps",
+                                   "per_capacity_sweeps"};
+  for (std::size_t w = 0; w < 3; ++w) {
+    json << ",\n      \"" << way_names[w]
+         << "\": {\"sweeps\": " << full_sweeps[w]
+         << ", \"twins\": " << full_twins[w]
+         << ", \"wall_s\": " << json_number(full_best[w]) << "}";
+  }
+  json << "\n    }\n"
        << "  },\n"
        << "  \"timing\": {\n"
        << "    \"repeats\": " << repeats << ",\n"
