@@ -2094,6 +2094,88 @@ TEST(SweepTwinsTest, ChunkOrderCapacityTwinJournalResumesToTheSameRows) {
   std::remove(path.c_str());
 }
 
+/// The grid indices of a journal's records, in file order, and a check
+/// that every record and row of `sweep` is a first-attempt quarantine
+/// of `kind`.
+std::vector<std::size_t> quarantine_order(const ResilientSweepResult& sweep,
+                                          const std::string& path,
+                                          PointErrorKind kind) {
+  for (std::size_t k = 0; k < sweep.points.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "point=" << k);
+    EXPECT_FALSE(sweep.points[k].ok);
+    EXPECT_FALSE(sweep.points[k].replayed);
+    EXPECT_EQ(sweep.points[k].attempts, 1u);
+    EXPECT_EQ(sweep.points[k].error.kind, kind);
+  }
+  std::vector<std::size_t> order;
+  for (const JournalRecord& record : load_journal(path).records) {
+    EXPECT_FALSE(record.ok);
+    EXPECT_EQ(record.attempts, 1u);
+    EXPECT_EQ(record.error.kind, kind);
+    EXPECT_EQ(record.error.detail, sweep.points[record.index].error.detail);
+    order.push_back(record.index);
+  }
+  return order;
+}
+
+// A per-point sweep that quarantines every point: round 0 journals the
+// simulated points in grid order; a quarantined canonical sends its rho
+// twins to round 1, canonicals in batch order, each one's twins in
+// ascending index. Conv and Oracle sleep alike at every rho here.
+TEST(SweepTwinsTest, AllQuarantinePerPointJournalOrderIsPinned) {
+  sim::ExperimentConfig base = small_base();
+  base.simulation.engine = sim::Engine::Hot;
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::Conv, sim::PolicyKind::FcDpm,
+                   sim::PolicyKind::Oracle};
+  grid.rhos = {0.3, 0.5, 0.7};
+  grid.capacities = {Coulomb(3.0), Coulomb(6.0)};
+  const std::string path = temp_path("quarantine_per_point.fcj");
+  ResilienceOptions options;
+  options.journal_path = path;
+  options.contract.point_deadline_slots = 1;
+  options.contract.max_retries = 0;
+  const ResilientSweepResult sweep = run_resilient_sweep(base, grid, options);
+  EXPECT_EQ(sweep.resilience.quarantined, 18u);
+  EXPECT_EQ(sweep.resilience.rounds, 2u);
+  EXPECT_EQ(sweep.stats.twins, 0u);
+  const std::vector<std::size_t> order =
+      quarantine_order(sweep, path, PointErrorKind::deadline_exceeded);
+  const std::vector<std::size_t> pinned = {0,  1, 6, 7, 8,  9,  10, 11, 12,
+                                           13, 2, 4, 3, 5, 14, 16, 15, 17};
+  EXPECT_EQ(order, pinned);
+  std::remove(path.c_str());
+}
+
+// A grouped hot sweep that quarantines every point: each round's
+// quarantined canonicals send their capacity and rho twins to the next
+// round, canonicals in batch order, each one's twins in ascending index.
+TEST(SweepTwinsTest, AllQuarantineGroupedJournalOrderIsPinned) {
+  sim::ExperimentConfig base = sim::experiment1_config();
+  base.simulation.engine = sim::Engine::Hot;
+  const par::SweepGrid grid = capacity_twin_grid();
+  const std::string path = temp_path("quarantine_grouped.fcj");
+  ResilienceOptions options;
+  options.journal_path = path;
+  options.contract.unserved_budget_as = -1.0;
+  options.contract.max_retries = 0;
+  const ResilientSweepResult sweep = run_resilient_sweep(base, grid, options);
+  EXPECT_EQ(sweep.resilience.quarantined, 40u);
+  EXPECT_EQ(sweep.stats.twins, 0u);
+  const std::vector<std::size_t> order =
+      quarantine_order(sweep, path, PointErrorKind::power_undeliverable);
+  EXPECT_EQ(sweep.resilience.rounds, 4u);
+  // FC-DPM at rho 0.3 is 0-4: the leader 2 serves 3 and 4 in round 0, and
+  // 3 leads 4 in round 1. Oracle's 15-19, Conv's 25-29 and Asap's 35-39
+  // are rho twins of the rho-0.3 points ten below them.
+  const std::vector<std::size_t> pinned = {
+      0,  1,  2,  5,  6,  7,  10, 11, 12, 20, 21, 22, 24, 30,
+      31, 32, 34, 3,  8,  15, 16, 13, 17, 25, 26, 23, 27, 28,
+      29, 35, 36, 33, 37, 38, 39, 4,  9,  14, 18, 19};
+  EXPECT_EQ(order, pinned);
+  std::remove(path.c_str());
+}
+
 // An armed tamper drill is a per-point engine drill: every point runs,
 // heals on the reference loop and records its own fallback.
 TEST(SweepTwinsTest, ArmedTamperDrillTurnsTwinsOff) {
