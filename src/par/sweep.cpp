@@ -245,6 +245,16 @@ SweepPointResult SweepTwins::serve(
   return out;
 }
 
+void SweepTwins::link(std::size_t twin, std::size_t to) {
+  if (is_twin(twin)) {
+    std::vector<std::size_t>& from = twin_lists[canonical[twin]];
+    from.erase(std::lower_bound(from.begin(), from.end(), twin));
+  }
+  canonical[twin] = to;
+  std::vector<std::size_t>& list = twin_lists[to];
+  list.insert(std::upper_bound(list.begin(), list.end(), twin), twin);
+}
+
 SweepTwins find_twins(const sim::ExperimentConfig& base,
                       const std::vector<SweepPoint>& points,
                       const hot::CompiledTrace& compiled,
@@ -303,6 +313,7 @@ SweepTwins find_twins(const sim::ExperimentConfig& base,
   std::map<Key, std::size_t> canonical_of;
   twins.canonical.resize(points.size());
   std::iota(twins.canonical.begin(), twins.canonical.end(), std::size_t{0});
+  twins.twin_lists.resize(points.size());
   for (std::size_t k = 0; k < points.size(); ++k) {
     const SweepPoint& point = points[k];
     if (!may_twin(point)) {
@@ -317,7 +328,7 @@ SweepTwins find_twins(const sim::ExperimentConfig& base,
                   decision_class(point.rho)};
     const auto [first, inserted] = canonical_of.try_emplace(key, k);
     if (!inserted && k != never_twin) {
-      twins.canonical[k] = first->second;
+      twins.link(k, first->second);
       ++twins.count;
     }
   }

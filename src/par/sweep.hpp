@@ -173,11 +173,15 @@ struct SweepResult {
 /// distribution has a rho whose predictor makes the same sleep decision
 /// in every slot: only idle_accuracy tells the two runs apart. A
 /// capacity twin takes a clean leader's run (capacity_key). find_twins
-/// fills the rho entries, the runner the capacity entries.
+/// fills the rho entries, the runner the capacity entries, each through
+/// link().
 struct SweepTwins {
   /// canonical[k]: the grid index whose result point k takes; k itself
   /// for a point that is simulated. Empty when no point can be a twin.
   std::vector<std::size_t> canonical;
+  /// twin_lists[c]: the twins whose canonical is c, ascending; the
+  /// inverse of `canonical`, empty with it.
+  std::vector<std::vector<std::size_t>> twin_lists;
   /// The rho twins find_twins found.
   std::size_t count = 0;
   /// The predictor's tally over the trace at each rho of a point that
@@ -186,6 +190,14 @@ struct SweepTwins {
 
   [[nodiscard]] bool is_twin(std::size_t k) const noexcept {
     return !canonical.empty() && canonical[k] != k;
+  }
+  /// Make `twin` take `to`'s result, in both directions of the table.
+  void link(std::size_t twin, std::size_t to);
+  /// The twins whose canonical is `c`, ascending.
+  [[nodiscard]] std::span<const std::size_t> twins_of(
+      std::size_t c) const noexcept {
+    return twin_lists.empty() ? std::span<const std::size_t>{}
+                              : std::span<const std::size_t>(twin_lists[c]);
   }
   /// The result a twin at `point` would end its own run with:
   /// `canonical_result` with the twin's point and its rho's
